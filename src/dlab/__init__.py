@@ -4,6 +4,7 @@ finite-system oracle for the underlying recurrence theory."""
 
 from .blocks import (
     Block,
+    InvariantError,
     ResourceCapError,
     TdseqFormatError,
     concat,
@@ -22,6 +23,7 @@ from .report import CheckReport
 __all__ = [
     "Block",
     "CheckReport",
+    "InvariantError",
     "ResourceCapError",
     "TdseqFormatError",
     "concat",

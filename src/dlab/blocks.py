@@ -9,6 +9,8 @@ escape windows, run analysis) cost O(#nonzero) instead of O(length).
 
 from __future__ import annotations
 
+import math
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -23,6 +25,10 @@ class TdseqFormatError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """A build would exceed the configured symbol budget; raised before allocating."""
+
+
+class InvariantError(RuntimeError):
+    """A construction step broke one of its own invariants: a program fault."""
 
 
 def as_symbol(value) -> Fraction:
@@ -234,6 +240,18 @@ def sup_distance(a: Block, b: Block) -> Fraction:
     return best
 
 
+def common_numerators(block: Block) -> tuple:
+    """Exact integer view of the nonzero symbols: ``(D, nums)``.
+
+    ``D`` is the lcm of the nonzero symbols' denominators (1 for an all-zero
+    block), and ``nums[i] / D`` is the symbol at ``nonzero_positions[i]``, so
+    sums, differences and comparisons of symbols become integer operations.
+    """
+    values = [block._symbols[p - block.base] for p in block._nonzero]
+    d = math.lcm(*{v.denominator for v in values})
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 # -- TDSEQ 1 file format ----------------------------------------------------
 #
 #   TDSEQ 1
@@ -242,6 +260,14 @@ def sup_distance(a: Block, b: Block) -> Fraction:
 #   p/q          (one per line, lowest terms, 0 <= p <= q, q >= 1)
 #
 # Text, newline-terminated, no trailing whitespace; bit-exact round trips.
+# Integers are plain ASCII decimals, 0|[1-9][0-9]*, with a leading '-' allowed
+# for base only, so every accepted stream is exactly the one write_tdseq
+# produces for the block it reads as.
+
+_NATURAL = "(?:0|[1-9][0-9]*)"
+_SYMBOL_RE = re.compile(f"({_NATURAL})/({_NATURAL})")
+_BASE_RE = re.compile("base (0|-?[1-9][0-9]*)")
+_LENGTH_RE = re.compile(f"length ({_NATURAL})")
 
 
 def format_symbol(v: Fraction) -> str:
@@ -249,13 +275,10 @@ def format_symbol(v: Fraction) -> str:
 
 
 def parse_symbol(text: str) -> Fraction:
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise TdseqFormatError(f"bad symbol {text!r}: expected p/q")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise TdseqFormatError(f"bad symbol {text!r}: non-integer terms") from None
+    match = _SYMBOL_RE.fullmatch(text)
+    if match is None:
+        raise TdseqFormatError(f"bad symbol {text!r}: expected p/q in plain decimals")
+    p, q = int(match[1]), int(match[2])
     if q < 1:
         raise TdseqFormatError(f"bad symbol {text!r}: denominator must be >= 1")
     if not 0 <= p <= q:
@@ -266,38 +289,55 @@ def parse_symbol(text: str) -> Fraction:
     return ZERO if not f else f
 
 
+class _SymbolTable(dict):
+    """Body line (with its newline) -> symbol; each distinct line parses once."""
+
+    def __missing__(self, line: str) -> Fraction:
+        if not line.endswith("\n"):
+            raise TdseqFormatError(f"symbol line {line!r} not newline-terminated")
+        value = self[line] = parse_symbol(line[:-1])
+        return value
+
+
 def write_tdseq(block: Block, stream: TextIO) -> None:
-    stream.write("TDSEQ 1\n")
-    stream.write(f"base {block.base}\n")
-    stream.write(f"length {len(block)}\n")
-    stream.write("\n".join(format_symbol(v) for v in block.symbols))
+    lines = ["0/1"] * len(block)
+    for p, v in block.nonzero_items():
+        lines[p - block.base] = format_symbol(v)
+    stream.write(f"TDSEQ 1\nbase {block.base}\nlength {len(block)}\n")
+    stream.write("\n".join(lines))
     stream.write("\n")
 
 
-def read_tdseq(stream: TextIO) -> Block:
-    lines = stream.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
-        raise TdseqFormatError("stream not newline-terminated")
-    if len(lines) < 4:
+def _header_line(stream: TextIO) -> str:
+    line = stream.readline()
+    if not line:
         raise TdseqFormatError("truncated TDSEQ stream")
-    if lines[0] != "TDSEQ 1":
-        raise TdseqFormatError(f"bad header {lines[0]!r}")
-    if not lines[1].startswith("base "):
-        raise TdseqFormatError(f"bad base line {lines[1]!r}")
-    if not lines[2].startswith("length "):
-        raise TdseqFormatError(f"bad length line {lines[2]!r}")
-    try:
-        base = int(lines[1][5:])
-        length = int(lines[2][7:])
-    except ValueError:
-        raise TdseqFormatError("non-integer base or length") from None
-    body = lines[3:]
-    if len(body) != length:
-        raise TdseqFormatError(f"expected {length} symbols, found {len(body)}")
-    syms = tuple(parse_symbol(s) for s in body)
-    nonzero = tuple(i + base for i, v in enumerate(syms) if v)
+    if not line.endswith("\n"):
+        raise TdseqFormatError(f"header line {line!r} not newline-terminated")
+    return line[:-1]
+
+
+def _header_int(stream: TextIO, pattern: "re.Pattern", what: str) -> int:
+    line = _header_line(stream)
+    match = pattern.fullmatch(line)
+    if match is None:
+        raise TdseqFormatError(f"bad {what} line {line!r}")
+    return int(match[1])
+
+
+def read_tdseq(stream: TextIO) -> Block:
+    header = _header_line(stream)
+    if header != "TDSEQ 1":
+        raise TdseqFormatError(f"bad header {header!r}")
+    base = _header_int(stream, _BASE_RE, "base")
+    length = _header_int(stream, _LENGTH_RE, "length")
+    syms = tuple(map(_SymbolTable().__getitem__, stream))
+    if not syms:
+        raise TdseqFormatError("truncated TDSEQ stream")
+    if len(syms) != length:
+        raise TdseqFormatError(f"expected {length} symbols, found {len(syms)}")
+    # parse_symbol returns the shared ZERO for every zero symbol.
+    nonzero = tuple(i for i, v in enumerate(syms, base) if v is not ZERO)
     return Block._trusted(syms, base, nonzero)
 
 

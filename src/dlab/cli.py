@@ -2,8 +2,9 @@
 
 Every command prints ``CHECK <id> <PASS|FAIL|INFO> key=value...`` lines (plus
 ``SPACERS``/``WITNESS`` lines where applicable) and exits 0 when nothing
-failed, 1 on any FAIL, 2 on configuration or resource errors.  Identical
-invocations produce byte-identical output.
+failed, 1 on any FAIL, 2 on configuration or resource errors, 3 on an
+internal error (a fault in the program, reported on one stderr line).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
     except (ResourceCapError, thm2.SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a program fault must not read as a FAIL (exit 1)
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     failed = False
     for line in lines:
         print(line)

@@ -239,6 +239,8 @@ def lemma6_relation(sys: FiniteSystem, x: int):
     Returns (points, partition, report); an error if x is recurrent, since
     the construction needs the orbit to leave x behind.
     """
+    if not 0 <= x < sys.size:
+        raise ValueError(f"point {x} outside 0..{sys.size - 1}")
     if is_recurrent(sys, x):
         raise ValueError(
             f"point {x} is forward recurrent; the construction needs an "

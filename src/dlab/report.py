@@ -47,14 +47,3 @@ class CheckReport:
     def __str__(self) -> str:
         return self.line()
 
-
-def passed_report(check_id: str, *params) -> CheckReport:
-    return CheckReport(check_id, PASS, tuple(params))
-
-
-def failed_report(check_id: str, params, witness) -> CheckReport:
-    return CheckReport(check_id, FAIL, tuple(params), tuple(witness))
-
-
-def info_report(check_id: str, params, witness=()) -> CheckReport:
-    return CheckReport(check_id, INFO, tuple(params), tuple(witness))

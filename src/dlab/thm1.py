@@ -21,11 +21,19 @@ over k symbols with bound 1/k), which the constructed point itself refutes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import Block, ResourceCapError, ZERO, concat_all, scale
+from .blocks import (
+    Block,
+    InvariantError,
+    ResourceCapError,
+    ZERO,
+    common_numerators,
+    concat_all,
+    scale,
+)
 from .report import CheckReport, FAIL, INFO, PASS
 
 DEFAULT_MAX_SYMBOLS = 10**8
@@ -69,11 +77,18 @@ def step(state: Thm1State) -> Thm1State:
     copies = [prev, prev]
     copies.extend(scale(Fraction(r, m + 1), prev) for r in range(m, -1, -1))
     nxt = concat_all(copies, base=1)
-    assert len(nxt) == (m + 3) * len(prev)
+    if len(nxt) != (m + 3) * len(prev):
+        raise InvariantError(
+            f"stage {m + 1} has length {len(nxt)}, expected {m + 3} x {len(prev)}"
+        )
     # Extension only: the new prefix starts with the old one.
-    assert nxt.symbols[: len(prev)] == prev.symbols
+    if nxt.symbols[: len(prev)] != prev.symbols:
+        raise InvariantError(f"stage {m + 1} does not extend stage {m}")
     # Zero tail grows past the m+2 the next stage requires.
-    assert nxt.trailing_zero_run() >= m + 2
+    if nxt.trailing_zero_run() < m + 2:
+        raise InvariantError(
+            f"stage {m + 1} ends in {nxt.trailing_zero_run()} zeros, need {m + 2}"
+        )
     return Thm1State(m + 1, state.lengths + (len(nxt),), nxt)
 
 
@@ -135,6 +150,13 @@ def check_c1(state: Thm1State, kmax: int) -> CheckReport:
     return CheckReport("C1", verdict, params, witness)
 
 
+def _c3_gate(block: Block, q: int, k: int, hi_start: int) -> bool:
+    """Some admissible window start lo_i..hi_i for the pair at q sees a nonzero."""
+    lo_i = max(block.base, q - k + 1)
+    hi_i = min(q, hi_start)
+    return lo_i <= hi_i and block.count_nonzero_in(lo_i, hi_i + k - 1) > 0
+
+
 def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     """Strict rigidity: shifting by n_k moves no symbol by 1/k or more.
 
@@ -144,112 +166,92 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
 
     The scan touches only positions near nonzero symbols: a violating pair
     (q, q+n_k) needs a nonzero on one side, and the gating window needs a
-    nonzero within distance k-1 of some admissible start.  Reports the first
-    failure as (k, position) with both offending values, smallest k first,
-    then smallest position.
+    nonzero within distance k-1 of some admissible start.  Symbols are
+    compared as integer numerators over their common denominator D, so the
+    bound reads |d| * k >= D.  Reports the first failure as (k, position)
+    with both offending values, smallest k first, then smallest position.
     """
     _require_range(state, kmax, "kmax")
     block = state.prefix
     nz = block.nonzero_positions
-    syms = block.symbols
     base, last = block.base, block.last
+    den, nums = common_numerators(block)
+    numerator_at = dict(zip(nz, nums))
     for k in range(1, kmax + 1):
         n_k = state.length_of_stage(k)
-        bound = Fraction(1, k)
         hi_start = last - n_k - k + 1  # largest admissible window start
         if hi_start < base:
             continue
-        candidates = set()
-        for p in nz:
-            if base <= p <= last - n_k:
-                candidates.add(p)
-            q = p - n_k
-            if base <= q <= last - n_k:
-                candidates.add(q)
         failure = None
-        for q in sorted(candidates):
-            lo_i = max(base, q - k + 1)
-            hi_i = min(q, hi_start)
-            if lo_i > hi_i:
-                continue
-            # Gate: some admissible window start lo_i..hi_i sees a nonzero.
-            a = bisect_left(nz, lo_i)
-            b = bisect_right(nz, hi_i + k - 1)
-            if a == b:
-                continue
-            d = syms[q - base] - syms[q + n_k - base]
-            if d < 0:
-                d = -d
-            if d >= bound:
-                failure = (q, syms[q - base], syms[q + n_k - base])
+        # Pairs with x(q) != 0, in increasing q.
+        for p, a in zip(nz, nums):
+            if p > last - n_k:
+                break
+            d = a - numerator_at.get(p + n_k, 0)
+            if abs(d) * k >= den and _c3_gate(block, p, k, hi_start):
+                failure = p
+                break
+        # Pairs with x(q) = 0 != x(q + n_k); only q below the first find matter.
+        for p, b in zip(nz, nums):
+            q = p - n_k
+            if failure is not None and q >= failure:
+                break
+            if (
+                q >= base
+                and q not in numerator_at
+                and b * k >= den
+                and _c3_gate(block, q, k, hi_start)
+            ):
+                failure = q
                 break
         if failure is not None:
-            q, v0, v1 = failure
             return CheckReport(
                 "C3",
                 FAIL,
                 (("stage", state.stage), ("kmax", kmax)),
                 (
                     ("k", k),
-                    ("pos", q),
-                    ("value", v0),
-                    ("shifted", v1),
-                    ("bound", bound),
+                    ("pos", failure),
+                    ("value", block[failure]),
+                    ("shifted", block[failure + n_k]),
+                    ("bound", Fraction(1, k)),
                 ),
             )
     return CheckReport("C3", PASS, (("stage", state.stage), ("kmax", kmax)))
-
-
-class _RangeMax:
-    """Sparse table for exact range-maximum over the block's nonzero values."""
-
-    def __init__(self, block: Block):
-        self._positions = block.nonzero_positions
-        values = [block[p] for p in self._positions]
-        self._table = [values]
-        size = 1
-        while 2 * size <= len(values):
-            prev = self._table[-1]
-            nxt = [
-                prev[i] if prev[i] >= prev[i + size] else prev[i + size]
-                for i in range(len(prev) - size)
-            ]
-            self._table.append(nxt)
-            size *= 2
-
-    def max_in(self, lo: int, hi: int) -> Fraction:
-        """Maximum symbol value over nonzero positions in [lo, hi]; 0 if none."""
-        a = bisect_left(self._positions, lo)
-        b = bisect_right(self._positions, hi)
-        if a >= b:
-            return ZERO
-        span = b - a
-        level = span.bit_length() - 1
-        row = self._table[level]
-        left, right = row[a], row[b - (1 << level)]
-        return left if left >= right else right
 
 
 def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     """Smallness propagation: x(i) <= max(next n_j symbols) + 1/(j+1), non-strict.
 
     Positions with x(i) = 0 hold trivially, so the scan visits nonzero
-    positions only; window maxima come from a range-max table over the
-    nonzero values.  The bound is attained with equality inside the
-    construction, which is why the comparison must be non-strict.
+    positions only.  Symbols are integer numerators over their common
+    denominator D, and a monotone deque keeps the maximum of the window of
+    nonzeros in (p, p + n_j] as p advances, so one j costs O(#nonzero).  The
+    bound is attained with equality inside the construction, which is why a
+    failure needs (value - window_max) * (j+1) > D strictly.
     """
     _require_range(state, jmax, "jmax")
     block = state.prefix
-    table = _RangeMax(block)
-    base, last = block.base, block.last
+    nz = block.nonzero_positions
+    last = block.last
+    den, nums = common_numerators(block)
     for j in range(1, jmax + 1):
         n_j = state.length_of_stage(j)
-        slack = Fraction(1, j + 1)
-        for p in block.nonzero_positions:
+        window = deque()  # indices into nz; their nums strictly decrease
+        nxt = 0  # first nonzero index not yet offered to the window
+        for i, p in enumerate(nz):
             if p + n_j > last:
                 break
-            eps = table.max_in(p + 1, p + n_j)
-            if block[p] > eps + slack:
+            while window and window[0] <= i:
+                window.popleft()
+            while nxt < len(nz) and nz[nxt] <= p + n_j:
+                if nxt > i:
+                    while window and nums[window[-1]] <= nums[nxt]:
+                        window.pop()
+                    window.append(nxt)
+                nxt += 1
+            eps = nums[window[0]] if window else 0
+            if (nums[i] - eps) * (j + 1) > den:
                 return CheckReport(
                     "C2PRIME",
                     FAIL,
@@ -258,8 +260,8 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
                         ("j", j),
                         ("pos", p),
                         ("value", block[p]),
-                        ("window_max", eps),
-                        ("slack", slack),
+                        ("window_max", Fraction(eps, den)),
+                        ("slack", Fraction(1, j + 1)),
                     ),
                 )
     return CheckReport("C2PRIME", PASS, (("stage", state.stage), ("jmax", jmax)))

@@ -36,7 +36,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import Block, ResourceCapError, concat_all, scale, window, zeros
+from .blocks import (
+    Block,
+    InvariantError,
+    ResourceCapError,
+    concat_all,
+    scale,
+    window,
+    zeros,
+)
 from .report import CheckReport, FAIL, INFO, PASS
 
 DEFAULT_MAX_SYMBOLS = 10**8
@@ -136,10 +144,11 @@ def _surround(block: Block, r: int, gap: int, end: int) -> Block:
     scales = [Fraction(i, r + 1) for i in range(1, r + 1)]
     scales = scales + [Fraction(1)] + scales[::-1]
     # Consecutive copy scales differ by exactly 1/(r+1) <= 1/r.
-    assert all(
-        abs(scales[i] - scales[i + 1]) == Fraction(1, r + 1)
+    if any(
+        abs(scales[i] - scales[i + 1]) != Fraction(1, r + 1)
         for i in range(len(scales) - 1)
-    )
+    ):
+        raise InvariantError(f"copy scales {scales} do not step by 1/{r + 1}")
     parts = [zeros(end)] if end else []
     for idx, tscale in enumerate(scales):
         if idx > 0 and gap:
@@ -149,7 +158,8 @@ def _surround(block: Block, r: int, gap: int, end: int) -> Block:
         parts.append(zeros(end))
     length = 2 * end + (2 * r + 1) * len(block) + 2 * r * gap
     out = concat_all(parts, base=-(length - 1) // 2)
-    assert len(out) == length
+    if len(out) != length:
+        raise InvariantError(f"surround gave length {len(out)}, expected {length}")
     return out
 
 
@@ -179,16 +189,23 @@ def build_stage(
         )
     x_next = _surround(state.x, r, choice.s, choice.t)
     y_next = _surround(state.y, r, choice.sp, choice.tp)
-    assert len(x_next) == len(y_next)
+    if len(x_next) != len(y_next):
+        raise InvariantError(
+            f"stage {r + 1} lengths differ: x {len(x_next)}, y {len(y_next)}"
+        )
     m_r = ell + choice.s
     n_r = ell + choice.sp
     # Pitch audit: r pitches of m_r (n_r) step from the first copy base to
     # the central copy base, which the centering must place at state.x.base.
-    assert x_next.base + choice.t + r * m_r == state.x.base
-    assert y_next.base + choice.tp + r * n_r == state.y.base
+    if x_next.base + choice.t + r * m_r != state.x.base:
+        raise InvariantError(f"stage {r + 1} x copies are off the pitch m_{r}={m_r}")
+    if y_next.base + choice.tp + r * n_r != state.y.base:
+        raise InvariantError(f"stage {r + 1} y copies are off the pitch n_{r}={n_r}")
     # Center consistency: the stage-r block sits unchanged at the center.
-    assert window(x_next, state.x.base, state.x.last) == state.x
-    assert window(y_next, state.y.base, state.y.last) == state.y
+    if window(x_next, state.x.base, state.x.last) != state.x:
+        raise InvariantError(f"stage {r + 1} x does not hold stage {r} at its center")
+    if window(y_next, state.y.base, state.y.last) != state.y:
+        raise InvariantError(f"stage {r + 1} y does not hold stage {r} at its center")
     return Thm2State(
         stage=r + 1,
         x=x_next,
@@ -245,7 +262,10 @@ def build_transitive_stage(
 
     x_prime = weave(state.x, state.y, za, zb)
     y_prime = weave(state.y, state.x, zc, zd)
-    assert len(x_prime) == len(y_prime)
+    if len(x_prime) != len(y_prime):
+        raise InvariantError(
+            f"interleave lengths differ: x {len(x_prime)}, y {len(y_prime)}"
+        )
     out = Thm2State(
         stage=state.stage,
         x=x_prime,

@@ -1,11 +1,15 @@
 import io
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from dlab import blocks, thm1
 from dlab.blocks import (
     Block,
     TdseqFormatError,
+    common_numerators,
     concat,
     concat_all,
     read_tdseq,
@@ -182,8 +186,65 @@ def test_tdseq_exact_bytes():
         "TDSEQ 1\nbase 1\nlength 1\n1/0\n",   # zero denominator
         "TDSEQ 1\nbase 1\nlength 1\n0.5\n",   # not p/q
         "TDSEQ 1\nbase 1\nlength 1\n1/1",     # missing final newline
+        "TDSEQ 1\nbase +1\nlength 1\n1/1\n",  # sign on a nonnegative base
+        "TDSEQ 1\nbase 1_0\nlength 1\n1/1\n", # digit separator
+        "TDSEQ 1\nbase 1\nlength 1\n01/2\n",  # leading zero in a symbol
+        "TDSEQ 1\nbase 1\nlength 1\n 1/1\n",  # leading space in a symbol
+        "TDSEQ 1\nbase -0\nlength 1\n1/1\n",  # negative zero base
+        "TDSEQ 1\nbase 1\nlength 01\n1/1\n",  # leading zero in the length
+        "TDSEQ 1\nbase 1\nlength 1\n1/1 \n",  # trailing space
+        "TDSEQ 1\nbase 1\nlength 1\n\u0661/1\n",  # non-ASCII digit
+        "TDSEQ 1\nbase 1\nlength 0\n",         # empty block
     ],
 )
 def test_tdseq_rejects_malformed(text):
     with pytest.raises(TdseqFormatError):
         read_tdseq(io.StringIO(text))
+
+
+def _random_block(rng):
+    q = rng.randint(1, 30)
+    syms = [F(rng.randint(0, q), q) if rng.random() < 0.4 else 0
+            for _ in range(rng.randint(1, 40))]
+    return Block(syms, base=rng.randint(-50, 50))
+
+
+def test_tdseq_random_round_trips_both_ways():
+    rng = random.Random(1010)
+    for _ in range(200):
+        b = _random_block(rng)
+        buf = io.StringIO()
+        write_tdseq(b, buf)
+        text = buf.getvalue()
+        back = read_tdseq(io.StringIO(text))
+        assert back == b and back.nonzero_positions == b.nonzero_positions
+        again = io.StringIO()
+        write_tdseq(back, again)
+        assert again.getvalue() == text
+
+
+def test_tdseq_parses_each_distinct_symbol_once(monkeypatch):
+    buf = io.StringIO()
+    write_tdseq(thm1.build(4).prefix, buf)
+    body = buf.getvalue().splitlines()[3:]
+    parsed = []
+    real = blocks.parse_symbol
+    monkeypatch.setattr(blocks, "parse_symbol", lambda t: parsed.append(t) or real(t))
+    read_tdseq(io.StringIO(buf.getvalue()))
+    assert sorted(parsed) == sorted(set(body))
+
+
+def test_common_numerators_are_exact():
+    rng = random.Random(7)
+    for _ in range(50):
+        b = _random_block(rng)
+        den, nums = common_numerators(b)
+        values = [v for _, v in b.nonzero_items()]
+        assert den == math.lcm(*(v.denominator for v in values))
+        assert [F(n, den) for n in nums] == values
+    assert common_numerators(zeros(3)) == (1, [])
+
+
+def test_common_denominator_of_stage_8(thm1_stage8):
+    den, nums = common_numerators(thm1_stage8.prefix)
+    assert den == 40320 and len(set(nums)) == 382

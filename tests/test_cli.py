@@ -3,7 +3,7 @@ import sys
 
 from dlab.blocks import load_tdseq
 from dlab.cli import main
-from dlab import thm1, thm2
+from dlab import cli, thm1, thm2
 
 
 def run_cli(*args):
@@ -106,6 +106,24 @@ def test_config_errors_exit_2():
     # Unknown flags are rejected by the parser (argparse exits 2).
     result = run_cli("thm1", "verify", "--stage", "2", "--kmax", "1", "--bogus")
     assert result.returncode == 2
+
+
+def test_lemma6_point_outside_the_system_exits_2():
+    for point in ("5", "-1"):
+        result = run_cli("oracle", "lemma6", "--map", "1,2,2", "--point", point)
+        assert result.returncode == 2
+        assert result.stderr == f"error: point {point} outside 0..2\n"
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("lost\ntable")
+
+    monkeypatch.setattr(cli, "cmd_oracle_lemma6", broken)
+    assert main(["oracle", "lemma6", "--map", "1,2,2", "--point", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: KeyError('lost\\ntable')\n"
 
 
 def test_solver_cap_exhaustion_exit_2():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -240,3 +241,118 @@ def test_state_invariant_validation():
         thm1.Thm1State(2, (3,), Block([1, 0, 0]))
     with pytest.raises(ValueError):
         thm1.Thm1State(1, (4,), Block([1, 0, 0]))
+
+
+# -- differential checks against the dense references ----------------------------
+
+
+def _random_symbol(rng):
+    q = rng.randint(1, 40)
+    return F(rng.randint(1, q), q)
+
+
+def _random_state(rng):
+    """A small state with planted spikes and dips and arbitrary denominators.
+
+    Half start from a built stage (rigid, so a plant decides the verdict);
+    half are sparse random blocks with random increasing stage lengths.
+    """
+    if rng.random() < 0.5:
+        built = thm1.build(rng.choice((3, 4)))
+        stage, lengths = built.stage, built.lengths
+        syms = list(built.prefix.symbols)
+        if rng.random() < 0.5:
+            t = _random_symbol(rng)
+            syms = [t * v for v in syms]
+    else:
+        stage = rng.randint(2, 4)
+        length = rng.randint(stage + 8, 70)
+        lengths = tuple(sorted(rng.sample(range(1, length), stage - 1))) + (length,)
+        density = rng.choice((0.1, 0.3))
+        syms = [_random_symbol(rng) if rng.random() < density else F(0)
+                for _ in range(length)]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(syms))
+        if rng.random() < 0.5:
+            syms[i] = max(syms[i], _random_symbol(rng))  # spike
+        else:
+            syms[i] = syms[i] * rng.randint(0, 2) / 3  # dip
+    return thm1.Thm1State(stage, lengths, Block(syms, base=1))
+
+
+def _expected_c3(state, kmax):
+    """(k, pos) of the first C3 failure, derived from the dense reference."""
+    syms = state.prefix.symbols
+    for k in range(1, kmax + 1):
+        n_k = state.lengths[k - 1]
+        starts = naive_c3_violations(syms, n_k, k)
+        if starts:
+            q = next(q for q in range(starts[0], len(syms) - n_k)
+                     if abs(syms[q] - syms[q + n_k]) >= F(1, k))
+            return k, q + 1
+    return None
+
+
+def _expected_c2prime(state, jmax):
+    """(j, pos, window_max) of the first C2PRIME failure, from the dense reference."""
+    syms = state.prefix.symbols
+    for j in range(1, jmax + 1):
+        n_j = state.lengths[j - 1]
+        offsets = naive_c2prime_violations(syms, n_j, j)
+        if offsets:
+            i = offsets[0]
+            return j, i + 1, max(syms[i + 1 : i + 1 + n_j])
+    return None
+
+
+def test_c3_c2prime_match_dense_references_on_random_states():
+    rng = random.Random(20101022)
+    verdicts = {True: 0, False: 0}
+    for _ in range(250):
+        state = _random_state(rng)
+        kmax = state.stage - 1
+        p = state.prefix
+
+        rep = thm1.check_c3(state, kmax)
+        expected = _expected_c3(state, kmax)
+        assert rep.passed == (expected is None), rep.line()
+        verdicts[rep.passed] += 1
+        if expected is not None:
+            w = dict(rep.witness)
+            k, pos = expected
+            assert (w["k"], w["pos"]) == (k, pos), rep.line()
+            n_k = state.lengths[k - 1]
+            assert (w["value"], w["shifted"]) == (p[pos], p[pos + n_k])
+            assert w["bound"] == F(1, k)
+
+        rep = thm1.check_c2prime(state, kmax)
+        expected = _expected_c2prime(state, kmax)
+        assert rep.passed == (expected is None), rep.line()
+        verdicts[rep.passed] += 1
+        if expected is not None:
+            w = dict(rep.witness)
+            j, pos, eps = expected
+            assert (w["j"], w["pos"], w["window_max"]) == (j, pos, eps), rep.line()
+            assert (w["value"], w["slack"]) == (p[pos], F(1, j + 1))
+    # Both verdicts are well represented, so neither branch goes untested.
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_fail_report_lines_are_exact():
+    # Lines as the Fraction-based verifiers printed them; only values change form.
+    s = thm1.build(3)
+    syms = list(s.prefix.symbols)
+    syms[24], syms[25], syms[29] = F(1, 7), F(5, 7), F(1)
+    mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
+    assert thm1.check_c3(mutated, 2).line() == (
+        "CHECK C3 FAIL stage=3 kmax=2 k=1 pos=30 value=1/1 shifted=0/1 bound=1/1"
+    )
+    assert thm1.check_c2prime(mutated, 2).line() == (
+        "CHECK C2PRIME FAIL stage=3 jmax=2 j=1 pos=30 value=1/1 "
+        "window_max=1/3 slack=1/2"
+    )
+    syms[29] = 0
+    mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
+    assert thm1.check_c3(mutated, 2).line() == (
+        "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=13 value=1/1 shifted=1/7 bound=1/2"
+    )
