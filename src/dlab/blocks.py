@@ -2,9 +2,12 @@
 
 A block is a finite run of exact rational symbols occupying the integer
 positions ``base .. base + length - 1``.  Blocks are immutable; every
-operation returns a new block.  Alongside the dense symbol tuple each block
-keeps a sorted tuple of its nonzero positions, so sparse scans (orthogonality,
-escape windows, run analysis) cost O(#nonzero) instead of O(length).
+operation returns a new block.  A block stores only its nonzero symbols: the
+strictly increasing tuple of their absolute positions and a parallel tuple of
+their values.  Every other position holds 0 implicitly, so building, scaling,
+windowing and scanning a block cost O(#nonzero) whatever its length, and a
+position read is a bisect.  ``Block.symbols`` builds the dense tuple on
+demand, in O(length), for tests and references only.
 """
 
 from __future__ import annotations
@@ -42,27 +45,36 @@ def as_symbol(value) -> Fraction:
 class Block:
     """Immutable finite block of rational symbols with an integer base index."""
 
-    __slots__ = ("base", "_symbols", "_nonzero")
+    __slots__ = ("base", "length", "_nonzero", "_values", "_numerators")
 
     def __init__(self, symbols: Iterable, base: int = 1):
-        syms = tuple(as_symbol(v) for v in symbols)
-        if not syms:
+        base = int(base)
+        nonzero, values = [], []
+        length = 0
+        for length, v in enumerate(symbols, 1):
+            v = as_symbol(v)
+            if v:
+                nonzero.append(base + length - 1)
+                values.append(v)
+        if not length:
             raise ValueError("a block holds at least one symbol")
-        object.__setattr__(self, "base", int(base))
-        object.__setattr__(self, "_symbols", syms)
-        object.__setattr__(
-            self, "_nonzero", tuple(i + base for i, v in enumerate(syms) if v)
-        )
+        self._assign(base, length, tuple(nonzero), tuple(values))
 
     @classmethod
-    def _trusted(cls, symbols: tuple, base: int, nonzero: tuple) -> "Block":
+    def _trusted(cls, base: int, length: int, nonzero: tuple, values: tuple):
         # Fast path for internal constructors that already guarantee the
-        # invariants (symbols canonical Fractions in [0,1], nonzero sorted).
+        # invariant: nonzero strictly increasing inside base..base+length-1,
+        # values the nonzero canonical Fractions at those positions.
         blk = object.__new__(cls)
-        object.__setattr__(blk, "base", base)
-        object.__setattr__(blk, "_symbols", symbols)
-        object.__setattr__(blk, "_nonzero", nonzero)
+        blk._assign(base, length, nonzero, values)
         return blk
+
+    def _assign(self, base: int, length: int, nonzero: tuple, values: tuple) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_nonzero", nonzero)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_numerators", None)  # common_numerators cache
 
     def __setattr__(self, name, value):
         raise AttributeError("blocks are immutable")
@@ -70,16 +82,12 @@ class Block:
     # -- geometry ----------------------------------------------------------
 
     @property
-    def length(self) -> int:
-        return len(self._symbols)
-
-    @property
     def last(self) -> int:
         """Largest covered position."""
-        return self.base + len(self._symbols) - 1
+        return self.base + self.length - 1
 
     def __len__(self) -> int:
-        return len(self._symbols)
+        return self.length
 
     def covers(self, i: int) -> bool:
         return self.base <= i <= self.last
@@ -92,7 +100,7 @@ class Block:
             raise IndexError(
                 f"position {i} outside block range [{self.base}, {self.last}]"
             )
-        return self._symbols[i - self.base]
+        return self.at_or_zero(i)
 
     def at_or_zero(self, i: int) -> Fraction:
         """Symbol at ``i``, reading positions outside the block as 0.
@@ -100,13 +108,18 @@ class Block:
         Only for verifiers whose contract explicitly treats the surroundings
         as zero; everything else should use ``block[i]`` and get the error.
         """
-        if self.base <= i <= self.last:
-            return self._symbols[i - self.base]
+        k = bisect_left(self._nonzero, i)
+        if k < len(self._nonzero) and self._nonzero[k] == i:
+            return self._values[k]
         return ZERO
 
     @property
     def symbols(self) -> tuple:
-        return self._symbols
+        """Dense tuple of every symbol, built on each call in O(length)."""
+        syms = [ZERO] * self.length
+        for p, v in zip(self._nonzero, self._values):
+            syms[p - self.base] = v
+        return tuple(syms)
 
     @property
     def nonzero_positions(self) -> tuple:
@@ -114,8 +127,8 @@ class Block:
         return self._nonzero
 
     def nonzero_items(self) -> Iterator[tuple]:
-        for p in self._nonzero:
-            yield p, self._symbols[p - self.base]
+        """(position, symbol) for every nonzero symbol, in increasing position."""
+        return zip(self._nonzero, self._values)
 
     def nonzero_in(self, lo: int, hi: int) -> Sequence[int]:
         """Nonzero positions p with lo <= p <= hi (sorted)."""
@@ -128,12 +141,12 @@ class Block:
 
     def leading_zero_run(self) -> int:
         if not self._nonzero:
-            return len(self._symbols)
+            return self.length
         return self._nonzero[0] - self.base
 
     def trailing_zero_run(self) -> int:
         if not self._nonzero:
-            return len(self._symbols)
+            return self.length
         return self.last - self._nonzero[-1]
 
     # -- identity ----------------------------------------------------------
@@ -141,29 +154,36 @@ class Block:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Block):
             return NotImplemented
-        return self.base == other.base and self._symbols == other._symbols
+        return (
+            self.base == other.base
+            and self.length == other.length
+            and self._nonzero == other._nonzero
+            and self._values == other._values
+        )
 
     def __hash__(self) -> int:
-        return hash((self.base, self._symbols))
+        return hash((self.base, self.length, self._nonzero, self._values))
 
     def __repr__(self) -> str:
-        shown = ",".join(str(v) for v in self._symbols[:8])
-        if len(self._symbols) > 8:
+        shown = ",".join(
+            str(self.at_or_zero(i))
+            for i in range(self.base, self.base + min(self.length, 8))
+        )
+        if self.length > 8:
             shown += ",..."
-        return f"Block(base={self.base}, length={len(self._symbols)}, [{shown}])"
+        return f"Block(base={self.base}, length={self.length}, [{shown}])"
 
     def rebase(self, new_base: int) -> "Block":
-        """Same symbols at a new base (shares storage)."""
+        """Same symbols at a new base (shares the value storage)."""
         delta = new_base - self.base
-        return Block._trusted(
-            self._symbols, new_base, tuple(p + delta for p in self._nonzero)
-        )
+        nonzero = tuple(p + delta for p in self._nonzero)
+        return Block._trusted(new_base, self.length, nonzero, self._values)
 
 
 def zeros(length: int, base: int = 1) -> Block:
     if length < 1:
         raise ValueError("a block holds at least one symbol")
-    return Block._trusted((ZERO,) * length, base, ())
+    return Block._trusted(base, length, (), ())
 
 
 def concat(a: Block, b: Block) -> Block:
@@ -177,18 +197,18 @@ def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
         raise ValueError("nothing to concatenate")
     if base is None:
         base = blocks[0].base
-    syms = []
     nonzero = []
+    values = []
     offset = base
     for blk in blocks:
         delta = offset - blk.base
-        syms.extend(blk._symbols)
         if delta:
-            nonzero.extend(p + delta for p in blk._nonzero)
+            nonzero.extend([p + delta for p in blk._nonzero])
         else:
             nonzero.extend(blk._nonzero)
-        offset += len(blk._symbols)
-    return Block._trusted(tuple(syms), base, tuple(nonzero))
+        values.extend(blk._values)
+        offset += blk.length
+    return Block._trusted(base, offset - base, tuple(nonzero), tuple(values))
 
 
 def scale(t, b: Block) -> Block:
@@ -197,11 +217,17 @@ def scale(t, b: Block) -> Block:
     if t == 1:
         return b
     if not t:
-        return Block._trusted((ZERO,) * len(b._symbols), b.base, ())
-    syms = list(b._symbols)
-    for p in b._nonzero:
-        syms[p - b.base] = t * syms[p - b.base]
-    return Block._trusted(tuple(syms), b.base, b._nonzero)
+        return Block._trusted(b.base, b.length, (), ())
+    # Blocks repeat a few values many times, so multiply each value object
+    # once.  Keying by id is sound: b._values keeps every keyed object alive.
+    products = {}
+    values = []
+    for v in b._values:
+        out = products.get(id(v))
+        if out is None:
+            out = products[id(v)] = t * v
+        values.append(out)
+    return Block._trusted(b.base, b.length, b._nonzero, tuple(values))
 
 
 def window(b: Block, i: int, j: int) -> Block:
@@ -212,10 +238,9 @@ def window(b: Block, i: int, j: int) -> Block:
         raise IndexError(f"window end {j} above block last position {b.last}")
     if i > j:
         raise IndexError(f"empty window: start {i} exceeds end {j}")
-    lo = i - b.base
     a = bisect_left(b._nonzero, i)
     c = bisect_right(b._nonzero, j)
-    return Block._trusted(b._symbols[lo : j - b.base + 1], i, b._nonzero[a:c])
+    return Block._trusted(i, j - i + 1, b._nonzero[a:c], b._values[a:c])
 
 
 def sup_distance(a: Block, b: Block) -> Fraction:
@@ -223,21 +248,42 @@ def sup_distance(a: Block, b: Block) -> Fraction:
 
     Positions are compared by offset from each block's own base.
     """
-    if len(a._symbols) != len(b._symbols):
-        raise ValueError(
-            f"length mismatch: {len(a._symbols)} vs {len(b._symbols)}"
-        )
-    best = ZERO
+    if a.length != b.length:
+        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
     # Only offsets where at least one side is nonzero can contribute.
-    offsets = {p - a.base for p in a._nonzero}
-    offsets.update(p - b.base for p in b._nonzero)
-    for off in offsets:
-        d = a._symbols[off] - b._symbols[off]
-        if d < 0:
-            d = -d
+    at_a = dict(zip([p - a.base for p in a._nonzero], a._values))
+    at_b = dict(zip([p - b.base for p in b._nonzero], b._values))
+    best = ZERO
+    for off in at_a.keys() | at_b.keys():
+        d = abs(at_a.get(off, ZERO) - at_b.get(off, ZERO))
         if d > best:
             best = d
     return best
+
+
+def shift_violations(block: Block, shift: int, bound: Fraction) -> Iterator[tuple]:
+    """Yield ``(i, v(i), v(i + shift))`` for each i with |v(i+shift) - v(i)| > bound.
+
+    Positions outside the block read as 0, and hits come in increasing i.
+    Only an i with v(i) or v(i + shift) nonzero can qualify, so two pointers
+    walk the nonzeros once as i and once as i + shift.
+    """
+    pos, vals = block._nonzero, block._values
+    n = len(pos)
+    a = b = 0
+    while a < n or b < n:
+        i = pos[a] if a < n else math.inf
+        j = pos[b] - shift if b < n else math.inf
+        q = min(i, j)
+        here = there = ZERO
+        if i == q:
+            here = vals[a]
+            a += 1
+        if j == q:
+            there = vals[b]
+            b += 1
+        if abs(there - here) > bound:
+            yield q, here, there
 
 
 def common_numerators(block: Block) -> tuple:
@@ -246,10 +292,15 @@ def common_numerators(block: Block) -> tuple:
     ``D`` is the lcm of the nonzero symbols' denominators (1 for an all-zero
     block), and ``nums[i] / D`` is the symbol at ``nonzero_positions[i]``, so
     sums, differences and comparisons of symbols become integer operations.
+    Computed once per block and cached on it; callers must not mutate
+    ``nums``.
     """
-    values = [block._symbols[p - block.base] for p in block._nonzero]
-    d = math.lcm(*{v.denominator for v in values})
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    if block._numerators is None:
+        values = block._values
+        d = math.lcm(*{v.denominator for v in values})
+        nums = [v.numerator * (d // v.denominator) for v in values]
+        object.__setattr__(block, "_numerators", (d, nums))
+    return block._numerators
 
 
 # -- TDSEQ 1 file format ----------------------------------------------------
@@ -331,14 +382,18 @@ def read_tdseq(stream: TextIO) -> Block:
         raise TdseqFormatError(f"bad header {header!r}")
     base = _header_int(stream, _BASE_RE, "base")
     length = _header_int(stream, _LENGTH_RE, "length")
-    syms = tuple(map(_SymbolTable().__getitem__, stream))
-    if not syms:
-        raise TdseqFormatError("truncated TDSEQ stream")
-    if len(syms) != length:
-        raise TdseqFormatError(f"expected {length} symbols, found {len(syms)}")
+    nonzero, values = [], []
+    count = 0
     # parse_symbol returns the shared ZERO for every zero symbol.
-    nonzero = tuple(i for i, v in enumerate(syms, base) if v is not ZERO)
-    return Block._trusted(syms, base, nonzero)
+    for count, v in enumerate(map(_SymbolTable().__getitem__, stream), 1):
+        if v is not ZERO:
+            nonzero.append(base + count - 1)
+            values.append(v)
+    if not count:
+        raise TdseqFormatError("truncated TDSEQ stream")
+    if count != length:
+        raise TdseqFormatError(f"expected {length} symbols, found {count}")
+    return Block._trusted(base, length, tuple(nonzero), tuple(values))
 
 
 def dump_tdseq(block: Block, path) -> None:

@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .blocks import Block, ZERO
+from .blocks import Block, ZERO, shift_violations
 from .report import CheckReport, FAIL, PASS
 from .thm2 import Thm2State
 
@@ -280,61 +280,28 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     return WitnessRuns(report, tuple(runs))
 
 
-def _return_violations(block: Block, shift: int, bound: Fraction) -> list:
-    """Positions q with |v(q+shift) - v(q)| > bound, outside read as 0."""
-    candidates = set()
-    for p in block.nonzero_positions:
-        candidates.add(p)
-        candidates.add(p - shift)
-    out = []
-    for q in sorted(candidates):
-        d = block.at_or_zero(q + shift) - block.at_or_zero(q)
-        if d < 0:
-            d = -d
-        if d > bound:
-            out.append(q)
-    return out
-
-
 def _one_sided_omega(
     state: Thm2State, k: int, w: int, returning: Block, escaping: Block, time: int
 ):
     """Centers where some r <= 3 keeps ``returning`` within 3/k and zeroes ``escaping``."""
     bound = Fraction(3, k)
     lo, hi = _admissible_centers(returning, time, w)
-    bad = {}
+    ret_bad, esc_bad, bad = {}, {}, {}
     for r in (1, 2, 3):
-        intervals = [
+        ret_bad[r] = _merge_intervals([
             (max(q - w, lo), min(q + w, hi))
-            for q in _return_violations(returning, r * time, bound)
+            for q, _, _ in shift_violations(returning, r * time, bound)
             if q + w >= lo and q - w <= hi
-        ]
-        intervals.extend(_center_intervals_hitting(escaping, r * time, w, lo, hi))
-        bad[r] = _merge_intervals(intervals)
+        ])
+        esc_bad[r] = _center_intervals_hitting(escaping, r * time, w, lo, hi)
+        bad[r] = _merge_intervals(ret_bad[r] + esc_bad[r])
     runs, failure = _assign_runs(bad, lo, hi)
     if failure is None:
         return runs, None
     # Classify what blocked the failing center: the return part (a), the
     # escape part (b), or both.
-    ret_ok = any(
-        not _in_intervals(
-            _merge_intervals(
-                [
-                    (max(q - w, lo), min(q + w, hi))
-                    for q in _return_violations(returning, r * time, bound)
-                    if q + w >= lo and q - w <= hi
-                ]
-            ),
-            failure,
-        )
-        for r in (1, 2, 3)
-    )
-    esc_ok = any(
-        not _in_intervals(
-            _center_intervals_hitting(escaping, r * time, w, lo, hi), failure
-        )
-        for r in (1, 2, 3)
-    )
+    ret_ok = any(not _in_intervals(ret_bad[r], failure) for r in (1, 2, 3))
+    esc_ok = any(not _in_intervals(esc_bad[r], failure) for r in (1, 2, 3))
     part = "ab"
     if ret_ok and not esc_ok:
         part = "b"

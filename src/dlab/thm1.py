@@ -33,6 +33,7 @@ from .blocks import (
     common_numerators,
     concat_all,
     scale,
+    window,
 )
 from .report import CheckReport, FAIL, INFO, PASS
 
@@ -82,7 +83,7 @@ def step(state: Thm1State) -> Thm1State:
             f"stage {m + 1} has length {len(nxt)}, expected {m + 3} x {len(prev)}"
         )
     # Extension only: the new prefix starts with the old one.
-    if nxt.symbols[: len(prev)] != prev.symbols:
+    if window(nxt, prev.base, prev.last) != prev:
         raise InvariantError(f"stage {m + 1} does not extend stage {m}")
     # Zero tail grows past the m+2 the next stage requires.
     if nxt.trailing_zero_run() < m + 2:
@@ -134,16 +135,14 @@ def check_c1(state: Thm1State, kmax: int) -> CheckReport:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     block = state.prefix
-    nz = block.nonzero_positions
     best_k = 0
     best_pos = None
-    for idx, p in enumerate(nz):
-        if block[p] != 1:
-            continue
-        prev_nz = nz[idx - 1] if idx > 0 else block.base - 1
+    prev_nz = block.base - 1
+    for p, v in block.nonzero_items():
         run = p - prev_nz - 1
-        if run > best_k:
+        if run > best_k and v == 1:
             best_k, best_pos = run, p
+        prev_nz = p
     params = (("stage", state.stage), ("kmax", kmax))
     witness = (("max_run", best_k), ("one_at", best_pos))
     verdict = PASS if best_k >= kmax else FAIL
@@ -237,20 +236,20 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     den, nums = common_numerators(block)
     for j in range(1, jmax + 1):
         n_j = state.length_of_stage(j)
-        window = deque()  # indices into nz; their nums strictly decrease
+        ahead = deque()  # the window: indices into nz, nums strictly decreasing
         nxt = 0  # first nonzero index not yet offered to the window
         for i, p in enumerate(nz):
             if p + n_j > last:
                 break
-            while window and window[0] <= i:
-                window.popleft()
+            while ahead and ahead[0] <= i:
+                ahead.popleft()
             while nxt < len(nz) and nz[nxt] <= p + n_j:
                 if nxt > i:
-                    while window and nums[window[-1]] <= nums[nxt]:
-                        window.pop()
-                    window.append(nxt)
+                    while ahead and nums[ahead[-1]] <= nums[nxt]:
+                        ahead.pop()
+                    ahead.append(nxt)
                 nxt += 1
-            eps = nums[window[0]] if window else 0
+            eps = nums[ahead[0]] if ahead else 0
             if (nums[i] - eps) * (j + 1) > den:
                 return CheckReport(
                     "C2PRIME",

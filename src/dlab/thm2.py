@@ -42,6 +42,7 @@ from .blocks import (
     ResourceCapError,
     concat_all,
     scale,
+    shift_violations,
     window,
     zeros,
 )
@@ -284,26 +285,11 @@ def build_transitive_stage(
 # -- verifiers ---------------------------------------------------------------
 
 
-def _shift_bound_violation(block: Block, shift: int, bound: Fraction):
-    """First i (smallest) with |v(i+shift) - v(i)| > bound, reading outside as 0."""
-    candidates = set()
-    for p in block.nonzero_positions:
-        candidates.add(p)
-        candidates.add(p - shift)
-    for i in sorted(candidates):
-        d = block.at_or_zero(i + shift) - block.at_or_zero(i)
-        if d < 0:
-            d = -d
-        if d > bound:
-            return i, block.at_or_zero(i), block.at_or_zero(i + shift)
-    return None
-
-
 def check_rigidity_x(state: Thm2State, k: int) -> CheckReport:
     """Condition I: shifting x by m_k moves every symbol by at most 1/k."""
     shift = state.m(k)
     params = (("stage", state.stage), ("k", k), ("shift", shift))
-    hit = _shift_bound_violation(state.x, shift, Fraction(1, k))
+    hit = next(shift_violations(state.x, shift, Fraction(1, k)), None)
     if hit is None:
         return CheckReport("I", PASS, params)
     i, v0, v1 = hit
@@ -316,7 +302,7 @@ def check_rigidity_y(state: Thm2State, k: int) -> CheckReport:
     """Condition II: shifting y by n_k moves every symbol by at most 1/k."""
     shift = state.n(k)
     params = (("stage", state.stage), ("k", k), ("shift", shift))
-    hit = _shift_bound_violation(state.y, shift, Fraction(1, k))
+    hit = next(shift_violations(state.y, shift, Fraction(1, k)), None)
     if hit is None:
         return CheckReport("II", PASS, params)
     i, v0, v1 = hit
@@ -325,41 +311,32 @@ def check_rigidity_y(state: Thm2State, k: int) -> CheckReport:
     )
 
 
+def _cell_clash(nz, length: int, phase: int):
+    """First consecutive nonzeros (a, b) whose ``phase`` cells are 1 or 2 apart."""
+    for a, b in zip(nz, nz[1:]):
+        if 0 < (b - phase) // length - (a - phase) // length < 3:
+            return a, b
+    return None
+
+
 def _phased_sparseness(block: Block, length: int):
     """Search for a phase c in [0, length) packing nonzeros so that any three
     consecutive length-``length`` cells contain at most one nonzero cell.
 
     Cell boundaries sit at c + q*length.  Candidate phases are the residues
     where some position's cell assignment changes, so testing them covers
-    every distinct assignment.  Returns (phase, None) or (None, witness).
+    every distinct assignment.  Returns (phase, None), or (None, witness)
+    naming phase 0 and the first consecutive nonzeros that break the rule
+    under it.
     """
     nz = block.nonzero_positions
-    if len(nz) <= 1:
-        return 0, None
     candidates = {0}
     candidates.update((p + 1) % length for p in nz)
     for c in sorted(candidates):
-        ok = True
-        prev_cell = None
-        prev_pos = None
-        for p in nz:
-            cell = (p - c) // length
-            if prev_cell is not None and 0 < cell - prev_cell < 3:
-                ok = False
-                break
-            if prev_cell != cell:
-                prev_cell, prev_pos = cell, p
-        if ok:
+        if _cell_clash(nz, length, c) is None:
             return c, None
-    # No phase: report the offending pair under phase 0.
-    prev_cell = None
-    prev_pos = None
-    for p in nz:
-        cell = p // length
-        if prev_cell is not None and 0 < cell - prev_cell < 3:
-            return None, (prev_pos, p)
-        prev_cell, prev_pos = cell, p
-    return None, (nz[0], nz[1])
+    pos_a, pos_b = _cell_clash(nz, length, 0)
+    return None, (("phase", 0), ("pos_a", pos_a), ("pos_b", pos_b))
 
 
 def check_sparseness_x(state: Thm2State, k: int) -> CheckReport:
@@ -369,9 +346,7 @@ def check_sparseness_x(state: Thm2State, k: int) -> CheckReport:
     phase, witness = _phased_sparseness(state.x, length)
     if phase is not None:
         return CheckReport("III", PASS, params, (("phase", phase),))
-    return CheckReport(
-        "III", FAIL, params, (("pos_a", witness[0]), ("pos_b", witness[1]))
-    )
+    return CheckReport("III", FAIL, params, witness)
 
 
 def check_sparseness_y(state: Thm2State, k: int) -> CheckReport:
@@ -381,9 +356,7 @@ def check_sparseness_y(state: Thm2State, k: int) -> CheckReport:
     phase, witness = _phased_sparseness(state.y, length)
     if phase is not None:
         return CheckReport("IV", PASS, params, (("phase", phase),))
-    return CheckReport(
-        "IV", FAIL, params, (("pos_a", witness[0]), ("pos_b", witness[1]))
-    )
+    return CheckReport("IV", FAIL, params, witness)
 
 
 def check_orthogonality(state: Thm2State) -> CheckReport:
@@ -452,21 +425,16 @@ def check_transitive_rigidity(state: Thm2State, k: int) -> CheckReport:
     bound = Fraction(1, k)
     params = (("stage", state.stage), ("k", k), ("m", m_k), ("n", n_k))
     for name, block in (("x", state.x), ("y", state.y)):
-        candidates = set()
-        for p in block.nonzero_positions:
-            candidates.update((p, p - m_k, p - n_k))
-        for i in sorted(candidates):
-            v = block.at_or_zero(i)
-            d1 = abs(block.at_or_zero(i + m_k) - v)
-            if d1 <= bound:
-                continue
-            d2 = abs(block.at_or_zero(i + n_k) - v)
-            if d2 > bound:
+        # A failing position breaks the bound at both distances.
+        diff_n = {i: abs(w - v) for i, v, w in shift_violations(block, n_k, bound)}
+        for i, v, w in shift_violations(block, m_k, bound):
+            if i in diff_n:
                 return CheckReport(
                     "TRANSITIVE_RIGIDITY",
                     FAIL,
                     params,
-                    (("side", name), ("pos", i), ("diff_m", d1), ("diff_n", d2)),
+                    (("side", name), ("pos", i), ("diff_m", abs(w - v)),
+                     ("diff_n", diff_n[i])),
                 )
     return CheckReport("TRANSITIVE_RIGIDITY", PASS, params)
 

@@ -20,6 +20,8 @@ from dlab.blocks import (
     zeros,
 )
 
+from naive_refs import naive_shift_violations
+
 F = Fraction
 
 
@@ -156,7 +158,8 @@ def test_zero_runs():
 def test_rebase_shares_symbols():
     b = Block([1, 0, F(1, 2)], base=1)
     r = b.rebase(-1)
-    assert r.symbols is b.symbols
+    assert r._values is b._values
+    assert r.symbols == b.symbols
     assert r.nonzero_positions == (-1, 1)
 
 
@@ -248,3 +251,100 @@ def test_common_numerators_are_exact():
 def test_common_denominator_of_stage_8(thm1_stage8):
     den, nums = common_numerators(thm1_stage8.prefix)
     assert den == 40320 and len(set(nums)) == 382
+
+
+# -- sparse storage against a plain dense tuple ----------------------------------
+
+
+def _dense_case(rng):
+    """(base, dense tuple) with values drawn from a small pool, so the same
+    Fraction objects repeat as they do in the built constructions."""
+    pool = [F(rng.randint(1, q), q) for q in (rng.randint(1, 12) for _ in range(4))]
+    density = rng.choice((0.0, 0.1, 0.5, 1.0))
+    syms = tuple(
+        rng.choice(pool) if rng.random() < density else F(0)
+        for _ in range(rng.randint(1, 25))
+    )
+    return rng.randint(-30, 30), syms
+
+
+def _tdseq_text(base, syms):
+    body = "".join(f"{v.numerator}/{v.denominator}\n" for v in syms)
+    return f"TDSEQ 1\nbase {base}\nlength {len(syms)}\n{body}"
+
+
+def _check_against_dense(b, base, syms):
+    assert b.base == base and len(b) == len(syms) and b.last == base + len(syms) - 1
+    assert b.symbols == syms
+    assert b.nonzero_positions == tuple(base + i for i, v in enumerate(syms) if v)
+    assert list(b.nonzero_items()) == [(base + i, v) for i, v in enumerate(syms) if v]
+    for i, v in enumerate(syms, base):
+        assert b[i] == v and b.at_or_zero(i) == v
+    for i in (base - 2, base - 1, b.last + 1, b.last + 2):
+        assert b.at_or_zero(i) == 0
+        with pytest.raises(IndexError):
+            b[i]
+
+
+def test_sparse_block_matches_dense_tuple():
+    rng = random.Random(2024)
+    for _ in range(300):
+        base, syms = _dense_case(rng)
+        b = Block(syms, base=base)
+        _check_against_dense(b, base, syms)
+
+        parts = [_dense_case(rng) for _ in range(rng.randint(1, 4))]
+        out_base = rng.randint(-30, 30)
+        joined = concat_all([Block(s, base=pb) for pb, s in parts], base=out_base)
+        _check_against_dense(joined, out_base, sum((s for _, s in parts), ()))
+
+        t = rng.choice((F(0), F(1), F(1, 3), F(5, 7)))
+        _check_against_dense(scale(t, b), base, tuple(t * v for v in syms))
+
+        i = rng.randint(base, b.last)
+        j = rng.randint(i, b.last)
+        _check_against_dense(window(b, i, j), i, syms[i - base : j - base + 1])
+
+        new_base = rng.randint(-30, 30)
+        _check_against_dense(b.rebase(new_base), new_base, syms)
+
+        # Equal content reached another way compares and hashes equal.
+        again = b
+        if i < b.last:
+            again = concat_all([window(b, base, i), window(b, i + 1, b.last)])
+        assert again == b and hash(again) == hash(b)
+        other_base, other = _dense_case(rng)
+        same = (other_base, other) == (base, syms)
+        assert (Block(other, base=other_base) == b) == same
+        if any(syms):
+            k = next(k for k, v in enumerate(syms) if v)
+            changed = syms[:k] + (syms[k] / 2,) + syms[k + 1 :]
+            assert Block(changed, base=base) != b
+
+        nonzero = [v for v in syms if v]
+        den = math.lcm(*(v.denominator for v in nonzero))
+        nums = [v.numerator * den // v.denominator for v in nonzero]
+        assert common_numerators(b) == (den, nums)
+        assert common_numerators(b) is common_numerators(b)
+
+        if len(other) == len(syms):
+            dist = max(abs(u - v) for u, v in zip(syms, other))
+            assert sup_distance(b, Block(other, base=other_base)) == dist
+
+        buf = io.StringIO()
+        write_tdseq(b, buf)
+        assert buf.getvalue() == _tdseq_text(base, syms)
+        _check_against_dense(read_tdseq(io.StringIO(buf.getvalue())), base, syms)
+
+
+def test_shift_violations_match_dense_scan():
+    rng = random.Random(99)
+    for _ in range(300):
+        base, syms = _dense_case(rng)
+        b = Block(syms, base=base)
+        shift = rng.randint(1, len(syms) + 2)
+        bound = rng.choice((F(0), F(1, 4), F(1, 2), F(1)))
+        hits = list(blocks.shift_violations(b, shift, bound))
+        assert [i for i, _, _ in hits] == naive_shift_violations(b, shift, bound)
+        for i, here, there in hits:
+            assert (here, there) == (b.at_or_zero(i), b.at_or_zero(i + shift))

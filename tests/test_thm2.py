@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -277,3 +279,83 @@ def test_transitive_rigidity_uses_both_shifts(thm2_transitive4):
     assert failed_plain
     for k in (1, 2, 3):
         assert thm2.check_transitive_rigidity(s, k).passed
+
+
+def test_sparseness_without_phase_reports_phase_0_clash():
+    # Nonzeros 3 apart sit 1 or 2 cells of length 2 apart under every phase.
+    x = Block([1, 0, 0, 1, 0, 0, 1], base=-3)
+    y = Block([0, 0, 0, 1, 0, 0, 0], base=-3)
+    state = thm2.Thm2State(2, x, y, (2,), (2,), (thm2.SpacerChoice(0, 0, 1, 0),))
+    assert not naive_phase_exists(x, 2)
+    rep = thm2.check_sparseness_x(state, 1)
+    assert rep.line() == "CHECK III FAIL stage=2 k=1 cell=2 phase=0 pos_a=-3 pos_b=0"
+
+
+def test_phased_sparseness_against_naive_on_random_blocks():
+    rng = random.Random(31)
+    failures = 0
+    for _ in range(300):
+        cell = rng.randint(1, 6)
+        syms = [int(rng.random() < 0.25) for _ in range(rng.randint(1, 40))]
+        block = Block(syms, base=rng.randint(-20, 20))
+        phase, witness = thm2._phased_sparseness(block, cell)
+        if naive_phase_exists(block, cell):
+            assert naive_phase_works(block, cell, phase)
+            continue
+        failures += 1
+        w = dict(witness)
+        assert phase is None and w["phase"] == 0
+        nz = block.nonzero_positions
+        a, b = w["pos_a"], w["pos_b"]
+        assert b == nz[nz.index(a) + 1]
+        assert 0 < b // cell - a // cell < 3
+    assert failures > 50
+
+
+def test_stage5_build_stores_only_nonzeros():
+    # Each stage-5 block covers 29.4M positions but holds 945 nonzeros.
+    tracemalloc.start()
+    try:
+        state = thm2.build_to_stage(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state.x) == 29_399_257 and len(state.x.nonzero_positions) == 945
+    assert peak < 8 * 2**20
+
+
+def test_transitive_rigidity_against_naive_on_random_states():
+    rng = random.Random(47)
+    failures = 0
+    for _ in range(200):
+        half = rng.randint(1, 12)
+        blocks = []
+        for _side in "xy":
+            syms = [F(rng.randint(1, 4), 4) if rng.random() < 0.3 else 0
+                    for _ in range(2 * half + 1)]
+            syms[half] = 1
+            blocks.append(Block(syms, base=-half))
+        m, n = rng.randint(1, 2 * half + 2), rng.randint(1, 2 * half + 2)
+        k = rng.randint(1, 4)
+        times = [rng.randint(1, 9) for _ in range(4)]
+        m_times, n_times = list(times), list(times)
+        m_times[k - 1], n_times[k - 1] = m, n
+        state = thm2.Thm2State(5, *blocks, tuple(m_times), tuple(n_times), (), True)
+        bound = F(1, k)
+        rep = thm2.check_transitive_rigidity(state, k)
+        want = None
+        for name, block in zip("xy", blocks):
+            both = sorted(set(naive_shift_violations(block, m, bound))
+                          & set(naive_shift_violations(block, n, bound)))
+            if both:
+                i = both[0]
+                v = block.at_or_zero(i)
+                want = (("side", name), ("pos", i),
+                        ("diff_m", abs(block.at_or_zero(i + m) - v)),
+                        ("diff_n", abs(block.at_or_zero(i + n) - v)))
+                break
+        assert rep.passed == (want is None)
+        if want is not None:
+            failures += 1
+            assert rep.witness == want
+    assert failures > 20
