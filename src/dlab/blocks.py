@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+DEFAULT_MAX_SYMBOLS = 10**8  # default ResourceCapError budget, in positions
 
 
 class TdseqFormatError(ValueError):
@@ -88,9 +88,6 @@ class Block:
 
     def __len__(self) -> int:
         return self.length
-
-    def covers(self, i: int) -> bool:
-        return self.base <= i <= self.last
 
     # -- access ------------------------------------------------------------
 

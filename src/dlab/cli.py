@@ -15,7 +15,7 @@ import sys
 
 from . import oracle as oracle_mod
 from . import recurrence, thm1, thm2
-from .blocks import ResourceCapError, dump_tdseq
+from .blocks import DEFAULT_MAX_SYMBOLS, ResourceCapError, dump_tdseq
 from .report import CheckReport, INFO
 
 SWEEP_EXHAUSTIVE_BOUND = 6
@@ -84,18 +84,7 @@ def cmd_thm2_build(args) -> list:
 
 def cmd_thm2_verify(args) -> list:
     state = _thm2_state(args)
-    kmax = min(args.kmax, state.stage - 1)
-    reports = []
-    ks = range(1, kmax + 1)
-    if state.transitive:
-        reports.extend(thm2.check_transitive_rigidity(state, k) for k in ks)
-    else:
-        reports.extend(thm2.check_rigidity_x(state, k) for k in ks)
-        reports.extend(thm2.check_rigidity_y(state, k) for k in ks)
-        reports.extend(thm2.check_sparseness_x(state, k) for k in ks)
-        reports.extend(thm2.check_sparseness_y(state, k) for k in ks)
-    reports.append(thm2.check_orthogonality(state))
-    reports.append(thm2.check_zero_tails(state))
+    reports = thm2.stage_reports(state, args.kmax)
     reports.append(thm2.sliding_falsifier(state, state.stage - 1))
     return [r.line() for r in reports]
 
@@ -143,6 +132,10 @@ def _sampled_systems(n: int, count: int, seed: int):
 
 
 def cmd_oracle_sweep(args) -> list:
+    if args.nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    if args.sample < 0:
+        raise ValueError("sample must be >= 0")
     lines = []
     exhaustive_max = min(args.nmax, SWEEP_EXHAUSTIVE_BOUND)
     reports = oracle_mod.sweep(
@@ -185,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-symbols",
             type=int,
-            default=thm1.DEFAULT_MAX_SYMBOLS,
+            default=DEFAULT_MAX_SYMBOLS,
             help="refuse builds beyond this many symbols",
         )
         if iteration_cap:

@@ -45,9 +45,6 @@ class FiniteSystem:
     def onto(self) -> bool:
         return len(set(self.table)) == self.size
 
-    def apply(self, x: int) -> int:
-        return self.table[x]
-
     def fsys_line(self) -> str:
         return f"FSYS n={self.size} map={','.join(str(v) for v in self.table)}"
 
@@ -172,13 +169,17 @@ def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
             f"size mismatch: system {sys.size}, partition {partition.size}"
         )
     rel = partition.pairs()
-    t = sys.table
-    image = frozenset((t[a], t[b]) for a, b in rel)
-    if not image <= rel:
-        return NOT_FORWARD_INVARIANT
+    image = _image(sys.table, rel)
+    if image < rel:
+        return FORWARD_INVARIANT_ONLY
     if image == rel:
         return INVARIANT
-    return FORWARD_INVARIANT_ONLY
+    return NOT_FORWARD_INVARIANT
+
+
+def _image(table: tuple, rel: frozenset) -> frozenset:
+    """The image {(Ta, Tb) : (a, b) in rel} of a pair set under the pair map."""
+    return frozenset((table[a], table[b]) for a, b in rel)
 
 
 def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
@@ -196,10 +197,8 @@ def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
     diag = Partition.diagonal(sys.size)
     if classify_relation(sys, diag) == FORWARD_INVARIANT_ONLY:
         return False, diag
-    t = sys.table
     for partition, rel in zip(all_partitions(sys.size), _partition_pairs(sys.size)):
-        image = frozenset((t[a], t[b]) for a, b in rel)
-        if image < rel:
+        if _image(sys.table, rel) < rel:  # forward-invariant only
             return False, partition
     return True, None
 
@@ -218,14 +217,9 @@ def orbit(sys: FiniteSystem, x: int) -> list:
 
 def omega_limit(sys: FiniteSystem, x: int) -> frozenset:
     """Exact limit set: the cycle the forward orbit of x falls into."""
-    seen = {}
-    out = []
-    cur = x
-    while cur not in seen:
-        seen[cur] = len(out)
-        out.append(cur)
-        cur = sys.table[cur]
-    return frozenset(out[seen[cur] :])
+    out = orbit(sys, x)
+    # The orbit stops where its last point maps back into it: the cycle entry.
+    return frozenset(out[out.index(sys.table[out[-1]]) :])
 
 
 def is_recurrent(sys: FiniteSystem, x: int) -> bool:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import (
+    DEFAULT_MAX_SYMBOLS,
     Block,
     InvariantError,
     ResourceCapError,
@@ -36,10 +37,6 @@ from .blocks import (
     window,
 )
 from .report import CheckReport, FAIL, INFO, PASS
-
-DEFAULT_MAX_SYMBOLS = 10**8
-
-CONDITIONS = ("C1", "C3", "C2PRIME", "TAILS")
 
 
 @dataclass(frozen=True)
@@ -310,16 +307,3 @@ def literal_smallness_falsifier(state: Thm1State, kmax: int) -> CheckReport:
                     ),
                 )
     return CheckReport("LITERAL2_FALSIFIER", INFO, params, (("found", False),))
-
-
-def verify(state: Thm1State, condition: str, **params) -> CheckReport:
-    """Dispatch to the named condition checker (C1, C3, C2PRIME, TAILS)."""
-    if condition == "C1":
-        return check_c1(state, params["kmax"])
-    if condition == "C3":
-        return check_c3(state, params["kmax"])
-    if condition == "C2PRIME":
-        return check_c2prime(state, params["jmax"])
-    if condition == "TAILS":
-        return check_tails(state)
-    raise ValueError(f"unknown condition {condition!r}")

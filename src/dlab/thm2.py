@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import (
+    DEFAULT_MAX_SYMBOLS,
     Block,
     InvariantError,
     ResourceCapError,
@@ -48,7 +49,6 @@ from .blocks import (
 )
 from .report import CheckReport, FAIL, INFO, PASS
 
-DEFAULT_MAX_SYMBOLS = 10**8
 DEFAULT_ITERATION_CAP = 32
 
 CONDITIONS = ("I", "II", "III", "IV", "V", "Z")
@@ -140,6 +140,19 @@ def initial_state() -> Thm2State:
     return Thm2State(1, one, one, (), (), ())
 
 
+def _centered(parts, gap: int, end: int) -> Block:
+    """end zeros, the parts separated by gap zeros, end zeros; centered at 0."""
+    laid = [zeros(end)] if end else []
+    for idx, part in enumerate(parts):
+        if idx > 0 and gap:
+            laid.append(zeros(gap))
+        laid.append(part)
+    if end:
+        laid.append(zeros(end))
+    length = sum(len(b) for b in laid)
+    return concat_all(laid, base=-(length - 1) // 2)
+
+
 def _surround(block: Block, r: int, gap: int, end: int) -> Block:
     """v copy u copy ... u copy v with 2r+1 scaled copies, centered."""
     scales = [Fraction(i, r + 1) for i in range(1, r + 1)]
@@ -150,15 +163,8 @@ def _surround(block: Block, r: int, gap: int, end: int) -> Block:
         for i in range(len(scales) - 1)
     ):
         raise InvariantError(f"copy scales {scales} do not step by 1/{r + 1}")
-    parts = [zeros(end)] if end else []
-    for idx, tscale in enumerate(scales):
-        if idx > 0 and gap:
-            parts.append(zeros(gap))
-        parts.append(scale(tscale, block))
-    if end:
-        parts.append(zeros(end))
+    out = _centered([scale(tscale, block) for tscale in scales], gap, end)
     length = 2 * end + (2 * r + 1) * len(block) + 2 * r * gap
-    out = concat_all(parts, base=-(length - 1) // 2)
     if len(out) != length:
         raise InvariantError(f"surround gave length {len(out)}, expected {length}")
     return out
@@ -245,24 +251,8 @@ def build_transitive_stage(
             f"interleave spacers must be >= the zero-tail bound {bound}"
         )
 
-    def weave(center: Block, side: Block, inner: int, outer: int) -> Block:
-        parts = []
-        if outer:
-            parts.append(zeros(outer))
-        parts.append(side)
-        if inner:
-            parts.append(zeros(inner))
-        parts.append(center)
-        if inner:
-            parts.append(zeros(inner))
-        parts.append(side)
-        if outer:
-            parts.append(zeros(outer))
-        length = 3 * len(center) + 2 * inner + 2 * outer
-        return concat_all(parts, base=-(length - 1) // 2)
-
-    x_prime = weave(state.x, state.y, za, zb)
-    y_prime = weave(state.y, state.x, zc, zd)
+    x_prime = _centered([state.y, state.x, state.y], za, zb)
+    y_prime = _centered([state.x, state.y, state.x], zc, zd)
     if len(x_prime) != len(y_prime):
         raise InvariantError(
             f"interleave lengths differ: x {len(x_prime)}, y {len(y_prime)}"
@@ -285,30 +275,26 @@ def build_transitive_stage(
 # -- verifiers ---------------------------------------------------------------
 
 
-def check_rigidity_x(state: Thm2State, k: int) -> CheckReport:
-    """Condition I: shifting x by m_k moves every symbol by at most 1/k."""
-    shift = state.m(k)
+def _rigidity(check_id: str, state: Thm2State, block: Block, shift: int, k: int):
+    """Shifting ``block`` by ``shift`` moves every symbol by at most 1/k."""
     params = (("stage", state.stage), ("k", k), ("shift", shift))
-    hit = next(shift_violations(state.x, shift, Fraction(1, k)), None)
+    hit = next(shift_violations(block, shift, Fraction(1, k)), None)
     if hit is None:
-        return CheckReport("I", PASS, params)
+        return CheckReport(check_id, PASS, params)
     i, v0, v1 = hit
     return CheckReport(
-        "I", FAIL, params, (("pos", i), ("value", v0), ("shifted", v1))
+        check_id, FAIL, params, (("pos", i), ("value", v0), ("shifted", v1))
     )
+
+
+def check_rigidity_x(state: Thm2State, k: int) -> CheckReport:
+    """Condition I: shifting x by m_k moves every symbol by at most 1/k."""
+    return _rigidity("I", state, state.x, state.m(k), k)
 
 
 def check_rigidity_y(state: Thm2State, k: int) -> CheckReport:
     """Condition II: shifting y by n_k moves every symbol by at most 1/k."""
-    shift = state.n(k)
-    params = (("stage", state.stage), ("k", k), ("shift", shift))
-    hit = next(shift_violations(state.y, shift, Fraction(1, k)), None)
-    if hit is None:
-        return CheckReport("II", PASS, params)
-    i, v0, v1 = hit
-    return CheckReport(
-        "II", FAIL, params, (("pos", i), ("value", v0), ("shifted", v1))
-    )
+    return _rigidity("II", state, state.y, state.n(k), k)
 
 
 def _cell_clash(nz, length: int, phase: int):
@@ -339,24 +325,23 @@ def _phased_sparseness(block: Block, length: int):
     return None, (("phase", 0), ("pos_a", pos_a), ("pos_b", pos_b))
 
 
+def _sparseness(check_id: str, state: Thm2State, block: Block, length: int, k: int):
+    """Some phase leaves at most one nonzero length-``length`` cell per three."""
+    params = (("stage", state.stage), ("k", k), ("cell", length))
+    phase, witness = _phased_sparseness(block, length)
+    if phase is not None:
+        return CheckReport(check_id, PASS, params, (("phase", phase),))
+    return CheckReport(check_id, FAIL, params, witness)
+
+
 def check_sparseness_x(state: Thm2State, k: int) -> CheckReport:
     """Condition III (phased): x has at most one nonzero length-n_k cell per three."""
-    length = state.n(k)
-    params = (("stage", state.stage), ("k", k), ("cell", length))
-    phase, witness = _phased_sparseness(state.x, length)
-    if phase is not None:
-        return CheckReport("III", PASS, params, (("phase", phase),))
-    return CheckReport("III", FAIL, params, witness)
+    return _sparseness("III", state, state.x, state.n(k), k)
 
 
 def check_sparseness_y(state: Thm2State, k: int) -> CheckReport:
     """Condition IV (phased): y has at most one nonzero length-m_k cell per three."""
-    length = state.m(k)
-    params = (("stage", state.stage), ("k", k), ("cell", length))
-    phase, witness = _phased_sparseness(state.y, length)
-    if phase is not None:
-        return CheckReport("IV", PASS, params, (("phase", phase),))
-    return CheckReport("IV", FAIL, params, witness)
+    return _sparseness("IV", state, state.y, state.m(k), k)
 
 
 def check_orthogonality(state: Thm2State) -> CheckReport:
@@ -439,31 +424,13 @@ def check_transitive_rigidity(state: Thm2State, k: int) -> CheckReport:
     return CheckReport("TRANSITIVE_RIGIDITY", PASS, params)
 
 
-def verify(state: Thm2State, condition: str, **params) -> CheckReport:
-    """Dispatch to the named condition checker."""
-    if condition == "I":
-        return check_rigidity_x(state, params["k"])
-    if condition == "II":
-        return check_rigidity_y(state, params["k"])
-    if condition == "III":
-        return check_sparseness_x(state, params["k"])
-    if condition == "IV":
-        return check_sparseness_y(state, params["k"])
-    if condition == "V":
-        return check_orthogonality(state)
-    if condition == "Z":
-        return check_zero_tails(state)
-    if condition == "SLIDING_FALSIFIER":
-        return sliding_falsifier(state, params["k"])
-    if condition == "TRANSITIVE_RIGIDITY":
-        return check_transitive_rigidity(state, params["k"])
-    raise ValueError(f"unknown condition {condition!r}")
-
-
-def stage_reports(state: Thm2State) -> list:
-    """All gate conditions for the state, every admissible k, ordered by id."""
+def stage_reports(state: Thm2State, kmax: "int | None" = None) -> list:
+    """All gate conditions for the state, ordered by id; the k-indexed ones
+    for k = 1..min(kmax, stage - 1), every admissible k by default."""
+    if kmax is not None and kmax < 1:
+        raise ValueError("kmax must be >= 1")
     reports = []
-    ks = range(1, state.stage)
+    ks = range(1, state.stage if kmax is None else min(kmax + 1, state.stage))
     if state.transitive:
         reports.extend(check_transitive_rigidity(state, k) for k in ks)
     else:
@@ -527,6 +494,8 @@ def solve_spacers(
     and doubles the length implicated by the first failing condition.
     Deterministic: equal states yield equal choices.
     """
+    if iteration_cap < 0:
+        raise ValueError("iteration_cap must be >= 0")
     r = state.stage
     raw_s = max(2 * state.times_max(), 1)
     raw_sp = r * (state.common_length + raw_s)

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -157,3 +158,74 @@ def test_main_callable_in_process(capsys):
     code = main(["oracle", "lemma6", "--map", "1,2,2", "--point", "0"])
     assert code == 0
     assert "CHECK LEMMA6 PASS" in capsys.readouterr().out
+
+
+def test_negative_iteration_cap_exits_2(capsys):
+    argv = ["thm2", "verify", "--stage", "2", "--kmax", "1", "--iteration-cap", "-1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: iteration_cap must be >= 0\n"
+
+
+def test_thm2_verify_kmax_below_one_exits_2(capsys):
+    for extra in ([], ["--transitive"]):
+        for kmax in ("0", "-3"):
+            assert main(["thm2", "verify", "--stage", "3", "--kmax", kmax, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: kmax must be >= 1\n"
+
+
+def test_empty_oracle_sweeps_exit_2(capsys):
+    cases = (
+        (["--nmax", "0"], "error: nmax must be >= 1\n"),
+        (["--nmax", "-1"], "error: nmax must be >= 1\n"),
+        (["--nmax", "7", "--sample", "-2"], "error: sample must be >= 0\n"),
+    )
+    for flags, message in cases:
+        assert main(["oracle", "sweep", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message
+
+
+# sha256 of stdout and the exit code of each command; the thm2 build entry
+# also pins both TDSEQ files it writes.
+PINNED_OUTPUT = (
+    ("thm2 verify --stage 4 --kmax 3", 0,
+     "b21917cc171e37edbc8fd7ed628a3057099a3900e23852d1baa9f2a803acc6cb"),
+    ("thm2 verify --stage 4 --kmax 1", 0,
+     "22573be66ad507bd3340234163df92b605956def908ca7bd2bc19b328d928cad"),
+    ("thm2 verify --stage 4 --kmax 3 --transitive", 0,
+     "fd341c423011ea6492aa4c83ecf4b408d15816c6743183709e5c22056775b537"),
+    ("thm2 build --stage 4 --out-x x.tdseq --out-y y.tdseq", 0,
+     "ccddaef8e597192853b0fdff14033d3d9b3a1b96029137e263497ac3a15e544e"),
+    ("recur pair-sep --stage 4", 0,
+     "e11117400774f85a24e1600991d708050ce428b6f45c829631c80f21b7a0e0e8"),
+    ("recur escape --stage 4 --k 2 --w 1", 0,
+     "cdebebf619e8c875064e8ea97e50925c1ff626b35194236cb617e0994b1ef550"),
+    ("recur omega --stage 4 --k 2 --w 1", 0,
+     "387902deff1f751204029172e368e0c6c3e20f036cb958a11980f60cd0e1e65e"),
+    ("thm1 verify --stage 5 --kmax 20 --jmax 4", 0,
+     "32002d7b5d1deb0ba544a2a77cb6bf4e365673003a0a7a386fbbfb9c8f0d9ab3"),
+    ("oracle sweep --nmax 4", 0,
+     "9adda67b35277f3177452f50553f8b179c00e239720caed25c06ab6eba08d315"),
+    ("oracle lemma6 --map 1,2,2 --point 0", 0,
+     "3bf0fa788337c6ef700be6617ad9723b8356544eb90dd203773817a31dfa25bd"),
+)
+PINNED_TDSEQ = {
+    "x.tdseq": "99c19c0961e20ac8e79b885aa469109301bb3acb34df7659ccdc5f4f01c07e90",
+    "y.tdseq": "f252301ce22e7592763b06c9efbccde6cd6b8163171c8af4e8f3c5da722ac39c",
+}
+
+
+def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the build command names its files relatively
+    for command, code, digest in PINNED_OUTPUT:
+        assert main(command.split()) == code, command
+        out, err = capsys.readouterr()
+        assert err == "", command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    for name, digest in PINNED_TDSEQ.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -184,16 +184,6 @@ def test_c2prime_detects_corruption():
     assert dict(rep.witness)["pos"] == 50
 
 
-def test_verify_dispatch():
-    s = thm1.build(3)
-    assert thm1.verify(s, "C1", kmax=2).check_id == "C1"
-    assert thm1.verify(s, "C3", kmax=2).check_id == "C3"
-    assert thm1.verify(s, "C2PRIME", jmax=2).check_id == "C2PRIME"
-    assert thm1.verify(s, "TAILS").check_id == "TAILS"
-    with pytest.raises(ValueError):
-        thm1.verify(s, "C4")
-
-
 # -- scale invariance and exactness ----------------------------------------------
 
 

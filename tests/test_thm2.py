@@ -218,12 +218,8 @@ def test_sliding_falsifier_fires_at_deepest_scale(thm2_states):
 
 def test_verify_dispatch_and_range_errors(thm2_states):
     state = thm2_states[1]
-    assert thm2.verify(state, "I", k=1).check_id == "I"
-    assert thm2.verify(state, "V").check_id == "V"
     with pytest.raises(ValueError, match="admissible range"):
-        thm2.verify(state, "I", k=5)
-    with pytest.raises(ValueError):
-        thm2.verify(state, "nope")
+        thm2.check_rigidity_x(state, 5)
 
 
 # -- transitive variant -----------------------------------------------------------
