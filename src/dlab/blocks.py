@@ -258,29 +258,43 @@ def sup_distance(a: Block, b: Block) -> Fraction:
     return best
 
 
-def shift_violations(block: Block, shift: int, bound: Fraction) -> Iterator[tuple]:
+def shift_violations(
+    block: Block, shift: int, bound: Fraction, at_bound: bool = False
+) -> Iterator[tuple]:
     """Yield ``(i, v(i), v(i + shift))`` for each i with |v(i+shift) - v(i)| > bound.
 
-    Positions outside the block read as 0, and hits come in increasing i.
-    Only an i with v(i) or v(i + shift) nonzero can qualify, so two pointers
-    walk the nonzeros once as i and once as i + shift.
+    With ``at_bound`` the test is >= bound.  Positions outside the block read
+    as 0, and hits come in increasing i.  Two pointers walk the nonzeros once
+    as i and once as i + shift, comparing integer numerators over the block's
+    common denominator D: |b - a| / D > p / q iff |b - a| * q > p * D.  The
+    walk never visits an i where both sides are 0, so a bound such an i would
+    break (negative, or 0 with ``at_bound``) is refused.
     """
-    pos, vals = block._nonzero, block._values
-    n = len(pos)
+    if bound < 0 or (at_bound and not bound):
+        raise ValueError(f"bound {bound} would flag positions where both sides are 0")
+    den, nums = common_numerators(block)
+    vals = block._values
+    bound_den, limit = bound.denominator, bound.numerator * den
+    if at_bound:
+        limit -= 1  # on integers, x >= y is x > y - 1
+    n = len(vals)
+    ends = block._nonzero + (math.inf,)  # a pointer at n reads past every i
     a = b = 0
     while a < n or b < n:
-        i = pos[a] if a < n else math.inf
-        j = pos[b] - shift if b < n else math.inf
-        q = min(i, j)
-        here = there = ZERO
-        if i == q:
-            here = vals[a]
+        i, j = ends[a], ends[b] - shift
+        if i == j:
+            if abs(nums[b] - nums[a]) * bound_den > limit:
+                yield i, vals[a], vals[b]
             a += 1
-        if j == q:
-            there = vals[b]
             b += 1
-        if abs(there - here) > bound:
-            yield q, here, there
+        elif i < j:
+            if nums[a] * bound_den > limit:
+                yield i, vals[a], ZERO
+            a += 1
+        else:
+            if nums[b] * bound_den > limit:
+                yield j, ZERO, vals[b]
+            b += 1
 
 
 def common_numerators(block: Block) -> tuple:

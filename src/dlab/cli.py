@@ -46,7 +46,19 @@ def cmd_thm1_build(args) -> list:
     return [report.line()]
 
 
+def _check_verify_args(args) -> None:
+    """Reject verify flags that no build could satisfy, before building."""
+    if args.stage < 2:
+        raise ValueError(f"stage={args.stage} has no scale to verify (need stage >= 2)")
+    if args.kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    jmax = getattr(args, "jmax", None)
+    if jmax is not None and not 1 <= jmax <= args.stage - 1:
+        raise ValueError(f"jmax={jmax} out of admissible range 1..{args.stage - 1}")
+
+
 def cmd_thm1_verify(args) -> list:
+    _check_verify_args(args)
     state = _thm1_state(args)
     c3_kmax = min(args.kmax, state.stage - 1)
     jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
@@ -83,6 +95,7 @@ def cmd_thm2_build(args) -> list:
 
 
 def cmd_thm2_verify(args) -> list:
+    _check_verify_args(args)
     state = _thm2_state(args)
     reports = thm2.stage_reports(state, args.kmax)
     reports.append(thm2.sliding_falsifier(state, state.stage - 1))

@@ -169,15 +169,13 @@ def _merge_intervals(intervals: list) -> list:
     return merged
 
 
-def _center_intervals_hitting(block: Block, shift: int, w: int, lo: int, hi: int) -> list:
-    """Centers j in [lo, hi] whose window [j+shift-w, j+shift+w] meets a nonzero."""
-    out = []
-    for p in block.nonzero_positions:
-        a, b = p - shift - w, p - shift + w
-        if b < lo or a > hi:
-            continue
-        out.append((max(a, lo), min(b, hi)))
-    return _merge_intervals(out)
+def _center_intervals(positions, w: int, lo: int, hi: int) -> list:
+    """Merged centers j in [lo, hi] within distance w of one of ``positions``."""
+    return _merge_intervals([
+        (max(q - w, lo), min(q + w, hi))
+        for q in positions
+        if q + w >= lo and q - w <= hi
+    ])
 
 
 def _in_intervals(merged: list, j: int) -> bool:
@@ -259,8 +257,9 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     if w >= scale_len:
         raise ValueError(f"window half-width {w} must stay below the scale {scale_len}")
     lo, hi = _admissible_centers(block, scale_len, w)
+    nz = block.nonzero_positions
     bad = {
-        r: _center_intervals_hitting(block, r * scale_len, w, lo, hi)
+        r: _center_intervals([p - r * scale_len for p in nz], w, lo, hi)
         for r in (1, 2, 3)
     }
     runs, failure = _assign_runs(bad, lo, hi)
@@ -288,12 +287,10 @@ def _one_sided_omega(
     lo, hi = _admissible_centers(returning, time, w)
     ret_bad, esc_bad, bad = {}, {}, {}
     for r in (1, 2, 3):
-        ret_bad[r] = _merge_intervals([
-            (max(q - w, lo), min(q + w, hi))
-            for q, _, _ in shift_violations(returning, r * time, bound)
-            if q + w >= lo and q - w <= hi
-        ])
-        esc_bad[r] = _center_intervals_hitting(escaping, r * time, w, lo, hi)
+        moved = shift_violations(returning, r * time, bound)
+        ret_bad[r] = _center_intervals([q for q, _, _ in moved], w, lo, hi)
+        zeroed = [p - r * time for p in escaping.nonzero_positions]
+        esc_bad[r] = _center_intervals(zeroed, w, lo, hi)
         bad[r] = _merge_intervals(ret_bad[r] + esc_bad[r])
     runs, failure = _assign_runs(bad, lo, hi)
     if failure is None:

@@ -34,6 +34,7 @@ from .blocks import (
     common_numerators,
     concat_all,
     scale,
+    shift_violations,
     window,
 )
 from .report import CheckReport, FAIL, INFO, PASS
@@ -160,59 +161,36 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     if the window x(i..i+k-1) is not identically 0 then
     max_{0<=d<k} |x(i+d) - x(i+n_k+d)| < 1/k.
 
-    The scan touches only positions near nonzero symbols: a violating pair
-    (q, q+n_k) needs a nonzero on one side, and the gating window needs a
-    nonzero within distance k-1 of some admissible start.  Symbols are
-    compared as integer numerators over their common denominator D, so the
-    bound reads |d| * k >= D.  Reports the first failure as (k, position)
-    with both offending values, smallest k first, then smallest position.
+    ``shift_violations`` in its at-bound mode lists the pairs (q, q+n_k) that
+    break the bound, in increasing q; the first whose gating window sees a
+    nonzero is the failure.  Reports it as (k, position) with both values,
+    smallest k first, then smallest position.
     """
     _require_range(state, kmax, "kmax")
     block = state.prefix
-    nz = block.nonzero_positions
     base, last = block.base, block.last
-    den, nums = common_numerators(block)
-    numerator_at = dict(zip(nz, nums))
     for k in range(1, kmax + 1):
         n_k = state.length_of_stage(k)
         hi_start = last - n_k - k + 1  # largest admissible window start
         if hi_start < base:
             continue
-        failure = None
-        # Pairs with x(q) != 0, in increasing q.
-        for p, a in zip(nz, nums):
-            if p > last - n_k:
+        bound = Fraction(1, k)
+        for q, value, shifted in shift_violations(block, n_k, bound, at_bound=True):
+            if q > last - n_k:
                 break
-            d = a - numerator_at.get(p + n_k, 0)
-            if abs(d) * k >= den and _c3_gate(block, p, k, hi_start):
-                failure = p
-                break
-        # Pairs with x(q) = 0 != x(q + n_k); only q below the first find matter.
-        for p, b in zip(nz, nums):
-            q = p - n_k
-            if failure is not None and q >= failure:
-                break
-            if (
-                q >= base
-                and q not in numerator_at
-                and b * k >= den
-                and _c3_gate(block, q, k, hi_start)
-            ):
-                failure = q
-                break
-        if failure is not None:
-            return CheckReport(
-                "C3",
-                FAIL,
-                (("stage", state.stage), ("kmax", kmax)),
-                (
-                    ("k", k),
-                    ("pos", failure),
-                    ("value", block[failure]),
-                    ("shifted", block[failure + n_k]),
-                    ("bound", Fraction(1, k)),
-                ),
-            )
+            if q >= base and _c3_gate(block, q, k, hi_start):
+                return CheckReport(
+                    "C3",
+                    FAIL,
+                    (("stage", state.stage), ("kmax", kmax)),
+                    (
+                        ("k", k),
+                        ("pos", q),
+                        ("value", value),
+                        ("shifted", shifted),
+                        ("bound", bound),
+                    ),
+                )
     return CheckReport("C3", PASS, (("stage", state.stage), ("kmax", kmax)))
 
 

@@ -51,8 +51,6 @@ from .report import CheckReport, FAIL, INFO, PASS
 
 DEFAULT_ITERATION_CAP = 32
 
-CONDITIONS = ("I", "II", "III", "IV", "V", "Z")
-
 
 class SolverError(RuntimeError):
     """Spacer search exhausted its retry budget."""

@@ -38,12 +38,13 @@ def naive_c2prime_violations(symbols, n_j, j):
     return out
 
 
-def naive_shift_violations(block, shift, bound):
-    """Positions where |v(i+shift) - v(i)| > bound, outside read as 0."""
+def naive_shift_violations(block, shift, bound, at_bound=False):
+    """Positions where |v(i+shift) - v(i)| > bound (>= with at_bound), outside
+    read as 0."""
     out = []
     for i in range(block.base - shift, block.last + 1):
         d = abs(block.at_or_zero(i + shift) - block.at_or_zero(i))
-        if d > bound:
+        if d > bound or (at_bound and d == bound):
             out.append(i)
     return out
 
@@ -67,3 +68,15 @@ def naive_escape_choices(block, scale_len, w, center):
         if all(block[i] == 0 for i in range(lo, hi + 1)):
             valid.append(r)
     return valid
+
+
+def naive_omega_choices(returning, escaping, time, bound, w, center):
+    """(return_ok, escape_ok): the r in {1,2,3} for which ``returning`` moves
+    by at most ``bound`` on the window of half-width w when shifted by r*time,
+    and those for which ``escaping`` is 0 on the shifted window."""
+    window = range(center - w, center + w + 1)
+    return_ok = [r for r in (1, 2, 3)
+                 if all(abs(returning[i + r * time] - returning[i]) <= bound
+                        for i in window)]
+    escape_ok = naive_escape_choices(escaping, time, w, center)
+    return return_ok, escape_ok

@@ -339,12 +339,38 @@ def test_sparse_block_matches_dense_tuple():
 
 def test_shift_violations_match_dense_scan():
     rng = random.Random(99)
+    split = 0  # cases where the two modes disagree: a difference equals the bound
     for _ in range(300):
         base, syms = _dense_case(rng)
-        b = Block(syms, base=base)
         shift = rng.randint(1, len(syms) + 2)
-        bound = rng.choice((F(0), F(1, 4), F(1, 2), F(1)))
-        hits = list(blocks.shift_violations(b, shift, bound))
-        assert [i for i, _, _ in hits] == naive_shift_violations(b, shift, bound)
-        for i, here, there in hits:
-            assert (here, there) == (b.at_or_zero(i), b.at_or_zero(i + shift))
+        bound = rng.choice((F(0), F(1, 4), F(1, 2), F(1), F(1, 3), F(2, 7)))
+        if bound and shift < len(syms):
+            # Plant differences exactly at the bound.
+            syms = list(syms)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(syms) - shift)
+                if syms[i] + bound <= 1:
+                    syms[i + shift] = syms[i] + bound
+                elif syms[i] >= bound:
+                    syms[i + shift] = syms[i] - bound
+        b = Block(syms, base=base)
+        modes = (False, True) if bound else (False,)
+        found = {}
+        for at_bound in modes:
+            hits = list(blocks.shift_violations(b, shift, bound, at_bound=at_bound))
+            found[at_bound] = [i for i, _, _ in hits]
+            assert found[at_bound] == naive_shift_violations(b, shift, bound, at_bound)
+            for i, here, there in hits:
+                assert here is b.at_or_zero(i) and there is b.at_or_zero(i + shift)
+        split += len(found) == 2 and found[False] != found[True]
+    assert split >= 100
+
+
+def test_shift_violations_refuse_bounds_that_zeros_break():
+    # Positions where both sides are 0 are never visited, so a bound they
+    # would break must be refused, not silently under-reported.
+    b = Block([1, 0, F(1, 2)])
+    for bound, at_bound in ((F(0), True), (F(-1, 3), True), (F(-1, 3), False)):
+        with pytest.raises(ValueError):
+            list(blocks.shift_violations(b, 1, bound, at_bound=at_bound))
+    assert [i for i, _, _ in blocks.shift_violations(b, 1, F(0))] == [0, 1, 2, 3]

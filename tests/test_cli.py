@@ -177,6 +177,31 @@ def test_thm2_verify_kmax_below_one_exits_2(capsys):
             assert err == "error: kmax must be >= 1\n"
 
 
+def test_verify_flags_rejected_before_the_build(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("verify built a stage for flags it must reject")
+
+    monkeypatch.setattr(thm1, "build", no_build)
+    monkeypatch.setattr(thm2, "build_to_stage", no_build)
+    no_scale = "has no scale to verify (need stage >= 2)"
+    cases = (
+        ("thm1 verify --stage 1 --kmax 5", f"stage=1 {no_scale}"),
+        ("thm2 verify --stage 1 --kmax 5", f"stage=1 {no_scale}"),
+        ("thm2 verify --stage 0 --kmax 1 --transitive", f"stage=0 {no_scale}"),
+        ("thm1 verify --stage 8 --kmax 0", "kmax must be >= 1"),
+        ("thm2 verify --stage 5 --kmax -1", "kmax must be >= 1"),
+        ("thm1 verify --stage 3 --kmax 2 --jmax 3",
+         "jmax=3 out of admissible range 1..2"),
+        ("thm1 verify --stage 8 --kmax 2 --jmax 0",
+         "jmax=0 out of admissible range 1..7"),
+    )
+    for command, message in cases:
+        assert main(command.split()) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n", command
+
+
 def test_empty_oracle_sweeps_exit_2(capsys):
     cases = (
         (["--nmax", "0"], "error: nmax must be >= 1\n"),
@@ -213,6 +238,12 @@ PINNED_OUTPUT = (
      "9adda67b35277f3177452f50553f8b179c00e239720caed25c06ab6eba08d315"),
     ("oracle lemma6 --map 1,2,2 --point 0", 0,
      "3bf0fa788337c6ef700be6617ad9723b8356544eb90dd203773817a31dfa25bd"),
+    ("thm1 verify --stage 6 --kmax 20 --jmax 4", 0,
+     "50d100ad5c69476649584b6e5dfdb2a8969d75af73b0224bc13a5d71726e9a5f"),
+    ("recur omega --stage 5 --k 3 --w 1", 0,
+     "a1aa3bc43fc9040374958b3dce6987150628a9f941da895aac28192a81520f5f"),
+    ("oracle sweep --nmax 5 --permutations-only", 0,
+     "384d1e5a1c3d0b152a246efe34ab5411e6cc1c7b359a9b0b37b1fd67b42be6d3"),
 )
 PINNED_TDSEQ = {
     "x.tdseq": "99c19c0961e20ac8e79b885aa469109301bb3acb34df7659ccdc5f4f01c07e90",

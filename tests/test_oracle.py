@@ -202,6 +202,12 @@ def test_sweep_shapes():
     assert all(r.passed for r in reports)
 
 
+def test_permutation_systems_are_the_onto_maps_in_order():
+    for n in range(1, 6):
+        onto = [s for s in o.all_systems(n) if s.onto]
+        assert list(o.all_permutation_systems(n)) == onto
+
+
 def test_sweep_permutations_only():
     reports = o.sweep(3, power_max=2, permutations_only=True)
     summaries = [r for r in reports if r.check_id == "SWEEP_SUMMARY"]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from dlab import recurrence as rec
 from dlab import thm1, thm2
 from dlab.blocks import Block, zeros
 
-from naive_refs import naive_escape_choices
+from naive_refs import naive_escape_choices, naive_omega_choices
 
 F = Fraction
 
@@ -252,3 +253,83 @@ def test_cross_omega_failure_names_escape_part():
     assert not res.passed
     w = dict(res.report.witness)
     assert w["side"] == "x" and w["part"] == "b"
+
+
+# -- differential checks against the dense references ------------------------------
+
+
+def _random_pair_state(rng):
+    """A centered pair with random supports and times, so witnesses fail often."""
+    half = rng.randint(8, 30)
+    stage = rng.randint(2, 4)
+    blocks = []
+    for _side in "xy":
+        density = rng.choice((0.05, 0.15, 0.4))
+        syms = [F(rng.randint(1, 6), 6) if rng.random() < density else 0
+                for _ in range(2 * half + 1)]
+        syms[half] = 1
+        blocks.append(Block(syms, base=-half))
+    times = [tuple(rng.randint(3, half // 2) for _ in range(stage - 1)) for _ in "mn"]
+    return thm2.Thm2State(stage, *blocks, *times, ())
+
+
+def _runs_from_choices(lo, hi, choose):
+    """Constant runs of the smallest valid r per center, and the first center
+    with none."""
+    runs = []
+    for j in range(lo, hi + 1):
+        valid = choose(j)
+        if not valid:
+            return tuple(runs), j
+        if runs and runs[-1][2] == valid[0]:
+            runs[-1] = (runs[-1][0], j, valid[0])
+        else:
+            runs.append((j, j, valid[0]))
+    return tuple(runs), None
+
+
+def test_escape_and_omega_match_dense_references_on_random_states():
+    rng = random.Random(4242)
+    failures = {"ESCAPE": 0, "CROSS_OMEGA": 0}
+    for _ in range(150):
+        state = _random_pair_state(rng)
+        k = rng.randint(1, state.stage - 1)
+        w = rng.randint(0, 2)
+        for side, block, scale_len in (("XatN", state.x, state.n(k)),
+                                       ("YatM", state.y, state.m(k))):
+            res = rec.escape_witness(state, k, w, side)
+            lo, hi = block.base + w, block.last - w - 3 * scale_len
+            runs, fail = _runs_from_choices(
+                lo, hi, lambda j: naive_escape_choices(block, scale_len, w, j))
+            assert res.runs == runs
+            assert res.passed == (fail is None)
+            if fail is not None:
+                failures["ESCAPE"] += 1
+                assert dict(res.report.witness)["center"] == fail
+        res = rec.cross_omega_witness(state, k, w)
+        want = None
+        for side, ret, esc, time, got in (
+            ("x", state.x, state.y, state.m(k), res.x_side_runs),
+            ("y", state.y, state.x, state.n(k), res.y_side_runs),
+        ):
+            lo, hi = ret.base + w, ret.last - w - 3 * time
+
+            def both(j):
+                ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, j)
+                return [r for r in ret_ok if r in esc_ok]
+
+            runs, fail = _runs_from_choices(lo, hi, both)
+            assert got == runs
+            if fail is not None and want is None:
+                ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, fail)
+                part = "ab"  # what blocks the center: return (a), escape (b)
+                if ret_ok and not esc_ok:
+                    part = "b"
+                elif esc_ok and not ret_ok:
+                    part = "a"
+                want = (("side", side), ("center", fail), ("part", part))
+        assert res.passed == (want is None)
+        if want is not None:
+            failures["CROSS_OMEGA"] += 1
+            assert res.report.witness == want
+    assert min(failures.values()) > 30
