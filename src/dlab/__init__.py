@@ -7,13 +7,11 @@ from .blocks import (
     InvariantError,
     ResourceCapError,
     TdseqFormatError,
-    concat,
     concat_all,
     load_tdseq,
     dump_tdseq,
     read_tdseq,
     scale,
-    sup_distance,
     window,
     write_tdseq,
     zeros,
@@ -26,13 +24,11 @@ __all__ = [
     "InvariantError",
     "ResourceCapError",
     "TdseqFormatError",
-    "concat",
     "concat_all",
     "dump_tdseq",
     "load_tdseq",
     "read_tdseq",
     "scale",
-    "sup_distance",
     "window",
     "write_tdseq",
     "zeros",

@@ -170,22 +170,11 @@ class Block:
             shown += ",..."
         return f"Block(base={self.base}, length={self.length}, [{shown}])"
 
-    def rebase(self, new_base: int) -> "Block":
-        """Same symbols at a new base (shares the value storage)."""
-        delta = new_base - self.base
-        nonzero = tuple(p + delta for p in self._nonzero)
-        return Block._trusted(new_base, self.length, nonzero, self._values)
-
 
 def zeros(length: int, base: int = 1) -> Block:
     if length < 1:
         raise ValueError("a block holds at least one symbol")
     return Block._trusted(base, length, (), ())
-
-
-def concat(a: Block, b: Block) -> Block:
-    """Concatenation ab; b is re-based to start at a.base + a.length."""
-    return concat_all([a, b], base=a.base)
 
 
 def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
@@ -238,24 +227,6 @@ def window(b: Block, i: int, j: int) -> Block:
     a = bisect_left(b._nonzero, i)
     c = bisect_right(b._nonzero, j)
     return Block._trusted(i, j - i + 1, b._nonzero[a:c], b._values[a:c])
-
-
-def sup_distance(a: Block, b: Block) -> Fraction:
-    """Exact coordinatewise supremum distance between equal-length blocks.
-
-    Positions are compared by offset from each block's own base.
-    """
-    if a.length != b.length:
-        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    # Only offsets where at least one side is nonzero can contribute.
-    at_a = dict(zip([p - a.base for p in a._nonzero], a._values))
-    at_b = dict(zip([p - b.base for p in b._nonzero], b._values))
-    best = ZERO
-    for off in at_a.keys() | at_b.keys():
-        d = abs(at_a.get(off, ZERO) - at_b.get(off, ZERO))
-        if d > best:
-            best = d
-    return best
 
 
 def shift_violations(

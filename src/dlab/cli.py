@@ -149,6 +149,7 @@ def cmd_oracle_sweep(args) -> list:
         raise ValueError("nmax must be >= 1")
     if args.sample < 0:
         raise ValueError("sample must be >= 0")
+    oracle_mod.check_exhaustive_size(args.nmax)  # before any sweep, not at n = nmax
     lines = []
     exhaustive_max = min(args.nmax, SWEEP_EXHAUSTIVE_BOUND)
     reports = oracle_mod.sweep(

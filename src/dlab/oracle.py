@@ -45,24 +45,10 @@ class FiniteSystem:
     def onto(self) -> bool:
         return len(set(self.table)) == self.size
 
-    def fsys_line(self) -> str:
-        return f"FSYS n={self.size} map={','.join(str(v) for v in self.table)}"
-
 
 def make_system(table) -> FiniteSystem:
     table = tuple(int(v) for v in table)
     return FiniteSystem(len(table), table)
-
-
-def parse_fsys(text: str) -> FiniteSystem:
-    parts = text.split()
-    if len(parts) != 3 or parts[0] != "FSYS":
-        raise ValueError(f"bad FSYS line {text!r}")
-    n = int(parts[1].removeprefix("n="))
-    table = tuple(int(v) for v in parts[2].removeprefix("map=").split(","))
-    if len(table) != n:
-        raise ValueError(f"FSYS length mismatch in {text!r}")
-    return FiniteSystem(n, table)
 
 
 def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
@@ -115,10 +101,6 @@ class Partition:
     @classmethod
     def diagonal(cls, size: int) -> "Partition":
         return cls.from_blocks(size, ((x,) for x in range(size)))
-
-    @classmethod
-    def full(cls, size: int) -> "Partition":
-        return cls.from_blocks(size, (tuple(range(size)),))
 
     def pairs(self) -> frozenset:
         """All related ordered pairs, diagonal included."""
@@ -182,6 +164,15 @@ def _image(table: tuple, rel: frozenset) -> frozenset:
     return frozenset((table[a], table[b]) for a, b in rel)
 
 
+def check_exhaustive_size(size: int, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> None:
+    """Refuse a size whose partitions ``is_td`` could not enumerate."""
+    if size > bound:
+        raise ValueError(
+            f"size {size} exceeds the exhaustive bound {bound} "
+            "(partition count grows like Bell numbers)"
+        )
+
+
 def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
     """Exhaustive determinism check: no partition is forward-invariant only.
 
@@ -189,11 +180,7 @@ def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
     only partition found, with the diagonal tested first since it is the
     canonical witness whenever the map is not onto.
     """
-    if sys.size > bound:
-        raise ValueError(
-            f"size {sys.size} exceeds the exhaustive bound {bound} "
-            "(partition count grows like Bell numbers)"
-        )
+    check_exhaustive_size(sys.size, bound)
     diag = Partition.diagonal(sys.size)
     if classify_relation(sys, diag) == FORWARD_INVARIANT_ONLY:
         return False, diag

@@ -2,15 +2,15 @@
 
 The ambient space is metrized with the exact weighted supremum
 
-    d_W(x, y) = max over admissible |i| <= W of 2^(-|i|) |x(i) - y(i)|
+    d_W(x, y) = max over |i| <= W of 2^(-|i|) |x(i) - y(i)|
 
 whose truncation to radius W is within 2^(-(W+1)) of any deeper radius, since
-symbols lie in [0,1].  All arithmetic is rational; window accesses outside
-the built range are errors, never implicit zeros, so nothing gets "verified"
-on data that was never constructed.
+symbols lie in [0,1].  All arithmetic is exact; window accesses outside the
+built range are errors, never implicit zeros, so nothing gets "verified" on
+data that was never constructed.
 
-On top of the metric sit the recurrence tools: epsilon-return times of a
-shifted view, the certificate that the built pair never jointly returns (at
+On top of the metric sit the recurrence tools: epsilon-return times of
+centred views, the certificate that the built pair never jointly returns (at
 every nonzero shift one coordinate is 0 where both centers are 1), and the
 escape witnesses: for every window center some multiple r <= 3 of a return
 time shifts one sequence onto an all-zero window while the other side moves
@@ -20,105 +20,73 @@ limit set.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import Block, ZERO, shift_violations
+from .blocks import Block, common_numerators, shift_violations
 from .report import CheckReport, FAIL, PASS
 from .thm2 import Thm2State
 
 ESCAPE_SIDES = ("XatN", "YatM")
 
 
-def tail_bound(radius: int) -> Fraction:
-    """Worst-case contribution of coordinates beyond the radius."""
-    return Fraction(1, 2 ** (radius + 1))
-
-
 @dataclass(frozen=True)
-class WindowPoint:
-    """A radius-W view of the point T^shift applied to a built block.
-
-    ``min_rel`` is the smallest admissible relative coordinate: 1 for
-    one-sided sequences, -radius for centered ones.
-    """
+class CenteredPoint:
+    """The radius-W view of T^shift applied to a built block: its coordinates
+    shift - radius .. shift + radius, all inside the block."""
 
     block: Block
     shift: int
     radius: int
-    min_rel: int
 
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
-        if self.min_rel not in (1, -self.radius):
-            raise ValueError("min_rel must be 1 (one-sided) or -radius (centered)")
         # Fail as early as the view is formed, not on first access.
-        self.value(self.min_rel)
-        self.value(self.radius)
-
-    def value(self, rel: int) -> Fraction:
-        if not self.min_rel <= rel <= self.radius:
-            raise IndexError(f"relative index {rel} outside window")
-        return self.block[self.shift + rel]
-
-    def shifted(self, n: int) -> "WindowPoint":
-        return replace(self, shift=self.shift + n)
+        self.block[self.shift - self.radius]
+        self.block[self.shift + self.radius]
 
 
-def one_sided_point(block: Block, shift: int = 0, radius: int = 8) -> WindowPoint:
-    return WindowPoint(block, shift, radius, 1)
+def centered_point(block: Block, shift: int = 0, radius: int = 8) -> CenteredPoint:
+    return CenteredPoint(block, shift, radius)
 
 
-def centered_point(block: Block, shift: int = 0, radius: int = 8) -> WindowPoint:
-    return WindowPoint(block, shift, radius, -radius)
-
-
-def window_distance(p: WindowPoint, q: WindowPoint) -> Fraction:
-    """Exact d_W between two equal-shape views."""
-    if p.radius != q.radius or p.min_rel != q.min_rel:
-        raise ValueError("window shapes differ")
-    best = ZERO
-    for rel in range(p.min_rel, p.radius + 1):
-        d = p.value(rel) - q.value(rel)
-        if d < 0:
-            d = -d
-        if d:
-            d = d / (1 << abs(rel))
-            if d > best:
-                best = d
-    return best
-
-
-def point_distance(p, q) -> Fraction:
-    """window_distance extended to pairs of views with the max product metric."""
-    if isinstance(p, WindowPoint):
-        return window_distance(p, q)
-    return max(window_distance(a, b) for a, b in zip(p, q))
-
-
-def _shift_point(p, n: int):
-    if isinstance(p, WindowPoint):
-        return p.shifted(n)
-    return tuple(v.shifted(n) for v in p)
-
-
-def epsilon_recurrence_times(p, epsilon: Fraction, horizon: int) -> list:
+def epsilon_recurrence_times(points: tuple, epsilon: Fraction, horizon: int) -> list:
     """All n in [1, horizon] with d(T^n p, p) < epsilon, increasing.
 
-    ``p`` is a WindowPoint or a pair of them (product system).  Every access
-    must stay inside the built blocks; the extreme shift is range-checked up
-    front so a too-large horizon fails before any partial scan.
+    ``points`` is a tuple of centred views, compared in the max product
+    metric.  The deepest shift is range-checked up front, so a too-large
+    horizon fails before any scan.  Each view's integer numerators over its
+    block's D are read once into a dense row, and 2^-|i| |b - a| / D < p / q
+    is tested as |b - a| * q < p * D * 2^|i|, heaviest coordinates first.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    _shift_point(p, horizon)  # raises if the deepest shift leaves the block
-    times = []
-    for n in range(1, horizon + 1):
-        if point_distance(_shift_point(p, n), p) < epsilon:
-            times.append(n)
-    return times
+    if not points:
+        raise ValueError("points must hold at least one view")
+    epsilon = Fraction(epsilon)
+    rows = []
+    for p in points:
+        CenteredPoint(p.block, p.shift + horizon, p.radius)  # the deepest shift
+        lo, hi = p.shift - p.radius, p.shift + p.radius + horizon
+        den, nums = common_numerators(p.block)
+        row = [0] * (hi - lo + 1)
+        a = bisect_left(p.block.nonzero_positions, lo)
+        b = bisect_right(p.block.nonzero_positions, hi)
+        for q, v in zip(p.block.nonzero_positions[a:b], nums[a:b]):
+            row[q - lo] = v
+        limits = sorted(
+            (epsilon.numerator * den << abs(i), i + p.radius)
+            for i in range(-p.radius, p.radius + 1)
+        )
+        rows.append((row, limits))
+    q = epsilon.denominator
+    return [
+        n for n in range(1, horizon + 1)
+        if all(abs(row[c + n] - row[c]) * q < limit
+               for row, limits in rows for limit, c in limits)
+    ]
 
 
 def pair_separation_check(state: Thm2State, horizon: int) -> CheckReport:

@@ -43,7 +43,3 @@ class CheckReport:
         for key, value in self.witness:
             parts.append(f"{key}={_format_value(value)}")
         return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.line()
-

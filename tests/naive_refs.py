@@ -80,3 +80,45 @@ def naive_omega_choices(returning, escaping, time, bound, w, center):
                         for i in window)]
     escape_ok = naive_escape_choices(escaping, time, w, center)
     return return_ok, escape_ok
+
+
+def naive_window_distance(p, q, radius, one_sided=False):
+    """d_W between views p = (block, shift) and q: the max over the window of
+    2^-|i| |x(s+i) - y(t+i)|, with i in -radius..radius (centred) or 1..radius
+    (one-sided).  A read outside a block raises IndexError."""
+    (x, s), (y, t) = p, q
+    lo = 1 if one_sided else -radius
+    return max(abs(x[s + i] - y[t + i]) / 2 ** abs(i) for i in range(lo, radius + 1))
+
+
+def naive_return_times(views, epsilon, horizon, one_sided=False):
+    """n in 1..horizon with d(T^n p, p) < epsilon in the max product metric
+    over the views (block, shift, radius)."""
+    return [
+        n for n in range(1, horizon + 1)
+        if max(naive_window_distance((b, s + n), (b, s), r, one_sided)
+               for b, s, r in views) < epsilon
+    ]
+
+
+def naive_pair_separation(x, y, horizon):
+    """None when x(0) = y(0) = 1 and for every n in 1..horizon the shifted pair
+    is at least 1 from the pair at coordinate 0; else the witness: pos 0, or
+    the smallest such n, with the values there."""
+    if x[0] != 1 or y[0] != 1:
+        return (("pos", 0), ("x", x[0]), ("y", y[0]))
+    for n in range(1, horizon + 1):
+        if max(abs(x[n] - x[0]), abs(y[n] - y[0])) < 1:
+            return (("n", n), ("x", x[n]), ("y", y[n]))
+    return None
+
+
+def naive_close_pair(x, cell):
+    """The first nonzero b of x with another nonzero at most ``cell`` before
+    it, and the nearest such a, as (a, b); None if there is none."""
+    for b in range(x.base, x.last + 1):
+        if x[b]:
+            near = [a for a in range(max(x.base, b - cell), b) if x[a]]
+            if near:
+                return near[-1], b
+    return None

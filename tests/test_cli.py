@@ -4,7 +4,7 @@ import sys
 
 from dlab.blocks import load_tdseq
 from dlab.cli import main
-from dlab import cli, thm1, thm2
+from dlab import cli, oracle, thm1, thm2
 
 
 def run_cli(*args):
@@ -213,6 +213,23 @@ def test_empty_oracle_sweeps_exit_2(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == message
+
+
+def test_oracle_sweep_nmax_above_the_bound_rejected_before_sweeping(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran for an nmax it must reject")
+
+    monkeypatch.setattr(oracle, "sweep", no_sweep)
+    monkeypatch.setattr(oracle, "check_map_determinism", no_sweep)
+    for flags in (["--nmax", "9", "--sample", "2", "--Nmax", "1"],
+                  ["--nmax", "9", "--sample", "0"]):
+        assert main(["oracle", "sweep", *flags]) == 2, flags
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: size 9 exceeds the exhaustive bound 8 "
+            "(partition count grows like Bell numbers)\n"
+        )
 
 
 # sha256 of stdout and the exit code of each command; the thm2 build entry

@@ -23,7 +23,7 @@ def test_classify_diagonal_under_non_onto():
 
 def test_classify_full_relation_on_two_cycle():
     s = sys_([1, 0])
-    assert o.classify_relation(s, o.Partition.full(2)) == o.INVARIANT
+    assert o.classify_relation(s, o.Partition.from_blocks(2, [(0, 1)])) == o.INVARIANT
 
 
 def test_classify_not_forward_invariant():
@@ -52,7 +52,7 @@ def test_restricted_growth_enumeration_bell_counts():
         parts = o.all_partitions(n)
         assert len(parts) == bells[n]
         assert len(set(parts)) == bells[n]
-        assert parts[0] == o.Partition.full(n)
+        assert parts[0] == o.Partition.from_blocks(n, [range(n)])
         assert parts[-1] == o.Partition.diagonal(n)
 
 
@@ -107,7 +107,7 @@ def test_recurrent_iff_on_cycle():
 def test_lemma6_example_chain():
     points, partition, report = o.lemma6_relation(sys_([1, 2, 2]), 0)
     assert points == {0, 1, 2}
-    assert partition == o.Partition.full(3)
+    assert partition == o.Partition.from_blocks(3, [(0, 1, 2)])
     assert report.passed
     assert dict(report.witness)["classified"] == o.FORWARD_INVARIANT_ONLY
 
@@ -115,7 +115,7 @@ def test_lemma6_example_chain():
 def test_lemma6_two_point_example():
     points, partition, report = o.lemma6_relation(sys_([1, 1]), 0)
     assert points == {0, 1}
-    assert partition == o.Partition.full(2)
+    assert partition == o.Partition.from_blocks(2, [(0, 1)])
     assert report.passed
 
 
@@ -179,14 +179,6 @@ def test_all_pairs_recurrent_only_for_permutations_n3():
 
 
 # -- serialization and sweep harness ---------------------------------------------------
-
-
-def test_fsys_round_trip():
-    s = sys_([1, 2, 2])
-    assert s.fsys_line() == "FSYS n=3 map=1,2,2"
-    assert o.parse_fsys(s.fsys_line()) == s
-    with pytest.raises(ValueError):
-        o.parse_fsys("FSYS n=2 map=0,1,2")
 
 
 def test_check_map_determinism_reports():

@@ -7,42 +7,60 @@ from dlab import recurrence as rec
 from dlab import thm1, thm2
 from dlab.blocks import Block, zeros
 
-from naive_refs import naive_escape_choices, naive_omega_choices
+from naive_refs import (
+    naive_close_pair,
+    naive_escape_choices,
+    naive_omega_choices,
+    naive_pair_separation,
+    naive_return_times,
+    naive_window_distance,
+)
 
 F = Fraction
 
 
-def centered_zero(radius):
-    return rec.centered_point(zeros(4 * radius + 1, base=-2 * radius), 0, radius)
+def tail_bound(radius):
+    """Worst-case contribution of the coordinates beyond the radius."""
+    return F(1, 2 ** (radius + 1))
 
 
 def test_window_distance_identity():
-    p = rec.centered_point(zeros(9, base=-4), 0, 2)
-    assert rec.window_distance(p, p) == 0
+    # d(T^n p, p) = 0 where the window repeats: a period-3 view returns at
+    # every multiple of 3 for any epsilon > 0, and nowhere else.
+    p = rec.centered_point(Block([1, 0, F(1, 2)] * 12, base=-18), 0, 2)
+    assert rec.epsilon_recurrence_times((p,), F(1, 10**9), 12) == [3, 6, 9, 12]
 
 
 def test_window_distance_weights():
-    z = centered_zero(2)
-    spike0 = rec.centered_point(Block([0, 0, 1, 0, 0], base=-2), 0, 2)
-    assert rec.window_distance(z, spike0) == 1
-    spike2 = rec.centered_point(Block([0, 0, 0, 0, 1], base=-2), 0, 2)
-    assert rec.window_distance(z, spike2) == F(1, 4)
-
-
-def test_window_distance_shape_mismatch():
-    with pytest.raises(ValueError):
-        rec.window_distance(centered_zero(2), centered_zero(3))
+    # A lone 1 at relative index i puts the view 2^-|i| from the zero window,
+    # and a return needs a distance strictly below epsilon.
+    p = rec.centered_point(Block([0] * 20 + [1] + [0] * 9, base=-10), 0, 2)
+    for epsilon, missed in (
+        (F(1), [10]),
+        (F(1, 2), [9, 10, 11]),
+        (F(1, 4), [8, 9, 10, 11, 12]),
+        (F(1, 4) + F(1, 10**6), [9, 10, 11]),
+    ):
+        times = rec.epsilon_recurrence_times((p,), epsilon, 15)
+        assert times == [n for n in range(1, 16) if n not in missed]
 
 
 def test_window_point_out_of_range_is_error():
-    b = Block([1, 0, 0], base=1)
+    b = Block([1, 0, 0, 0, 0], base=-2)
     with pytest.raises(IndexError):
-        rec.one_sided_point(b, 0, radius=5)
-    p = rec.one_sided_point(b, 0, radius=2)
+        rec.centered_point(b, 0, radius=3)
     with pytest.raises(IndexError):
-        p.value(3)
+        rec.centered_point(b, 2, radius=1)
     with pytest.raises(IndexError):
-        p.shifted(5)
+        rec.centered_point(b, -2, radius=1)
+    with pytest.raises(ValueError):
+        rec.centered_point(b, 0, radius=-1)
+    p = rec.centered_point(b, -1, radius=1)
+    assert rec.epsilon_recurrence_times((p,), F(1), 2) == [1, 2]
+    with pytest.raises(IndexError):
+        rec.epsilon_recurrence_times((p,), F(1), 3)
+    with pytest.raises(ValueError):
+        rec.epsilon_recurrence_times((p,), F(1), 0)
 
 
 def test_window_distance_is_a_metric():
@@ -51,37 +69,33 @@ def test_window_distance_is_a_metric():
         Block([F(1, 5), 0, 1, F(2, 3), 0], base=-2),
         Block([0, 0, 1, 0, 0], base=-2),
     ]
-    points = [rec.centered_point(b, 0, 2) for b in blocks]
+    points = [(b, 0) for b in blocks]
     for a in points:
         for b in points:
-            d = rec.window_distance(a, b)
-            assert d == rec.window_distance(b, a)
-            assert (d == 0) == (a.block.symbols == b.block.symbols)
+            d = naive_window_distance(a, b, 2)
+            assert d == naive_window_distance(b, a, 2)
+            assert (d == 0) == (a[0].symbols == b[0].symbols)
             for c in points:
-                assert rec.window_distance(a, c) <= d + rec.window_distance(b, c)
+                assert naive_window_distance(a, c, 2) <= d + naive_window_distance(b, c, 2)
 
 
 def test_deeper_radius_agrees_within_tail(thm1_stage4):
     block = thm1_stage4.prefix
     for w, delta in ((4, 3), (6, 5)):
-        small = rec.one_sided_point(block, 0, w)
-        big = rec.one_sided_point(block, 0, w + delta)
-        d_small = rec.window_distance(small, small.shifted(12))
-        d_big = rec.window_distance(big, big.shifted(12))
-        assert abs(d_big - d_small) <= rec.tail_bound(w)
+        d_small = naive_window_distance((block, 12), (block, 0), w, one_sided=True)
+        d_big = naive_window_distance((block, 12), (block, 0), w + delta, one_sided=True)
+        assert abs(d_big - d_small) <= tail_bound(w)
 
 
 def test_epsilon_times_contain_rigidity_time(thm1_stage4):
-    p = rec.one_sided_point(thm1_stage4.prefix, 0, radius=20)
-    eps = F(1, 2) + rec.tail_bound(20)
-    times = rec.epsilon_recurrence_times(p, eps, horizon=60)
+    view = (thm1_stage4.prefix, 0, 20)
+    times = naive_return_times([view], F(1, 2) + tail_bound(20), 60, one_sided=True)
     assert 12 in times
-    assert times == sorted(times)
 
 
 def test_epsilon_times_on_fixed_zero_point():
     p = rec.centered_point(zeros(101, base=-50), 0, radius=5)
-    assert rec.epsilon_recurrence_times(p, F(1, 1000), 40) == list(range(1, 41))
+    assert rec.epsilon_recurrence_times((p,), F(1, 1000), 40) == list(range(1, 41))
 
 
 def test_epsilon_times_metric_restatement_of_rigidity(thm1_stage4):
@@ -91,11 +105,10 @@ def test_epsilon_times_metric_restatement_of_rigidity(thm1_stage4):
     for k in (1, 2, 3):
         n_k = s.length_of_stage(k)
         for j in (0, 3, 12, 60):
-            p = rec.one_sided_point(s.prefix, j, radius=w)
-            if all(p.value(i) == 0 for i in range(1, k + 1)):
+            if all(s.prefix[j + i] == 0 for i in range(1, k + 1)):
                 continue
-            eps = F(1, k) + rec.tail_bound(w)
-            assert n_k in rec.epsilon_recurrence_times(p, eps, horizon=n_k)
+            d = naive_window_distance((s.prefix, j + n_k), (s.prefix, j), w, one_sided=True)
+            assert d < F(1, k) + tail_bound(w)
 
 
 def test_pair_point_never_recurs(thm2_states):
@@ -333,3 +346,107 @@ def test_escape_and_omega_match_dense_references_on_random_states():
             failures["CROSS_OMEGA"] += 1
             assert res.report.witness == want
     assert min(failures.values()) > 30
+
+
+def test_epsilon_times_match_the_dense_metric():
+    rng = random.Random(1729)
+    values = (F(0),) * 4 + (F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4))
+    returned = 0
+    for _ in range(250):
+        radius, horizon = rng.randint(0, 4), rng.randint(1, 25)
+        views = []
+        for _side in range(rng.choice((1, 2))):
+            length = 2 * radius + 1 + horizon + rng.randint(0, 6)
+            base = rng.randint(-length, 3)
+            syms = [rng.choice(values) for _ in range(length)]
+            if rng.random() < 0.3:  # periodic, so that returns happen
+                period = rng.randint(1, 5)
+                syms = [syms[i % period] for i in range(length)]
+            shift = rng.randint(base + radius, base + length - 1 - radius - horizon)
+            views.append((Block(syms, base=base), shift, radius))
+        epsilon = rng.choice((F(1), F(1, 2), F(1, 8), F(3, 16)))
+        met = None
+        if rng.random() < 0.5:
+            # epsilon exactly a distance the scan meets: the strict < drops it
+            met = rng.randint(1, horizon)
+            epsilon = max(naive_window_distance((b, s + met), (b, s), r)
+                          for b, s, r in views)
+        points = tuple(rec.centered_point(b, s, r) for b, s, r in views)
+        want = naive_return_times(views, epsilon, horizon)
+        assert rec.epsilon_recurrence_times(points, epsilon, horizon) == want
+        assert met not in want
+        returned += bool(want)
+    assert returned > 80
+
+
+def _separated_pair_state(rng):
+    """A centered pair whose supports meet only at 0 and whose x nonzeros sit
+    more than n_k apart, with defects planted half of the time each: a shared
+    nonzero of x and y, and two nonzeros of x within one cell."""
+    half = rng.randint(12, 40)
+    stage = rng.randint(2, 4)
+    times = [tuple(rng.randint(3, half // 3) for _ in range(stage - 1)) for _ in "mn"]
+    k = rng.randint(1, stage - 1)
+    cell = times[1][k - 1]
+    x = [F(0)] * (2 * half + 1)
+    for sign in (1, -1):
+        p = 0
+        while abs(p) <= half:
+            x[half + p] = F(rng.randint(1, 4), 4)
+            p += sign * rng.randint(cell + 1, 2 * cell + 2)
+    y = [F(rng.randint(1, 3), 3) if not v and rng.random() < 0.2 else F(0) for v in x]
+    shared = [i for i in range(half + 1, len(x)) if x[i]]
+    if shared and rng.random() < 0.5:
+        y[rng.choice(shared)] = F(rng.randint(1, 3), 3)
+    if rng.random() < 0.5:
+        p = rng.randrange(len(x))
+        x[min(len(x) - 1, p + rng.randint(1, cell))] = F(1, 2)
+        x[p] = F(1)
+    x[half] = y[half] = F(1)
+    state = thm2.Thm2State(
+        stage, Block(x, base=-half), Block(y, base=-half), *times, ()
+    )
+    return state, k
+
+
+def test_pair_separation_matches_dense_reference():
+    rng = random.Random(2718)
+    seen = {"PASS": 0, "FAIL": 0}
+    for _ in range(300):
+        state, _k = _separated_pair_state(rng)
+        horizon = rng.randint(1, state.half_width)
+        rep = rec.pair_separation_check(state, horizon)
+        want = naive_pair_separation(state.x, state.y, horizon)
+        assert rep.passed == (want is None)
+        seen[rep.verdict] += 1
+        if want is not None:
+            assert rep.witness == want
+        else:
+            # No joint return at coordinate 0 means none within epsilon = 1.
+            w = rng.randint(0, min(4, horizon - 1))
+            pair = (rec.centered_point(state.x, 0, w), rec.centered_point(state.y, 0, w))
+            assert rec.epsilon_recurrence_times(pair, F(1), horizon - w) == []
+    assert min(seen.values()) > 60, seen
+
+
+def test_sliding_falsifier_matches_dense_reference():
+    rng = random.Random(3141)
+    seen = {"found": 0, "clear": 0}
+    for _ in range(300):
+        state, k = _separated_pair_state(rng)
+        cell = state.n(k)
+        rep = thm2.sliding_falsifier(state, k)
+        close = naive_close_pair(state.x, cell)
+        if close is None:
+            seen["clear"] += 1
+            assert rep.witness == (("found", False),)
+        else:
+            seen["found"] += 1
+            a, b = close
+            offset = b - 2 * cell
+            assert rep.witness == (
+                ("found", True), ("offset", offset), ("pos_a", a), ("pos_b", b)
+            )
+            # Both nonzeros lie in the three cells that start at the offset.
+            assert offset <= a < b < offset + 3 * cell
+    assert min(seen.values()) > 100, seen

@@ -128,7 +128,7 @@ def test_phased_sparseness_against_naive(thm2_states):
 def test_sparseness_failure_has_witness():
     # Three nonzeros two cells apart admit no phase at cell length 2.
     x = Block([1, 0, 1, 0, 1], base=-2)
-    state = thm2.Thm2State(2, x, hand_block(1, 0, [F(1, 2), F(1), F(1, 2)]).rebase(-2), (2,), (2,), (thm2.SpacerChoice(0, 0, 1, 0),))
+    state = thm2.Thm2State(2, x, hand_block(1, 0, [F(1, 2), F(1), F(1, 2)]), (2,), (2,), (thm2.SpacerChoice(0, 0, 1, 0),))
     rep = thm2.check_sparseness_x(state, 1)
     assert not rep.passed
     w = dict(rep.witness)
