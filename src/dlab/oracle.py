@@ -135,8 +135,10 @@ def all_partitions(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _partition_pairs(n: int) -> tuple:
-    return tuple(p.pairs() for p in all_partitions(n))
+def _labelled_partitions(n: int) -> tuple:
+    """``all_partitions(n)`` paired with their restricted growth strings,
+    which serve as block labels: x lies in block ``rgs[x]``."""
+    return tuple(zip(restricted_growth_strings(n), all_partitions(n)))
 
 
 def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
@@ -184,9 +186,34 @@ def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
     diag = Partition.diagonal(sys.size)
     if classify_relation(sys, diag) == FORWARD_INVARIANT_ONLY:
         return False, diag
-    for partition, rel in zip(all_partitions(sys.size), _partition_pairs(sys.size)):
-        if _image(sys.table, rel) < rel:  # forward-invariant only
-            return False, partition
+    return _scan_partitions(sys.table)
+
+
+@lru_cache(maxsize=None)
+def _scan_partitions(table: tuple):
+    """(False, first forward-invariant-only partition in RGS order), or
+    (True, None) when there is none.
+
+    A partition is forward invariant exactly when each block maps into one
+    block, i.e. ``rgs[table[x]]`` is constant on every block; only those
+    partitions pay for building their pair set and the strict-containment
+    test.  Memoized per table: only onto tables get past ``is_td``'s
+    diagonal test, so the cache holds at most n! entries per size.
+    """
+    n = len(table)
+    for rgs, partition in _labelled_partitions(n):
+        image_block = [-1] * n
+        for x in range(n):
+            target = rgs[table[x]]
+            seen = image_block[rgs[x]]
+            if seen < 0:
+                image_block[rgs[x]] = target
+            elif seen != target:
+                break
+        else:
+            rel = partition.pairs()
+            if _image(table, rel) < rel:  # forward-invariant only
+                return False, partition
     return True, None
 
 
@@ -265,28 +292,23 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, bound: int = DEFAULT_EXHAUSTIVE
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     params = (("n", sys.size), ("n_max", n_max))
-    powers = {1: sys}
+    powers = {0: FiniteSystem(sys.size, tuple(range(sys.size))), 1: sys}
     for n in range(2, n_max + 1):
         powers[n] = power_system(sys, n)
-    omegas = {}
-
-    def omega(n: int, z: int) -> frozenset:
-        key = (n, z)
-        if key not in omegas:
-            omegas[key] = omega_limit(powers[n], z)
-        return omegas[key]
+    omegas = {n: _omega_table(powers[n]) for n in range(1, n_max + 1)}
 
     for x in range(sys.size):
-        base_omega = omega(1, x)
+        base_omega = omegas[1][x]
         base_recurrent = x in base_omega
         for n in range(1, n_max + 1):
-            if base_recurrent and x not in omega(n, x):
+            omega = omegas[n]
+            if base_recurrent and x not in omega[x]:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
                     (("part", "a"), ("x", x), ("power", n)),
                 )
             decomposition = frozenset().union(
-                *(omega(n, _iterate(sys, x, k)) for k in range(n))
+                *(omega[powers[k].table[x]] for k in range(n))
             )
             if decomposition != base_omega:
                 return CheckReport(
@@ -304,10 +326,24 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, bound: int = DEFAULT_EXHAUSTIVE
     return CheckReport("LEMMA7", PASS, params)
 
 
-def _iterate(sys: FiniteSystem, x: int, k: int) -> int:
-    for _ in range(k):
-        x = sys.table[x]
-    return x
+def _omega_table(sys: FiniteSystem) -> tuple:
+    """``omega_limit(sys, z)`` for every z, from one walk of the functional
+    graph: each walk runs until it closes a new cycle or lands on a point
+    already labelled, and every point on it gets that cycle as its limit set.
+    """
+    omega = [None] * sys.size
+    for start in range(sys.size):
+        path = {}  # point -> step, in walk order
+        cur = start
+        while omega[cur] is None and cur not in path:
+            path[cur] = len(path)
+            cur = sys.table[cur]
+        limit = omega[cur]
+        if limit is None:  # the walk closed a new cycle at cur
+            limit = frozenset(list(path)[path[cur]:])
+        for z in path:
+            omega[z] = limit
+    return tuple(omega)
 
 
 # -- exhaustive sweeps ---------------------------------------------------------

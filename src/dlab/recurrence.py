@@ -92,20 +92,16 @@ def epsilon_recurrence_times(points: tuple, epsilon: Fraction, horizon: int) -> 
 def pair_separation_check(state: Thm2State, horizon: int) -> CheckReport:
     """The built pair stays at product distance >= 1 from itself at every shift.
 
-    Passes iff x(0) = y(0) = 1 and min(x(n), y(n)) = 0 for every n in
-    [1, horizon]: coordinate 0 of the shifted pair then differs from 1 by
-    exactly 1 on at least one side.
+    Passes iff min(x(n), y(n)) = 0 for every n in [1, horizon]: coordinate 0
+    of the shifted pair then differs from 1 by exactly 1 on at least one
+    side.  x(0) = y(0) = 1 needs no test here: ``Thm2State`` refuses any
+    pair without it.
     """
     if not 1 <= horizon <= state.half_width:
         raise ValueError(
             f"horizon {horizon} outside usable range 1..{state.half_width}"
         )
     params = (("stage", state.stage), ("horizon", horizon))
-    if state.x[0] != 1 or state.y[0] != 1:
-        return CheckReport(
-            "PAIR_SEP", FAIL, params,
-            (("pos", 0), ("x", state.x[0]), ("y", state.y[0])),
-        )
     shared = set(state.x.nonzero_in(1, horizon)) & set(
         state.y.nonzero_in(1, horizon)
     )

@@ -122,3 +122,26 @@ def naive_close_pair(x, cell):
             if near:
                 return near[-1], b
     return None
+
+
+def naive_first_forward_invariant_only(table):
+    """The blocks (sorted tuples, sorted) of the first partition of
+    {0..n-1}, in restricted-growth-string order, whose image
+    {(Ta, Tb) : a ~ b} is strictly inside its own pair set; None if none is."""
+    n = len(table)
+
+    def growth_strings(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for g in range(max(prefix, default=-1) + 2):
+            yield from growth_strings(prefix + [g])
+
+    for rgs in growth_strings([]):
+        blocks = {}
+        for x, g in enumerate(rgs):
+            blocks.setdefault(g, []).append(x)
+        rel = frozenset((a, b) for blk in blocks.values() for a in blk for b in blk)
+        if frozenset((table[a], table[b]) for a, b in rel) < rel:
+            return tuple(sorted(tuple(blk) for blk in blocks.values()))
+    return None

@@ -32,10 +32,14 @@ def test_bench_tracer_installs_over_every_binding():
             assert getattr(MODULES[mod], attr) is not original, (mod, attr)
         state = thm2.build_to_stage(2)
         recurrence.escape_witness(state, 1, 0, "XatN")
+        # is_td memoizes its scan behind the traced binding, so every call
+        # from lemma7_checks must still open a span.
+        oracle.lemma7_checks(oracle.make_system((1, 2, 0)), 2)
     finally:
         tracer.uninstall()
     for (mod, attr), original in originals.items():
         assert getattr(MODULES[mod], attr) is original, (mod, attr)
     names = {span[0] for span in tracer.spans}
     assert {"thm2.build_to_stage", "recurrence.escape_witness"} <= names
+    assert {"oracle.lemma7_checks", "oracle.is_td"} <= names
     assert tracer.counts["recurrence.centers"] > 0

@@ -261,6 +261,13 @@ PINNED_OUTPUT = (
      "a1aa3bc43fc9040374958b3dce6987150628a9f941da895aac28192a81520f5f"),
     ("oracle sweep --nmax 5 --permutations-only", 0,
      "384d1e5a1c3d0b152a246efe34ab5411e6cc1c7b359a9b0b37b1fd67b42be6d3"),
+    # None of seed 11's five n = 7 samples is onto, so this one prints no
+    # n = 7 map; seed 3 samples the permutation 5,2,0,3,6,1,4, whose powers
+    # is_td scans over every partition of 7 points.
+    ("oracle sweep --nmax 7 --Nmax 2 --sample 5 --seed 11 --permutations-only", 0,
+     "8266a1ffb7c2a328c5dcc18eb29fc2efdf4da623c03430a99ec0e05c1667ee69"),
+    ("oracle sweep --nmax 7 --Nmax 2 --sample 5 --seed 3 --permutations-only", 0,
+     "33b3a4ff21a2ef606b7b10e386be07823ad29d87dda208a01425b9457622caca"),
 )
 PINNED_TDSEQ = {
     "x.tdseq": "99c19c0961e20ac8e79b885aa469109301bb3acb34df7659ccdc5f4f01c07e90",

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from dlab import oracle as o
+
+from naive_refs import naive_first_forward_invariant_only
 
 
 def sys_(table):
@@ -86,6 +90,46 @@ def test_td_bound():
         o.is_td(o.FiniteSystem(9, tuple(range(9))))
 
 
+def _seeded_scan_tables(rng):
+    """Per size 6-8: the identity, permutations, permutations with planted
+    fixed points, and maps with planted collapses."""
+    for n in (6, 7, 8):
+        yield tuple(range(n))
+        for _ in range(2):
+            yield tuple(rng.sample(range(n), n))
+        for fixed in (1, n // 2):
+            moved = sorted(rng.sample(range(n), n - fixed))
+            table = list(range(n))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                table[x] = y
+            yield tuple(table)
+        for collapses in (1, 3):
+            table = rng.sample(range(n), n)
+            for _ in range(collapses):
+                a, b = rng.sample(range(n), 2)
+                table[a] = table[b]
+            yield tuple(table)
+
+
+def test_partition_scan_matches_naive_reference():
+    # The scan helper is called directly, so non-onto tables are scanned too
+    # instead of stopping at is_td's diagonal test.
+    tables = [s.table for n in range(1, 6) for s in o.all_systems(n)]
+    tables += _seeded_scan_tables(random.Random(8191))
+    witnesses = 0
+    for table in tables:
+        td, witness = o._scan_partitions(table)
+        want = naive_first_forward_invariant_only(table)
+        assert td == (want is None), table
+        if want is not None:
+            witnesses += 1
+            assert witness.blocks == want, table
+        else:
+            assert witness is None, table
+        assert o._scan_partitions(table) == (td, witness)
+    assert 0 < witnesses < len(tables)
+
+
 # -- orbits and limit sets -----------------------------------------------------------
 
 
@@ -146,13 +190,13 @@ def test_power_system_functorial():
 def test_product_system_recurrence_matches_joint_returns():
     s = sys_([1, 0, 2])  # 2-cycle plus fixed point
     prod = o.product_system(s, s)
+    powers = [o.power_system(s, n) for n in range(1, 7)]
     for a in range(3):
         for b in range(3):
             code = a * 3 + b
             # Joint return: some n >= 1 with T^n a = a and T^n b = b.
             joint = any(
-                o._iterate(s, a, n) == a and o._iterate(s, b, n) == b
-                for n in range(1, 7)
+                power.table[a] == a and power.table[b] == b for power in powers
             )
             assert o.is_recurrent(prod, code) == joint
 
@@ -166,6 +210,17 @@ def test_lemma7_cycle_examples():
     pw = o.power_system(two_cycle, 2)
     assert o.omega_limit(pw, 0) == {0}
     assert o.omega_limit(pw, 1) == {1}
+
+
+def test_omega_table_matches_orbit_walk():
+    rng = random.Random(4099)
+    systems = [s for n in range(1, 6) for s in o.all_systems(n)]
+    systems += [o.make_system([rng.randrange(8) for _ in range(8)]) for _ in range(50)]
+    for s in systems:
+        for n in range(1, 5):
+            power = o.power_system(s, n)
+            want = tuple(o.omega_limit(power, z) for z in range(s.size))
+            assert o._omega_table(power) == want, (s.table, n)
 
 
 def test_lemma7_decomposition_randomless_sweep_n4():

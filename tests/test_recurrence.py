@@ -150,6 +150,21 @@ def test_pair_separation_range_errors(thm2_states):
         rec.pair_separation_check(thm2_states[1], 10**9)
 
 
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("centre", [F(0), F(1, 2)])
+def test_pair_without_unit_centre_is_refused(side, centre):
+    # pair_separation_check has no x(0) = y(0) = 1 branch; the state is where
+    # that requirement is enforced.
+    state = thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 24, 8, 18))
+    syms = list(getattr(state, side).symbols)
+    syms[-state.x.base] = centre
+    blocks = {"x": state.x, "y": state.y, side: Block(syms, base=state.x.base)}
+    with pytest.raises(ValueError, match="central symbols must equal 1"):
+        thm2.Thm2State(
+            2, blocks["x"], blocks["y"], state.m_times, state.n_times, state.spacers
+        )
+
+
 # -- escape witnesses -------------------------------------------------------------
 
 
