@@ -21,6 +21,15 @@ from .report import CheckReport, INFO
 SWEEP_EXHAUSTIVE_BOUND = 6
 SAMPLED_SWEEP_DEFAULT = 200
 
+# What --max-symbols counts: thm1 blocks are about 10% nonzero and are capped
+# by position; thm2 blocks are sparse and are capped by what a build stores.
+THM1_CAP_HELP = "refuse builds beyond this many positions, zeros included"
+THM2_CAP_HELP = "refuse builds that store more than this many nonzeros per block"
+THM2_BUILD_CAP_HELP = (
+    f"{THM2_CAP_HELP}, and TDSEQ 1 output (one line per position) "
+    "of more than this many positions"
+)
+
 
 def _thm1_state(args) -> thm1.Thm1State:
     return thm1.build(args.stage, max_symbols=args.max_symbols)
@@ -74,6 +83,11 @@ def cmd_thm1_verify(args) -> list:
 
 def cmd_thm2_build(args) -> list:
     state = _thm2_state(args)
+    if state.common_length > args.max_symbols:  # refused before any file is opened
+        raise ResourceCapError(
+            f"TDSEQ 1 writes one line per position: stage {state.stage} has "
+            f"{state.common_length} positions, cap is {args.max_symbols}"
+        )
     lines = [
         choice.log_line(r + 1) for r, choice in enumerate(state.spacers)
     ]
@@ -136,12 +150,14 @@ def cmd_recur_omega(args) -> list:
     return lines
 
 
-def _sampled_systems(n: int, count: int, seed: int):
+def _sampled_systems(n: int, count: int, seed: int, permutations_only: bool):
     rng = random.Random(seed)
     for _ in range(count):
-        yield oracle_mod.make_system(
-            tuple(rng.randrange(n) for _ in range(n))
-        )
+        if permutations_only:
+            table = rng.sample(range(n), n)
+        else:
+            table = [rng.randrange(n) for _ in range(n)]
+        yield oracle_mod.make_system(table)
 
 
 def cmd_oracle_sweep(args) -> list:
@@ -167,9 +183,9 @@ def cmd_oracle_sweep(args) -> list:
                 (("n", n), ("sample", args.sample), ("seed", args.seed)),
             ).line()
         )
-        for sys_ in _sampled_systems(n, args.sample, args.seed + n):
-            if args.permutations_only and not sys_.onto:
-                continue
+        for sys_ in _sampled_systems(
+            n, args.sample, args.seed + n, args.permutations_only
+        ):
             lines.append(oracle_mod.check_map_determinism(sys_).line())
             lines.append(oracle_mod.lemma7_checks(sys_, args.power_max).line())
     return lines
@@ -188,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p, iteration_cap=False):
+    def add_caps(p, cap_help, iteration_cap=False):
         p.add_argument(
             "--max-symbols",
             type=int,
             default=DEFAULT_MAX_SYMBOLS,
-            help="refuse builds beyond this many symbols",
+            help=cap_help,
         )
         if iteration_cap:
             p.add_argument(
@@ -209,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_thm1.add_parser("build", help="build a stage and write it as TDSEQ")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_caps(p)
+    add_caps(p, THM1_CAP_HELP)
     p.set_defaults(handler=cmd_thm1_build)
     p = p_thm1.add_parser("verify", help="run the stage verifiers")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--jmax", type=int, default=None)
-    add_caps(p)
+    add_caps(p, THM1_CAP_HELP)
     p.set_defaults(handler=cmd_thm1_verify)
 
     p_thm2 = top.add_parser("thm2", help="orthogonal centered pair").add_subparsers(
@@ -226,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transitive", action="store_true")
     p.add_argument("--out-x", required=True)
     p.add_argument("--out-y", required=True)
-    add_caps(p, iteration_cap=True)
+    add_caps(p, THM2_BUILD_CAP_HELP, iteration_cap=True)
     p.set_defaults(handler=cmd_thm2_build)
     p = p_thm2.add_parser("verify", help="run the stage verifiers")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--transitive", action="store_true")
-    add_caps(p, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
     p.set_defaults(handler=cmd_thm2_verify)
 
     p_recur = top.add_parser("recur", help="recurrence analysis").add_subparsers(
@@ -241,19 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_recur.add_parser("pair-sep", help="pair never returns jointly")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    add_caps(p, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
     p.set_defaults(handler=cmd_recur_pair_sep)
     p = p_recur.add_parser("escape", help="zero-window escape witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
     p.set_defaults(handler=cmd_recur_escape)
     p = p_recur.add_parser("omega", help="limit-pair witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
     p.set_defaults(handler=cmd_recur_omega)
 
     p_oracle = top.add_parser("oracle", help="finite-system ground truth").add_subparsers(

@@ -183,10 +183,17 @@ def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
     canonical witness whenever the map is not onto.
     """
     check_exhaustive_size(sys.size, bound)
-    diag = Partition.diagonal(sys.size)
-    if classify_relation(sys, diag) == FORWARD_INVARIANT_ONLY:
+    diag, rel = _diagonal(sys.size)
+    if _image(sys.table, rel) < rel:  # forward-invariant only
         return False, diag
     return _scan_partitions(sys.table)
+
+
+@lru_cache(maxsize=None)
+def _diagonal(n: int) -> tuple:
+    """The diagonal partition of {0..n-1} and its pair set, built once per n."""
+    diag = Partition.diagonal(n)
+    return diag, diag.pairs()
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +381,7 @@ def check_map_determinism(sys: FiniteSystem) -> CheckReport:
         return CheckReport(
             "SWEEP_MAP", FAIL, params, (("part", "td_vs_onto"), ("td", td))
         )
-    if not td and witness != Partition.diagonal(sys.size):
+    if not td and witness != _diagonal(sys.size)[0]:
         return CheckReport(
             "SWEEP_MAP", FAIL, params,
             (("part", "witness"), ("witness", witness.label())),

@@ -21,9 +21,10 @@ over k symbols with bound 1/k), which the constructed point itself refutes.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .blocks import (
     DEFAULT_MAX_SYMBOLS,
@@ -197,12 +198,12 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
 def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     """Smallness propagation: x(i) <= max(next n_j symbols) + 1/(j+1), non-strict.
 
-    Positions with x(i) = 0 hold trivially, so the scan visits nonzero
-    positions only.  Symbols are integer numerators over their common
-    denominator D, and a monotone deque keeps the maximum of the window of
-    nonzeros in (p, p + n_j] as p advances, so one j costs O(#nonzero).  The
-    bound is attained with equality inside the construction, which is why a
-    failure needs (value - window_max) * (j+1) > D strictly.
+    Symbols are integer numerators over their common denominator D.  The
+    window maximum is >= 0, so only a nonzero whose numerator exceeds
+    D // (j+1) can break the bound, and the scan visits those alone, taking
+    the maximum of the nonzeros in (p, p + n_j] for each.  The bound is
+    attained with equality inside the construction, which is why a failure
+    needs (value - window_max) * (j+1) > D strictly.
     """
     _require_range(state, jmax, "jmax")
     block = state.prefix
@@ -211,20 +212,11 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     den, nums = common_numerators(block)
     for j in range(1, jmax + 1):
         n_j = state.length_of_stage(j)
-        ahead = deque()  # the window: indices into nz, nums strictly decreasing
-        nxt = 0  # first nonzero index not yet offered to the window
-        for i, p in enumerate(nz):
+        for i in compress(range(len(nz)), map((den // (j + 1)).__lt__, nums)):
+            p = nz[i]
             if p + n_j > last:
                 break
-            while ahead and ahead[0] <= i:
-                ahead.popleft()
-            while nxt < len(nz) and nz[nxt] <= p + n_j:
-                if nxt > i:
-                    while ahead and nums[ahead[-1]] <= nums[nxt]:
-                        ahead.pop()
-                    ahead.append(nxt)
-                nxt += 1
-            eps = nums[ahead[0]] if ahead else 0
+            eps = max(nums[i + 1 : bisect_right(nz, p + n_j, i + 1)], default=0)
             if (nums[i] - eps) * (j + 1) > den:
                 return CheckReport(
                     "C2PRIME",

@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import sub
 
 from .blocks import (
     DEFAULT_MAX_SYMBOLS,
@@ -168,18 +170,16 @@ def _surround(block: Block, r: int, gap: int, end: int) -> Block:
     return out
 
 
-def predicted_length(state: Thm2State, choice: SpacerChoice) -> int:
-    r = state.stage
-    ell = state.common_length
-    return 2 * choice.t + (2 * r + 1) * ell + 2 * r * choice.s
-
-
 def build_stage(
     state: Thm2State,
     choice: SpacerChoice,
     max_symbols: int = DEFAULT_MAX_SYMBOLS,
 ) -> Thm2State:
-    """One construction step; defines m_r and n_r and re-centers the result."""
+    """One construction step; defines m_r and n_r and re-centers the result.
+
+    ``max_symbols`` caps what the step stores: 2r+1 scaled copies of each
+    block's nonzeros (every copy scale is positive), checked before building.
+    """
     r = state.stage
     ell = state.common_length
     if choice.t != choice.tp + r * (choice.sp - choice.s):
@@ -187,10 +187,12 @@ def build_stage(
             "length-identity violation: need t = tp + r*(sp - s), got "
             f"t={choice.t} tp={choice.tp} s={choice.s} sp={choice.sp} r={r}"
         )
-    if predicted_length(state, choice) > max_symbols:
+    stored = (2 * r + 1) * max(
+        len(state.x.nonzero_positions), len(state.y.nonzero_positions)
+    )
+    if stored > max_symbols:
         raise ResourceCapError(
-            f"stage {r + 1} needs {predicted_length(state, choice)} symbols, "
-            f"cap is {max_symbols}"
+            f"stage {r + 1} stores {stored} nonzeros per block, cap is {max_symbols}"
         )
     x_next = _surround(state.x, r, choice.s, choice.t)
     y_next = _surround(state.y, r, choice.sp, choice.tp)
@@ -296,7 +298,8 @@ def check_rigidity_y(state: Thm2State, k: int) -> CheckReport:
 
 
 def _cell_clash(nz, length: int, phase: int):
-    """First consecutive nonzeros (a, b) whose ``phase`` cells are 1 or 2 apart."""
+    """First consecutive nonzeros (a, b) whose ``phase`` cells are 1 or 2 apart:
+    the witness ``_phased_sparseness`` reports when no phase works."""
     for a, b in zip(nz, nz[1:]):
         if 0 < (b - phase) // length - (a - phase) // length < 3:
             return a, b
@@ -307,18 +310,43 @@ def _phased_sparseness(block: Block, length: int):
     """Search for a phase c in [0, length) packing nonzeros so that any three
     consecutive length-``length`` cells contain at most one nonzero cell.
 
-    Cell boundaries sit at c + q*length.  Candidate phases are the residues
-    where some position's cell assignment changes, so testing them covers
-    every distinct assignment.  Returns (phase, None), or (None, witness)
-    naming phase 0 and the first consecutive nonzeros that break the rule
-    under it.
+    Cell boundaries sit at c + j*length.  For consecutive nonzeros a < b with
+    b - a = q*length + r (0 <= r < length), the boundaries in (a, b] number
+    q + 1 when c mod length lies on the arc of residues a+1 .. a+r, and q
+    otherwise.  So the pair puts its nonzeros 1 or 2 cells apart for c on the
+    arc when q = 0, for every c when q = 1, for c off the arc when q = 2,
+    and never when q >= 3.  The arcs of a run of gaps below ``length`` join
+    into the residues of one span, so the bad phases are one interval per
+    such run and per gap of q = 1 or 2; sorting them and sweeping from 0
+    finds the smallest phase none covers.  Returns (phase, None), or
+    (None, witness) naming phase 0 and the first consecutive nonzeros that
+    break the rule under it.
     """
     nz = block.nonzero_positions
-    candidates = {0}
-    candidates.update((p + 1) % length for p in nz)
-    for c in sorted(candidates):
-        if _cell_clash(nz, length, c) is None:
-            return c, None
+    gaps = list(map(sub, nz[1:], nz))
+    bad = []  # [start, stop) phase intervals; stop may pass length
+    first = 0  # first nonzero of the current run of gaps below length
+    for i in compress(range(len(gaps)), map(length.__le__, gaps)):
+        start = (nz[first] + 1) % length
+        bad.append((start, start + nz[i] - nz[first]))
+        q, r = divmod(gaps[i], length)
+        if q == 1:
+            bad.append((0, length))
+        elif q == 2:  # off the arc: residues b+1 .. a+length
+            start = (nz[i + 1] + 1) % length
+            bad.append((start, start + length - r))
+        first = i + 1
+    if nz:
+        start = (nz[first] + 1) % length
+        bad.append((start, start + nz[-1] - nz[first]))
+    bad.extend([(start - length, stop - length) for start, stop in bad if stop > length])
+    phase = 0
+    for start, stop in sorted(bad):
+        if start > phase:
+            break
+        phase = max(phase, stop)
+    if phase < length:
+        return phase, None
     pos_a, pos_b = _cell_clash(nz, length, 0)
     return None, (("phase", 0), ("pos_a", pos_a), ("pos_b", pos_b))
 
@@ -343,13 +371,12 @@ def check_sparseness_y(state: Thm2State, k: int) -> CheckReport:
 
 
 def check_orthogonality(state: Thm2State) -> CheckReport:
-    """Condition V: min(x(p), y(p)) = 0 away from 0, and x(0) = y(0) = 1."""
+    """Condition V: min(x(p), y(p)) = 0 away from 0, and x(0) = y(0) = 1.
+
+    Only the first half needs checking here: ``Thm2State`` refuses a pair
+    whose x(0) or y(0) is not 1, so every state passed in has it.
+    """
     params = (("stage", state.stage),)
-    if state.x[0] != 1 or state.y[0] != 1:
-        return CheckReport(
-            "V", FAIL, params,
-            (("pos", 0), ("x", state.x[0]), ("y", state.y[0])),
-        )
     shared = set(state.x.nonzero_positions) & set(state.y.nonzero_positions)
     shared.discard(0)
     if shared:

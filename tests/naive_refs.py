@@ -59,6 +59,11 @@ def naive_phase_exists(block, cell):
     return any(naive_phase_works(block, cell, c) for c in range(cell))
 
 
+def naive_smallest_phase(block, cell):
+    """The smallest working phase in [0, cell), or None."""
+    return min((c for c in range(cell) if naive_phase_works(block, cell, c)), default=None)
+
+
 def naive_escape_choices(block, scale_len, w, center):
     """All r in {1,2,3} zeroing the window of half-width w shifted by r*scale."""
     valid = []

@@ -154,6 +154,44 @@ def test_sampled_sweep_above_exhaustive_bound():
     assert run_cli(*args).stdout == a.stdout
 
 
+def test_permutations_only_sampling_checks_every_draw(capsys):
+    # Each of the 5 draws at n = 7 is a permutation, so each is checked.
+    argv = "oracle sweep --nmax 7 --Nmax 1 --sample 5 --seed 11 --permutations-only"
+    assert main(argv.split()) == 0
+    maps = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("CHECK SWEEP_MAP")
+    ]
+    assert len(maps) == 5
+    for line in maps:
+        table = dict(f.split("=") for f in line.split()[3:])["map"].split(",")
+        assert sorted(map(int, table)) == list(range(7)), line
+        assert "onto=true td=true" in line
+
+
+def test_thm2_stage_6_verifies_at_the_default_cap():
+    # The cap counts stored nonzeros (10,395 per block at stage 6), not the
+    # 5.6e9 positions, and the phase search is linear in the nonzeros.
+    result = run_cli("thm2", "verify", "--stage", "6", "--kmax", "5")
+    assert result.returncode == 0, result.stderr
+    assert "CHECK III PASS stage=6 k=5 cell=401350950 phase=183522351" in result.stdout
+    assert "FAIL" not in result.stdout
+
+
+def test_thm2_build_refuses_a_dense_export_over_the_cap(tmp_path):
+    ox, oy = tmp_path / "x.tdseq", tmp_path / "y.tdseq"
+    result = run_cli(
+        "thm2", "build", "--stage", "6", "--out-x", str(ox), "--out-y", str(oy)
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: TDSEQ 1 writes one line per position: stage 6 has 5648312557 "
+        "positions, cap is 100000000\n"
+    )
+    assert not ox.exists() and not oy.exists()
+
+
 def test_main_callable_in_process(capsys):
     code = main(["oracle", "lemma6", "--map", "1,2,2", "--point", "0"])
     assert code == 0
@@ -261,13 +299,13 @@ PINNED_OUTPUT = (
      "a1aa3bc43fc9040374958b3dce6987150628a9f941da895aac28192a81520f5f"),
     ("oracle sweep --nmax 5 --permutations-only", 0,
      "384d1e5a1c3d0b152a246efe34ab5411e6cc1c7b359a9b0b37b1fd67b42be6d3"),
-    # None of seed 11's five n = 7 samples is onto, so this one prints no
-    # n = 7 map; seed 3 samples the permutation 5,2,0,3,6,1,4, whose powers
-    # is_td scans over every partition of 7 points.
+    # With --permutations-only the sampler draws permutations, so each of
+    # these prints five n = 7 maps, whose powers is_td scans over every
+    # partition of 7 points (seed 11 starts with 1,0,3,2,5,4,6).
     ("oracle sweep --nmax 7 --Nmax 2 --sample 5 --seed 11 --permutations-only", 0,
-     "8266a1ffb7c2a328c5dcc18eb29fc2efdf4da623c03430a99ec0e05c1667ee69"),
+     "6d030c3c8db8fcca9d13f4c38aaf66fa69b799ee559682c8405bbca22e684248"),
     ("oracle sweep --nmax 7 --Nmax 2 --sample 5 --seed 3 --permutations-only", 0,
-     "33b3a4ff21a2ef606b7b10e386be07823ad29d87dda208a01425b9457622caca"),
+     "b71340861269f6e422a3ed2bf1fa0527791922e93baa4b5342fbd7e67594f0d1"),
 )
 PINNED_TDSEQ = {
     "x.tdseq": "99c19c0961e20ac8e79b885aa469109301bb3acb34df7659ccdc5f4f01c07e90",

@@ -7,7 +7,11 @@ import pytest
 from dlab import thm2
 from dlab.blocks import Block, ResourceCapError, window
 
-from naive_refs import naive_phase_exists, naive_phase_works, naive_shift_violations
+from naive_refs import (
+    naive_phase_exists,
+    naive_shift_violations,
+    naive_smallest_phase,
+)
 
 F = Fraction
 
@@ -86,9 +90,10 @@ def test_build_stage_rejects_bad_identity():
 
 
 def test_build_stage_resource_cap():
-    with pytest.raises(ResourceCapError):
+    # The cap counts stored nonzeros: stage 2 stores 3 per block.
+    with pytest.raises(ResourceCapError, match="stage 2 stores 3 nonzeros per block"):
         thm2.build_stage(
-            thm2.initial_state(), thm2.SpacerChoice(2, 24, 8, 18), max_symbols=50
+            thm2.initial_state(), thm2.SpacerChoice(2, 24, 8, 18), max_symbols=2
         )
 
 
@@ -121,8 +126,7 @@ def test_phased_sparseness_against_naive(thm2_states):
                     if block is state.x
                     else thm2.check_sparseness_y(state, k).witness
                 )["phase"]
-                assert naive_phase_works(block, cell, rep_phase)
-                assert naive_phase_exists(block, cell)
+                assert rep_phase == naive_smallest_phase(block, cell)
 
 
 def test_sparseness_failure_has_witness():
@@ -287,6 +291,15 @@ def test_sparseness_without_phase_reports_phase_0_clash():
     assert rep.line() == "CHECK III FAIL stage=2 k=1 cell=2 phase=0 pos_a=-3 pos_b=0"
 
 
+def _block_at(positions):
+    """A 0/1 block whose nonzeros sit exactly at ``positions``."""
+    base = min(positions)
+    syms = [0] * (max(positions) - base + 1)
+    for p in positions:
+        syms[p - base] = 1
+    return Block(syms, base=base)
+
+
 def test_phased_sparseness_against_naive_on_random_blocks():
     rng = random.Random(31)
     failures = 0
@@ -295,8 +308,8 @@ def test_phased_sparseness_against_naive_on_random_blocks():
         syms = [int(rng.random() < 0.25) for _ in range(rng.randint(1, 40))]
         block = Block(syms, base=rng.randint(-20, 20))
         phase, witness = thm2._phased_sparseness(block, cell)
-        if naive_phase_exists(block, cell):
-            assert naive_phase_works(block, cell, phase)
+        assert phase == naive_smallest_phase(block, cell)
+        if phase is not None:
             continue
         failures += 1
         w = dict(witness)
@@ -306,6 +319,49 @@ def test_phased_sparseness_against_naive_on_random_blocks():
         assert b == nz[nz.index(a) + 1]
         assert 0 < b // cell - a // cell < 3
     assert failures > 50
+
+
+def test_phased_sparseness_on_one_pair_is_the_smallest_phase():
+    # Every residue of a and every gap up to 4L: the pair's cell count steps
+    # between q and q + 1 across the arc a+1 .. a+r, which wraps past L - 1
+    # whenever (a+1) mod L + r > L.
+    wrapped = 0
+    for cell in range(1, 9):
+        for a in range(-cell, cell):
+            for gap in range(1, 4 * cell + 1):
+                block = _block_at((a, a + gap))
+                phase, _ = thm2._phased_sparseness(block, cell)
+                assert phase == naive_smallest_phase(block, cell), (cell, a, gap)
+                wrapped += (a + 1) % cell + gap % cell > cell
+    assert wrapped > 400
+
+
+def test_phased_sparseness_at_gaps_around_cell_multiples():
+    # Runs of gaps L-1, L, L+1, 2L-1, 2L, 2L+1, 3L-1, 3L and 3L+1, where the
+    # clash rule changes (q = 0, 1, 2, 3), from seeded starts so the arcs
+    # wrap past L - 1.
+    rng = random.Random(47)
+    outcomes = {"none": 0, "zero": 0, "later": 0}
+    wrapped = 0
+    for _ in range(400):
+        cell = rng.randint(2, 12)
+        gaps = [q * cell + d for q in (1, 2, 3) for d in (-1, 0, 1)]
+        pos = [rng.randint(-3 * cell, 3 * cell)]
+        for _ in range(rng.randint(1, 5)):
+            pos.append(pos[-1] + rng.choice(gaps))
+        block = _block_at(pos)
+        phase, witness = thm2._phased_sparseness(block, cell)
+        assert phase == naive_smallest_phase(block, cell), (cell, pos)
+        if phase is None:
+            assert witness == (("phase", 0),) + tuple(
+                zip(("pos_a", "pos_b"), thm2._cell_clash(pos, cell, 0))
+            )
+        outcomes["none" if phase is None else "zero" if phase == 0 else "later"] += 1
+        wrapped += any(
+            (a + 1) % cell + (b - a) % cell > cell for a, b in zip(pos, pos[1:])
+        )
+    assert min(outcomes.values()) > 30, outcomes
+    assert wrapped > 150
 
 
 def test_stage5_build_stores_only_nonzeros():
