@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
 ZERO = Fraction(0)
-DEFAULT_MAX_SYMBOLS = 10**8  # default ResourceCapError budget: positions for thm1
-# and TDSEQ 1 export, stored nonzeros per block for thm2 builds
+DEFAULT_MAX_SYMBOLS = 10**8  # default ResourceCapError budget in positions
 
 
 class TdseqFormatError(ValueError):

@@ -22,12 +22,13 @@ SWEEP_EXHAUSTIVE_BOUND = 6
 SAMPLED_SWEEP_DEFAULT = 200
 
 # What --max-symbols counts: thm1 blocks are about 10% nonzero and are capped
-# by position; thm2 blocks are sparse and are capped by what a build stores.
+# by position; thm2 blocks are sparse and are capped by what a build stores,
+# except that thm2 build writes TDSEQ 1, one line per position.
 THM1_CAP_HELP = "refuse builds beyond this many positions, zeros included"
 THM2_CAP_HELP = "refuse builds that store more than this many nonzeros per block"
 THM2_BUILD_CAP_HELP = (
-    f"{THM2_CAP_HELP}, and TDSEQ 1 output (one line per position) "
-    "of more than this many positions"
+    f"{THM2_CAP_HELP}, and stop at the first stage of more than this many "
+    "positions (TDSEQ 1 writes one line per position)"
 )
 
 
@@ -35,12 +36,13 @@ def _thm1_state(args) -> thm1.Thm1State:
     return thm1.build(args.stage, max_symbols=args.max_symbols)
 
 
-def _thm2_state(args) -> thm2.Thm2State:
+def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
     return thm2.build_to_stage(
         args.stage,
         transitive=getattr(args, "transitive", False),
         iteration_cap=args.iteration_cap,
         max_symbols=args.max_symbols,
+        max_positions=max_positions,
     )
 
 
@@ -82,12 +84,9 @@ def cmd_thm1_verify(args) -> list:
 
 
 def cmd_thm2_build(args) -> list:
-    state = _thm2_state(args)
-    if state.common_length > args.max_symbols:  # refused before any file is opened
-        raise ResourceCapError(
-            f"TDSEQ 1 writes one line per position: stage {state.stage} has "
-            f"{state.common_length} positions, cap is {args.max_symbols}"
-        )
+    # Each stage's length is checked as soon as it is built, before any file
+    # is opened.
+    state = _thm2_state(args, max_positions=args.max_symbols)
     lines = [
         choice.log_line(r + 1) for r, choice in enumerate(state.spacers)
     ]
@@ -204,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p, cap_help, iteration_cap=False):
+    def add_caps(p, cap_help, iteration_cap=False, default=DEFAULT_MAX_SYMBOLS):
         p.add_argument(
             "--max-symbols",
             type=int,
-            default=DEFAULT_MAX_SYMBOLS,
-            help=cap_help,
+            default=default,
+            help=f"{cap_help} (default {default:,})",
         )
         if iteration_cap:
             p.add_argument(
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--transitive", action="store_true")
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_thm2_verify)
 
     p_recur = top.add_parser("recur", help="recurrence analysis").add_subparsers(
@@ -257,19 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_recur.add_parser("pair-sep", help="pair never returns jointly")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_recur_pair_sep)
     p = p_recur.add_parser("escape", help="zero-window escape witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_recur_escape)
     p = p_recur.add_parser("omega", help="limit-pair witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True)
+    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_recur_omega)
 
     p_oracle = top.add_parser("oracle", help="finite-system ground truth").add_subparsers(

@@ -39,7 +39,6 @@ from itertools import compress
 from operator import sub
 
 from .blocks import (
-    DEFAULT_MAX_SYMBOLS,
     Block,
     InvariantError,
     ResourceCapError,
@@ -52,6 +51,10 @@ from .blocks import (
 from .report import CheckReport, FAIL, INFO, PASS
 
 DEFAULT_ITERATION_CAP = 32
+# Default ResourceCapError budget in stored nonzeros per block.  Stage 7
+# stores 135,135 (a stage-7 verify measured 81 MB); stage 8 would store
+# 2,027,025 and stage 9 34,459,425, so both are refused before any build.
+DEFAULT_MAX_NONZEROS = 10**6
 
 
 class SolverError(RuntimeError):
@@ -153,6 +156,17 @@ def _centered(parts, gap: int, end: int) -> Block:
     return concat_all(laid, base=-(length - 1) // 2)
 
 
+def _nonzeros(state: Thm2State) -> int:
+    return max(len(state.x.nonzero_positions), len(state.y.nonzero_positions))
+
+
+def _check_stored(stage: int, stored: int, max_symbols: int) -> None:
+    if stored > max_symbols:
+        raise ResourceCapError(
+            f"stage {stage} stores {stored} nonzeros per block, cap is {max_symbols}"
+        )
+
+
 def _surround(block: Block, r: int, gap: int, end: int) -> Block:
     """v copy u copy ... u copy v with 2r+1 scaled copies, centered."""
     scales = [Fraction(i, r + 1) for i in range(1, r + 1)]
@@ -173,7 +187,7 @@ def _surround(block: Block, r: int, gap: int, end: int) -> Block:
 def build_stage(
     state: Thm2State,
     choice: SpacerChoice,
-    max_symbols: int = DEFAULT_MAX_SYMBOLS,
+    max_symbols: int = DEFAULT_MAX_NONZEROS,
 ) -> Thm2State:
     """One construction step; defines m_r and n_r and re-centers the result.
 
@@ -187,13 +201,7 @@ def build_stage(
             "length-identity violation: need t = tp + r*(sp - s), got "
             f"t={choice.t} tp={choice.tp} s={choice.s} sp={choice.sp} r={r}"
         )
-    stored = (2 * r + 1) * max(
-        len(state.x.nonzero_positions), len(state.y.nonzero_positions)
-    )
-    if stored > max_symbols:
-        raise ResourceCapError(
-            f"stage {r + 1} stores {stored} nonzeros per block, cap is {max_symbols}"
-        )
+    _check_stored(r + 1, (2 * r + 1) * _nonzeros(state), max_symbols)
     x_next = _surround(state.x, r, choice.s, choice.t)
     y_next = _surround(state.y, r, choice.sp, choice.tp)
     if len(x_next) != len(y_next):
@@ -316,26 +324,29 @@ def _phased_sparseness(block: Block, length: int):
     otherwise.  So the pair puts its nonzeros 1 or 2 cells apart for c on the
     arc when q = 0, for every c when q = 1, for c off the arc when q = 2,
     and never when q >= 3.  The arcs of a run of gaps below ``length`` join
-    into the residues of one span, so the bad phases are one interval per
-    such run and per gap of q = 1 or 2; sorting them and sweeping from 0
+    into the residues of the run's span, so the bad phases are one interval
+    per run and per gap of q = 1 or 2; sorting them and sweeping from 0
     finds the smallest phase none covers.  Returns (phase, None), or
     (None, witness) naming phase 0 and the first consecutive nonzeros that
     break the rule under it.
     """
     nz = block.nonzero_positions
-    gaps = list(map(sub, nz[1:], nz))
     bad = []  # [start, stop) phase intervals; stop may pass length
-    first = 0  # first nonzero of the current run of gaps below length
-    for i in compress(range(len(gaps)), map(length.__le__, gaps)):
+    # Only the gaps of a cell or more take a Python step; compress filters
+    # the rest, which dominate the large cells of a 10^5-nonzero block.
+    first = 0  # index of the first nonzero of the current run
+    long_gaps = map(length.__le__, map(sub, nz[1:], nz))
+    for i in compress(range(1, len(nz)), long_gaps):
+        a, b = nz[i - 1], nz[i]
         start = (nz[first] + 1) % length
-        bad.append((start, start + nz[i] - nz[first]))
-        q, r = divmod(gaps[i], length)
+        bad.append((start, start + a - nz[first]))
+        q, r = divmod(b - a, length)
         if q == 1:
             bad.append((0, length))
         elif q == 2:  # off the arc: residues b+1 .. a+length
-            start = (nz[i + 1] + 1) % length
+            start = (b + 1) % length
             bad.append((start, start + length - r))
-        first = i + 1
+        first = i
     if nz:
         start = (nz[first] + 1) % length
         bad.append((start, start + nz[-1] - nz[first]))
@@ -510,7 +521,7 @@ _BUMP_FOR = {
 def solve_spacers(
     state: Thm2State,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
-    max_symbols: int = DEFAULT_MAX_SYMBOLS,
+    max_symbols: int = DEFAULT_MAX_NONZEROS,
 ) -> SpacerChoice:
     """Find spacer lengths whose built stage passes every gate condition.
 
@@ -584,18 +595,24 @@ def build_to_stage(
     target: int,
     transitive: bool = False,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
-    max_symbols: int = DEFAULT_MAX_SYMBOLS,
+    max_symbols: int = DEFAULT_MAX_NONZEROS,
+    max_positions: "int | None" = None,
 ) -> Thm2State:
     """Drive the solver from stage 1 up to ``target``.
 
     With ``transitive`` the interleave step runs just before the final build,
-    so the last stage exercises the weakened rigidity.
+    so the last stage exercises the weakened rigidity.  Each step stores 2r+1
+    copies of every nonzero and the interleave three, so the target's stored
+    nonzeros are checked against ``max_symbols`` before anything is built.
+    ``max_positions``, if given, refuses the first built stage longer than it.
     """
     if target < 1:
         raise ValueError("target stage must be >= 1")
     if transitive and target < 2:
         raise ValueError("transitive build needs a target stage >= 2")
     state = initial_state()
+    stored = _nonzeros(state) * math.prod(range(3, 2 * target, 2))
+    _check_stored(target, 3 * stored if transitive else stored, max_symbols)
     while state.stage < target:
         if transitive and state.stage == target - 1:
             za, zb, zc, zd = solve_transitive_spacers(state)
@@ -604,4 +621,9 @@ def build_to_stage(
             state, iteration_cap=iteration_cap, max_symbols=max_symbols
         )
         state = build_stage(state, choice, max_symbols=max_symbols)
+        if max_positions is not None and state.common_length > max_positions:
+            raise ResourceCapError(
+                f"stage {state.stage} has {state.common_length} positions, "
+                f"cap is {max_positions}"
+            )
     return state

@@ -186,10 +186,29 @@ def test_thm2_build_refuses_a_dense_export_over_the_cap(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == (
-        "error: TDSEQ 1 writes one line per position: stage 6 has 5648312557 "
-        "positions, cap is 100000000\n"
+        "error: stage 6 has 5648312557 positions, cap is 100000000\n"
     )
     assert not ox.exists() and not oy.exists()
+
+
+def test_thm2_over_the_nonzero_cap_is_refused_before_any_build(monkeypatch, capsys):
+    # The stored count follows from the stage number (times 3 for the
+    # interleave), so the refusal comes before the solver runs.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a stage the cap refuses")
+
+    monkeypatch.setattr(thm2, "solve_spacers", no_solve)
+    cases = (
+        ("thm2 verify --stage 9 --kmax 1", "stage 9 stores 34459425"),
+        ("recur escape --stage 9 --k 3 --w 1", "stage 9 stores 34459425"),
+        ("thm2 verify --stage 8 --kmax 1", "stage 8 stores 2027025"),
+        ("thm2 verify --stage 8 --kmax 1 --transitive", "stage 8 stores 6081075"),
+    )
+    for argv, stored in cases:
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {stored} nonzeros per block, cap is 1000000\n"
 
 
 def test_main_callable_in_process(capsys):
