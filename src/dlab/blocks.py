@@ -8,6 +8,13 @@ their values.  Every other position holds 0 implicitly, so building, scaling,
 windowing and scanning a block cost O(#nonzero) whatever its length, and a
 position read is a bisect.  ``Block.symbols`` builds the dense tuple on
 demand, in O(length), for tests and references only.
+
+The constructions repeat a few hundred values over up to millions of
+nonzeros.  ``as_symbol``, ``parse_symbol`` and ``scale`` return one canonical
+``Fraction`` object per value, so per-value work (products, numerators, TDSEQ
+text) is keyed by object identity and runs once per distinct value, and block
+equality mostly passes on identity.  Correctness never depends on it: equal
+values in distinct objects only cost a repeat of that work.
 """
 
 from __future__ import annotations
@@ -16,10 +23,30 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
+from operator import sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 ZERO = Fraction(0)
 DEFAULT_MAX_SYMBOLS = 10**8  # default ResourceCapError budget in positions
+
+# Symbol value -> its one canonical object.  It keeps every value it has seen
+# for the life of the process: a few hundred for the constructions.
+_CANONICAL = {ZERO: ZERO}
+
+
+def _canonical(f: Fraction) -> Fraction:
+    return _CANONICAL.setdefault(f, f)
+
+
+def _by_object(values) -> dict:
+    """id -> object for each distinct object in ``values``, which keeps them alive."""
+    return dict(zip(map(id, values), values))
+
+
+def _per_object(table: dict, values) -> map:
+    """``table[id(v)]`` for each v of ``values``, in order."""
+    return map(table.__getitem__, map(id, values))
 
 
 class TdseqFormatError(ValueError):
@@ -35,11 +62,11 @@ class InvariantError(RuntimeError):
 
 
 def as_symbol(value) -> Fraction:
-    """Coerce to an exact rational symbol, enforcing 0 <= value <= 1."""
+    """Coerce to the canonical exact rational symbol, enforcing 0 <= value <= 1."""
     f = value if isinstance(value, Fraction) else Fraction(value)
     if f < 0 or f > 1:
         raise ValueError(f"symbol {f} outside [0, 1]")
-    return ZERO if not f else f
+    return _canonical(f)
 
 
 class Block:
@@ -64,7 +91,7 @@ class Block:
     def _trusted(cls, base: int, length: int, nonzero: tuple, values: tuple):
         # Fast path for internal constructors that already guarantee the
         # invariant: nonzero strictly increasing inside base..base+length-1,
-        # values the nonzero canonical Fractions at those positions.
+        # values the nonzero Fractions at those positions.
         blk = object.__new__(cls)
         blk._assign(base, length, nonzero, values)
         return blk
@@ -204,16 +231,9 @@ def scale(t, b: Block) -> Block:
         return b
     if not t:
         return Block._trusted(b.base, b.length, (), ())
-    # Blocks repeat a few values many times, so multiply each value object
-    # once.  Keying by id is sound: b._values keeps every keyed object alive.
-    products = {}
-    values = []
-    for v in b._values:
-        out = products.get(id(v))
-        if out is None:
-            out = products[id(v)] = t * v
-        values.append(out)
-    return Block._trusted(b.base, b.length, b._nonzero, tuple(values))
+    products = {k: _canonical(t * v) for k, v in _by_object(b._values).items()}
+    values = tuple(_per_object(products, b._values))
+    return Block._trusted(b.base, b.length, b._nonzero, values)
 
 
 def window(b: Block, i: int, j: int) -> Block:
@@ -278,9 +298,10 @@ def common_numerators(block: Block) -> tuple:
     ``nums``.
     """
     if block._numerators is None:
-        values = block._values
-        d = math.lcm(*{v.denominator for v in values})
-        nums = [v.numerator * (d // v.denominator) for v in values]
+        objects = _by_object(block._values)
+        d = math.lcm(*{v.denominator for v in objects.values()})
+        num = {k: v.numerator * (d // v.denominator) for k, v in objects.items()}
+        nums = list(_per_object(num, block._values))
         object.__setattr__(block, "_numerators", (d, nums))
     return block._numerators
 
@@ -319,7 +340,7 @@ def parse_symbol(text: str) -> Fraction:
     f = Fraction(p, q)
     if f.numerator != p or f.denominator != q:
         raise TdseqFormatError(f"bad symbol {text!r}: not in lowest terms")
-    return ZERO if not f else f
+    return _canonical(f)
 
 
 class _SymbolTable(dict):
@@ -333,12 +354,17 @@ class _SymbolTable(dict):
 
 
 def write_tdseq(block: Block, stream: TextIO) -> None:
-    lines = ["0/1"] * len(block)
-    for p, v in block.nonzero_items():
-        lines[p - block.base] = format_symbol(v)
+    # The body is, for each nonzero, the zero lines since the previous one and
+    # then its own line, followed by the trailing zero lines.  Each distinct
+    # value and each distinct gap is formatted once.
+    nz = block._nonzero
+    text = {k: format_symbol(v) + "\n" for k, v in _by_object(block._values).items()}
+    gaps = list(map(sub, nz, (block.base - 1,) + nz[:-1]))
+    zero_runs = {g: "0/1\n" * (g - 1) for g in set(gaps)}
+    body = zip(map(zero_runs.__getitem__, gaps), _per_object(text, block._values))
     stream.write(f"TDSEQ 1\nbase {block.base}\nlength {len(block)}\n")
-    stream.write("\n".join(lines))
-    stream.write("\n")
+    stream.write("".join(chain.from_iterable(body)))
+    stream.write("0/1\n" * block.trailing_zero_run())
 
 
 def _header_line(stream: TextIO) -> str:

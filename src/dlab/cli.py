@@ -57,19 +57,24 @@ def cmd_thm1_build(args) -> list:
     return [report.line()]
 
 
-def _check_verify_args(args) -> None:
-    """Reject verify flags that no build could satisfy, before building."""
+def _check_stage_args(args) -> None:
+    """Reject verify and recur flags that no build could satisfy, before building."""
     if args.stage < 2:
         raise ValueError(f"stage={args.stage} has no scale to verify (need stage >= 2)")
-    if args.kmax < 1:
+    if getattr(args, "kmax", 1) < 1:
         raise ValueError("kmax must be >= 1")
-    jmax = getattr(args, "jmax", None)
-    if jmax is not None and not 1 <= jmax <= args.stage - 1:
-        raise ValueError(f"jmax={jmax} out of admissible range 1..{args.stage - 1}")
+    for name in ("jmax", "k"):
+        value = getattr(args, name, None)
+        if value is not None and not 1 <= value <= args.stage - 1:
+            raise ValueError(
+                f"{name}={value} out of admissible range 1..{args.stage - 1}"
+            )
+    if getattr(args, "w", 0) < 0:
+        raise ValueError("w must be >= 0")
 
 
 def cmd_thm1_verify(args) -> list:
-    _check_verify_args(args)
+    _check_stage_args(args)
     state = _thm1_state(args)
     c3_kmax = min(args.kmax, state.stage - 1)
     jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
@@ -108,7 +113,7 @@ def cmd_thm2_build(args) -> list:
 
 
 def cmd_thm2_verify(args) -> list:
-    _check_verify_args(args)
+    _check_stage_args(args)
     state = _thm2_state(args)
     reports = thm2.stage_reports(state, args.kmax)
     reports.append(thm2.sliding_falsifier(state, state.stage - 1))
@@ -116,12 +121,14 @@ def cmd_thm2_verify(args) -> list:
 
 
 def cmd_recur_pair_sep(args) -> list:
+    _check_stage_args(args)
     state = _thm2_state(args)
     horizon = args.horizon if args.horizon is not None else state.half_width
     return [recurrence.pair_separation_check(state, horizon).line()]
 
 
 def cmd_recur_escape(args) -> list:
+    _check_stage_args(args)
     state = _thm2_state(args)
     lines = []
     for side in recurrence.ESCAPE_SIDES:
@@ -135,6 +142,7 @@ def cmd_recur_escape(args) -> list:
 
 
 def cmd_recur_omega(args) -> list:
+    _check_stage_args(args)
     state = _thm2_state(args)
     result = recurrence.cross_omega_witness(state, args.k, args.w)
     lines = [result.report.line()]

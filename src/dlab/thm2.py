@@ -522,12 +522,13 @@ def solve_spacers(
     state: Thm2State,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
     max_symbols: int = DEFAULT_MAX_NONZEROS,
-) -> SpacerChoice:
-    """Find spacer lengths whose built stage passes every gate condition.
+) -> Thm2State:
+    """The next stage, built with spacer lengths that pass every gate condition.
 
     Seeds s at twice the largest defined time and sp at r copy pitches, both
     rounded up to the phase-preserving congruences, then builds, verifies,
-    and doubles the length implicated by the first failing condition.
+    and doubles the length implicated by the first failing condition.  The
+    accepted choice is the returned state's ``spacers[-1]``.
     Deterministic: equal states yield equal choices.
     """
     if iteration_cap < 0:
@@ -546,7 +547,7 @@ def solve_spacers(
                 failure = rep
                 break
         if failure is None:
-            return choice
+            return built
         last_failure = failure
         key = failure.check_id
         if key == "III":
@@ -566,8 +567,8 @@ def solve_spacers(
     )
 
 
-def solve_transitive_spacers(state: Thm2State, iteration_cap: int = 16) -> tuple:
-    """Interleave spacer lengths (za, zb, zc, zd) passing the orthogonality check.
+def solve_transitive_spacers(state: Thm2State, iteration_cap: int = 16) -> Thm2State:
+    """The interleave, built with lengths (za, zb, zc, zd) passing the orthogonality check.
 
     Seeds the copy offsets past both supports so shifted supports cannot
     collide, then widens deterministically until the built interleave passes.
@@ -580,11 +581,9 @@ def solve_transitive_spacers(state: Thm2State, iteration_cap: int = 16) -> tuple
         zd = bound
         zb = zd + zc - za
         try:
-            build_transitive_stage(state, za, zb, zc, zd)
+            return build_transitive_stage(state, za, zb, zc, zd)
         except ValueError:
             zc = 2 * zc + 1
-            continue
-        return za, zb, zc, zd
     raise SolverError(
         f"no interleave spacers found within {iteration_cap} retries",
         failing_condition="V",
@@ -615,12 +614,10 @@ def build_to_stage(
     _check_stored(target, 3 * stored if transitive else stored, max_symbols)
     while state.stage < target:
         if transitive and state.stage == target - 1:
-            za, zb, zc, zd = solve_transitive_spacers(state)
-            state = build_transitive_stage(state, za, zb, zc, zd)
-        choice = solve_spacers(
+            state = solve_transitive_spacers(state)
+        state = solve_spacers(
             state, iteration_cap=iteration_cap, max_symbols=max_symbols
         )
-        state = build_stage(state, choice, max_symbols=max_symbols)
         if max_positions is not None and state.common_length > max_positions:
             raise ResourceCapError(
                 f"stage {state.stage} has {state.common_length} positions, "

@@ -18,8 +18,7 @@ def thm2_states():
     """Solver-built states at stages 1..4 (state[r] has stage r+1... index by stage-1)."""
     states = [thm2.initial_state()]
     while states[-1].stage < 4:
-        choice = thm2.solve_spacers(states[-1])
-        states.append(thm2.build_stage(states[-1], choice))
+        states.append(thm2.solve_spacers(states[-1]))
     return states
 
 

@@ -4,6 +4,7 @@ These stay deliberately dumb (dense scans, no index tricks) so they remain an
 independent route against the package's sparse verifiers.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -36,6 +37,22 @@ def naive_c2prime_violations(symbols, n_j, j):
         if not symbols[i] <= eps + Fraction(1, j + 1):
             out.append(i)
     return out
+
+
+def naive_scale(t, symbols):
+    return tuple(t * v for v in symbols)
+
+
+def naive_common_numerators(symbols):
+    """(lcm of the nonzero denominators, each nonzero's numerator over it)."""
+    nonzero = [v for v in symbols if v]
+    den = math.lcm(*(v.denominator for v in nonzero))
+    return den, [v.numerator * den // v.denominator for v in nonzero]
+
+
+def naive_tdseq_text(base, symbols):
+    body = "".join(f"{v.numerator}/{v.denominator}\n" for v in symbols)
+    return f"TDSEQ 1\nbase {base}\nlength {len(symbols)}\n{body}"
 
 
 def naive_shift_violations(block, shift, bound, at_bound=False):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import dlab
-from dlab import blocks, thm1
+from dlab import blocks, thm1, thm2
 from dlab.blocks import (
     Block,
     TdseqFormatError,
@@ -19,7 +19,12 @@ from dlab.blocks import (
     zeros,
 )
 
-from naive_refs import naive_shift_violations
+from naive_refs import (
+    naive_common_numerators,
+    naive_scale,
+    naive_shift_violations,
+    naive_tdseq_text,
+)
 
 F = Fraction
 
@@ -244,11 +249,6 @@ def _dense_case(rng):
     return rng.randint(-30, 30), syms
 
 
-def _tdseq_text(base, syms):
-    body = "".join(f"{v.numerator}/{v.denominator}\n" for v in syms)
-    return f"TDSEQ 1\nbase {base}\nlength {len(syms)}\n{body}"
-
-
 def _check_against_dense(b, base, syms):
     assert b.base == base and len(b) == len(syms) and b.last == base + len(syms) - 1
     assert b.symbols == syms
@@ -275,7 +275,7 @@ def test_sparse_block_matches_dense_tuple():
         _check_against_dense(joined, out_base, sum((s for _, s in parts), ()))
 
         t = rng.choice((F(0), F(1), F(1, 3), F(5, 7)))
-        _check_against_dense(scale(t, b), base, tuple(t * v for v in syms))
+        _check_against_dense(scale(t, b), base, naive_scale(t, syms))
 
         i = rng.randint(base, b.last)
         j = rng.randint(i, b.last)
@@ -294,15 +294,12 @@ def test_sparse_block_matches_dense_tuple():
             changed = syms[:k] + (syms[k] / 2,) + syms[k + 1 :]
             assert Block(changed, base=base) != b
 
-        nonzero = [v for v in syms if v]
-        den = math.lcm(*(v.denominator for v in nonzero))
-        nums = [v.numerator * den // v.denominator for v in nonzero]
-        assert common_numerators(b) == (den, nums)
+        assert common_numerators(b) == naive_common_numerators(syms)
         assert common_numerators(b) is common_numerators(b)
 
         buf = io.StringIO()
         write_tdseq(b, buf)
-        assert buf.getvalue() == _tdseq_text(base, syms)
+        assert buf.getvalue() == naive_tdseq_text(base, syms)
         _check_against_dense(read_tdseq(io.StringIO(buf.getvalue())), base, syms)
 
 
@@ -343,3 +340,66 @@ def test_shift_violations_refuse_bounds_that_zeros_break():
         with pytest.raises(ValueError):
             list(blocks.shift_violations(b, 1, bound, at_bound=at_bound))
     assert [i for i, _, _ in blocks.shift_violations(b, 1, F(0))] == [0, 1, 2, 3]
+
+
+# -- one canonical object per symbol value ---------------------------------------
+
+
+def _assert_canonical(*blocks_):
+    """Across the blocks, each value is held by one object: its canonical one."""
+    objects = {id(v): v for b in blocks_ for _, v in b.nonzero_items()}
+    assert len(objects) == len(set(objects.values()))
+    for v in objects.values():
+        # A fresh object of the same value must coerce to the one held.
+        assert blocks.as_symbol(F(v.numerator, v.denominator)) is v
+
+
+def test_built_and_read_blocks_hold_one_object_per_value(thm2_stage4, thm2_transitive4):
+    prefix = thm1.build(6).prefix
+    _assert_canonical(prefix)
+    _assert_canonical(thm2_stage4.x, thm2_stage4.y)
+    _assert_canonical(thm2_transitive4.x, thm2_transitive4.y)
+    buf = io.StringIO()
+    write_tdseq(prefix, buf)
+    _assert_canonical(read_tdseq(io.StringIO(buf.getvalue())), prefix)
+
+
+def _distinct_objects(rng, base, syms):
+    """The block of ``syms``, each nonzero held by a fresh object or the canonical one."""
+    nonzero = [(base + i, v) for i, v in enumerate(syms) if v]
+    values = tuple(
+        F(v.numerator, v.denominator) if rng.random() < 0.7 else blocks.as_symbol(v)
+        for _, v in nonzero
+    )
+    return Block._trusted(base, len(syms), tuple(p for p, _ in nonzero), values)
+
+
+def test_per_value_work_does_not_rely_on_canonical_objects():
+    rng = random.Random(4242)
+    repeated = 0  # blocks where one value sits in two distinct objects
+    for _ in range(300):
+        base, syms = _dense_case(rng)
+        b = _distinct_objects(rng, base, syms)
+        values = [v for _, v in b.nonzero_items()]
+        repeated += len({id(v) for v in values}) > len(set(values))
+
+        t = rng.choice((F(0), F(1), F(1, 3), F(5, 7)))
+        scaled = scale(t, b)
+        assert scaled.symbols == naive_scale(t, syms)
+        if t != 1:  # scale by 1 returns the block itself
+            _assert_canonical(scaled)
+        assert common_numerators(b) == naive_common_numerators(syms)
+        buf = io.StringIO()
+        write_tdseq(b, buf)
+        assert buf.getvalue() == naive_tdseq_text(base, syms)
+
+        for twin in (Block(syms, base=base), _distinct_objects(rng, base, syms)):
+            assert twin == b and hash(twin) == hash(b)
+        other_base, other = _dense_case(rng)
+        same = (other_base, other) == (base, syms)
+        assert (_distinct_objects(rng, other_base, other) == b) == same
+        if values:
+            k = rng.randrange(len(values))
+            changed = values[:k] + [values[k] / 2] + values[k + 1 :]
+            assert Block._trusted(base, len(b), b.nonzero_positions, tuple(changed)) != b
+    assert repeated >= 100

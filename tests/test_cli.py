@@ -259,6 +259,30 @@ def test_verify_flags_rejected_before_the_build(capsys, monkeypatch):
         assert err == f"error: {message}\n", command
 
 
+def test_recur_flags_rejected_before_the_build(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("recur built a stage for flags it must reject")
+
+    monkeypatch.setattr(thm2, "build_to_stage", no_build)
+    no_scale = "has no scale to verify (need stage >= 2)"
+    cases = (
+        ("recur pair-sep --stage 1", f"stage=1 {no_scale}"),
+        ("recur pair-sep --stage 0 --horizon 5", f"stage=0 {no_scale}"),
+        ("recur escape --stage 1 --k 1 --w 1", f"stage=1 {no_scale}"),
+        ("recur omega --stage -2 --k 1 --w 1", f"stage=-2 {no_scale}"),
+        ("recur escape --stage 7 --k 9 --w 1", "k=9 out of admissible range 1..6"),
+        ("recur escape --stage 7 --k 7 --w 1", "k=7 out of admissible range 1..6"),
+        ("recur omega --stage 5 --k 0 --w 1", "k=0 out of admissible range 1..4"),
+        ("recur escape --stage 5 --k 2 --w -1", "w must be >= 0"),
+        ("recur omega --stage 5 --k 2 --w -3", "w must be >= 0"),
+    )
+    for command, message in cases:
+        assert main(command.split()) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n", command
+
+
 def test_empty_oracle_sweeps_exit_2(capsys):
     cases = (
         (["--nmax", "0"], "error: nmax must be >= 1\n"),
@@ -325,8 +349,11 @@ PINNED_OUTPUT = (
      "6d030c3c8db8fcca9d13f4c38aaf66fa69b799ee559682c8405bbca22e684248"),
     ("oracle sweep --nmax 7 --Nmax 2 --sample 5 --seed 3 --permutations-only", 0,
      "b71340861269f6e422a3ed2bf1fa0527791922e93baa4b5342fbd7e67594f0d1"),
+    ("thm1 build --stage 6 --out x6.tdseq", 0,
+     "6fa4ede8aab862cf2710f0534203bc208543a6d04b717f2f287787fb545990d7"),
 )
 PINNED_TDSEQ = {
+    "x6.tdseq": "7e61f941815362b4d13201cf0717f419b7eff21a030ab52dac06b82dee6e29a4",
     "x.tdseq": "99c19c0961e20ac8e79b885aa469109301bb3acb34df7659ccdc5f4f01c07e90",
     "y.tdseq": "f252301ce22e7592763b06c9efbccde6cd6b8163171c8af4e8f3c5da722ac39c",
 }

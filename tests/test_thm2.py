@@ -170,11 +170,12 @@ def test_pair_never_returns_at_coordinate_zero(hand_stage2):
 
 def test_solver_stage1_choice_properties():
     state = thm2.initial_state()
-    choice = thm2.solve_spacers(state)
+    built = thm2.solve_spacers(state)
+    choice = built.spacers[-1]
     ell = state.common_length
     # Seed rule keeps the y pitch a multiple of the x pitch.
     assert (ell + choice.sp) % (ell + choice.s) == 0
-    built = thm2.build_stage(state, choice)
+    assert built == thm2.build_stage(state, choice)
     for rep in thm2.stage_reports(built):
         assert rep.passed, rep.line()
 
@@ -185,10 +186,30 @@ def test_solver_zero_cap_reports_condition():
     assert err.value.failing_condition in ("I", "II", "III", "IV", "V", "Z")
 
 
+def test_build_to_stage_builds_each_accepted_stage_once(monkeypatch):
+    built, solved = [], []
+    real_build, real_solve = thm2.build_stage, thm2.solve_spacers
+
+    def build(state, choice, **kwargs):
+        built.append((state.stage, choice))
+        return real_build(state, choice, **kwargs)
+
+    def solve(state, **kwargs):
+        solved.append(state.stage)
+        return real_solve(state, **kwargs)
+
+    monkeypatch.setattr(thm2, "build_stage", build)
+    monkeypatch.setattr(thm2, "solve_spacers", solve)
+    state = thm2.build_to_stage(5)
+    assert solved == [1, 2, 3, 4]
+    assert set(enumerate(state.spacers, 1)) <= set(built)
+    assert len(built) == len(set(built))
+
+
 def test_solver_deterministic():
     a = thm2.solve_spacers(thm2.initial_state())
     b = thm2.solve_spacers(thm2.initial_state())
-    assert a == b
+    assert a.spacers == b.spacers
 
 
 def test_solver_states_pass_everything(thm2_states):
