@@ -166,23 +166,23 @@ def _image(table: tuple, rel: frozenset) -> frozenset:
     return frozenset((table[a], table[b]) for a, b in rel)
 
 
-def check_exhaustive_size(size: int, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> None:
+def check_exhaustive_size(size: int) -> None:
     """Refuse a size whose partitions ``is_td`` could not enumerate."""
-    if size > bound:
+    if size > DEFAULT_EXHAUSTIVE_BOUND:
         raise ValueError(
-            f"size {size} exceeds the exhaustive bound {bound} "
+            f"size {size} exceeds the exhaustive bound {DEFAULT_EXHAUSTIVE_BOUND} "
             "(partition count grows like Bell numbers)"
         )
 
 
-def is_td(sys: FiniteSystem, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
+def is_td(sys: FiniteSystem):
     """Exhaustive determinism check: no partition is forward-invariant only.
 
     Returns (verdict, witness); the witness is the first forward-invariant-
     only partition found, with the diagonal tested first since it is the
     canonical witness whenever the map is not onto.
     """
-    check_exhaustive_size(sys.size, bound)
+    check_exhaustive_size(sys.size)
     diag, rel = _diagonal(sys.size)
     if _image(sys.table, rel) < rel:  # forward-invariant only
         return False, diag
@@ -287,7 +287,7 @@ def all_pairs_recurrent(sys: FiniteSystem) -> bool:
     return all(is_recurrent(prod, p) for p in range(prod.size))
 
 
-def lemma7_checks(sys: FiniteSystem, n_max: int, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> CheckReport:
+def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
     """Power-map recurrence facts, checked exhaustively for 1 <= N <= n_max.
 
     (a) a point recurrent for the map is recurrent for every power;
@@ -324,7 +324,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, bound: int = DEFAULT_EXHAUSTIVE
                 )
     if all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
-            td, witness = is_td(powers[n], bound=bound)
+            td, witness = is_td(powers[n])
             if not td:
                 return CheckReport(
                     "LEMMA7", FAIL, params,

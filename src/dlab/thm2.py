@@ -58,11 +58,7 @@ DEFAULT_MAX_NONZEROS = 10**6
 
 
 class SolverError(RuntimeError):
-    """Spacer search exhausted its retry budget."""
-
-    def __init__(self, message: str, failing_condition: str):
-        super().__init__(message)
-        self.failing_condition = failing_condition
+    """Spacer search exhausted its retry budget; the message names the last FAIL."""
 
 
 @dataclass(frozen=True)
@@ -156,17 +152,6 @@ def _centered(parts, gap: int, end: int) -> Block:
     return concat_all(laid, base=-(length - 1) // 2)
 
 
-def _nonzeros(state: Thm2State) -> int:
-    return max(len(state.x.nonzero_positions), len(state.y.nonzero_positions))
-
-
-def _check_stored(stage: int, stored: int, max_symbols: int) -> None:
-    if stored > max_symbols:
-        raise ResourceCapError(
-            f"stage {stage} stores {stored} nonzeros per block, cap is {max_symbols}"
-        )
-
-
 def _surround(block: Block, r: int, gap: int, end: int) -> Block:
     """v copy u copy ... u copy v with 2r+1 scaled copies, centered."""
     scales = [Fraction(i, r + 1) for i in range(1, r + 1)]
@@ -184,15 +169,11 @@ def _surround(block: Block, r: int, gap: int, end: int) -> Block:
     return out
 
 
-def build_stage(
-    state: Thm2State,
-    choice: SpacerChoice,
-    max_symbols: int = DEFAULT_MAX_NONZEROS,
-) -> Thm2State:
+def build_stage(state: Thm2State, choice: SpacerChoice) -> Thm2State:
     """One construction step; defines m_r and n_r and re-centers the result.
 
-    ``max_symbols`` caps what the step stores: 2r+1 scaled copies of each
-    block's nonzeros (every copy scale is positive), checked before building.
+    Stores 2r+1 scaled copies of each block's nonzeros; there is no cap here,
+    since ``build_to_stage`` caps the target and every earlier step stores fewer.
     """
     r = state.stage
     ell = state.common_length
@@ -201,7 +182,6 @@ def build_stage(
             "length-identity violation: need t = tp + r*(sp - s), got "
             f"t={choice.t} tp={choice.tp} s={choice.s} sp={choice.sp} r={r}"
         )
-    _check_stored(r + 1, (2 * r + 1) * _nonzeros(state), max_symbols)
     x_next = _surround(state.x, r, choice.s, choice.t)
     y_next = _surround(state.y, r, choice.sp, choice.tp)
     if len(x_next) != len(y_next):
@@ -447,15 +427,15 @@ def check_transitive_rigidity(state: Thm2State, k: int) -> CheckReport:
     params = (("stage", state.stage), ("k", k), ("m", m_k), ("n", n_k))
     for name, block in (("x", state.x), ("y", state.y)):
         # A failing position breaks the bound at both distances.
-        diff_n = {i: abs(w - v) for i, v, w in shift_violations(block, n_k, bound)}
+        fails_n = {i for i, _, _ in shift_violations(block, n_k, bound)}
         for i, v, w in shift_violations(block, m_k, bound):
-            if i in diff_n:
+            if i in fails_n:
                 return CheckReport(
                     "TRANSITIVE_RIGIDITY",
                     FAIL,
                     params,
                     (("side", name), ("pos", i), ("diff_m", abs(w - v)),
-                     ("diff_n", diff_n[i])),
+                     ("diff_n", abs(block.at_or_zero(i + n_k) - v))),
                 )
     return CheckReport("TRANSITIVE_RIGIDITY", PASS, params)
 
@@ -490,7 +470,7 @@ def _align_up(raw: int, ell: int, modulus: int) -> int:
     return raw if rem == 0 else raw + modulus - rem
 
 
-def _propose(state: Thm2State, raw_s: int, raw_sp: int, tp_floor: int) -> SpacerChoice:
+def _propose(state: Thm2State, raw_s: int, raw_sp: int) -> SpacerChoice:
     r = state.stage
     ell = state.common_length
     # x-side pitch keeps phase across the y-scale cells, y-side across x-scale.
@@ -500,47 +480,42 @@ def _propose(state: Thm2State, raw_s: int, raw_sp: int, tp_floor: int) -> Spacer
     y_mod = math.lcm(m_new, *state.m_times)
     sp = _align_up(max(raw_sp, r * m_new), ell, y_mod)
     n_new = ell + sp
-    tp = max(tp_floor, 2 * max(m_new, n_new))
+    # m_new and n_new are the largest times, and t >= tp since sp > s, so
+    # every proposal passes Z.
+    tp = 2 * max(m_new, n_new)
     t = tp + r * (sp - s)
     return SpacerChoice(s=s, t=t, sp=sp, tp=tp)
 
 
-# Which spacer length each condition's failure calls for growing.
-_BUMP_FOR = {
-    "I": "s",
-    "II": "sp",
-    "III": "sp",  # at k = stage the whole span must fit one cell
-    "III_SMALL": "s",  # at k < stage the copy separation is what matters
-    "IV": "sp",
-    "V": "sp",
-    "Z": "tp",
-    "TRANSITIVE_RIGIDITY": "s",
+# The failures that call for growing s.  Every other one grows sp: II, IV,
+# V, and III at k = stage, where the whole span must fit one cell.  Z never
+# fails (see _propose).
+_GROWS_S = {
+    "I",
+    "III_SMALL",  # at k < stage the copy separation is what matters
+    "TRANSITIVE_RIGIDITY",
 }
 
 
 def solve_spacers(
-    state: Thm2State,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
-    max_symbols: int = DEFAULT_MAX_NONZEROS,
+    state: Thm2State, iteration_cap: int = DEFAULT_ITERATION_CAP
 ) -> Thm2State:
     """The next stage, built with spacer lengths that pass every gate condition.
 
     Seeds s at twice the largest defined time and sp at r copy pitches, both
     rounded up to the phase-preserving congruences, then builds, verifies,
-    and doubles the length implicated by the first failing condition.  The
-    accepted choice is the returned state's ``spacers[-1]``.
-    Deterministic: equal states yield equal choices.
+    and doubles s or sp, whichever the first failing condition implicates
+    (tp and t follow from them).  The accepted choice is the returned state's
+    ``spacers[-1]``.  Deterministic: equal states yield equal choices.
     """
     if iteration_cap < 0:
         raise ValueError("iteration_cap must be >= 0")
     r = state.stage
     raw_s = max(2 * state.times_max(), 1)
     raw_sp = r * (state.common_length + raw_s)
-    tp_floor = 0
-    last_failure = None
     for _ in range(iteration_cap + 1):
-        choice = _propose(state, raw_s, raw_sp, tp_floor)
-        built = build_stage(state, choice, max_symbols=max_symbols)
+        choice = _propose(state, raw_s, raw_sp)
+        built = build_stage(state, choice)
         failure = None
         for rep in stage_reports(built):
             if not rep.passed:
@@ -548,46 +523,33 @@ def solve_spacers(
                 break
         if failure is None:
             return built
-        last_failure = failure
         key = failure.check_id
         if key == "III":
             k = dict(failure.params)["k"]
             key = "III" if k == r else "III_SMALL"
-        bump = _BUMP_FOR.get(key, "sp")
-        if bump == "s":
+        if key in _GROWS_S:
             raw_s = 2 * max(raw_s, 1)
-        elif bump == "sp":
-            raw_sp = 2 * max(raw_sp, 1)
         else:
-            tp_floor = 2 * max(tp_floor, choice.tp)
+            raw_sp = 2 * max(raw_sp, 1)
     raise SolverError(
         f"no spacer choice found within {iteration_cap} retries; "
-        f"last failure: {last_failure.line()}",
-        failing_condition=last_failure.check_id,
+        f"last failure: {failure.line()}"
     )
 
 
-def solve_transitive_spacers(state: Thm2State, iteration_cap: int = 16) -> Thm2State:
-    """The interleave, built with lengths (za, zb, zc, zd) passing the orthogonality check.
+def solve_transitive_spacers(state: Thm2State) -> Thm2State:
+    """The interleave, built once with lengths (za, zb, zc, zd).
 
-    Seeds the copy offsets past both supports so shifted supports cannot
-    collide, then widens deterministically until the built interleave passes.
+    Both supports lie in [-span, span].  Every copy is shifted by at least
+    the block length 2*span + 1 and the two copy offsets differ by
+    zc - za = 2*span + 2, so no shifted support meets another: the result
+    passes V exactly when ``state`` does, and no wider zc could change that.
     """
-    bound = max(1, 2 * state.times_max())
+    zd = max(1, 2 * state.times_max())
     span = state.half_width
-    za = bound + span + 1
+    za = zd + span + 1
     zc = za + 2 * span + 2
-    for _ in range(iteration_cap):
-        zd = bound
-        zb = zd + zc - za
-        try:
-            return build_transitive_stage(state, za, zb, zc, zd)
-        except ValueError:
-            zc = 2 * zc + 1
-    raise SolverError(
-        f"no interleave spacers found within {iteration_cap} retries",
-        failing_condition="V",
-    )
+    return build_transitive_stage(state, za, zd + zc - za, zc, zd)
 
 
 def build_to_stage(
@@ -600,24 +562,27 @@ def build_to_stage(
     """Drive the solver from stage 1 up to ``target``.
 
     With ``transitive`` the interleave step runs just before the final build,
-    so the last stage exercises the weakened rigidity.  Each step stores 2r+1
-    copies of every nonzero and the interleave three, so the target's stored
-    nonzeros are checked against ``max_symbols`` before anything is built.
-    ``max_positions``, if given, refuses the first built stage longer than it.
+    so the last stage exercises the weakened rigidity.  The one check of the
+    nonzero cap: each step stores 2r+1 copies of every nonzero and the
+    interleave three, so the target stores 3*5*...*(2t-1) per block (times 3
+    with ``transitive``), more than any earlier build, and is checked against
+    ``max_symbols`` before anything is built.  ``max_positions``, if given,
+    refuses the first built stage longer than it.
     """
     if target < 1:
         raise ValueError("target stage must be >= 1")
     if transitive and target < 2:
         raise ValueError("transitive build needs a target stage >= 2")
+    stored = math.prod(range(3, 2 * target, 2)) * (3 if transitive else 1)
+    if stored > max_symbols:
+        raise ResourceCapError(
+            f"stage {target} stores {stored} nonzeros per block, cap is {max_symbols}"
+        )
     state = initial_state()
-    stored = _nonzeros(state) * math.prod(range(3, 2 * target, 2))
-    _check_stored(target, 3 * stored if transitive else stored, max_symbols)
     while state.stage < target:
         if transitive and state.stage == target - 1:
             state = solve_transitive_spacers(state)
-        state = solve_spacers(
-            state, iteration_cap=iteration_cap, max_symbols=max_symbols
-        )
+        state = solve_spacers(state, iteration_cap=iteration_cap)
         if max_positions is not None and state.common_length > max_positions:
             raise ResourceCapError(
                 f"stage {state.stage} has {state.common_length} positions, "

@@ -16,6 +16,8 @@ import pytest
 from dlab import oracle, recurrence, thm1, thm2
 from dlab.blocks import dump_tdseq, load_tdseq
 
+from child_env import CHILD_ENV
+
 F = Fraction
 
 
@@ -31,7 +33,10 @@ def criterion(number, label):
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "dlab.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "dlab.cli", *args],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
     )
 
 

@@ -6,12 +6,15 @@ from dlab.blocks import load_tdseq
 from dlab.cli import main
 from dlab import cli, oracle, thm1, thm2
 
+from child_env import CHILD_ENV
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "dlab.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from child_env import CHILD_ENV
+
 # Each script corrupts one construction step; its key is the error it must meet.
 CORRUPTED_BUILDS = {
     "stage 2 does not extend stage 1": """
@@ -45,6 +47,7 @@ def test_corrupted_step_raises_under_optimize(name):
         [sys.executable, "-O", "-c", PROBE.format(body=body)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
