@@ -40,7 +40,6 @@ def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
     return thm2.build_to_stage(
         args.stage,
         transitive=getattr(args, "transitive", False),
-        iteration_cap=args.iteration_cap,
         max_symbols=args.max_symbols,
         max_positions=max_positions,
     )
@@ -211,20 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p, cap_help, iteration_cap=False, default=DEFAULT_MAX_SYMBOLS):
+    def add_caps(p, cap_help, default=DEFAULT_MAX_SYMBOLS):
         p.add_argument(
             "--max-symbols",
             type=int,
             default=default,
             help=f"{cap_help} (default {default:,})",
         )
-        if iteration_cap:
-            p.add_argument(
-                "--iteration-cap",
-                type=int,
-                default=thm2.DEFAULT_ITERATION_CAP,
-                help="spacer-solver retry budget",
-            )
 
     p_thm1 = top.add_parser("thm1", help="one-sided rigid point").add_subparsers(
         dest="subcommand", required=True
@@ -249,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transitive", action="store_true")
     p.add_argument("--out-x", required=True)
     p.add_argument("--out-y", required=True)
-    add_caps(p, THM2_BUILD_CAP_HELP, iteration_cap=True)
+    add_caps(p, THM2_BUILD_CAP_HELP)
     p.set_defaults(handler=cmd_thm2_build)
     p = p_thm2.add_parser("verify", help="run the stage verifiers")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--transitive", action="store_true")
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_thm2_verify)
 
     p_recur = top.add_parser("recur", help="recurrence analysis").add_subparsers(
@@ -264,19 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_recur.add_parser("pair-sep", help="pair never returns jointly")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_recur_pair_sep)
     p = p_recur.add_parser("escape", help="zero-window escape witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_recur_escape)
     p = p_recur.add_parser("omega", help="limit-pair witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, THM2_CAP_HELP, iteration_cap=True, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_recur_omega)
 
     p_oracle = top.add_parser("oracle", help="finite-system ground truth").add_subparsers(
@@ -302,7 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.handler(args)
-    except (ResourceCapError, thm2.SolverError, ValueError, OSError) as exc:
+    except (ResourceCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a program fault must not read as a FAIL (exit 1)
@@ -311,8 +303,7 @@ def main(argv=None) -> int:
     failed = False
     for line in lines:
         print(line)
-        parts = line.split()
-        if parts and parts[0] == "CHECK" and len(parts) > 2 and parts[2] == "FAIL":
+        if line.startswith("CHECK ") and line.split(maxsplit=3)[2:3] == ["FAIL"]:
             failed = True
     return 1 if failed else 0
 

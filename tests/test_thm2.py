@@ -185,30 +185,23 @@ def test_solver_stage1_choice_properties():
         assert rep.passed, rep.line()
 
 
-def test_solver_zero_cap_reports_condition():
-    with pytest.raises(thm2.SolverError) as err:
-        thm2.solve_spacers(thm2.initial_state(), iteration_cap=0)
-    assert "CHECK III FAIL" in str(err.value)
-
-
 def test_build_to_stage_builds_each_accepted_stage_once(monkeypatch):
     built, solved = [], []
     real_build, real_solve = thm2.build_stage, thm2.solve_spacers
 
-    def build(state, choice, **kwargs):
+    def build(state, choice):
         built.append((state.stage, choice))
-        return real_build(state, choice, **kwargs)
+        return real_build(state, choice)
 
-    def solve(state, **kwargs):
+    def solve(state):
         solved.append(state.stage)
-        return real_solve(state, **kwargs)
+        return real_solve(state)
 
     monkeypatch.setattr(thm2, "build_stage", build)
     monkeypatch.setattr(thm2, "solve_spacers", solve)
     state = thm2.build_to_stage(5)
     assert solved == [1, 2, 3, 4]
-    assert set(enumerate(state.spacers, 1)) <= set(built)
-    assert len(built) == len(set(built))
+    assert built == list(enumerate(state.spacers, 1))
 
 
 def test_no_solver_candidate_fails_zero_tails(monkeypatch):
@@ -224,9 +217,42 @@ def test_no_solver_candidate_fails_zero_tails(monkeypatch):
     monkeypatch.setattr(thm2, "build_stage", build)
     thm2.build_to_stage(6)
     thm2.build_to_stage(5, transitive=True)
-    assert len(built) > 10
+    assert len(built) == 9  # one build per step: 5 + 4
     for state in built:
         assert thm2.check_zero_tails(state).passed, state.spacers[-1]
+
+
+# SPACERS lines of the solver that built, verified and doubled sp on each
+# FAIL, recorded for every target the default nonzero cap admits.  A
+# transitive target shares the plain lines below its last stage.
+RETRY_SOLVER_SPACERS = (
+    "SPACERS r=1 s=1 t=16 sp=5 tp=12",
+    "SPACERS r=2 s=17 t=972 sp=233 tp=540",
+    "SPACERS r=3 s=773 t=95040 sp=18593 tp=41580",
+    "SPACERS r=4 s=60173 t=13513500 sp=2222333 tp=4864860",
+    "SPACERS r=5 s=7087193 t=2627024400 sp=371951693 tp=802701900",
+    "SPACERS r=6 s=1174653593 t=668650682700 sp=83050247393 tp=177397119900",
+)
+RETRY_SOLVER_TRANSITIVE_LAST = {
+    2: "SPACERS r=1 s=1 t=70 sp=15 tp=56",
+    3: "SPACERS r=2 s=15 t=2880 sp=591 tp=1728",
+    4: "SPACERS r=3 s=585 t=270810 sp=48375 tp=127440",
+    5: "SPACERS r=4 s=49185 t=38378340 sp=5953545 tp=14760900",
+    6: "SPACERS r=5 s=6036705 t=7469992530 sp=1015495155 tp=2422700280",
+    7: "SPACERS r=6 s=1027657305 t=1906417012500 sp=229797698805 tp=533796763500",
+}
+
+
+@pytest.mark.parametrize("transitive", [False, True], ids=["plain", "transitive"])
+@pytest.mark.parametrize("target", range(2, 8))
+def test_rule_matches_the_retry_solver(target, transitive):
+    state = thm2.build_to_stage(target, transitive=transitive)
+    expected = list(RETRY_SOLVER_SPACERS[: target - 1])
+    if transitive:
+        expected[-1] = RETRY_SOLVER_TRANSITIVE_LAST[target]
+    assert [c.log_line(r) for r, c in enumerate(state.spacers, 1)] == expected
+    for rep in thm2.stage_reports(state):
+        assert rep.passed, rep.line()
 
 
 def test_solver_deterministic():
