@@ -6,8 +6,7 @@ operation returns a new block.  A block stores only its nonzero symbols: the
 strictly increasing tuple of their absolute positions and a parallel tuple of
 their values.  Every other position holds 0 implicitly, so building, scaling,
 windowing and scanning a block cost O(#nonzero) whatever its length, and a
-position read is a bisect.  ``Block.symbols`` builds the dense tuple on
-demand, in O(length), for tests and references only.
+position read is a bisect.
 
 The constructions repeat a few hundred values over up to millions of
 nonzeros.  ``as_symbol``, ``parse_symbol`` and ``scale`` return one canonical
@@ -136,14 +135,6 @@ class Block:
         if k < len(self._nonzero) and self._nonzero[k] == i:
             return self._values[k]
         return ZERO
-
-    @property
-    def symbols(self) -> tuple:
-        """Dense tuple of every symbol, built on each call in O(length)."""
-        syms = [ZERO] * self.length
-        for p, v in zip(self._nonzero, self._values):
-            syms[p - self.base] = v
-        return tuple(syms)
 
     @property
     def nonzero_positions(self) -> tuple:

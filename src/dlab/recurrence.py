@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 
 from .blocks import Block, common_numerators, shift_violations
 from .report import CheckReport, FAIL, PASS
@@ -117,63 +118,61 @@ def pair_separation_check(state: Thm2State, horizon: int) -> CheckReport:
 # -- escape and limit-pair witnesses ------------------------------------------
 
 
-def _merge_intervals(intervals: list) -> list:
-    """Merge possibly overlapping closed integer intervals."""
-    if not intervals:
-        return []
-    intervals.sort()
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi + 1:
-            if hi > mhi:
-                merged[-1] = (mlo, hi)
+def _spans(positions, w: int) -> list:
+    """Merged center ranges [q - w, q + w] of increasing ``positions``, in one
+    pass.  Ranges that overlap or touch are joined, so at least one center
+    lies between any two spans."""
+    spans = []
+    for q in positions:
+        if spans and q - w <= spans[-1][1] + 1:
+            spans[-1][1] = q + w
         else:
-            merged.append((lo, hi))
-    return merged
+            spans.append([q - w, q + w])
+    return spans
 
 
-def _center_intervals(positions, w: int, lo: int, hi: int) -> list:
-    """Merged centers j in [lo, hi] within distance w of one of ``positions``."""
-    return _merge_intervals([
-        (max(q - w, lo), min(q + w, hi))
-        for q in positions
-        if q + w >= lo and q - w <= hi
-    ])
+def _near(positions, j: int, w: int) -> bool:
+    """Does some q in the increasing ``positions`` lie in [j - w, j + w]?"""
+    i = bisect_left(positions, j - w)
+    return i < len(positions) and positions[i] <= j + w
 
 
-def _in_intervals(merged: list, j: int) -> bool:
-    idx = bisect_right(merged, (j, float("inf"))) - 1
-    return idx >= 0 and merged[idx][0] <= j <= merged[idx][1]
+def _assign_runs(blocked: dict, w: int, lo: int, hi: int):
+    """Per-center smallest r whose blocking positions are all farther than w
+    from the center, as runs over [lo, hi].
 
-
-def _assign_runs(bad_by_r: dict, lo: int, hi: int):
-    """Per-center smallest r whose interval set misses the center, as runs.
+    ``blocked`` maps r = 1, 2, 3, in that order, to increasing positions.
+    One pointer per r walks that r's spans.  At center j the choice is the
+    smallest r whose current span does not cover j.  It holds until a
+    smaller r's span ends or the chosen r's next span starts, so the walk
+    jumps straight there.  At that point the choice changes: a smaller r is
+    free, since merged spans leave a free center between them, or the
+    chosen r is covered.  So every run is maximal when it is made.
 
     Returns (runs, first_failure): runs are (start, end, r) with start..end
-    inclusive; first_failure is the smallest center no r covers, or None.
+    inclusive; first_failure is the smallest center no r frees, or None.
     """
-    cuts = {lo, hi + 1}
-    for merged in bad_by_r.values():
-        for a, b in merged:
-            if a > hi or b < lo:
-                continue
-            cuts.add(max(a, lo))
-            cuts.add(min(b, hi) + 1)
-    points = sorted(cuts)
+    # Each list ends in a span at hi + 1, which no center reaches.
+    choices = [(r, _spans(p, w) + [[hi + 1, hi + 1]]) for r, p in blocked.items()]
+    at = [0] * len(choices)
     runs = []
-    for start, stop in zip(points, points[1:]):
-        choice = None
-        for r in sorted(bad_by_r):
-            if not _in_intervals(bad_by_r[r], start):
-                choice = r
+    j = lo
+    while j <= hi:
+        stop = hi + 1
+        for i, (r, spans) in enumerate(choices):
+            n = at[i]
+            while spans[n][1] < j:
+                n += 1
+            at[i] = n
+            start, end = spans[n]
+            if start > j:
+                stop = min(stop, start)
+                runs.append((j, stop - 1, r))
+                j = stop
                 break
-        if choice is None:
-            return runs, start
-        if runs and runs[-1][2] == choice and runs[-1][1] == start - 1:
-            runs[-1] = (runs[-1][0], stop - 1, choice)
+            stop = min(stop, end + 1)
         else:
-            runs.append((start, stop - 1, choice))
+            return runs, j
     return runs, None
 
 
@@ -222,11 +221,8 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
         raise ValueError(f"window half-width {w} must stay below the scale {scale_len}")
     lo, hi = _admissible_centers(block, scale_len, w)
     nz = block.nonzero_positions
-    bad = {
-        r: _center_intervals([p - r * scale_len for p in nz], w, lo, hi)
-        for r in (1, 2, 3)
-    }
-    runs, failure = _assign_runs(bad, lo, hi)
+    blocked = {r: [p - r * scale_len for p in nz] for r in (1, 2, 3)}
+    runs, failure = _assign_runs(blocked, w, lo, hi)
     params = (
         ("stage", state.stage),
         ("side", side),
@@ -249,20 +245,19 @@ def _one_sided_omega(
     """Centers where some r <= 3 keeps ``returning`` within 3/k and zeroes ``escaping``."""
     bound = Fraction(3, k)
     lo, hi = _admissible_centers(returning, time, w)
-    ret_bad, esc_bad, bad = {}, {}, {}
+    ret, esc = {}, {}
     for r in (1, 2, 3):
-        moved = shift_violations(returning, r * time, bound)
-        ret_bad[r] = _center_intervals([q for q, _, _ in moved], w, lo, hi)
-        zeroed = [p - r * time for p in escaping.nonzero_positions]
-        esc_bad[r] = _center_intervals(zeroed, w, lo, hi)
-        bad[r] = _merge_intervals(ret_bad[r] + esc_bad[r])
-    runs, failure = _assign_runs(bad, lo, hi)
+        ret[r] = [q for q, _, _ in shift_violations(returning, r * time, bound)]
+        esc[r] = [p - r * time for p in escaping.nonzero_positions]
+    runs, failure = _assign_runs(
+        {r: merge(ret[r], esc[r]) for r in (1, 2, 3)}, w, lo, hi
+    )
     if failure is None:
         return runs, None
     # Classify what blocked the failing center: the return part (a), the
     # escape part (b), or both.
-    ret_ok = any(not _in_intervals(ret_bad[r], failure) for r in (1, 2, 3))
-    esc_ok = any(not _in_intervals(esc_bad[r], failure) for r in (1, 2, 3))
+    ret_ok = any(not _near(ret[r], failure, w) for r in (1, 2, 3))
+    esc_ok = any(not _near(esc[r], failure, w) for r in (1, 2, 3))
     part = "ab"
     if ret_ok and not esc_ok:
         part = "b"

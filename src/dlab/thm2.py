@@ -51,8 +51,9 @@ from .blocks import (
 from .report import CheckReport, FAIL, INFO, PASS
 
 # Default ResourceCapError budget in stored nonzeros per block.  Stage 7
-# stores 135,135 (a stage-7 verify measured 81 MB); stage 8 would store
-# 2,027,025 and stage 9 34,459,425, so both are refused before any build.
+# stores 135,135 and runs at the default.  Stage 8 would store 2,027,025,
+# and its verify peaks near 560 MB; stage 9 would store 34,459,425.  Both
+# are refused before any build.
 DEFAULT_MAX_NONZEROS = 10**6
 
 

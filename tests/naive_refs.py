@@ -8,6 +8,14 @@ import math
 from fractions import Fraction
 
 
+def dense(block):
+    """Every symbol of ``block`` in position order, zeros included."""
+    syms = [Fraction(0)] * len(block)
+    for p, v in block.nonzero_items():
+        syms[p - block.base] = v
+    return tuple(syms)
+
+
 def naive_c1_max(symbols):
     """Longest zero run immediately followed by a symbol equal to 1."""
     best = run = 0

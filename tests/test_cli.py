@@ -345,6 +345,10 @@ PINNED_OUTPUT = (
      "50d100ad5c69476649584b6e5dfdb2a8969d75af73b0224bc13a5d71726e9a5f"),
     ("recur omega --stage 5 --k 3 --w 1", 0,
      "a1aa3bc43fc9040374958b3dce6987150628a9f941da895aac28192a81520f5f"),
+    ("recur escape --stage 6 --k 5 --w 1", 0,
+     "6fcf6a48a6e4ec30f55d5c09bfca00128d9d1a8b47510b56ede3103360b26606"),
+    ("recur omega --stage 6 --k 5 --w 1", 0,
+     "b57facad1d2e1f169c154ea5b4c8ec3bc0302ba1a56d16d66db8a72f09d0fabc"),
     ("oracle sweep --nmax 5 --permutations-only", 0,
      "384d1e5a1c3d0b152a246efe34ab5411e6cc1c7b359a9b0b37b1fd67b42be6d3"),
     # With --permutations-only the sampler draws permutations, so each of

@@ -15,7 +15,7 @@ from dlab.blocks import Block
 real = thm1.concat_all
 def corrupt(blocks, base):
     out = real(blocks, base=base)
-    return Block((0,) + out.symbols[1:], base=out.base)
+    return Block([0] + [out[i] for i in range(out.base + 1, out.last + 1)], base=out.base)
 thm1.concat_all = corrupt
 thm1.build(3)
 """,

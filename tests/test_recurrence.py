@@ -8,6 +8,7 @@ from dlab import thm1, thm2
 from dlab.blocks import Block, zeros
 
 from naive_refs import (
+    dense,
     naive_close_pair,
     naive_escape_choices,
     naive_omega_choices,
@@ -74,7 +75,7 @@ def test_window_distance_is_a_metric():
         for b in points:
             d = naive_window_distance(a, b, 2)
             assert d == naive_window_distance(b, a, 2)
-            assert (d == 0) == (a[0].symbols == b[0].symbols)
+            assert (d == 0) == (dense(a[0]) == dense(b[0]))
             for c in points:
                 assert naive_window_distance(a, c, 2) <= d + naive_window_distance(b, c, 2)
 
@@ -136,7 +137,7 @@ def test_pair_separation_full_range(thm2_stage4):
 def test_pair_separation_detects_planted_collision():
     choice = thm2.SpacerChoice(s=2, t=24, sp=8, tp=18)
     state = thm2.build_stage(thm2.initial_state(), choice)
-    syms = list(state.y.symbols)
+    syms = list(dense(state.y))
     syms[3 - state.y.base] = F(1)
     bad = thm2.Thm2State(
         2, state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
@@ -156,7 +157,7 @@ def test_pair_without_unit_centre_is_refused(side, centre):
     # pair_separation_check has no x(0) = y(0) = 1 branch; the state is where
     # that requirement is enforced.
     state = thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 24, 8, 18))
-    syms = list(getattr(state, side).symbols)
+    syms = list(dense(getattr(state, side)))
     syms[-state.x.base] = centre
     blocks = {"x": state.x, "y": state.y, side: Block(syms, base=state.x.base)}
     with pytest.raises(ValueError, match="central symbols must equal 1"):
@@ -228,7 +229,7 @@ def test_escape_rejects_unknown_side(thm2_states):
 
 def test_escape_detects_dense_mutation():
     state = hand_stage2()
-    syms = list(state.y.symbols)
+    syms = list(dense(state.y))
     for pos in (3, 6, 9):  # fill every shift multiple from center 0
         syms[pos - state.y.base] = F(1)
     bad = thm2.Thm2State(
@@ -271,7 +272,7 @@ def test_cross_omega_implied_by_rigidity_and_escape(thm2_states):
 
 def test_cross_omega_failure_names_escape_part():
     state = hand_stage2()
-    syms = list(state.y.symbols)
+    syms = list(dense(state.y))
     for pos in (3, 6, 9):
         syms[pos - state.y.base] = F(1)
     bad = thm2.Thm2State(
@@ -287,9 +288,13 @@ def test_cross_omega_failure_names_escape_part():
 
 
 def _random_pair_state(rng):
-    """A centered pair with random supports and times, so witnesses fail often."""
-    half = rng.randint(8, 30)
-    stage = rng.randint(2, 4)
+    """A centered pair with random supports and times, so witnesses fail often.
+
+    Stages reach 7, so k reaches 6 and the return bound 3/k drops below the
+    largest symbol: the return part can block a center as well as the escape.
+    """
+    half = rng.randint(12, 40)
+    stage = rng.randint(2, 7)
     blocks = []
     for _side in "xy":
         density = rng.choice((0.05, 0.15, 0.4))
@@ -297,7 +302,7 @@ def _random_pair_state(rng):
                 for _ in range(2 * half + 1)]
         syms[half] = 1
         blocks.append(Block(syms, base=-half))
-    times = [tuple(rng.randint(3, half // 2) for _ in range(stage - 1)) for _ in "mn"]
+    times = [tuple(rng.randint(3, half // 4) for _ in range(stage - 1)) for _ in "mn"]
     return thm2.Thm2State(stage, *blocks, *times, ())
 
 
@@ -319,10 +324,13 @@ def _runs_from_choices(lo, hi, choose):
 def test_escape_and_omega_match_dense_references_on_random_states():
     rng = random.Random(4242)
     failures = {"ESCAPE": 0, "CROSS_OMEGA": 0}
-    for _ in range(150):
+    parts = {"a": 0, "b": 0, "ab": 0}
+    single_center_runs = 0
+    for _ in range(300):
         state = _random_pair_state(rng)
         k = rng.randint(1, state.stage - 1)
-        w = rng.randint(0, 2)
+        # Up to 4, so the spans of the outer nonzeros cross the lo/hi clip.
+        w = rng.randint(0, min(4, state.m(k) - 1, state.n(k) - 1))
         for side, block, scale_len in (("XatN", state.x, state.n(k)),
                                        ("YatM", state.y, state.m(k))):
             res = rec.escape_witness(state, k, w, side)
@@ -330,6 +338,7 @@ def test_escape_and_omega_match_dense_references_on_random_states():
             runs, fail = _runs_from_choices(
                 lo, hi, lambda j: naive_escape_choices(block, scale_len, w, j))
             assert res.runs == runs
+            single_center_runs += sum(a == b for a, b, _ in runs)
             assert res.passed == (fail is None)
             if fail is not None:
                 failures["ESCAPE"] += 1
@@ -348,6 +357,7 @@ def test_escape_and_omega_match_dense_references_on_random_states():
 
             runs, fail = _runs_from_choices(lo, hi, both)
             assert got == runs
+            single_center_runs += sum(a == b for a, b, _ in runs)
             if fail is not None and want is None:
                 ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, fail)
                 part = "ab"  # what blocks the center: return (a), escape (b)
@@ -359,8 +369,11 @@ def test_escape_and_omega_match_dense_references_on_random_states():
         assert res.passed == (want is None)
         if want is not None:
             failures["CROSS_OMEGA"] += 1
+            parts[dict(want)["part"]] += 1
             assert res.report.witness == want
-    assert min(failures.values()) > 30
+    assert min(failures.values()) > 30, failures
+    assert all(parts.values()), parts
+    assert single_center_runs > 0
 
 
 def test_epsilon_times_match_the_dense_metric():

@@ -8,6 +8,7 @@ from dlab import thm1
 from dlab.blocks import Block, ResourceCapError, window
 
 from naive_refs import (
+    dense,
     naive_c1_max,
     naive_c2prime_violations,
     naive_c3_violations,
@@ -39,10 +40,10 @@ def test_initial_state():
 
 def test_step_matches_hand_expansion():
     s2 = thm1.step(thm1.initial_state())
-    assert s2.prefix.symbols == X2
+    assert dense(s2.prefix) == X2
     assert s2.lengths == (3, 12)
     s3 = thm1.step(s2)
-    assert s3.prefix.symbols == hand_x3()
+    assert dense(s3.prefix) == hand_x3()
     assert s3.lengths == (3, 12, 60)
 
 
@@ -73,9 +74,9 @@ def test_resource_cap_refuses_before_building():
 
 def test_window_example_on_x2():
     s2 = thm1.build(2)
-    assert window(s2.prefix, 7, 12).symbols == (F(1, 2), 0, 0, 0, 0, 0)
+    assert dense(window(s2.prefix, 7, 12)) == (F(1, 2), 0, 0, 0, 0, 0)
     # The second stage opens with two stage-1 copies.
-    assert window(s2.prefix, 4, 6).symbols == thm1.build(1).prefix.symbols
+    assert dense(window(s2.prefix, 4, 6)) == dense(thm1.build(1).prefix)
 
 
 def test_tail_zeros_invariant():
@@ -102,7 +103,7 @@ def test_c1_matches_naive_and_grows(m):
     s = thm1.build(m)
     rep = thm1.check_c1(s, 1)
     found = dict(rep.witness)["max_run"]
-    assert found == naive_c1_max(s.prefix.symbols)
+    assert found == naive_c1_max(dense(s.prefix))
     assert found >= m
     if m >= 3:
         assert found >= s.lengths[m - 3]  # junction run covers a stage-(m-2) length
@@ -114,7 +115,7 @@ def test_c1_matches_naive_and_grows(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_c3_matches_naive(m):
     s = thm1.build(m)
-    syms = s.prefix.symbols
+    syms = dense(s.prefix)
     for k in range(1, m):
         assert naive_c3_violations(syms, s.lengths[k - 1], k) == []
     assert thm1.check_c3(s, m - 1).passed
@@ -140,7 +141,7 @@ def test_c3_rejects_out_of_range_k():
 
 def test_c3_detects_planted_violation():
     s = thm1.build(3)
-    syms = list(s.prefix.symbols)
+    syms = list(dense(s.prefix))
     syms[40] = F(1)  # stray spike breaks the shift-by-3 bound nearby
     mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
     rep = thm1.check_c3(mutated, 2)
@@ -155,7 +156,7 @@ def test_c3_detects_planted_violation():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_c2prime_matches_naive(m):
     s = thm1.build(m)
-    syms = s.prefix.symbols
+    syms = dense(s.prefix)
     for j in range(1, m):
         assert naive_c2prime_violations(syms, s.lengths[j - 1], j) == []
     assert thm1.check_c2prime(s, m - 1).passed
@@ -173,7 +174,7 @@ def test_c2prime_boundary_tight_instance_on_x2():
 
 def test_c2prime_detects_corruption():
     s = thm1.build(3)
-    syms = list(s.prefix.symbols)
+    syms = list(dense(s.prefix))
     assert syms[49] == 0
     syms[49] = F(1)  # position 50: a 1 followed by the final zero run
     mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
@@ -248,7 +249,7 @@ def _random_state(rng):
     if rng.random() < 0.5:
         built = thm1.build(rng.choice((3, 4)))
         stage, lengths = built.stage, built.lengths
-        syms = list(built.prefix.symbols)
+        syms = list(dense(built.prefix))
         if rng.random() < 0.5:
             t = _random_symbol(rng)
             syms = [t * v for v in syms]
@@ -270,7 +271,7 @@ def _random_state(rng):
 
 def _expected_c3(state, kmax):
     """(k, pos) of the first C3 failure, derived from the dense reference."""
-    syms = state.prefix.symbols
+    syms = dense(state.prefix)
     for k in range(1, kmax + 1):
         n_k = state.lengths[k - 1]
         starts = naive_c3_violations(syms, n_k, k)
@@ -283,7 +284,7 @@ def _expected_c3(state, kmax):
 
 def _expected_c2prime(state, jmax):
     """(j, pos, window_max) of the first C2PRIME failure, from the dense reference."""
-    syms = state.prefix.symbols
+    syms = dense(state.prefix)
     for j in range(1, jmax + 1):
         n_j = state.lengths[j - 1]
         offsets = naive_c2prime_violations(syms, n_j, j)
@@ -329,7 +330,7 @@ def test_c3_c2prime_match_dense_references_on_random_states():
 def test_fail_report_lines_are_exact():
     # Lines as the Fraction-based verifiers printed them; only values change form.
     s = thm1.build(3)
-    syms = list(s.prefix.symbols)
+    syms = list(dense(s.prefix))
     syms[24], syms[25], syms[29] = F(1, 7), F(5, 7), F(1)
     mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
     assert thm1.check_c3(mutated, 2).line() == (

@@ -8,6 +8,7 @@ from dlab import thm2
 from dlab.blocks import Block, ResourceCapError, window
 
 from naive_refs import (
+    dense,
     naive_phase_exists,
     naive_shift_violations,
     naive_smallest_phase,
@@ -145,7 +146,7 @@ def test_sparseness_failure_has_witness():
 
 
 def test_orthogonality_failure_witness(hand_stage2):
-    syms = list(hand_stage2.y.symbols)
+    syms = list(dense(hand_stage2.y))
     syms[3 - hand_stage2.y.base] = F(1)  # collide with x's nonzero at +3
     bad = thm2.Thm2State(
         2, hand_stage2.x, Block(syms, base=hand_stage2.y.base),
@@ -307,8 +308,8 @@ def test_interleave_hand_example():
     assert out.y.nonzero_positions == (-5, 0, 5)
     assert out.transitive
     # The partner block appears whole on both sides of center.
-    assert window(out.x, -3, -3).symbols == state.y.symbols
-    assert window(out.x, 3, 3).symbols == state.y.symbols
+    assert dense(window(out.x, -3, -3)) == dense(state.y)
+    assert dense(window(out.x, 3, 3)) == dense(state.y)
 
 
 def test_interleave_rejects_equal_offsets():
