@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from . import oracle as oracle_mod
@@ -198,7 +199,11 @@ def cmd_oracle_sweep(args) -> list:
 
 
 def cmd_oracle_lemma6(args) -> list:
-    sys_ = oracle_mod.make_system(args.map.split(","))
+    entries = args.map.split(",")
+    for entry in entries:  # the TDSEQ integer grammar: no sign, space or '_'
+        if not re.fullmatch("0|[1-9][0-9]*", entry):
+            raise ValueError(f"--map entry {entry!r} is not an integer 0|[1-9][0-9]*")
+    sys_ = oracle_mod.make_system(entries)
     _, partition, report = oracle_mod.lemma6_relation(sys_, args.point)
     return [report.line(), f"PARTITION {partition.label()}"]
 

@@ -25,7 +25,7 @@ NOT_FORWARD_INVARIANT = "NOT_FORWARD_INVARIANT"
 FORWARD_INVARIANT_ONLY = "FORWARD_INVARIANT_ONLY"
 INVARIANT = "INVARIANT"
 
-DEFAULT_EXHAUSTIVE_BOUND = 8  # Bell(8) = 4140 partitions per is_td call
+DEFAULT_EXHAUSTIVE_BOUND = 8  # is_td masks are Bell(8) = 4140 bits wide
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,6 @@ def all_partitions(n: int) -> tuple:
     return tuple(Partition.from_rgs(rgs) for rgs in restricted_growth_strings(n))
 
 
-@lru_cache(maxsize=None)
-def _labelled_partitions(n: int) -> tuple:
-    """``all_partitions(n)`` paired with their restricted growth strings,
-    which serve as block labels: x lies in block ``rgs[x]``."""
-    return tuple(zip(restricted_growth_strings(n), all_partitions(n)))
-
-
 def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
     """Compare the image relation {(Ta, Tb)} against the relation itself.
 
@@ -197,31 +190,53 @@ def _diagonal(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _same_masks(n: int) -> tuple:
+    """(RGS tuple, full mask, same): bit i of ``same[x][y]`` is set exactly
+    when x and y share a block of the i-th partition in RGS order."""
+    rgs = tuple(restricted_growth_strings(n))
+    full = (1 << len(rgs)) - 1
+    same = [[full] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x):
+            bits = "".join("1" if g[x] == g[y] else "0" for g in reversed(rgs))
+            same[x][y] = same[y][x] = int(bits, 2)
+    return rgs, full, tuple(map(tuple, same))
+
+
+def _partition_masks(table: tuple) -> tuple:
+    """(forward invariant, forward invariant only) as masks over ``_same_masks``:
+    the definition evaluated on every partition at once, with no theorem.  A
+    partition is forward invariant when x ~ y implies Tx ~ Ty, and then
+    strictly bigger than its image when some c ~ d has no a ~ b with Ta = c
+    and Tb = d; for c = d that is a point with no preimage."""
+    n = len(table)
+    _, full, same = _same_masks(n)
+    bad = strict = 0
+    for x in range(n):
+        for y in range(x):
+            bad |= same[x][y] & ~same[table[x]][table[y]]
+    preimages = [[a for a in range(n) if table[a] == c] for c in range(n)]
+    for c in range(n):
+        for d in range(c + 1):
+            covered = 0
+            for a in preimages[c]:
+                for b in preimages[d]:
+                    covered |= same[a][b]
+            strict |= same[c][d] & ~covered
+    forward = full & ~bad
+    return forward, forward & strict
+
+
+@lru_cache(maxsize=None)
 def _scan_partitions(table: tuple):
     """(False, first forward-invariant-only partition in RGS order), or
-    (True, None) when there is none.
-
-    A partition is forward invariant exactly when each block maps into one
-    block, i.e. ``rgs[table[x]]`` is constant on every block; only those
-    partitions pay for building their pair set and the strict-containment
-    test.  Memoized per table: only onto tables get past ``is_td``'s
-    diagonal test, so the cache holds at most n! entries per size.
-    """
-    n = len(table)
-    for rgs, partition in _labelled_partitions(n):
-        image_block = [-1] * n
-        for x in range(n):
-            target = rgs[table[x]]
-            seen = image_block[rgs[x]]
-            if seen < 0:
-                image_block[rgs[x]] = target
-            elif seen != target:
-                break
-        else:
-            rel = partition.pairs()
-            if _image(table, rel) < rel:  # forward-invariant only
-                return False, partition
-    return True, None
+    (True, None) when there is none.  Memoized per table: only onto tables
+    get past ``is_td``'s diagonal test, so it holds at most n! per size."""
+    found = _partition_masks(table)[1]
+    if not found:
+        return True, None
+    rgs = _same_masks(len(table))[0]
+    return False, Partition.from_rgs(rgs[(found & -found).bit_length() - 1])
 
 
 def orbit(sys: FiniteSystem, x: int) -> list:

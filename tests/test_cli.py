@@ -2,6 +2,8 @@ import hashlib
 import subprocess
 import sys
 
+import pytest
+
 from dlab.blocks import load_tdseq
 from dlab.cli import main
 from dlab import cli, oracle, thm1, thm2
@@ -117,6 +119,18 @@ def test_lemma6_point_outside_the_system_exits_2():
         result = run_cli("oracle", "lemma6", "--map", "1,2,2", "--point", point)
         assert result.returncode == 2
         assert result.stderr == f"error: point {point} outside 0..2\n"
+
+
+@pytest.mark.parametrize(
+    "table, entry",
+    [(" 1,0", " 1"), ("+1,0", "+1"), ("1_0,0", "1_0"), ("1,0,", ""),
+     ("01,0", "01"), ("\u0661,0", "\u0661"), ("1,-0", "-0")],
+)
+def test_lemma6_map_accepts_only_plain_decimals(capsys, table, entry):
+    assert main(["oracle", "lemma6", "--map", table, "--point", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --map entry {entry!r} is not an integer 0|[1-9][0-9]*\n"
 
 
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):

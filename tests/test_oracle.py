@@ -130,6 +130,26 @@ def test_partition_scan_matches_naive_reference():
     assert 0 < witnesses < len(tables)
 
 
+def test_partition_masks_classify_every_partition():
+    # The first witness above is nearly always the one-block partition or
+    # none, so it cannot see the order of later bits; here every bit is
+    # checked against the pair-set classification of its partition.
+    tables = [s.table for n in range(1, 5) for s in o.all_systems(n)]
+    tables += _seeded_scan_tables(random.Random(8191))
+    counts = {}
+    for table in tables:
+        system = o.make_system(table)
+        forward, only = o._partition_masks(table)
+        partitions = o.all_partitions(system.size)
+        assert forward >> len(partitions) == 0
+        for i, partition in enumerate(partitions):
+            cls = o.classify_relation(system, partition)
+            counts[cls] = counts.get(cls, 0) + 1
+            assert forward >> i & 1 == (cls != o.NOT_FORWARD_INVARIANT), (table, i)
+            assert only >> i & 1 == (cls == o.FORWARD_INVARIANT_ONLY), (table, i)
+    assert min(counts.values()) > 1000, counts
+
+
 # -- orbits and limit sets -----------------------------------------------------------
 
 
