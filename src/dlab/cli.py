@@ -10,6 +10,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -127,6 +128,13 @@ def cmd_recur_pair_sep(args) -> list:
     return [recurrence.pair_separation_check(state, horizon).line()]
 
 
+def _witness_lines(kind: str, side: str, k: int, runs) -> list:
+    return [
+        f"WITNESS kind={kind} side={side} k={k} center={a}..{b} r={r}"
+        for a, b, r in runs
+    ]
+
+
 def cmd_recur_escape(args) -> list:
     _check_stage_args(args)
     state = _thm2_state(args)
@@ -134,10 +142,7 @@ def cmd_recur_escape(args) -> list:
     for side in recurrence.ESCAPE_SIDES:
         result = recurrence.escape_witness(state, args.k, args.w, side)
         lines.append(result.report.line())
-        lines.extend(
-            f"WITNESS kind=escape side={side} k={args.k} center={a}..{b} r={r}"
-            for a, b, r in result.runs
-        )
+        lines.extend(_witness_lines("escape", side, args.k, result.runs))
     return lines
 
 
@@ -145,16 +150,11 @@ def cmd_recur_omega(args) -> list:
     _check_stage_args(args)
     state = _thm2_state(args)
     result = recurrence.cross_omega_witness(state, args.k, args.w)
-    lines = [result.report.line()]
-    lines.extend(
-        f"WITNESS kind=omega side=x k={args.k} center={a}..{b} r={r}"
-        for a, b, r in result.x_side_runs
-    )
-    lines.extend(
-        f"WITNESS kind=omega side=y k={args.k} center={a}..{b} r={r}"
-        for a, b, r in result.y_side_runs
-    )
-    return lines
+    return [
+        result.report.line(),
+        *_witness_lines("omega", "x", args.k, result.x_side_runs),
+        *_witness_lines("omega", "y", args.k, result.y_side_runs),
+    ]
 
 
 def _sampled_systems(n: int, count: int, seed: int, permutations_only: bool):
@@ -170,6 +170,8 @@ def _sampled_systems(n: int, count: int, seed: int, permutations_only: bool):
 def cmd_oracle_sweep(args) -> list:
     if args.nmax < 1:
         raise ValueError("nmax must be >= 1")
+    if args.power_max < 1:
+        raise ValueError("Nmax must be >= 1")
     if args.sample < 0:
         raise ValueError("sample must be >= 0")
     oracle_mod.check_exhaustive_size(args.nmax)  # before any sweep, not at n = nmax
@@ -306,10 +308,17 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     failed = False
-    for line in lines:
-        print(line)
-        if line.startswith("CHECK ") and line.split(maxsplit=3)[2:3] == ["FAIL"]:
-            failed = True
+    try:
+        for line in lines:
+            print(line)
+            if line.startswith("CHECK ") and line.split(maxsplit=3)[2:3] == ["FAIL"]:
+                failed = True
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; a cut report is no FAIL
+        # Python flushes stdout again at exit; send that flush nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     return 1 if failed else 0
 
 

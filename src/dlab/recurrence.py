@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 
 from .blocks import Block, common_numerators, shift_violations
 from .report import CheckReport, FAIL, PASS
@@ -188,14 +187,6 @@ class WitnessRuns:
         return self.report.passed
 
 
-def _escape_params(state: Thm2State, side: str, k: int):
-    if side == "XatN":
-        return state.x, state.n(k)
-    if side == "YatM":
-        return state.y, state.m(k)
-    raise ValueError(f"side must be one of {ESCAPE_SIDES}, got {side!r}")
-
-
 def _admissible_centers(block: Block, scale_len: int, w: int):
     # Keep both the window around the center and its three shifts in range.
     lo, hi = block.base + w, block.last - w - 3 * scale_len
@@ -214,7 +205,9 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     make some r work; a center where none does is reported as the failure
     witness.
     """
-    block, scale_len = _escape_params(state, side, k)
+    if side not in ESCAPE_SIDES:
+        raise ValueError(f"side must be one of {ESCAPE_SIDES}, got {side!r}")
+    block, scale_len = (state.x, state.n(k)) if side == "XatN" else (state.y, state.m(k))
     if w < 0:
         raise ValueError("w must be >= 0")
     if w >= scale_len:
@@ -239,9 +232,7 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     return WitnessRuns(report, tuple(runs))
 
 
-def _one_sided_omega(
-    state: Thm2State, k: int, w: int, returning: Block, escaping: Block, time: int
-):
+def _one_sided_omega(k: int, w: int, returning: Block, escaping: Block, time: int):
     """Centers where some r <= 3 keeps ``returning`` within 3/k and zeroes ``escaping``."""
     bound = Fraction(3, k)
     lo, hi = _admissible_centers(returning, time, w)
@@ -249,8 +240,9 @@ def _one_sided_omega(
     for r in (1, 2, 3):
         ret[r] = [q for q, _, _ in shift_violations(returning, r * time, bound)]
         esc[r] = [p - r * time for p in escaping.nonzero_positions]
+    # Both lists increase, so the sort is one linear merge of two runs.
     runs, failure = _assign_runs(
-        {r: merge(ret[r], esc[r]) for r in (1, 2, 3)}, w, lo, hi
+        {r: sorted(ret[r] + esc[r]) for r in (1, 2, 3)}, w, lo, hi
     )
     if failure is None:
         return runs, None
@@ -290,8 +282,8 @@ def cross_omega_witness(state: Thm2State, k: int, w: int) -> CrossOmegaWitness:
     m_k, n_k = state.m(k), state.n(k)
     if w >= m_k or w >= n_k:
         raise ValueError(f"window half-width {w} must stay below both scales")
-    x_runs, x_fail = _one_sided_omega(state, k, w, state.x, state.y, m_k)
-    y_runs, y_fail = _one_sided_omega(state, k, w, state.y, state.x, n_k)
+    x_runs, x_fail = _one_sided_omega(k, w, state.x, state.y, m_k)
+    y_runs, y_fail = _one_sided_omega(k, w, state.y, state.x, n_k)
     params = (("stage", state.stage), ("k", k), ("w", w))
     if x_fail is not None or y_fail is not None:
         side, (center, part) = (

@@ -460,61 +460,45 @@ def stage_reports(state: Thm2State, kmax: "int | None" = None) -> list:
 
 def _align_up(raw: int, ell: int, modulus: int) -> int:
     """Smallest value >= raw making ell + value divisible by modulus."""
-    if modulus <= 1:
-        return raw
     rem = (ell + raw) % modulus
     return raw if rem == 0 else raw + modulus - rem
-
-
-def _propose(state: Thm2State, raw_s: int, raw_sp: int) -> SpacerChoice:
-    r = state.stage
-    ell = state.common_length
-    # x-side pitch keeps phase across the y-scale cells, y-side across x-scale.
-    x_mod = math.lcm(*state.n_times) if state.n_times else 1
-    s = _align_up(raw_s, ell, x_mod)
-    m_new = ell + s
-    y_mod = math.lcm(m_new, *state.m_times)
-    sp = _align_up(max(raw_sp, r * m_new), ell, y_mod)
-    n_new = ell + sp
-    # m_new and n_new are the largest times, and t >= tp since sp > s, so
-    # every proposal passes Z.
-    tp = 2 * max(m_new, n_new)
-    t = tp + r * (sp - s)
-    return SpacerChoice(s=s, t=t, sp=sp, tp=tp)
 
 
 def solve_spacers(state: Thm2State) -> Thm2State:
     """The next stage, built once with spacer lengths chosen by rule.
 
-    Seeds s at twice the largest defined time and sp at r copy pitches, both
-    rounded up to the phase-preserving congruences (tp and t follow).  On a
-    state that is not interleaved, raw sp then doubles until
-    n_r = ell + sp >= 2r*m_r + w_r, the support width of x_{r+1} (2r+1
-    copies of x_r, of support width w_r, at pitch m_r).  That is condition
-    III at k = r: consecutive nonzeros of x_{r+1} are less than n_r apart
-    (below ell inside a copy, at most m_r < n_r between copies), so they sit
-    in the same or adjacent length-n_r cells, and III at k = r passes
-    exactly when the whole support fits one cell.  A solver that built,
-    verified and doubled sp on each FAIL took two builds on every stage the
-    default cap admits, rejecting the first at III with k = r, and accepted
-    these same spacers (tests pin them).  An interleaved state's gate has no
-    III, so its first proposal is taken.  Nothing here verifies:
-    ``stage_reports`` on the target does, and a wrong choice shows there as
-    a FAIL.  The choice is the returned ``spacers[-1]``; equal states yield
-    equal choices.
+    s starts at twice the largest defined time and sp at r copy pitches, each
+    rounded up to a congruence that keeps copies phase-aligned across stages:
+    m_r = ell + s is a multiple of every n_k, and n_r = ell + sp a multiple
+    of m_r and of every m_k.  Unless the state is interleaved (its gate has
+    no III), raw sp then doubles until n_r >= 2r*m_r + w_r, the support width
+    of x_{r+1} (2r+1 copies of x_r, of support width w_r, at pitch m_r).
+    That is III at k = r: consecutive nonzeros of x_{r+1} are less than n_r
+    apart (below ell inside a copy, m_r < n_r between copies), so III passes
+    exactly when the whole support fits one length-n_r cell.  A solver that
+    built, verified and doubled sp on each FAIL accepted these same spacers
+    (tests pin them).  Z holds by construction: s > every earlier time and
+    sp >= r*m_r > s, so tp = 2*max(m_r, n_r) = 2*n_r is twice the largest
+    time, and t = tp + r*(sp - s) >= tp.  Nothing here verifies:
+    ``stage_reports`` on the target does.  The choice is the returned
+    ``spacers[-1]``; equal states yield equal choices.
     """
     r = state.stage
     ell = state.common_length
     raw_s = max(2 * state.times_max(), 1)
+    s = _align_up(raw_s, ell, math.lcm(*state.n_times))
+    m_r = ell + s
+    y_mod = math.lcm(m_r, *state.m_times)
     raw_sp = r * (ell + raw_s)
-    choice = _propose(state, raw_s, raw_sp)
+    sp = _align_up(max(raw_sp, r * m_r), ell, y_mod)
     if not state.transitive:
         nz = state.x.nonzero_positions
-        width = 2 * r * (ell + choice.s) + nz[-1] - nz[0] + 1
-        while ell + choice.sp < width:
+        width = 2 * r * m_r + nz[-1] - nz[0] + 1
+        while ell + sp < width:
             raw_sp *= 2
-            choice = _propose(state, raw_s, raw_sp)
-    return build_stage(state, choice)
+            sp = _align_up(max(raw_sp, r * m_r), ell, y_mod)
+    tp = 2 * (ell + sp)
+    return build_stage(state, SpacerChoice(s=s, t=tp + r * (sp - s), sp=sp, tp=tp))
 
 
 def solve_transitive_spacers(state: Thm2State) -> Thm2State:

@@ -307,12 +307,31 @@ def test_empty_oracle_sweeps_exit_2(capsys):
         (["--nmax", "0"], "error: nmax must be >= 1\n"),
         (["--nmax", "-1"], "error: nmax must be >= 1\n"),
         (["--nmax", "7", "--sample", "-2"], "error: sample must be >= 0\n"),
+        (["--nmax", "1", "--Nmax", "0"], "error: Nmax must be >= 1\n"),
     )
     for flags, message in cases:
         assert main(["oracle", "sweep", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == message
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # The sweep prints about 300 kB, more than a pipe holds, so the writes
+    # after the reader leaves must fail.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dlab.cli", "oracle", "sweep", "--nmax", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert child.stdout.readline().startswith("CHECK ")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == 2
+    assert "Traceback" not in err
+    assert err == "error: stdout was closed before the report was written\n"
 
 
 def test_oracle_sweep_nmax_above_the_bound_rejected_before_sweeping(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -206,8 +207,8 @@ def test_build_to_stage_builds_each_accepted_stage_once(monkeypatch):
 
 
 def test_no_solver_candidate_fails_zero_tails(monkeypatch):
-    # _propose sets t >= tp = 2 max(m_r, n_r), twice the largest time, so
-    # no candidate can fail Z and the solver has no Z branch.
+    # solve_spacers sets t >= tp = 2 max(m_r, n_r), twice the largest time,
+    # so no choice can fail Z and the solver has no Z branch.
     built = []
     real_build = thm2.build_stage
 
@@ -254,6 +255,17 @@ def test_rule_matches_the_retry_solver(target, transitive):
     assert [c.log_line(r) for r, c in enumerate(state.spacers, 1)] == expected
     for rep in thm2.stage_reports(state):
         assert rep.passed, rep.line()
+    # The reasons behind the numbers: the two congruences and the lengths.
+    m, n = state.m_times, state.n_times
+    for r, c in enumerate(state.spacers, 1):
+        assert m[r - 1] % math.lcm(*n[: r - 1]) == 0, r
+        assert n[r - 1] % math.lcm(*m[:r]) == 0, r
+        assert c.tp == 2 * n[r - 1], r
+        assert c.t == c.tp + r * (c.sp - c.s), r
+    if not transitive:
+        # III at k = target - 1: the whole x support fits one n cell.
+        nz = state.x.nonzero_positions
+        assert nz[-1] - nz[0] < n[-1]
 
 
 def test_solver_deterministic():
