@@ -72,6 +72,8 @@ def _check_stage_args(args) -> None:
             )
     if getattr(args, "w", 0) < 0:
         raise ValueError("w must be >= 0")
+    if getattr(args, "horizon", None) is not None and args.horizon < 1:
+        raise ValueError("horizon must be >= 1")  # the upper bound needs the build
 
 
 def cmd_thm1_verify(args) -> list:

@@ -61,16 +61,6 @@ def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
     return FiniteSystem(a.size * b.size, table)
 
 
-def power_system(sys: FiniteSystem, n: int) -> FiniteSystem:
-    """The n-fold composition, n >= 1."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    table = tuple(range(sys.size))
-    for _ in range(n):
-        table = tuple(sys.table[v] for v in table)
-    return FiniteSystem(sys.size, table)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Equivalence relation on {0..size-1}, stored as canonical sorted blocks."""
@@ -126,12 +116,6 @@ def restricted_growth_strings(n: int):
         a[j] += 1
         for i in range(j + 1, n):
             a[i] = 0
-
-
-@lru_cache(maxsize=None)
-def all_partitions(n: int) -> tuple:
-    """Every partition of {0..n-1} (Bell(n) many), RGS order."""
-    return tuple(Partition.from_rgs(rgs) for rgs in restricted_growth_strings(n))
 
 
 def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
@@ -251,14 +235,33 @@ def orbit(sys: FiniteSystem, x: int) -> list:
     return out
 
 
+def _omega_table(table: tuple) -> tuple:
+    """The limit set of every point of the map ``table``, from one walk of its
+    functional graph: each walk runs until it closes a new cycle or lands on
+    a point already labelled, and every point on it gets that cycle."""
+    omega = [None] * len(table)
+    for start in range(len(table)):
+        path = {}  # point -> step, in walk order
+        cur = start
+        while omega[cur] is None and cur not in path:
+            path[cur] = len(path)
+            cur = table[cur]
+        limit = omega[cur]
+        if limit is None:  # the walk closed a new cycle at cur
+            limit = frozenset(list(path)[path[cur]:])
+        for z in path:
+            omega[z] = limit
+    return tuple(omega)
+
+
 def omega_limit(sys: FiniteSystem, x: int) -> frozenset:
-    """Exact limit set: the cycle the forward orbit of x falls into."""
-    out = orbit(sys, x)
-    # The orbit stops where its last point maps back into it: the cycle entry.
-    return frozenset(out[out.index(sys.table[out[-1]]) :])
+    """Exact limit set: the cycle the forward orbit of x falls into.  Each call
+    walks the whole map, so a loop over points reads ``_omega_table`` once."""
+    return _omega_table(sys.table)[x]
 
 
 def is_recurrent(sys: FiniteSystem, x: int) -> bool:
+    """x lies in its own limit set; each call walks the whole map."""
     return x in omega_limit(sys, x)
 
 
@@ -271,12 +274,14 @@ def lemma6_relation(sys: FiniteSystem, x: int):
     """
     if not 0 <= x < sys.size:
         raise ValueError(f"point {x} outside 0..{sys.size - 1}")
-    if is_recurrent(sys, x):
+    out = orbit(sys, x)
+    # x is recurrent exactly when its orbit closes back at x.
+    if sys.table[out[-1]] == x:
         raise ValueError(
             f"point {x} is forward recurrent; the construction needs an "
             "escaping point"
         )
-    points = frozenset(orbit(sys, x))  # orbit already contains its cycle
+    points = frozenset(out)  # orbit already contains its cycle
     rest = ((y,) for y in range(sys.size) if y not in points)
     partition = Partition.from_blocks(sys.size, [tuple(sorted(points)), *rest])
     cls = classify_relation(sys, partition)
@@ -298,8 +303,8 @@ def all_pairs_recurrent(sys: FiniteSystem) -> bool:
     """
     if not sys.onto:
         return False
-    prod = product_system(sys, sys)
-    return all(is_recurrent(prod, p) for p in range(prod.size))
+    omega = _omega_table(product_system(sys, sys).table)
+    return all(p in limit for p, limit in enumerate(omega))
 
 
 def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
@@ -314,9 +319,9 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     params = (("n", sys.size), ("n_max", n_max))
-    powers = {0: FiniteSystem(sys.size, tuple(range(sys.size))), 1: sys}
-    for n in range(2, n_max + 1):
-        powers[n] = power_system(sys, n)
+    powers = [tuple(range(sys.size))]  # powers[k] is the table of T^k
+    for _ in range(n_max):
+        powers.append(tuple(sys.table[v] for v in powers[-1]))
     omegas = {n: _omega_table(powers[n]) for n in range(1, n_max + 1)}
 
     for x in range(sys.size):
@@ -330,7 +335,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
                     (("part", "a"), ("x", x), ("power", n)),
                 )
             decomposition = frozenset().union(
-                *(omega[powers[k].table[x]] for k in range(n))
+                *(omega[powers[k][x]] for k in range(n))
             )
             if decomposition != base_omega:
                 return CheckReport(
@@ -339,33 +344,13 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
                 )
     if all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
-            td, witness = is_td(powers[n])
+            td, witness = is_td(FiniteSystem(sys.size, powers[n]))
             if not td:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
                     (("part", "c"), ("power", n), ("witness", witness.label())),
                 )
     return CheckReport("LEMMA7", PASS, params)
-
-
-def _omega_table(sys: FiniteSystem) -> tuple:
-    """``omega_limit(sys, z)`` for every z, from one walk of the functional
-    graph: each walk runs until it closes a new cycle or lands on a point
-    already labelled, and every point on it gets that cycle as its limit set.
-    """
-    omega = [None] * sys.size
-    for start in range(sys.size):
-        path = {}  # point -> step, in walk order
-        cur = start
-        while omega[cur] is None and cur not in path:
-            path[cur] = len(path)
-            cur = sys.table[cur]
-        limit = omega[cur]
-        if limit is None:  # the walk closed a new cycle at cur
-            limit = frozenset(list(path)[path[cur]:])
-        for z in path:
-            omega[z] = limit
-    return tuple(omega)
 
 
 # -- exhaustive sweeps ---------------------------------------------------------
@@ -401,8 +386,9 @@ def check_map_determinism(sys: FiniteSystem) -> CheckReport:
             "SWEEP_MAP", FAIL, params,
             (("part", "witness"), ("witness", witness.label())),
         )
+    omega = _omega_table(sys.table)
     for x in range(sys.size):
-        if is_recurrent(sys, x):
+        if x in omega[x]:
             continue
         _, _, rep = lemma6_relation(sys, x)
         if not rep.passed:

@@ -6,6 +6,9 @@ independent route against the package's sparse verifiers.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+
+from dlab.oracle import Partition
 
 
 def dense(block):
@@ -154,24 +157,61 @@ def naive_close_pair(x, cell):
     return None
 
 
-def naive_first_forward_invariant_only(table):
-    """The blocks (sorted tuples, sorted) of the first partition of
-    {0..n-1}, in restricted-growth-string order, whose image
-    {(Ta, Tb) : a ~ b} is strictly inside its own pair set; None if none is."""
-    n = len(table)
+def naive_growth_strings(n, prefix=()):
+    """Every restricted growth string of length n, lexicographically."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for g in range(max(prefix, default=-1) + 2):
+        yield from naive_growth_strings(n, prefix + (g,))
 
-    def growth_strings(prefix):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for g in range(max(prefix, default=-1) + 2):
-            yield from growth_strings(prefix + [g])
 
-    for rgs in growth_strings([]):
+def naive_partition_blocks(n):
+    """The blocks (sorted tuples, sorted) of every partition of {0..n-1}, in
+    restricted-growth-string order."""
+    for rgs in naive_growth_strings(n):
         blocks = {}
         for x, g in enumerate(rgs):
             blocks.setdefault(g, []).append(x)
-        rel = frozenset((a, b) for blk in blocks.values() for a in blk for b in blk)
+        yield tuple(sorted(tuple(blk) for blk in blocks.values()))
+
+
+@lru_cache(maxsize=None)
+def all_partitions(n):
+    """Every partition of {0..n-1} (Bell(n) many), in restricted-growth-string
+    order, as ``Partition`` records."""
+    return tuple(Partition(n, blocks) for blocks in naive_partition_blocks(n))
+
+
+def naive_first_forward_invariant_only(table):
+    """The blocks of the first partition of {0..n-1}, in restricted-growth-
+    string order, whose image {(Ta, Tb) : a ~ b} is strictly inside its own
+    pair set; None if none is."""
+    for blocks in naive_partition_blocks(len(table)):
+        rel = frozenset((a, b) for blk in blocks for a in blk for b in blk)
         if frozenset((table[a], table[b]) for a, b in rel) < rel:
-            return tuple(sorted(tuple(blk) for blk in blocks.values()))
+            return blocks
     return None
+
+
+def naive_power_table(table, n):
+    """The value table of the n-fold composition: each point iterated n times."""
+    out = []
+    for x in range(len(table)):
+        for _ in range(n):
+            x = table[x]
+        out.append(x)
+    return tuple(out)
+
+
+def naive_omega_limit(table, x):
+    """The points T^i x for n <= i < 2n on n points: after n steps the orbit
+    is on its cycle, and n more steps go round the whole cycle."""
+    n = len(table)
+    for _ in range(n):
+        x = table[x]
+    out = set()
+    for _ in range(n):
+        out.add(x)
+        x = table[x]
+    return frozenset(out)

@@ -294,6 +294,8 @@ def test_recur_flags_rejected_before_the_build(capsys, monkeypatch):
         ("recur omega --stage 5 --k 0 --w 1", "k=0 out of admissible range 1..4"),
         ("recur escape --stage 5 --k 2 --w -1", "w must be >= 0"),
         ("recur omega --stage 5 --k 2 --w -3", "w must be >= 0"),
+        ("recur pair-sep --stage 7 --horizon 0", "horizon must be >= 1"),
+        ("recur pair-sep --stage 7 --horizon -5", "horizon must be >= 1"),
     )
     for command, message in cases:
         assert main(command.split()) == 2, command

@@ -4,7 +4,13 @@ import pytest
 
 from dlab import oracle as o
 
-from naive_refs import naive_first_forward_invariant_only
+from naive_refs import (
+    all_partitions,
+    naive_first_forward_invariant_only,
+    naive_growth_strings,
+    naive_omega_limit,
+    naive_power_table,
+)
 
 
 def sys_(table):
@@ -16,7 +22,7 @@ def sys_(table):
 
 def test_classify_identity_map_everything_invariant():
     ident = sys_([0, 1, 2])
-    for p in o.all_partitions(3):
+    for p in all_partitions(3):
         assert o.classify_relation(ident, p) == o.INVARIANT
 
 
@@ -53,7 +59,10 @@ def test_partition_validation_and_label():
 def test_restricted_growth_enumeration_bell_counts():
     bells = [1, 1, 2, 5, 15, 52, 203]
     for n in range(1, 7):
-        parts = o.all_partitions(n)
+        rgs = tuple(o.restricted_growth_strings(n))
+        assert rgs == tuple(naive_growth_strings(n))
+        parts = tuple(map(o.Partition.from_rgs, rgs))
+        assert parts == all_partitions(n)
         assert len(parts) == bells[n]
         assert len(set(parts)) == bells[n]
         assert parts[0] == o.Partition.from_blocks(n, [range(n)])
@@ -140,7 +149,7 @@ def test_partition_masks_classify_every_partition():
     for table in tables:
         system = o.make_system(table)
         forward, only = o._partition_masks(table)
-        partitions = o.all_partitions(system.size)
+        partitions = all_partitions(system.size)
         assert forward >> len(partitions) == 0
         for i, partition in enumerate(partitions):
             cls = o.classify_relation(system, partition)
@@ -201,22 +210,16 @@ def test_lemma6_everywhere_small(n):
 # -- powers and products --------------------------------------------------------------
 
 
-def test_power_system_functorial():
-    s = sys_([1, 2, 0, 3])
-    assert o.power_system(s, 1) == s
-    assert o.power_system(s, 6).table[:3] == (0, 1, 2)  # 3-cycle closes
-
-
 def test_product_system_recurrence_matches_joint_returns():
     s = sys_([1, 0, 2])  # 2-cycle plus fixed point
     prod = o.product_system(s, s)
-    powers = [o.power_system(s, n) for n in range(1, 7)]
+    powers = [naive_power_table(s.table, n) for n in range(1, 7)]
     for a in range(3):
         for b in range(3):
             code = a * 3 + b
             # Joint return: some n >= 1 with T^n a = a and T^n b = b.
             joint = any(
-                power.table[a] == a and power.table[b] == b for power in powers
+                power[a] == a and power[b] == b for power in powers
             )
             assert o.is_recurrent(prod, code) == joint
 
@@ -227,7 +230,7 @@ def test_lemma7_cycle_examples():
     two_cycle = sys_([1, 0])
     assert o.lemma7_checks(two_cycle, 2).passed
     # Power 2 splits the 2-cycle into fixed points whose limit sets union back.
-    pw = o.power_system(two_cycle, 2)
+    pw = o.make_system(naive_power_table(two_cycle.table, 2))
     assert o.omega_limit(pw, 0) == {0}
     assert o.omega_limit(pw, 1) == {1}
 
@@ -238,8 +241,8 @@ def test_omega_table_matches_orbit_walk():
     systems += [o.make_system([rng.randrange(8) for _ in range(8)]) for _ in range(50)]
     for s in systems:
         for n in range(1, 5):
-            power = o.power_system(s, n)
-            want = tuple(o.omega_limit(power, z) for z in range(s.size))
+            power = naive_power_table(s.table, n)
+            want = tuple(naive_omega_limit(power, z) for z in range(s.size))
             assert o._omega_table(power) == want, (s.table, n)
 
 
@@ -251,6 +254,105 @@ def test_lemma7_decomposition_randomless_sweep_n4():
 def test_all_pairs_recurrent_only_for_permutations_n3():
     for s in o.all_systems(3):
         assert o.all_pairs_recurrent(s) == s.onto
+
+
+# -- planted violations: each FAIL line the sweep can print ---------------------------
+
+
+def _plant_omega(monkeypatch, table, point, limit):
+    """Make ``_omega_table`` give ``point`` the limit set ``limit`` in the
+    map ``table`` only."""
+    real = o._omega_table
+
+    def planted(t):
+        omega = real(t)
+        if t != table:
+            return omega
+        return omega[:point] + (frozenset(limit),) + omega[point + 1 :]
+
+    monkeypatch.setattr(o, "_omega_table", planted)
+
+
+def _plant_td(monkeypatch, table, verdict):
+    real = o.is_td
+    monkeypatch.setattr(
+        o, "is_td", lambda s: verdict if s.table == table else real(s)
+    )
+
+
+def test_lemma7_part_a_reports_a_point_lost_by_a_power(monkeypatch):
+    # The square of the 3-cycle is the 3-cycle (2, 0, 1); the planted limit
+    # set of 1 leaves 1 out, and x = 0 still passes every part.
+    _plant_omega(monkeypatch, (2, 0, 1), 1, {0, 2})
+    rep = o.lemma7_checks(sys_([1, 2, 0]), 3)
+    assert rep.line() == "CHECK LEMMA7 FAIL n=3 n_max=3 part=a x=1 power=2"
+
+
+def test_lemma7_part_b_reports_a_wrong_decomposition(monkeypatch):
+    # The square of a 2-cycle plus the fixed point 2 is the identity; the
+    # planted limit set of 2 keeps 2 (part a holds) but adds 0.
+    _plant_omega(monkeypatch, (0, 1, 2), 2, {0, 2})
+    rep = o.lemma7_checks(sys_([1, 0, 2]), 2)
+    assert rep.line() == "CHECK LEMMA7 FAIL n=3 n_max=2 part=b x=2 power=2"
+
+
+def test_lemma7_part_c_reports_the_power_and_its_witness(monkeypatch):
+    _plant_td(monkeypatch, (0, 1), (False, o.Partition.from_blocks(2, [(0, 1)])))
+    rep = o.lemma7_checks(sys_([1, 0]), 2)
+    assert rep.line() == "CHECK LEMMA7 FAIL n=2 n_max=2 part=c power=2 witness=0,1"
+
+
+@pytest.mark.parametrize(
+    "table, verdict, tail",
+    [
+        ((1, 1), (True, None), "onto=false part=td_vs_onto td=true"),
+        ((1, 0), (False, o.Partition.diagonal(2)), "onto=true part=td_vs_onto td=false"),
+        (
+            (1, 1),
+            (False, o.Partition.from_blocks(2, [(0, 1)])),
+            "onto=false part=witness witness=0,1",
+        ),
+    ],
+)
+def test_sweep_map_reports_a_planted_td_verdict(monkeypatch, table, verdict, tail):
+    _plant_td(monkeypatch, table, verdict)
+    rep = o.check_map_determinism(o.make_system(table))
+    map_ = ",".join(map(str, table))
+    assert rep.line() == f"CHECK SWEEP_MAP FAIL n=2 map={map_} {tail}"
+
+
+def test_sweep_map_reports_the_first_failing_escaping_point(monkeypatch):
+    # 0 is fixed, so 1 is the first escaping point of 0, 0, 1.
+    monkeypatch.setattr(o, "classify_relation", lambda s, p: o.INVARIANT)
+    rep = o.check_map_determinism(sys_([0, 0, 1]))
+    assert rep.line() == "CHECK SWEEP_MAP FAIL n=3 map=0,0,1 onto=false part=lemma6 x=1"
+
+
+def test_sweep_map_runs_lemma6_at_exactly_the_non_recurrent_points(monkeypatch):
+    rng = random.Random(4111)
+    systems = [s for n in range(1, 5) for s in o.all_systems(n)]
+    for _ in range(20):  # n = 8 permutations with planted tails
+        table = rng.sample(range(8), 8)
+        for a in rng.sample(range(8), rng.randint(1, 4)):
+            table[a] = rng.randrange(8)
+        systems.append(o.make_system(table))
+    real = o.lemma6_relation
+    called = []
+
+    def spy(s, x):
+        called.append(x)
+        return real(s, x)
+
+    monkeypatch.setattr(o, "lemma6_relation", spy)
+    tails = 0
+    for s in systems:
+        called.clear()
+        assert o.check_map_determinism(s).passed, s.table
+        want = [x for x in range(s.size) if x not in naive_omega_limit(s.table, x)]
+        assert called == want, s.table
+        if s.size == 8:
+            tails += len(want)
+    assert tails > 20
 
 
 # -- serialization and sweep harness ---------------------------------------------------
