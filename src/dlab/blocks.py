@@ -228,7 +228,9 @@ def scale(t, b: Block) -> Block:
 
 
 def window(b: Block, i: int, j: int) -> Block:
-    """Sub-block at positions i..j (inclusive), based at i."""
+    """Sub-block at positions i..j (inclusive), based at i: ``b`` if that is all."""
+    if i == b.base and j == b.last:
+        return b
     if i < b.base:
         raise IndexError(f"window start {i} below block base {b.base}")
     if j > b.last:

@@ -17,14 +17,39 @@ prefix, the three properties the construction is designed for:
 
 plus a diagnostic falsifier for the uncorrected smallness statement (hypothesis
 over k symbols with bound 1/k), which the constructed point itself refutes.
+
+C3 and C2PRIME scan each scale once and then only the copy seams.  Write B_r
+for the stage-r block, the first n_r symbols of the prefix.  Each test reads
+a span of positions: [q-k+1, q+n_k+k-1] for C3 at q, [p, p+n_j] for C2PRIME
+at p.  Suppose B_r is a row of copies c*B_{r-1} at pitch L = n_{r-1}, each
+with 0 <= c <= 1.  If a span lies inside one copy with c > 0, the test there
+is the test at the same scale in B_{r-1}, shifted by a multiple of L: c <= 1
+only shrinks differences, and c > 0 keeps the nonzero pattern that the C3
+gate reads.  A span that runs past either end of B_r lies in its first copy
+(which is B_{r-1}) or its last one, and is cut off there as in B_{r-1}.  A
+copy with c = 0 is all zeros and breaks neither bound.  So once B_{r-1}
+passes a scale, B_r can fail it only on a span that crosses a seam jL.  Those
+spans start at q in [jL - n_k - k + 2, jL + k - 1] for C3 and at p in
+[jL - n_j + 1, jL] for C2PRIME.  Scale k is therefore scanned flat on
+B_{k+1}, and then on each later B_r only around its seams, with the stage-r
+test unchanged.  The newest scale (k = stage - 1) is scanned flat on the
+whole prefix.
+
+The seam scan needs the copy layout, and ``Thm1State.copies_audited`` checks
+it exactly, once per state, for every r >= 2.  If the audit refuses, or any
+scan of the chain finds a hit, that scale is scanned flat over the whole
+prefix as before.  So every FAIL line comes from the flat scan, with its
+first (k, pos) witness.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property, partial
+from itertools import compress, islice, repeat
+from operator import eq, mul, sub
 
 from .blocks import (
     DEFAULT_MAX_SYMBOLS,
@@ -50,6 +75,16 @@ class Thm1State:
     prefix: Block
 
     def __post_init__(self):
+        n = self.lengths
+        if not (
+            n
+            and all(isinstance(v, int) for v in n)
+            and n[0] >= 1
+            and all(map(int.__lt__, n, n[1:]))
+        ):
+            raise ValueError(
+                f"stage lengths {n!r} are not strictly increasing positive ints"
+            )
         if self.stage < 1 or len(self.lengths) != self.stage:
             raise ValueError("stage and length history disagree")
         if self.prefix.base != 1 or len(self.prefix) != self.lengths[-1]:
@@ -64,6 +99,42 @@ class Thm1State:
         if not 1 <= k <= self.stage:
             raise ValueError(f"stage {k} not built (have 1..{self.stage})")
         return self.lengths[k - 1]
+
+    @cached_property
+    def copies_audited(self) -> bool:
+        """Every B_r with r >= 2 is a row of copies c_j * B_{r-1}, 0 <= c_j <= 1.
+
+        For each r >= 2, with L = n_{r-1}, it checks exactly:
+          - n_r is a multiple of L;
+          - copy j (positions jL+1 .. (j+1)L) holds no nonzero (c_j = 0), or
+            its nonzero positions are copy 0's shifted by jL;
+          - its numerators are then copy 0's times one ratio c_j <= 1.
+        Copy 0 is B_{r-1} itself.  The C3 and C2PRIME seam scans need this
+        layout; computed once per state.
+        """
+        nz = self.prefix.nonzero_positions
+        _, nums = common_numerators(self.prefix)
+        for size, total in zip(self.lengths, self.lengths[1:]):
+            if total % size:
+                return False
+            cut = [bisect_right(nz, end) for end in range(0, total + 1, size)]
+            pos0, num0 = nz[: cut[1]], nums[: cut[1]]
+            for j in range(1, len(cut) - 1):
+                a, b = cut[j], cut[j + 1]
+                if a == b:
+                    continue
+                if b - a != len(pos0):
+                    return False
+                shift = j * size
+                if not all(map(shift.__eq__, map(sub, nz[a:b], pos0))):
+                    return False
+                top, bottom = nums[a], num0[0]  # c_j = top / bottom
+                if top > bottom:
+                    return False
+                scaled = map(mul, nums[a:b], repeat(bottom))
+                if not all(map(eq, scaled, map(mul, num0, repeat(top)))):
+                    return False
+        return True
 
 
 def initial_state() -> Thm1State:
@@ -155,6 +226,50 @@ def _c3_gate(block: Block, q: int, k: int, hi_start: int) -> bool:
     return lo_i <= hi_i and block.count_nonzero_in(lo_i, hi_i + k - 1) > 0
 
 
+def _passes_on_seams(state: Thm1State, k: int, first, before: int, after: int) -> bool:
+    """Scale k passes on the whole prefix, shown without scanning all of it.
+
+    ``first(last, lo, hi)`` runs the scale-k test of B_r (``last`` = n_r) at
+    the positions lo..hi and returns its first hit or None.  The scan is flat
+    on B_{k+1}, then covers seam - before .. seam + after around each seam of
+    every later B_r (the module docstring gives the argument; positions count
+    from 1, so seam jL sits after position jL).  False when the copy layout
+    is not audited, when k is the newest scale (B_{k+1} is the whole
+    prefix), or on any hit: the caller then scans the prefix flat.
+    """
+    n = state.lengths
+    if k + 1 >= state.stage or not state.copies_audited:
+        return False
+    if first(n[k], 1, n[k]) is not None:
+        return False
+    for size, last in zip(n[k:], n[k + 1 :]):
+        for seam in range(size, last, size):
+            if first(last, seam - before, seam + after) is not None:
+                return False
+    return True
+
+
+def _c3_first(block: Block, k: int, n_k: int, last: int, lo: int, hi: int):
+    """First gated C3 failure ``(q, value, shifted)`` in B_r with lo <= q <= hi.
+
+    B_r is the block cut at ``last``: the pair (q, q + n_k) lies in it and the
+    gate admits window starts up to last - n_k - k + 1.  ``shift_violations``
+    in its at-bound mode walks only positions lo..hi + n_k.
+    """
+    base = block.base
+    hi_start = last - n_k - k + 1  # largest admissible window start
+    lo, hi = max(lo, base), min(hi, last - n_k)
+    if hi_start < base or lo > hi:
+        return None
+    part = window(block, lo, hi + n_k)
+    for q, value, shifted in shift_violations(part, n_k, Fraction(1, k), at_bound=True):
+        if q > hi:
+            break
+        if q >= lo and _c3_gate(block, q, k, hi_start):
+            return q, value, shifted
+    return None
+
+
 def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     """Strict rigidity: shifting by n_k moves no symbol by 1/k or more.
 
@@ -166,33 +281,49 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     break the bound, in increasing q; the first whose gating window sees a
     nonzero is the failure.  Reports it as (k, position) with both values,
     smallest k first, then smallest position.
+
+    An old scale of an audited state is scanned on B_{k+1} and then only at
+    q in [jL - n_k - k + 2, jL + k - 1] around seams (module docstring).
     """
     _require_range(state, kmax, "kmax")
     block = state.prefix
-    base, last = block.base, block.last
     for k in range(1, kmax + 1):
         n_k = state.length_of_stage(k)
-        hi_start = last - n_k - k + 1  # largest admissible window start
-        if hi_start < base:
+        first = partial(_c3_first, block, k, n_k)
+        if _passes_on_seams(state, k, first, n_k + k - 2, k - 1):
             continue
-        bound = Fraction(1, k)
-        for q, value, shifted in shift_violations(block, n_k, bound, at_bound=True):
-            if q > last - n_k:
-                break
-            if q >= base and _c3_gate(block, q, k, hi_start):
-                return CheckReport(
-                    "C3",
-                    FAIL,
-                    (("stage", state.stage), ("kmax", kmax)),
-                    (
-                        ("k", k),
-                        ("pos", q),
-                        ("value", value),
-                        ("shifted", shifted),
-                        ("bound", bound),
-                    ),
-                )
+        hit = first(block.last, block.base, block.last)
+        if hit is not None:
+            q, value, shifted = hit
+            return CheckReport(
+                "C3",
+                FAIL,
+                (("stage", state.stage), ("kmax", kmax)),
+                (
+                    ("k", k),
+                    ("pos", q),
+                    ("value", value),
+                    ("shifted", shifted),
+                    ("bound", Fraction(1, k)),
+                ),
+            )
     return CheckReport("C3", PASS, (("stage", state.stage), ("kmax", kmax)))
+
+
+def _c2prime_first(block: Block, j: int, n_j: int, last: int, lo: int, hi: int):
+    """First C2PRIME failure ``(p, window_max)`` in B_r with lo <= p <= hi.
+
+    B_r is the block cut at ``last``, so only p with p + n_j <= last are tested.
+    """
+    nz = block.nonzero_positions
+    den, nums = common_numerators(block)
+    a, b = bisect_left(nz, lo), bisect_right(nz, min(hi, last - n_j))
+    for i in compress(range(a, b), map((den // (j + 1)).__lt__, islice(nums, a, b))):
+        p = nz[i]
+        eps = max(nums[i + 1 : bisect_right(nz, p + n_j, i + 1)], default=0)
+        if (nums[i] - eps) * (j + 1) > den:
+            return p, Fraction(eps, den)
+    return None
 
 
 def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
@@ -204,32 +335,32 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     the maximum of the nonzeros in (p, p + n_j] for each.  The bound is
     attained with equality inside the construction, which is why a failure
     needs (value - window_max) * (j+1) > D strictly.
+
+    An old scale of an audited state is scanned on B_{j+1} and then only at
+    p in [jL - n_j + 1, jL] around seams (module docstring).
     """
     _require_range(state, jmax, "jmax")
     block = state.prefix
-    nz = block.nonzero_positions
-    last = block.last
-    den, nums = common_numerators(block)
     for j in range(1, jmax + 1):
         n_j = state.length_of_stage(j)
-        for i in compress(range(len(nz)), map((den // (j + 1)).__lt__, nums)):
-            p = nz[i]
-            if p + n_j > last:
-                break
-            eps = max(nums[i + 1 : bisect_right(nz, p + n_j, i + 1)], default=0)
-            if (nums[i] - eps) * (j + 1) > den:
-                return CheckReport(
-                    "C2PRIME",
-                    FAIL,
-                    (("stage", state.stage), ("jmax", jmax)),
-                    (
-                        ("j", j),
-                        ("pos", p),
-                        ("value", block[p]),
-                        ("window_max", Fraction(eps, den)),
-                        ("slack", Fraction(1, j + 1)),
-                    ),
-                )
+        first = partial(_c2prime_first, block, j, n_j)
+        if _passes_on_seams(state, j, first, n_j - 1, 0):
+            continue
+        hit = first(block.last, block.base, block.last)
+        if hit is not None:
+            p, eps = hit
+            return CheckReport(
+                "C2PRIME",
+                FAIL,
+                (("stage", state.stage), ("jmax", jmax)),
+                (
+                    ("j", j),
+                    ("pos", p),
+                    ("value", block[p]),
+                    ("window_max", eps),
+                    ("slack", Fraction(1, j + 1)),
+                ),
+            )
     return CheckReport("C2PRIME", PASS, (("stage", state.stage), ("jmax", jmax)))
 
 

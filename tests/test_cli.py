@@ -395,6 +395,11 @@ PINNED_OUTPUT = (
      "b71340861269f6e422a3ed2bf1fa0527791922e93baa4b5342fbd7e67594f0d1"),
     ("thm1 build --stage 6 --out x6.tdseq", 0,
      "6fa4ede8aab862cf2710f0534203bc208543a6d04b717f2f287787fb545990d7"),
+    # Stages 7 and 8 run C3 and C2PRIME over the copy seams of audited stages.
+    ("thm1 verify --stage 7 --kmax 20 --jmax 4", 0,
+     "d1d2227b300d33d8816137fe4b10bf8fade80b50ac4b94b1fefe4950125f11b1"),
+    ("thm1 verify --stage 8 --kmax 20 --jmax 4", 0,
+     "0f3ed05ad04fe10b6162979f5090b64531d4ee14af335c731d1c453504a907fa"),
 )
 PINNED_TDSEQ = {
     "x6.tdseq": "7e61f941815362b4d13201cf0717f419b7eff21a030ab52dac06b82dee6e29a4",

@@ -53,3 +53,39 @@ def test_corrupted_step_raises_under_optimize(name):
     lines = result.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1] == f"InvariantError {name}"
+
+
+# Stage 5 with one value changed inside copy 2: the copy-layout audit must
+# refuse without relying on ``assert``, so C3 and C2PRIME scan the whole prefix.
+REFUSED_AUDIT = """
+import sys
+from fractions import Fraction
+from dlab import thm1
+from dlab.blocks import Block
+print("optimize", sys.flags.optimize)
+built = thm1.build(5)
+syms = [0] * built.length
+for p, v in built.prefix.nonzero_items():
+    syms[p - 1] = v
+syms[864] = Fraction(1)
+state = thm1.Thm1State(5, built.lengths, Block(syms))
+print("audited", state.copies_audited)
+print(thm1.check_c3(state, 4).line())
+print(thm1.check_c2prime(state, 4).line())
+"""
+
+
+def test_refused_copy_audit_scans_flat_under_optimize():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", REFUSED_AUDIT],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "audited False",
+        "CHECK C3 FAIL stage=5 kmax=4 k=2 pos=865 value=1/1 shifted=1/5 bound=1/2",
+        "CHECK C2PRIME FAIL stage=5 jmax=4 j=1 pos=865 value=1/1 window_max=2/5 slack=1/2",
+    ]

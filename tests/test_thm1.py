@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dlab import thm1
-from dlab.blocks import Block, ResourceCapError, window
+from dlab.blocks import Block, ResourceCapError, concat_all, scale, window
 
 from naive_refs import (
     dense,
@@ -232,6 +232,16 @@ def test_state_invariant_validation():
         thm1.Thm1State(1, (4,), Block([1, 0, 0]))
 
 
+@pytest.mark.parametrize(
+    "lengths", [(-3, 12), (0, 12), (0, 5, 12), (12, 12), (5, 3, 12), (3.0, 12), ()]
+)
+def test_state_refuses_bad_stage_lengths(lengths):
+    # A negative or zero n_k would make C3 shift backwards or by nothing, and
+    # an unsorted history would skip or repeat scales.
+    with pytest.raises(ValueError, match="not strictly increasing positive ints"):
+        thm1.Thm1State(len(lengths), lengths, Block([1] + [0] * 11))
+
+
 # -- differential checks against the dense references ----------------------------
 
 
@@ -345,3 +355,142 @@ def test_fail_report_lines_are_exact():
     assert thm1.check_c3(mutated, 2).line() == (
         "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=13 value=1/1 shifted=1/7 bound=1/2"
     )
+
+
+# -- seam scans on audited copy layouts -------------------------------------------
+
+
+def _copy_layout_state(rng):
+    """Stages 2..R built as rows of copies c_j * (previous stage) from a random seed.
+
+    c_0 = 1 and every other c_j is drawn from {0, 1/4, 1/2, 3/4, 1}, so the
+    layout is exactly what ``Thm1State.copies_audited`` accepts.
+    """
+    seed = [_random_symbol(rng) if rng.random() < 0.5 else F(0)
+            for _ in range(rng.randint(2, 5))]
+    block = Block(seed, base=1)
+    lengths = [len(block)]
+    for _ in range(rng.randint(1, 3)):
+        factors = [F(1)] + [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 3))]
+        block = concat_all([scale(c, block) for c in factors], base=1)
+        lengths.append(len(block))
+    return thm1.Thm1State(len(lengths), tuple(lengths), block)
+
+
+def _at_top_seam(state, pos, before, after):
+    """pos lies in seam - before .. seam + after for some copy seam of the top stage."""
+    pitch = state.lengths[-2]
+    return any(seam - before <= pos <= seam + after
+               for seam in range(pitch, state.length, pitch))
+
+
+def test_seam_scans_match_dense_references_on_copy_layouts():
+    rng = random.Random(16)
+    verdicts = {"C3": {True: 0, False: 0}, "C2PRIME": {True: 0, False: 0}}
+    fail_sites = set()
+    for _ in range(600):
+        state = _copy_layout_state(rng)
+        assert state.copies_audited
+        kmax = state.stage - 1
+        p = state.prefix
+
+        rep = thm1.check_c3(state, kmax)
+        expected = _expected_c3(state, kmax)
+        assert rep.passed == (expected is None), rep.line()
+        verdicts["C3"][rep.passed] += 1
+        if expected is not None:
+            w = dict(rep.witness)
+            k, pos = expected
+            assert (w["k"], w["pos"]) == (k, pos), rep.line()
+            n_k = state.lengths[k - 1]
+            assert (w["value"], w["shifted"]) == (p[pos], p[pos + n_k])
+            seam = _at_top_seam(state, pos, n_k + k - 2, k - 1)
+            fail_sites.add(("C3", seam))
+
+        rep = thm1.check_c2prime(state, kmax)
+        expected = _expected_c2prime(state, kmax)
+        assert rep.passed == (expected is None), rep.line()
+        verdicts["C2PRIME"][rep.passed] += 1
+        if expected is not None:
+            w = dict(rep.witness)
+            j, pos, eps = expected
+            assert (w["j"], w["pos"], w["window_max"]) == (j, pos, eps), rep.line()
+            n_j = state.lengths[j - 1]
+            fail_sites.add(("C2PRIME", _at_top_seam(state, pos, n_j - 1, 0)))
+    for check, counts in verdicts.items():
+        assert min(counts.values()) > 100, (check, counts)
+    # Failures both at the top stage's seams and deep inside its copies, where
+    # only a failure already present in the stage below can put them.
+    assert fail_sites == {(c, seam) for c in verdicts for seam in (True, False)}
+
+
+def _plant_perturbed_value(s5):
+    syms = list(dense(s5.prefix))
+    assert syms[864] == F(2, 5)
+    syms[864] = F(1)  # position 865, inside copy 2 (721..1080) of stage 5
+    return s5.lengths, syms
+
+
+def _plant_shifted_copy(s5):
+    syms = list(dense(s5.prefix))
+    syms[720:1080] = [F(0)] + syms[720:1079]  # copy 2 moved right by one
+    return s5.lengths, syms
+
+
+def _plant_doubled_copy(s5):
+    syms = list(dense(scale(F(1, 2), s5.prefix)))
+    syms[1440:1800] = [2 * v for v in syms[:360]]  # copy 4 is 2 x copy 0
+    return s5.lengths, syms
+
+
+def _plant_length_not_a_multiple(s5):
+    syms = list(dense(s5.prefix))[:2340]  # stage 5 cut inside its all-zero copy 6
+    syms[2199] = F(1)
+    return s5.lengths[:-1] + (2340,), syms
+
+
+@pytest.mark.parametrize("plant, c3_line, c2prime_line", [
+    (_plant_perturbed_value,
+     "CHECK C3 FAIL stage=5 kmax=4 k=2 pos=865 value=1/1 shifted=1/5 bound=1/2",
+     "CHECK C2PRIME FAIL stage=5 jmax=4 j=1 pos=865 value=1/1 window_max=2/5 slack=1/2"),
+    (_plant_shifted_copy,
+     "CHECK C3 FAIL stage=5 kmax=4 k=4 pos=361 value=1/1 shifted=0/1 bound=1/4",
+     "CHECK C2PRIME PASS stage=5 jmax=4"),
+    (_plant_doubled_copy,
+     "CHECK C3 FAIL stage=5 kmax=4 k=4 pos=1081 value=3/10 shifted=1/1 bound=1/4",
+     "CHECK C2PRIME FAIL stage=5 jmax=4 j=4 pos=1516 value=1/1 window_max=3/4 slack=1/5"),
+    (_plant_length_not_a_multiple,
+     "CHECK C3 FAIL stage=5 kmax=4 k=1 pos=2200 value=1/1 shifted=0/1 bound=1/1",
+     "CHECK C2PRIME FAIL stage=5 jmax=4 j=1 pos=2200 value=1/1 window_max=0/1 slack=1/2"),
+])
+def test_refused_audit_prints_the_flat_lines(plant, c3_line, c2prime_line):
+    # Lines as the flat scan of the whole prefix prints them.  The perturbed
+    # value and the cut stage fail inside a copy at an old scale, where a seam
+    # scan would not look.
+    lengths, syms = plant(thm1.build(5))
+    state = thm1.Thm1State(5, lengths, Block(syms, base=1))
+    assert state.copies_audited is False
+    assert thm1.check_c3(state, 4).line() == c3_line
+    assert thm1.check_c2prime(state, 4).line() == c2prime_line
+
+
+def test_built_stages_scan_no_old_scale_over_the_whole_prefix(monkeypatch, thm1_stage8):
+    calls = []
+
+    def recording(real):
+        def first(block, k, n_k, last, lo, hi):
+            calls.append((k, (last, lo, hi) == (block.last, block.base, block.last)))
+            return real(block, k, n_k, last, lo, hi)
+        return first
+
+    monkeypatch.setattr(thm1, "_c3_first", recording(thm1._c3_first))
+    monkeypatch.setattr(thm1, "_c2prime_first", recording(thm1._c2prime_first))
+    for state in [thm1.build(m) for m in range(3, 8)] + [thm1_stage8]:
+        assert state.copies_audited
+        calls.clear()
+        assert thm1.check_c3(state, state.stage - 1).passed
+        assert thm1.check_c2prime(state, min(4, state.stage - 1)).passed
+        flat = {k for k, whole in calls if whole}
+        # Only the newest scale, k = stage - 1, is scanned over the whole prefix.
+        assert flat <= {state.stage - 1}, (state.stage, flat)
+        assert {k for k, _ in calls} == set(range(1, state.stage))
