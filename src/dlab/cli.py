@@ -21,6 +21,10 @@ from .blocks import DEFAULT_MAX_SYMBOLS, ResourceCapError, dump_tdseq
 from .report import CheckReport, INFO
 
 SWEEP_EXHAUSTIVE_BOUND = 6
+# lemma6 lists every pair of its relation's orbit block, n^2 of them on a
+# path of n points: 1,000 entries take 1.8 s and 233 MB (Python 3.11.7 on a
+# 2-vCPU Xeon), and the memory grows as n^2.
+LEMMA6_MAP_BOUND = 1000
 SAMPLED_SWEEP_DEFAULT = 200
 
 # What --max-symbols counts: thm1 blocks are about 10% nonzero and are capped
@@ -92,6 +96,8 @@ def cmd_thm1_verify(args) -> list:
 
 
 def cmd_thm2_build(args) -> list:
+    if os.path.realpath(args.out_x) == os.path.realpath(args.out_y):
+        raise ValueError(f"--out-x and --out-y name one file: {args.out_x}")
     # Each stage's length is checked as soon as it is built, before any file
     # is opened.
     state = _thm2_state(args, max_positions=args.max_symbols)
@@ -204,6 +210,10 @@ def cmd_oracle_sweep(args) -> list:
 
 def cmd_oracle_lemma6(args) -> list:
     entries = args.map.split(",")
+    if len(entries) > LEMMA6_MAP_BOUND:
+        raise ValueError(
+            f"--map has {len(entries)} entries, the bound is {LEMMA6_MAP_BOUND}"
+        )
     for entry in entries:  # the TDSEQ integer grammar: no sign, space or '_'
         if not re.fullmatch("0|[1-9][0-9]*", entry):
             raise ValueError(f"--map entry {entry!r} is not an integer 0|[1-9][0-9]*")
@@ -319,7 +329,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left; a cut report is no FAIL
         # Python flushes stdout again at exit; send that flush nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the report was written", file=sys.stderr)
+        try:
+            print("error: stdout was closed before the report was written", file=sys.stderr)
+        except BrokenPipeError:  # stderr is the same closed pipe (2>&1)
+            pass
         return 2
     return 1 if failed else 0
 

@@ -30,67 +30,68 @@ DEFAULT_EXHAUSTIVE_BOUND = 8  # is_td masks are Bell(8) = 4140 bits wide
 
 @dataclass(frozen=True)
 class FiniteSystem:
-    """Endomap on {0..size-1} given by its value table."""
+    """Endomap on {0..size-1} given by its value table; size is len(table)."""
 
-    size: int
     table: tuple
 
     def __post_init__(self):
-        if self.size < 1 or len(self.table) != self.size:
-            raise ValueError("table length must equal the system size")
-        if any(not 0 <= v < self.size for v in self.table):
+        if not self.table:
+            raise ValueError("table must not be empty")
+        if min(self.table) < 0 or max(self.table) >= len(self.table):
             raise ValueError("table values must lie in 0..size-1")
 
     @property
+    def size(self) -> int:
+        return len(self.table)
+
+    @property
     def onto(self) -> bool:
-        return len(set(self.table)) == self.size
+        return len(set(self.table)) == len(self.table)
 
 
 def make_system(table) -> FiniteSystem:
-    table = tuple(int(v) for v in table)
-    return FiniteSystem(len(table), table)
+    return FiniteSystem(tuple(int(v) for v in table))
 
 
 def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
     """Coordinatewise product; point (p, q) is encoded as p * b.size + q."""
-    table = tuple(
-        a.table[p] * b.size + b.table[q]
-        for p in range(a.size)
-        for q in range(b.size)
-    )
-    return FiniteSystem(a.size * b.size, table)
+    n = len(b.table)
+    return FiniteSystem(tuple(u * n + v for u in a.table for v in b.table))
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Equivalence relation on {0..size-1}, stored as canonical sorted blocks."""
+    """Equivalence relation on {0..size-1}, stored as canonical sorted blocks;
+    size is the number of points the blocks hold."""
 
-    size: int
     blocks: tuple
 
     def __post_init__(self):
         seen = sorted(x for blk in self.blocks for x in blk)
-        if seen != list(range(self.size)):
+        if seen != list(range(len(seen))):
             raise ValueError("blocks must partition 0..size-1")
         canonical = tuple(sorted(tuple(sorted(blk)) for blk in self.blocks))
         if canonical != self.blocks:
             raise ValueError("blocks must be in canonical sorted form")
 
+    @property
+    def size(self) -> int:
+        return sum(map(len, self.blocks))
+
     @classmethod
-    def from_blocks(cls, size: int, blocks) -> "Partition":
-        canonical = tuple(sorted(tuple(sorted(blk)) for blk in blocks))
-        return cls(size, canonical)
+    def from_blocks(cls, blocks) -> "Partition":
+        return cls(tuple(sorted(tuple(sorted(blk)) for blk in blocks)))
 
     @classmethod
     def from_rgs(cls, rgs) -> "Partition":
         groups = {}
         for x, g in enumerate(rgs):
             groups.setdefault(g, []).append(x)
-        return cls.from_blocks(len(rgs), groups.values())
+        return cls.from_blocks(groups.values())
 
     @classmethod
     def diagonal(cls, size: int) -> "Partition":
-        return cls.from_blocks(size, ((x,) for x in range(size)))
+        return cls.from_blocks((x,) for x in range(size))
 
     def pairs(self) -> frozenset:
         """All related ordered pairs, diagonal included."""
@@ -254,17 +255,6 @@ def _omega_table(table: tuple) -> tuple:
     return tuple(omega)
 
 
-def omega_limit(sys: FiniteSystem, x: int) -> frozenset:
-    """Exact limit set: the cycle the forward orbit of x falls into.  Each call
-    walks the whole map, so a loop over points reads ``_omega_table`` once."""
-    return _omega_table(sys.table)[x]
-
-
-def is_recurrent(sys: FiniteSystem, x: int) -> bool:
-    """x lies in its own limit set; each call walks the whole map."""
-    return x in omega_limit(sys, x)
-
-
 def lemma6_relation(sys: FiniteSystem, x: int):
     """Escaping-point construction: the orbit closure of a non-recurrent point
     spans a relation that is forward-invariant but not invariant.
@@ -283,7 +273,7 @@ def lemma6_relation(sys: FiniteSystem, x: int):
         )
     points = frozenset(out)  # orbit already contains its cycle
     rest = ((y,) for y in range(sys.size) if y not in points)
-    partition = Partition.from_blocks(sys.size, [tuple(sorted(points)), *rest])
+    partition = Partition.from_blocks([tuple(sorted(points)), *rest])
     cls = classify_relation(sys, partition)
     verdict = PASS if cls == FORWARD_INVARIANT_ONLY else FAIL
     report = CheckReport(
@@ -344,7 +334,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
                 )
     if all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
-            td, witness = is_td(FiniteSystem(sys.size, powers[n]))
+            td, witness = is_td(FiniteSystem(powers[n]))
             if not td:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
@@ -359,13 +349,13 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
 def all_systems(n: int):
     """All n^n endomaps on n points, in table-lexicographic order."""
     for table in iter_product(range(n), repeat=n):
-        yield FiniteSystem(n, table)
+        yield FiniteSystem(table)
 
 
 def all_permutation_systems(n: int):
     """The n! bijections of n points, in the same table-lexicographic order."""
     for table in permutations(range(n)):
-        yield FiniteSystem(n, table)
+        yield FiniteSystem(table)
 
 
 def check_map_determinism(sys: FiniteSystem) -> CheckReport:

@@ -182,10 +182,6 @@ class WitnessRuns:
     report: CheckReport
     runs: tuple
 
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
-
 
 def _admissible_centers(block: Block, scale_len: int, w: int):
     # Keep both the window around the center and its three shifts in range.
@@ -263,10 +259,6 @@ class CrossOmegaWitness:
     report: CheckReport
     x_side_runs: tuple  # r-choices planting (x, zero): x returns, y escapes
     y_side_runs: tuple  # r-choices planting (zero, y): y returns, x escapes
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
 
 
 def cross_omega_witness(state: Thm2State, k: int, w: int) -> CrossOmegaWitness:

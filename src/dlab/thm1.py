@@ -68,9 +68,8 @@ from .report import CheckReport, FAIL, INFO, PASS
 
 @dataclass(frozen=True)
 class Thm1State:
-    """Construction state: stage number, per-stage lengths, and the prefix block."""
+    """Construction state: lengths n_1..n_stage (so stage = their count) and the prefix."""
 
-    stage: int
     lengths: tuple
     prefix: Block
 
@@ -85,10 +84,12 @@ class Thm1State:
             raise ValueError(
                 f"stage lengths {n!r} are not strictly increasing positive ints"
             )
-        if self.stage < 1 or len(self.lengths) != self.stage:
-            raise ValueError("stage and length history disagree")
         if self.prefix.base != 1 or len(self.prefix) != self.lengths[-1]:
             raise ValueError("prefix does not match recorded length")
+
+    @property
+    def stage(self) -> int:
+        return len(self.lengths)
 
     @property
     def length(self) -> int:
@@ -138,7 +139,7 @@ class Thm1State:
 
 
 def initial_state() -> Thm1State:
-    return Thm1State(1, (3,), Block([1, 0, 0], base=1))
+    return Thm1State((3,), Block([1, 0, 0], base=1))
 
 
 def step(state: Thm1State) -> Thm1State:
@@ -160,7 +161,7 @@ def step(state: Thm1State) -> Thm1State:
         raise InvariantError(
             f"stage {m + 1} ends in {nxt.trailing_zero_run()} zeros, need {m + 2}"
         )
-    return Thm1State(m + 1, state.lengths + (len(nxt),), nxt)
+    return Thm1State(state.lengths + (len(nxt),), nxt)
 
 
 def predicted_length(m: int) -> int:

@@ -59,28 +59,32 @@ DEFAULT_MAX_NONZEROS = 10**6
 
 @dataclass(frozen=True)
 class SpacerChoice:
-    """Zero-block lengths (s, t) for the x side and (sp, tp) for the y side."""
+    """Zero-block lengths s for the x side and (sp, tp) for the y side; t is computed."""
 
     s: int
-    t: int
     sp: int
     tp: int
 
     def __post_init__(self):
-        if min(self.s, self.t, self.sp, self.tp) < 0:
+        if min(self.s, self.sp, self.tp) < 0:
             raise ValueError("spacer lengths must be nonnegative")
         if self.sp <= self.s:
             raise ValueError(f"need sp > s, got sp={self.sp} s={self.s}")
 
+    def t(self, r: int) -> int:
+        """x's end length at step r: the length identity 2t + 2r*s = 2tp + 2r*sp
+        (x and y of stage r + 1 have one length) solved for t."""
+        return self.tp + r * (self.sp - self.s)
+
     def log_line(self, r: int) -> str:
-        return f"SPACERS r={r} s={self.s} t={self.t} sp={self.sp} tp={self.tp}"
+        return f"SPACERS r={r} s={self.s} t={self.t(r)} sp={self.sp} tp={self.tp}"
 
 
 @dataclass(frozen=True)
 class Thm2State:
-    """Stage state: the two centered blocks, the times defined so far, history."""
+    """Stage state: the two centered blocks, the times defined so far, history.
+    The stage is computed, len(m_times) + 1: each step defines one m_r, n_r."""
 
-    stage: int
     x: Block
     y: Block
     m_times: tuple
@@ -89,8 +93,6 @@ class Thm2State:
     transitive: bool = False
 
     def __post_init__(self):
-        if self.stage < 1:
-            raise ValueError("stage must be >= 1")
         if len(self.x) != len(self.y):
             raise ValueError("blocks must share a common length")
         if len(self.x) % 2 == 0:
@@ -100,8 +102,12 @@ class Thm2State:
             raise ValueError("blocks must be center-indexed")
         if self.x[0] != 1 or self.y[0] != 1:
             raise ValueError("central symbols must equal 1")
-        if len(self.m_times) != self.stage - 1 or len(self.n_times) != self.stage - 1:
-            raise ValueError("time history must cover stages 1..stage-1")
+        if len(self.m_times) != len(self.n_times):
+            raise ValueError("m and n time histories must have equal length")
+
+    @property
+    def stage(self) -> int:
+        return len(self.m_times) + 1
 
     @property
     def common_length(self) -> int:
@@ -132,7 +138,7 @@ class Thm2State:
 
 def initial_state() -> Thm2State:
     one = Block([1], base=0)
-    return Thm2State(1, one, one, (), (), ())
+    return Thm2State(one, one, (), (), ())
 
 
 def _centered(parts, gap: int, end: int) -> Block:
@@ -173,12 +179,8 @@ def build_stage(state: Thm2State, choice: SpacerChoice) -> Thm2State:
     """
     r = state.stage
     ell = state.common_length
-    if choice.t != choice.tp + r * (choice.sp - choice.s):
-        raise ValueError(
-            "length-identity violation: need t = tp + r*(sp - s), got "
-            f"t={choice.t} tp={choice.tp} s={choice.s} sp={choice.sp} r={r}"
-        )
-    x_next = _surround(state.x, r, choice.s, choice.t)
+    t = choice.t(r)
+    x_next = _surround(state.x, r, choice.s, t)
     y_next = _surround(state.y, r, choice.sp, choice.tp)
     if len(x_next) != len(y_next):
         raise InvariantError(
@@ -188,7 +190,7 @@ def build_stage(state: Thm2State, choice: SpacerChoice) -> Thm2State:
     n_r = ell + choice.sp
     # Pitch audit: r pitches of m_r (n_r) step from the first copy base to
     # the central copy base, which the centering must place at state.x.base.
-    if x_next.base + choice.t + r * m_r != state.x.base:
+    if x_next.base + t + r * m_r != state.x.base:
         raise InvariantError(f"stage {r + 1} x copies are off the pitch m_{r}={m_r}")
     if y_next.base + choice.tp + r * n_r != state.y.base:
         raise InvariantError(f"stage {r + 1} y copies are off the pitch n_{r}={n_r}")
@@ -198,7 +200,6 @@ def build_stage(state: Thm2State, choice: SpacerChoice) -> Thm2State:
     if window(y_next, state.y.base, state.y.last) != state.y:
         raise InvariantError(f"stage {r + 1} y does not hold stage {r} at its center")
     return Thm2State(
-        stage=r + 1,
         x=x_next,
         y=y_next,
         m_times=state.m_times + (m_r,),
@@ -208,22 +209,19 @@ def build_stage(state: Thm2State, choice: SpacerChoice) -> Thm2State:
     )
 
 
-def build_transitive_stage(
-    state: Thm2State, za: int, zb: int, zc: int, zd: int
-) -> Thm2State:
+def build_transitive_stage(state: Thm2State, za: int, zc: int, zd: int) -> Thm2State:
     """Interleave step: x' = b y a x a y b and y' = d x c y c x d.
 
-    za..zd are the zero-block lengths |a|..|d|.  Lengths must balance
-    (|b|+|a| = |d|+|c|), the copy offsets must differ (|a| != |c|), and all
-    four must cover the zero-tail bound.  The support-orthogonality condition
-    is re-verified on the result and a violation is an error.
+    za, zc, zd are the zero-block lengths |a|, |c|, |d|.  |b| is computed,
+    zd + zc - za: the interleave balance |b|+|a| = |d|+|c| is what gives x'
+    and y' one length.  All four must be nonnegative and cover the zero-tail
+    bound, and the copy offsets must differ (|a| != |c|).  The
+    support-orthogonality condition is re-verified on the result and a
+    violation is an error.
     """
+    zb = zd + zc - za
     if min(za, zb, zc, zd) < 0:
         raise ValueError("interleave spacer lengths must be nonnegative")
-    if zb + za != zd + zc:
-        raise ValueError(
-            f"unequal interleave lengths: |b|+|a|={zb + za} vs |d|+|c|={zd + zc}"
-        )
     if za == zc:
         raise ValueError(
             f"need |a| != |c|: copies at identical offsets +-{za + state.common_length} "
@@ -242,7 +240,6 @@ def build_transitive_stage(
             f"interleave lengths differ: x {len(x_prime)}, y {len(y_prime)}"
         )
     out = Thm2State(
-        stage=state.stage,
         x=x_prime,
         y=y_prime,
         m_times=state.m_times,
@@ -498,7 +495,7 @@ def solve_spacers(state: Thm2State) -> Thm2State:
             raw_sp *= 2
             sp = _align_up(max(raw_sp, r * m_r), ell, y_mod)
     tp = 2 * (ell + sp)
-    return build_stage(state, SpacerChoice(s=s, t=tp + r * (sp - s), sp=sp, tp=tp))
+    return build_stage(state, SpacerChoice(s=s, sp=sp, tp=tp))
 
 
 def solve_transitive_spacers(state: Thm2State) -> Thm2State:
@@ -513,7 +510,7 @@ def solve_transitive_spacers(state: Thm2State) -> Thm2State:
     span = state.half_width
     za = zd + span + 1
     zc = za + 2 * span + 2
-    return build_transitive_stage(state, za, zd + zc - za, zc, zd)
+    return build_transitive_stage(state, za, zc, zd)
 
 
 def build_to_stage(

@@ -180,7 +180,7 @@ def naive_partition_blocks(n):
 def all_partitions(n):
     """Every partition of {0..n-1} (Bell(n) many), in restricted-growth-string
     order, as ``Partition`` records."""
-    return tuple(Partition(n, blocks) for blocks in naive_partition_blocks(n))
+    return tuple(Partition(blocks) for blocks in naive_partition_blocks(n))
 
 
 def naive_first_forward_invariant_only(table):

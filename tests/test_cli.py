@@ -320,20 +320,55 @@ def test_empty_oracle_sweeps_exit_2(capsys):
 
 def test_closed_stdout_exits_2_without_a_traceback():
     # The sweep prints about 300 kB, more than a pipe holds, so the writes
-    # after the reader leaves must fail.
-    child = subprocess.Popen(
-        [sys.executable, "-m", "dlab.cli", "oracle", "sweep", "--nmax", "5"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=CHILD_ENV,
-    )
-    assert child.stdout.readline().startswith("CHECK ")
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait() == 2
-    assert "Traceback" not in err
-    assert err == "error: stdout was closed before the report was written\n"
+    # after the reader leaves must fail.  Under 2>&1 the notice on stderr
+    # meets the same closed pipe and must not raise either.
+    for stderr in (subprocess.PIPE, subprocess.STDOUT):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "dlab.cli", "oracle", "sweep", "--nmax", "5"],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert child.stdout.readline().startswith("CHECK ")
+        child.stdout.close()
+        err = child.stderr.read() if child.stderr else None
+        assert child.wait() == 2, stderr
+        if err is not None:
+            assert err == "error: stdout was closed before the report was written\n"
+
+
+def test_lemma6_map_over_the_bound_is_refused_before_the_system(monkeypatch, capsys):
+    def no_system(table):
+        raise AssertionError("built a system the bound refuses")
+
+    monkeypatch.setattr(oracle, "make_system", no_system)
+    path = ",".join(map(str, [*range(1, 1001), 1000]))  # 1,001 points
+    assert main(["oracle", "lemma6", "--map", path, "--point", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --map has 1001 entries, the bound is {cli.LEMMA6_MAP_BOUND}\n"
+    monkeypatch.undo()
+    short = ",".join(map(str, [1, *range(1, 1000)]))  # 0 -> 1, every point fixed
+    assert main(["oracle", "lemma6", "--map", short, "--point", "0"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.startswith("CHECK LEMMA6 PASS n=1000 x=0 classified=FORWARD_INVARIANT_ONLY points=0,1\n")
+
+
+def test_thm2_build_refuses_one_file_for_both_blocks(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a stage whose x would be overwritten")
+
+    monkeypatch.setattr(thm2, "build_to_stage", no_build)
+    path, link = tmp_path / "p.tdseq", tmp_path / "link.tdseq"
+    link.symlink_to(path)
+    for other in (path, tmp_path / "." / "p.tdseq", link):
+        argv = ["thm2", "build", "--stage", "3", "--out-x", str(path), "--out-y", str(other)]
+        assert main(argv) == 2, other
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --out-x and --out-y name one file: {path}\n"
+    assert not path.exists()
 
 
 def test_oracle_sweep_nmax_above_the_bound_rejected_before_sweeping(capsys, monkeypatch):

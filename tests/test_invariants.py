@@ -68,7 +68,7 @@ syms = [0] * built.length
 for p, v in built.prefix.nonzero_items():
     syms[p - 1] = v
 syms[864] = Fraction(1)
-state = thm1.Thm1State(5, built.lengths, Block(syms))
+state = thm1.Thm1State(built.lengths, Block(syms))
 print("audited", state.copies_audited)
 print(thm1.check_c3(state, 4).line())
 print(thm1.check_c2prime(state, 4).line())

@@ -33,13 +33,13 @@ def test_classify_diagonal_under_non_onto():
 
 def test_classify_full_relation_on_two_cycle():
     s = sys_([1, 0])
-    assert o.classify_relation(s, o.Partition.from_blocks(2, [(0, 1)])) == o.INVARIANT
+    assert o.classify_relation(s, o.Partition.from_blocks([(0, 1)])) == o.INVARIANT
 
 
 def test_classify_not_forward_invariant():
     # 3-cycle with blocks {0,1},{2}: the image of (0,1) is (2,0), crossing blocks.
     s = sys_([2, 0, 1])
-    p = o.Partition.from_blocks(3, [(0, 1), (2,)])
+    p = o.Partition.from_blocks([(0, 1), (2,)])
     assert o.classify_relation(s, p) == o.NOT_FORWARD_INVARIANT
 
 
@@ -49,10 +49,13 @@ def test_classify_size_mismatch():
 
 
 def test_partition_validation_and_label():
-    with pytest.raises(ValueError):
-        o.Partition.from_blocks(3, [(0, 1)])
-    p = o.Partition.from_blocks(3, [(2,), (0, 1)])
-    assert p.label() == "0,1|2"
+    for blocks in ([(0, 2)], [(0,), (0, 1)], [(1, 2)]):  # a gap, a repeat, no 0
+        with pytest.raises(ValueError, match="must partition"):
+            o.Partition.from_blocks(blocks)
+    with pytest.raises(ValueError, match="canonical"):
+        o.Partition(((2,), (0, 1)))
+    p = o.Partition.from_blocks([(2,), (0, 1)])
+    assert p.size == 3 and p.label() == "0,1|2"
     assert (0, 1) in p.pairs() and (2, 2) in p.pairs() and (0, 2) not in p.pairs()
 
 
@@ -65,7 +68,7 @@ def test_restricted_growth_enumeration_bell_counts():
         assert parts == all_partitions(n)
         assert len(parts) == bells[n]
         assert len(set(parts)) == bells[n]
-        assert parts[0] == o.Partition.from_blocks(n, [range(n)])
+        assert parts[0] == o.Partition.from_blocks([range(n)])
         assert parts[-1] == o.Partition.diagonal(n)
 
 
@@ -91,12 +94,12 @@ def test_td_true_for_permutations_n6():
     import itertools
 
     for perm in itertools.permutations(range(6)):
-        assert o.is_td(o.FiniteSystem(6, perm))[0] is True
+        assert o.is_td(o.FiniteSystem(perm))[0] is True
 
 
 def test_td_bound():
     with pytest.raises(ValueError, match="exhaustive bound"):
-        o.is_td(o.FiniteSystem(9, tuple(range(9))))
+        o.is_td(o.FiniteSystem(tuple(range(9))))
 
 
 def _seeded_scan_tables(rng):
@@ -162,16 +165,27 @@ def test_partition_masks_classify_every_partition():
 # -- orbits and limit sets -----------------------------------------------------------
 
 
+def test_system_validation():
+    assert sys_([1, 0, 0]).size == 3
+    with pytest.raises(ValueError, match="empty"):
+        o.FiniteSystem(())
+    for table in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="must lie in"):
+            o.FiniteSystem(table)
+    with pytest.raises(TypeError):  # the size is len(table), never passed
+        o.FiniteSystem(2, (1, 0))
+
+
 def test_omega_examples():
-    assert o.omega_limit(sys_([1, 2, 2]), 0) == {2}
-    assert o.omega_limit(sys_([1, 0]), 0) == {0, 1}
-    assert o.omega_limit(sys_([0, 0]), 0) == {0}
+    assert o._omega_table((1, 2, 2))[0] == {2}
+    assert o._omega_table((1, 0))[0] == {0, 1}
+    assert o._omega_table((0, 0))[0] == {0}
 
 
 def test_recurrent_iff_on_cycle():
-    s = sys_([1, 2, 0, 0])  # 3 -> 0 enters the 3-cycle
-    assert all(o.is_recurrent(s, x) for x in (0, 1, 2))
-    assert not o.is_recurrent(s, 3)
+    omega = o._omega_table((1, 2, 0, 0))  # 3 -> 0 enters the 3-cycle
+    assert all(x in omega[x] for x in (0, 1, 2))
+    assert 3 not in omega[3]
 
 
 # -- the escaping-point relation -----------------------------------------------------
@@ -180,7 +194,7 @@ def test_recurrent_iff_on_cycle():
 def test_lemma6_example_chain():
     points, partition, report = o.lemma6_relation(sys_([1, 2, 2]), 0)
     assert points == {0, 1, 2}
-    assert partition == o.Partition.from_blocks(3, [(0, 1, 2)])
+    assert partition == o.Partition.from_blocks([(0, 1, 2)])
     assert report.passed
     assert dict(report.witness)["classified"] == o.FORWARD_INVARIANT_ONLY
 
@@ -188,7 +202,7 @@ def test_lemma6_example_chain():
 def test_lemma6_two_point_example():
     points, partition, report = o.lemma6_relation(sys_([1, 1]), 0)
     assert points == {0, 1}
-    assert partition == o.Partition.from_blocks(2, [(0, 1)])
+    assert partition == o.Partition.from_blocks([(0, 1)])
     assert report.passed
 
 
@@ -200,8 +214,9 @@ def test_lemma6_rejects_recurrent_point():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lemma6_everywhere_small(n):
     for s in o.all_systems(n):
+        omega = o._omega_table(s.table)
         for x in range(n):
-            if o.is_recurrent(s, x):
+            if x in omega[x]:
                 continue
             _, _, report = o.lemma6_relation(s, x)
             assert report.passed
@@ -212,7 +227,7 @@ def test_lemma6_everywhere_small(n):
 
 def test_product_system_recurrence_matches_joint_returns():
     s = sys_([1, 0, 2])  # 2-cycle plus fixed point
-    prod = o.product_system(s, s)
+    omega = o._omega_table(o.product_system(s, s).table)
     powers = [naive_power_table(s.table, n) for n in range(1, 7)]
     for a in range(3):
         for b in range(3):
@@ -221,7 +236,7 @@ def test_product_system_recurrence_matches_joint_returns():
             joint = any(
                 power[a] == a and power[b] == b for power in powers
             )
-            assert o.is_recurrent(prod, code) == joint
+            assert (code in omega[code]) == joint
 
 
 def test_lemma7_cycle_examples():
@@ -230,9 +245,7 @@ def test_lemma7_cycle_examples():
     two_cycle = sys_([1, 0])
     assert o.lemma7_checks(two_cycle, 2).passed
     # Power 2 splits the 2-cycle into fixed points whose limit sets union back.
-    pw = o.make_system(naive_power_table(two_cycle.table, 2))
-    assert o.omega_limit(pw, 0) == {0}
-    assert o.omega_limit(pw, 1) == {1}
+    assert o._omega_table(naive_power_table(two_cycle.table, 2)) == ({0}, {1})
 
 
 def test_omega_table_matches_orbit_walk():
@@ -297,7 +310,7 @@ def test_lemma7_part_b_reports_a_wrong_decomposition(monkeypatch):
 
 
 def test_lemma7_part_c_reports_the_power_and_its_witness(monkeypatch):
-    _plant_td(monkeypatch, (0, 1), (False, o.Partition.from_blocks(2, [(0, 1)])))
+    _plant_td(monkeypatch, (0, 1), (False, o.Partition.from_blocks([(0, 1)])))
     rep = o.lemma7_checks(sys_([1, 0]), 2)
     assert rep.line() == "CHECK LEMMA7 FAIL n=2 n_max=2 part=c power=2 witness=0,1"
 
@@ -309,7 +322,7 @@ def test_lemma7_part_c_reports_the_power_and_its_witness(monkeypatch):
         ((1, 0), (False, o.Partition.diagonal(2)), "onto=true part=td_vs_onto td=false"),
         (
             (1, 1),
-            (False, o.Partition.from_blocks(2, [(0, 1)])),
+            (False, o.Partition.from_blocks([(0, 1)])),
             "onto=false part=witness witness=0,1",
         ),
     ],

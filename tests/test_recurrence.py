@@ -124,7 +124,7 @@ def test_pair_point_never_recurs(thm2_states):
 
 
 def test_pair_separation_on_hand_state():
-    choice = thm2.SpacerChoice(s=2, t=24, sp=8, tp=18)
+    choice = thm2.SpacerChoice(s=2, sp=8, tp=18)
     state = thm2.build_stage(thm2.initial_state(), choice)
     assert rec.pair_separation_check(state, 27).passed
 
@@ -135,12 +135,12 @@ def test_pair_separation_full_range(thm2_stage4):
 
 
 def test_pair_separation_detects_planted_collision():
-    choice = thm2.SpacerChoice(s=2, t=24, sp=8, tp=18)
+    choice = thm2.SpacerChoice(s=2, sp=8, tp=18)
     state = thm2.build_stage(thm2.initial_state(), choice)
     syms = list(dense(state.y))
     syms[3 - state.y.base] = F(1)
     bad = thm2.Thm2State(
-        2, state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
+        state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
     )
     rep = rec.pair_separation_check(bad, 27)
     assert not rep.passed and dict(rep.witness)["n"] == 3
@@ -156,13 +156,13 @@ def test_pair_separation_range_errors(thm2_states):
 def test_pair_without_unit_centre_is_refused(side, centre):
     # pair_separation_check has no x(0) = y(0) = 1 branch; the state is where
     # that requirement is enforced.
-    state = thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 24, 8, 18))
+    state = thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 8, 18))
     syms = list(dense(getattr(state, side)))
     syms[-state.x.base] = centre
     blocks = {"x": state.x, "y": state.y, side: Block(syms, base=state.x.base)}
     with pytest.raises(ValueError, match="central symbols must equal 1"):
         thm2.Thm2State(
-            2, blocks["x"], blocks["y"], state.m_times, state.n_times, state.spacers
+            blocks["x"], blocks["y"], state.m_times, state.n_times, state.spacers
         )
 
 
@@ -170,13 +170,13 @@ def test_pair_without_unit_centre_is_refused(side, centre):
 
 
 def hand_stage2():
-    return thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 24, 8, 18))
+    return thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 8, 18))
 
 
 def test_escape_hand_state_x_side_two_choices_each():
     state = hand_stage2()
     res = rec.escape_witness(state, 1, 1, "XatN")
-    assert res.passed
+    assert res.report.passed
     chosen = {}
     for a, b, r in res.runs:
         for j in range(a, b + 1):
@@ -190,7 +190,7 @@ def test_escape_hand_state_x_side_two_choices_each():
 def test_escape_hand_state_y_side_w0():
     state = hand_stage2()
     res = rec.escape_witness(state, 1, 0, "YatM")
-    assert res.passed
+    assert res.report.passed
     chosen = {j: r for a, b, r in res.runs for j in range(a, b + 1)}
     # Centers on the outer nonzeros still find an r, shifted off the support.
     for j in (-9, 9):
@@ -204,7 +204,7 @@ def test_escape_hand_state_y_side_w0():
 
 def test_escape_runs_cover_admissible_range(thm2_stage4):
     res = rec.escape_witness(thm2_stage4, 2, 1, "XatN")
-    assert res.passed
+    assert res.report.passed
     covered = 0
     prev_end = None
     for a, b, r in res.runs:
@@ -233,10 +233,10 @@ def test_escape_detects_dense_mutation():
     for pos in (3, 6, 9):  # fill every shift multiple from center 0
         syms[pos - state.y.base] = F(1)
     bad = thm2.Thm2State(
-        2, state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
+        state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
     )
     res = rec.escape_witness(bad, 1, 0, "YatM")
-    assert not res.passed
+    assert not res.report.passed
     assert dict(res.report.witness)["center"] <= 0
 
 
@@ -245,7 +245,7 @@ def test_escape_detects_dense_mutation():
 
 def test_cross_omega_hand_state():
     res = rec.cross_omega_witness(hand_stage2(), 1, 0)
-    assert res.passed
+    assert res.report.passed
     assert res.x_side_runs and res.y_side_runs
 
 
@@ -253,7 +253,7 @@ def test_cross_omega_deepest(thm2_stage4):
     for k in (1, 2, 3):
         for w in range(k + 1):
             res = rec.cross_omega_witness(thm2_stage4, k, w)
-            assert res.passed, res.report.line()
+            assert res.report.passed, res.report.line()
 
 
 def test_cross_omega_implied_by_rigidity_and_escape(thm2_states):
@@ -263,11 +263,11 @@ def test_cross_omega_implied_by_rigidity_and_escape(thm2_states):
                 premises = (
                     thm2.check_rigidity_x(state, k).passed
                     and thm2.check_rigidity_y(state, k).passed
-                    and rec.escape_witness(state, k, w, "XatN").passed
-                    and rec.escape_witness(state, k, w, "YatM").passed
+                    and rec.escape_witness(state, k, w, "XatN").report.passed
+                    and rec.escape_witness(state, k, w, "YatM").report.passed
                 )
                 if premises:
-                    assert rec.cross_omega_witness(state, k, w).passed
+                    assert rec.cross_omega_witness(state, k, w).report.passed
 
 
 def test_cross_omega_failure_names_escape_part():
@@ -276,10 +276,10 @@ def test_cross_omega_failure_names_escape_part():
     for pos in (3, 6, 9):
         syms[pos - state.y.base] = F(1)
     bad = thm2.Thm2State(
-        2, state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
+        state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers
     )
     res = rec.cross_omega_witness(bad, 1, 0)
-    assert not res.passed
+    assert not res.report.passed
     w = dict(res.report.witness)
     assert w["side"] == "x" and w["part"] == "b"
 
@@ -303,7 +303,7 @@ def _random_pair_state(rng):
         syms[half] = 1
         blocks.append(Block(syms, base=-half))
     times = [tuple(rng.randint(3, half // 4) for _ in range(stage - 1)) for _ in "mn"]
-    return thm2.Thm2State(stage, *blocks, *times, ())
+    return thm2.Thm2State(*blocks, *times, ())
 
 
 def _runs_from_choices(lo, hi, choose):
@@ -339,7 +339,7 @@ def test_escape_and_omega_match_dense_references_on_random_states():
                 lo, hi, lambda j: naive_escape_choices(block, scale_len, w, j))
             assert res.runs == runs
             single_center_runs += sum(a == b for a, b, _ in runs)
-            assert res.passed == (fail is None)
+            assert res.report.passed == (fail is None)
             if fail is not None:
                 failures["ESCAPE"] += 1
                 assert dict(res.report.witness)["center"] == fail
@@ -366,7 +366,7 @@ def test_escape_and_omega_match_dense_references_on_random_states():
                 elif esc_ok and not ret_ok:
                     part = "a"
                 want = (("side", side), ("center", fail), ("part", part))
-        assert res.passed == (want is None)
+        assert res.report.passed == (want is None)
         if want is not None:
             failures["CROSS_OMEGA"] += 1
             parts[dict(want)["part"]] += 1
@@ -432,7 +432,7 @@ def _separated_pair_state(rng):
         x[p] = F(1)
     x[half] = y[half] = F(1)
     state = thm2.Thm2State(
-        stage, Block(x, base=-half), Block(y, base=-half), *times, ()
+        Block(x, base=-half), Block(y, base=-half), *times, ()
     )
     return state, k
 

@@ -143,7 +143,7 @@ def test_c3_detects_planted_violation():
     s = thm1.build(3)
     syms = list(dense(s.prefix))
     syms[40] = F(1)  # stray spike breaks the shift-by-3 bound nearby
-    mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
+    mutated = thm1.Thm1State(s.lengths, Block(syms, base=1))
     rep = thm1.check_c3(mutated, 2)
     assert not rep.passed
     w = dict(rep.witness)
@@ -177,7 +177,7 @@ def test_c2prime_detects_corruption():
     syms = list(dense(s.prefix))
     assert syms[49] == 0
     syms[49] = F(1)  # position 50: a 1 followed by the final zero run
-    mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
+    mutated = thm1.Thm1State(s.lengths, Block(syms, base=1))
     rep = thm1.check_c2prime(mutated, 2)
     assert not rep.passed
     assert dict(rep.witness)["pos"] == 50
@@ -191,7 +191,7 @@ def test_c3_c2prime_scale_invariant(t):
     from dlab.blocks import scale
 
     s = thm1.build(4)
-    scaled = thm1.Thm1State(4, s.lengths, scale(t, s.prefix))
+    scaled = thm1.Thm1State(s.lengths, scale(t, s.prefix))
     assert thm1.check_c3(scaled, 3).passed
     assert thm1.check_c2prime(scaled, 3).passed
 
@@ -226,10 +226,10 @@ def test_falsifier_clean_on_stage_1():
 
 
 def test_state_invariant_validation():
-    with pytest.raises(ValueError):
-        thm1.Thm1State(2, (3,), Block([1, 0, 0]))
-    with pytest.raises(ValueError):
-        thm1.Thm1State(1, (4,), Block([1, 0, 0]))
+    with pytest.raises(ValueError, match="prefix does not match"):
+        thm1.Thm1State((4,), Block([1, 0, 0]))
+    with pytest.raises(TypeError):  # the stage is len(lengths), never passed
+        thm1.Thm1State(1, (3,), Block([1, 0, 0]))
 
 
 @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ def test_state_refuses_bad_stage_lengths(lengths):
     # A negative or zero n_k would make C3 shift backwards or by nothing, and
     # an unsorted history would skip or repeat scales.
     with pytest.raises(ValueError, match="not strictly increasing positive ints"):
-        thm1.Thm1State(len(lengths), lengths, Block([1] + [0] * 11))
+        thm1.Thm1State(lengths, Block([1] + [0] * 11))
 
 
 # -- differential checks against the dense references ----------------------------
@@ -258,7 +258,7 @@ def _random_state(rng):
     """
     if rng.random() < 0.5:
         built = thm1.build(rng.choice((3, 4)))
-        stage, lengths = built.stage, built.lengths
+        lengths = built.lengths
         syms = list(dense(built.prefix))
         if rng.random() < 0.5:
             t = _random_symbol(rng)
@@ -276,7 +276,7 @@ def _random_state(rng):
             syms[i] = max(syms[i], _random_symbol(rng))  # spike
         else:
             syms[i] = syms[i] * rng.randint(0, 2) / 3  # dip
-    return thm1.Thm1State(stage, lengths, Block(syms, base=1))
+    return thm1.Thm1State(lengths, Block(syms, base=1))
 
 
 def _expected_c3(state, kmax):
@@ -342,7 +342,7 @@ def test_fail_report_lines_are_exact():
     s = thm1.build(3)
     syms = list(dense(s.prefix))
     syms[24], syms[25], syms[29] = F(1, 7), F(5, 7), F(1)
-    mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
+    mutated = thm1.Thm1State(s.lengths, Block(syms, base=1))
     assert thm1.check_c3(mutated, 2).line() == (
         "CHECK C3 FAIL stage=3 kmax=2 k=1 pos=30 value=1/1 shifted=0/1 bound=1/1"
     )
@@ -351,7 +351,7 @@ def test_fail_report_lines_are_exact():
         "window_max=1/3 slack=1/2"
     )
     syms[29] = 0
-    mutated = thm1.Thm1State(3, s.lengths, Block(syms, base=1))
+    mutated = thm1.Thm1State(s.lengths, Block(syms, base=1))
     assert thm1.check_c3(mutated, 2).line() == (
         "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=13 value=1/1 shifted=1/7 bound=1/2"
     )
@@ -374,7 +374,7 @@ def _copy_layout_state(rng):
         factors = [F(1)] + [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 3))]
         block = concat_all([scale(c, block) for c in factors], base=1)
         lengths.append(len(block))
-    return thm1.Thm1State(len(lengths), tuple(lengths), block)
+    return thm1.Thm1State(tuple(lengths), block)
 
 
 def _at_top_seam(state, pos, before, after):
@@ -468,7 +468,7 @@ def test_refused_audit_prints_the_flat_lines(plant, c3_line, c2prime_line):
     # value and the cut stage fail inside a copy at an old scale, where a seam
     # scan would not look.
     lengths, syms = plant(thm1.build(5))
-    state = thm1.Thm1State(5, lengths, Block(syms, base=1))
+    state = thm1.Thm1State(lengths, Block(syms, base=1))
     assert state.copies_audited is False
     assert thm1.check_c3(state, 4).line() == c3_line
     assert thm1.check_c2prime(state, 4).line() == c2prime_line

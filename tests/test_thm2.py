@@ -35,21 +35,27 @@ def hand_block(end, inner, values):
 @pytest.fixture(scope="module")
 def hand_stage2():
     """The worked stage-1 step: s=2, sp=8, tp=18, t=24."""
-    choice = thm2.SpacerChoice(s=2, t=24, sp=8, tp=18)
+    choice = thm2.SpacerChoice(s=2, sp=8, tp=18)
     return thm2.build_stage(thm2.initial_state(), choice)
 
 
 def test_initial_state():
     s = thm2.initial_state()
     assert s.common_length == 1 and s.x[0] == 1 and s.y[0] == 1
-    assert s.m_times == () and s.times_max() == 0
+    assert s.m_times == () and s.times_max() == 0 and s.stage == 1
+    with pytest.raises(ValueError, match="equal length"):
+        thm2.Thm2State(s.x, s.y, (3,), (), ())
 
 
 def test_hand_choice_satisfies_length_identity():
-    # t = tp + r (sp - s) at r = 1: 24 = 18 + (8 - 2).
-    thm2.SpacerChoice(s=2, t=24, sp=8, tp=18)
+    # t = tp + r (sp - s): 24 = 18 + (8 - 2) at r = 1, and 30 at r = 2.
+    choice = thm2.SpacerChoice(s=2, sp=8, tp=18)
+    assert (choice.t(1), choice.t(2)) == (24, 30)
+    assert choice.log_line(1) == "SPACERS r=1 s=2 t=24 sp=8 tp=18"
     with pytest.raises(ValueError, match="sp > s"):
-        thm2.SpacerChoice(s=8, t=24, sp=2, tp=18)
+        thm2.SpacerChoice(s=8, sp=2, tp=18)
+    with pytest.raises(TypeError):  # t is computed, never passed
+        thm2.SpacerChoice(2, 24, 8, 18)
 
 
 def test_hand_stage2_blocks(hand_stage2):
@@ -84,11 +90,6 @@ def test_hand_stage2_sliding_falsifier(hand_stage2):
     assert rep.verdict == "INFO" and w["found"] is True
     # The witnessed boundary splits two nonzeros into adjacent cells.
     assert w["pos_b"] - w["pos_a"] <= 9
-
-
-def test_build_stage_rejects_bad_identity():
-    with pytest.raises(ValueError, match="length-identity"):
-        thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 23, 8, 18))
 
 
 def test_build_to_stage_resource_cap(monkeypatch):
@@ -139,7 +140,7 @@ def test_phased_sparseness_against_naive(thm2_states):
 def test_sparseness_failure_has_witness():
     # Three nonzeros two cells apart admit no phase at cell length 2.
     x = Block([1, 0, 1, 0, 1], base=-2)
-    state = thm2.Thm2State(2, x, hand_block(1, 0, [F(1, 2), F(1), F(1, 2)]), (2,), (2,), (thm2.SpacerChoice(0, 0, 1, 0),))
+    state = thm2.Thm2State(x, hand_block(1, 0, [F(1, 2), F(1), F(1, 2)]), (2,), (2,), (thm2.SpacerChoice(0, 1, 0),))
     rep = thm2.check_sparseness_x(state, 1)
     assert not rep.passed
     w = dict(rep.witness)
@@ -150,7 +151,7 @@ def test_orthogonality_failure_witness(hand_stage2):
     syms = list(dense(hand_stage2.y))
     syms[3 - hand_stage2.y.base] = F(1)  # collide with x's nonzero at +3
     bad = thm2.Thm2State(
-        2, hand_stage2.x, Block(syms, base=hand_stage2.y.base),
+        hand_stage2.x, Block(syms, base=hand_stage2.y.base),
         (3,), (9,), hand_stage2.spacers,
     )
     rep = thm2.check_orthogonality(bad)
@@ -261,7 +262,7 @@ def test_rule_matches_the_retry_solver(target, transitive):
         assert m[r - 1] % math.lcm(*n[: r - 1]) == 0, r
         assert n[r - 1] % math.lcm(*m[:r]) == 0, r
         assert c.tp == 2 * n[r - 1], r
-        assert c.t == c.tp + r * (c.sp - c.s), r
+        assert c.t(r) == c.tp + r * (c.sp - c.s), r
     if not transitive:
         # III at k = target - 1: the whole x support fits one n cell.
         nz = state.x.nonzero_positions
@@ -293,7 +294,7 @@ def test_pitches_match_copy_bases(thm2_states):
         assert cur.m_times[-1] == prev.common_length + choice.s
         assert cur.n_times[-1] == prev.common_length + choice.sp
         # The unscaled center copy sits r pitches from the first copy.
-        first_copy_base = cur.x.base + choice.t
+        first_copy_base = cur.x.base + choice.t(r)
         assert first_copy_base + r * cur.m_times[-1] == prev.x.base
 
 
@@ -314,30 +315,33 @@ def test_verify_dispatch_and_range_errors(thm2_states):
 
 def test_interleave_hand_example():
     state = thm2.initial_state()
-    out = thm2.build_transitive_stage(state, za=2, zb=6, zc=4, zd=4)
+    out = thm2.build_transitive_stage(state, za=2, zc=4, zd=4)
     assert out.common_length == 19
+    assert out.x.leading_zero_run() == 6  # |b| = zd + zc - za
     assert out.x.nonzero_positions == (-3, 0, 3)
     assert out.y.nonzero_positions == (-5, 0, 5)
     assert out.transitive
     # The partner block appears whole on both sides of center.
     assert dense(window(out.x, -3, -3)) == dense(state.y)
     assert dense(window(out.x, 3, 3)) == dense(state.y)
+    with pytest.raises(TypeError):  # |b| is computed, never passed
+        thm2.build_transitive_stage(state, 2, 6, 4, 4)
 
 
 def test_interleave_rejects_equal_offsets():
     with pytest.raises(ValueError, match=r"\|a\| != \|c\|"):
-        thm2.build_transitive_stage(thm2.initial_state(), 2, 6, 2, 6)
-
-
-def test_interleave_rejects_unbalanced_lengths():
-    with pytest.raises(ValueError, match="unequal interleave lengths"):
-        thm2.build_transitive_stage(thm2.initial_state(), 2, 6, 4, 5)
+        thm2.build_transitive_stage(thm2.initial_state(), 2, 2, 6)
 
 
 def test_interleave_rejects_thin_spacers(thm2_states):
     state = thm2_states[1]
     with pytest.raises(ValueError, match="zero-tail bound"):
-        thm2.build_transitive_stage(state, 1, 30, 2, 29)
+        thm2.build_transitive_stage(state, 1, 2, 29)
+    # The bounds guard the computed |b| = zd + zc - za as well.
+    with pytest.raises(ValueError, match="zero-tail bound"):
+        thm2.build_transitive_stage(state, 20, 13, 13)  # |b| = 6 < 12
+    with pytest.raises(ValueError, match="nonnegative"):
+        thm2.build_transitive_stage(state, 40, 13, 13)  # |b| = -14
 
 
 def _random_centered_pair(rng, shared: bool):
@@ -355,7 +359,7 @@ def _random_centered_pair(rng, shared: bool):
     stage = rng.randint(1, 4)
     times = tuple(rng.randint(1, 30) for _ in range(2 * (stage - 1)))
     return thm2.Thm2State(
-        stage, Block(x, base=-half), Block(y, base=-half),
+        Block(x, base=-half), Block(y, base=-half),
         times[: stage - 1], times[stage - 1:], (),
     )
 
@@ -415,7 +419,7 @@ def test_sparseness_without_phase_reports_phase_0_clash():
     # Nonzeros 3 apart sit 1 or 2 cells of length 2 apart under every phase.
     x = Block([1, 0, 0, 1, 0, 0, 1], base=-3)
     y = Block([0, 0, 0, 1, 0, 0, 0], base=-3)
-    state = thm2.Thm2State(2, x, y, (2,), (2,), (thm2.SpacerChoice(0, 0, 1, 0),))
+    state = thm2.Thm2State(x, y, (2,), (2,), (thm2.SpacerChoice(0, 1, 0),))
     assert not naive_phase_exists(x, 2)
     rep = thm2.check_sparseness_x(state, 1)
     assert rep.line() == "CHECK III FAIL stage=2 k=1 cell=2 phase=0 pos_a=-3 pos_b=0"
@@ -522,7 +526,7 @@ def test_transitive_rigidity_against_naive_on_random_states():
         times = [rng.randint(1, 9) for _ in range(4)]
         m_times, n_times = list(times), list(times)
         m_times[k - 1], n_times[k - 1] = m, n
-        state = thm2.Thm2State(5, *blocks, tuple(m_times), tuple(n_times), (), True)
+        state = thm2.Thm2State(*blocks, tuple(m_times), tuple(n_times), (), True)
         bound = F(1, k)
         rep = thm2.check_transitive_rigidity(state, k)
         want = None
