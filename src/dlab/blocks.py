@@ -22,8 +22,8 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
-from operator import sub
+from itertools import accumulate, chain, count, repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 ZERO = Fraction(0)
@@ -315,6 +315,8 @@ _NATURAL = "(?:0|[1-9][0-9]*)"
 _SYMBOL_RE = re.compile(f"({_NATURAL})/({_NATURAL})")
 _BASE_RE = re.compile("base (0|-?[1-9][0-9]*)")
 _LENGTH_RE = re.compile(f"length ({_NATURAL})")
+_MARK = "\x00"  # what the reader folds each zero line to; no valid line holds it
+_CHUNK = 1 << 16  # characters per body read, so memory stays bounded
 
 
 def format_symbol(v: Fraction) -> str:
@@ -337,12 +339,14 @@ def parse_symbol(text: str) -> Fraction:
 
 
 class _SymbolTable(dict):
-    """Body line (with its newline) -> symbol; each distinct line parses once."""
+    """Nonzero body line (no newline) -> symbol; each distinct line parses once."""
 
     def __missing__(self, line: str) -> Fraction:
-        if not line.endswith("\n"):
-            raise TdseqFormatError(f"symbol line {line!r} not newline-terminated")
-        value = self[line] = parse_symbol(line[:-1])
+        # A marker inside a line is a "0/1\n" that did not start one, so the
+        # input line it ends is head + "0/1": never a valid symbol, and what
+        # the error quotes.
+        head, mark, _ = line.partition(_MARK)
+        value = self[line] = parse_symbol(head + "0/1" if mark else line)
         return value
 
 
@@ -384,16 +388,39 @@ def read_tdseq(stream: TextIO) -> Block:
     base = _header_int(stream, _BASE_RE, "base")
     length = _header_int(stream, _LENGTH_RE, "length")
     nonzero, values = [], []
-    count = 0
-    # parse_symbol returns the shared ZERO for every zero symbol.
-    for count, v in enumerate(map(_SymbolTable().__getitem__, stream), 1):
-        if v is not ZERO:
-            nonzero.append(base + count - 1)
-            values.append(v)
-    if not count:
+    table = _SymbolTable()
+    position = base  # of the next body line
+    partial = []  # text read since the last newline
+    # The body is read in chunks cut after their last newline.  In each, every
+    # zero line folds to one marker, so splitting at the newlines left gives
+    # pieces that are a run of markers then one nonzero line, and a last piece
+    # of markers only: Python-level work is per nonzero, not per line.
+    while chunk := stream.read(_CHUNK):
+        if _MARK in chunk:
+            raise TdseqFormatError("NUL character in TDSEQ body")
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            partial.append(chunk)
+            continue
+        partial.append(chunk[:cut])
+        text = "".join(partial)
+        partial = [chunk[cut:]]
+        *pieces, trailing = text.replace("0/1\n", _MARK).split("\n")
+        lines = list(map(str.lstrip, pieces, repeat(_MARK)))
+        values.extend(map(table.__getitem__, lines))
+        trailing = trailing.lstrip(_MARK)
+        if trailing:
+            table[trailing]  # holds a marker, so it raises
+        gaps = map(sub, map(len, pieces), map(len, lines))
+        nonzero.extend(map(add, accumulate(gaps), count(position)))
+        position += text.count("\n")
+    rest = "".join(partial)
+    if rest:
+        raise TdseqFormatError(f"symbol line {rest!r} not newline-terminated")
+    if position == base:
         raise TdseqFormatError("truncated TDSEQ stream")
-    if count != length:
-        raise TdseqFormatError(f"expected {length} symbols, found {count}")
+    if position - base != length:
+        raise TdseqFormatError(f"expected {length} symbols, found {position - base}")
     return Block._trusted(base, length, tuple(nonzero), tuple(values))
 
 
@@ -404,4 +431,8 @@ def dump_tdseq(block: Block, path) -> None:
 
 def load_tdseq(path) -> Block:
     with open(path, "r", encoding="ascii", newline="") as f:
-        return read_tdseq(f)
+        try:
+            return read_tdseq(f)
+        except UnicodeDecodeError as err:
+            byte = err.object[err.start]
+            raise TdseqFormatError(f"non-ASCII byte {byte:#04x} in {path}") from err

@@ -61,12 +61,14 @@ def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
 
 @dataclass(frozen=True)
 class Partition:
-    """Equivalence relation on {0..size-1}, stored as canonical sorted blocks;
-    size is the number of points the blocks hold."""
+    """Equivalence relation on {0..size-1}, stored as canonical sorted nonempty
+    blocks; size is the number of points the blocks hold."""
 
     blocks: tuple
 
     def __post_init__(self):
+        if not all(self.blocks):
+            raise ValueError("blocks must be nonempty")
         seen = sorted(x for blk in self.blocks for x in blk)
         if seen != list(range(len(seen))):
             raise ValueError("blocks must partition 0..size-1")

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from dlab.blocks import Block
 from dlab.oracle import Partition
 
 
@@ -64,6 +65,40 @@ def naive_common_numerators(symbols):
 def naive_tdseq_text(base, symbols):
     body = "".join(f"{v.numerator}/{v.denominator}\n" for v in symbols)
     return f"TDSEQ 1\nbase {base}\nlength {len(symbols)}\n{body}"
+
+
+def _naive_natural(text):
+    """Plain ASCII decimal with no sign or leading zero."""
+    if text == "0":
+        return True
+    return text != "" and text[0] != "0" and all(c in "0123456789" for c in text)
+
+
+def naive_read_tdseq(text):
+    """The block a TDSEQ 1 text holds, read line by line off the grammar, or
+    None if the text breaks it."""
+    lines = text.split("\n")
+    if lines.pop() != "" or len(lines) < 4 or lines[0] != "TDSEQ 1":
+        return None
+    base, length = lines[1], lines[2]
+    if not base.startswith("base ") or not length.startswith("length "):
+        return None
+    base, length = base[5:], length[7:]
+    negative = base.startswith("-") and base != "-0"
+    if not (_naive_natural(base[1:]) if negative else _naive_natural(base)):
+        return None
+    if not _naive_natural(length) or int(length) != len(lines) - 3:
+        return None
+    symbols = []
+    for line in lines[3:]:
+        p, slash, q = line.partition("/")
+        if not (slash and _naive_natural(p) and _naive_natural(q)):
+            return None
+        p, q = int(p), int(q)
+        if not (q >= 1 and p <= q and math.gcd(p, q) == 1):
+            return None
+        symbols.append(Fraction(p, q))
+    return Block(symbols, base=int(base))
 
 
 def naive_shift_violations(block, shift, bound, at_bound=False):

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from dlab.blocks import (
 from naive_refs import (
     dense,
     naive_common_numerators,
+    naive_read_tdseq,
     naive_scale,
     naive_shift_violations,
     naive_tdseq_text,
@@ -180,6 +182,20 @@ def test_tdseq_exact_bytes():
         "TDSEQ 1\nbase 1\nlength 1\n1/1 \n",  # trailing space
         "TDSEQ 1\nbase 1\nlength 1\n\u0661/1\n",  # non-ASCII digit
         "TDSEQ 1\nbase 1\nlength 0\n",         # empty block
+        "TDSEQ 1\nbase 1\nlength 1\n1/10/1\n",  # a 0/1 that does not start a line
+        "TDSEQ 1\nbase 1\nlength 1\n00/1\n",   # leading zero in a zero symbol
+        "TDSEQ 1\nbase 1\nlength 1\n0/10/1\n", # a zero line run into the next
+        "TDSEQ 1\nbase 1\nlength 1\n10/1\n",   # above 1, ending in 0/1
+        "TDSEQ 1\nbase 1\nlength 1\n\x00\n",    # NUL line
+        "TDSEQ 1\nbase 1\nlength 2\n\x001/1\n", # NUL before a symbol
+        "TDSEQ 1\nbase 1\nlength 2\n1/1\n\n",  # empty line
+        "TDSEQ 1\nbase 1\nlength 1\n1/1\r\n",  # carriage return
+        "TDSEQ 1\nbase 1\nlength 1\n0/1\r\n",  # carriage return after a zero
+        "TDSEQ 1\nbase 1\nlength 1\n0/1",     # unterminated zero line
+        "TDSEQ 1\nbase 1\nlength 2\n1/1\n0/1", # unterminated last zero line
+        "TDSEQ 1\nbase 1\nlength 1\n/1\n",     # deleted numerator
+        "TDSEQ 1\nbase 1\nlength 1\n0/\n",     # deleted denominator
+        "TDSEQ 1\nbase 1\nlength 2\n0/11/1\n", # deleted newline
     ],
 )
 def test_tdseq_rejects_malformed(text):
@@ -216,7 +232,103 @@ def test_tdseq_parses_each_distinct_symbol_once(monkeypatch):
     real = blocks.parse_symbol
     monkeypatch.setattr(blocks, "parse_symbol", lambda t: parsed.append(t) or real(t))
     read_tdseq(io.StringIO(buf.getvalue()))
-    assert sorted(parsed) == sorted(set(body))
+    # Zero lines are counted, never parsed.
+    assert sorted(parsed) == sorted(set(body) - {"0/1"})
+
+
+class _ShortReads(io.StringIO):
+    """A stream whose ``read(n)`` returns at most ``limit`` characters."""
+
+    def __init__(self, text, limit):
+        super().__init__(text)
+        self.limit = limit
+
+    def read(self, n=-1):
+        return super().read(min(n, self.limit))
+
+
+# Lines planted into a body: all but the last two break the grammar.
+_PLANTED_LINES = ("1/10/1", "00/1", "0/10/1", "10/1", "\x00", "", "\r", "0/1", "1/2")
+
+
+def _malformed_tdseq(rng):
+    """A written block's text, mostly with one planted change in its body."""
+    length = rng.randint(1, 60)
+    density = rng.choice((0.05, 0.3, 0.8))
+    syms = [F(rng.randint(1, 4), 4) if rng.random() < density else 0
+            for _ in range(length)]
+    buf = io.StringIO()
+    write_tdseq(Block(syms, base=rng.randint(-9, 9)), buf)
+    *header, body = buf.getvalue().split("\n", 3)
+    lines = body.split("\n")[:-1]
+    at = rng.randrange(len(lines))
+    kind = rng.randrange(6)  # 5: unchanged
+    if kind == 0:
+        lines[at] = rng.choice(_PLANTED_LINES)
+    elif kind == 1:
+        lines.insert(at, rng.choice(_PLANTED_LINES))
+        header[2] = f"length {len(lines)}"
+    body = "".join(line + "\n" for line in lines)
+    if kind == 2:
+        body = body[:-1]  # unterminated last line
+    elif kind == 3:
+        for _ in range(rng.randint(1, 2)):
+            cut = rng.randrange(len(body))
+            body = body[:cut] + body[cut + 1:]
+    elif kind == 4:
+        cut = rng.randrange(len(body) + 1)
+        body = body[:cut] + rng.choice(("\r", "\x00", "0")) + body[cut:]
+    return "\n".join(header) + "\n" + body
+
+
+def test_tdseq_reader_matches_line_by_line_reference_on_planted_malformations():
+    rng = random.Random(1818)
+    refused = 0
+    for _ in range(3000):
+        text = _malformed_tdseq(rng)
+        expected = naive_read_tdseq(text)
+        refused += expected is None
+        # Short reads cut chunks inside lines and inside zero runs.
+        streams = [io.StringIO(text)] + [_ShortReads(text, n) for n in (1, 3, 7)]
+        for stream in streams:
+            try:
+                got = read_tdseq(stream)
+            except TdseqFormatError as err:
+                assert expected is None, (text, err)
+                assert "\\x00" not in str(err), (text, err)  # quotes input, not the marker
+            else:
+                assert got == expected, text
+    assert 500 < refused < 2500  # both outcomes well exercised
+
+
+def test_tdseq_error_quotes_the_input_line():
+    for body in ("1/10/1\n1/2\n", "1/2\n1/10/1\n"):
+        with pytest.raises(TdseqFormatError, match="'1/10/1'"):
+            read_tdseq(io.StringIO(f"TDSEQ 1\nbase 1\nlength 2\n{body}"))
+
+
+def test_tdseq_read_memory_stays_bounded():
+    block = concat_all([zeros(400_000), Block([F(1, 2)]), zeros(599_997),
+                        Block([1, F(1, 3)])])
+    buf = io.StringIO()
+    write_tdseq(block, buf)
+    stream = io.StringIO(buf.getvalue())
+    tracemalloc.start()
+    try:
+        got = read_tdseq(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == block and got.nonzero_positions == (400_001, 999_999, 1_000_000)
+    assert peak < 2_000_000, peak  # the body is read in bounded chunks
+
+
+def test_load_tdseq_refuses_non_ascii_bytes(tmp_path):
+    path = tmp_path / "e.tdseq"
+    path.write_bytes("TDSEQ 1\nbase 1\nlength 1\n\u00e9/1\n".encode("utf-8"))
+    with pytest.raises(TdseqFormatError, match="non-ASCII byte 0xc3") as info:
+        blocks.load_tdseq(path)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 def test_common_numerators_are_exact():

@@ -54,6 +54,9 @@ def test_partition_validation_and_label():
             o.Partition.from_blocks(blocks)
     with pytest.raises(ValueError, match="canonical"):
         o.Partition(((2,), (0, 1)))
+    for blocks in ([(0,), ()], [()]):  # the same relation as [(0,)] and []
+        with pytest.raises(ValueError, match="nonempty"):
+            o.Partition.from_blocks(blocks)
     p = o.Partition.from_blocks([(2,), (0, 1)])
     assert p.size == 3 and p.label() == "0,1|2"
     assert (0, 1) in p.pairs() and (2, 2) in p.pairs() and (0, 2) not in p.pairs()
