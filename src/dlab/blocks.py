@@ -315,6 +315,7 @@ _NATURAL = "(?:0|[1-9][0-9]*)"
 _SYMBOL_RE = re.compile(f"({_NATURAL})/({_NATURAL})")
 _BASE_RE = re.compile("base (0|-?[1-9][0-9]*)")
 _LENGTH_RE = re.compile(f"length ({_NATURAL})")
+_TOO_LONG = "a number with more digits than int() converts"
 _MARK = "\x00"  # what the reader folds each zero line to; no valid line holds it
 _CHUNK = 1 << 16  # characters per body read, so memory stays bounded
 
@@ -327,7 +328,12 @@ def parse_symbol(text: str) -> Fraction:
     match = _SYMBOL_RE.fullmatch(text)
     if match is None:
         raise TdseqFormatError(f"bad symbol {text!r}: expected p/q in plain decimals")
-    p, q = int(match[1]), int(match[2])
+    try:
+        p, q = int(match[1]), int(match[2])
+    except ValueError as err:  # more digits than int() converts
+        raise TdseqFormatError(
+            f"bad symbol line of {len(text)} characters: {_TOO_LONG}"
+        ) from err
     if q < 1:
         raise TdseqFormatError(f"bad symbol {text!r}: denominator must be >= 1")
     if not 0 <= p <= q:
@@ -378,7 +384,10 @@ def _header_int(stream: TextIO, pattern: "re.Pattern", what: str) -> int:
     match = pattern.fullmatch(line)
     if match is None:
         raise TdseqFormatError(f"bad {what} line {line!r}")
-    return int(match[1])
+    try:
+        return int(match[1])
+    except ValueError as err:  # more digits than int() converts
+        raise TdseqFormatError(f"bad {what} line: {_TOO_LONG}") from err
 
 
 def read_tdseq(stream: TextIO) -> Block:

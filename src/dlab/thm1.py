@@ -18,28 +18,29 @@ prefix, the three properties the construction is designed for:
 plus a diagnostic falsifier for the uncorrected smallness statement (hypothesis
 over k symbols with bound 1/k), which the constructed point itself refutes.
 
-C3 and C2PRIME scan each scale once and then only the copy seams.  Write B_r
-for the stage-r block, the first n_r symbols of the prefix.  Each test reads
-a span of positions: [q-k+1, q+n_k+k-1] for C3 at q, [p, p+n_j] for C2PRIME
-at p.  Suppose B_r is a row of copies c*B_{r-1} at pitch L = n_{r-1}, each
-with 0 <= c <= 1.  If a span lies inside one copy with c > 0, the test there
-is the test at the same scale in B_{r-1}, shifted by a multiple of L: c <= 1
-only shrinks differences, and c > 0 keeps the nonzero pattern that the C3
-gate reads.  A span that runs past either end of B_r lies in its first copy
-(which is B_{r-1}) or its last one, and is cut off there as in B_{r-1}.  A
-copy with c = 0 is all zeros and breaks neither bound.  So once B_{r-1}
-passes a scale, B_r can fail it only on a span that crosses a seam jL.  Those
-spans start at q in [jL - n_k - k + 2, jL + k - 1] for C3 and at p in
-[jL - n_j + 1, jL] for C2PRIME.  Scale k is therefore scanned flat on
-B_{k+1}, and then on each later B_r only around its seams, with the stage-r
-test unchanged.  The newest scale (k = stage - 1) is scanned flat on the
-whole prefix.
+C3 and C2PRIME scan each scale only where its smallest failure can lie.
+Write B_r for the stage-r block, the first n_r symbols of the prefix.  A test
+at position q reads the span q+left .. q+right, with (left, right) =
+(1-k, n_k+k-1) for C3 at scale k and (0, n_j) for C2PRIME at scale j.
+Suppose B_r is a row of copies c*B_{r-1} at pitch L = n_{r-1}, each with
+0 <= c <= 1, and that some test fails at a position q past B_{k+1}.  Take
+the smallest B_r that holds q; q lies in its copy j >= 1.  If the span
+crosses no seam of B_r or of a later block, it lies inside copy j, or runs
+from it past the end of the prefix.  A copy with c = 0 is all zeros and
+breaks neither bound.  Otherwise the test at q - jL fails too: c <= 1 only
+shrinks differences, c > 0 keeps the nonzero pattern that the C3 gate
+reads, and a span that the end of the prefix cuts short is cut no shorter
+jL positions earlier.  So the smallest failing position of scale k lies in
+B_{k+1}, or its span crosses a seam jL of some later B_r, which puts it in
+[jL - right + 1, jL - left].  Those ranges, taken seam by seam after B_{k+1},
+increase by both start and end, so the first hit in them is the smallest
+failing position: the first (k, pos) witness of a scan of the whole prefix,
+which finds no failure where they find none.  For the newest scale,
+k = stage - 1, B_{k+1} already is the whole prefix.
 
-The seam scan needs the copy layout, and ``Thm1State.copies_audited`` checks
-it exactly, once per state, for every r >= 2.  If the audit refuses, or any
-scan of the chain finds a hit, that scale is scanned flat over the whole
-prefix as before.  So every FAIL line comes from the flat scan, with its
-first (k, pos) witness.
+The ranges need the copy layout, and ``Thm1State.copies_audited`` checks it
+exactly, once per state, for every r >= 2.  If the audit refuses, each scale
+is scanned over the whole prefix.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import eq, mul, sub
 
@@ -176,6 +177,11 @@ def build(m: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Thm1State:
     """Build the stage-m state; refuses oversized stages before allocating."""
     if m < 1:
         raise ValueError("stage must be >= 1")
+    # n_m > 2**m: a stage past the cap and 2**64 is refused before n_m is formed.
+    if m > max(max_symbols, 2**64).bit_length():
+        raise ResourceCapError(
+            f"stage {m} needs more than 2**{m} symbols, cap is {max_symbols}"
+        )
     need = predicted_length(m)
     if need > max_symbols:
         raise ResourceCapError(
@@ -220,53 +226,58 @@ def check_c1(state: Thm1State, kmax: int) -> CheckReport:
     return CheckReport("C1", verdict, params, witness)
 
 
-def _c3_gate(block: Block, q: int, k: int, hi_start: int) -> bool:
-    """Some admissible window start lo_i..hi_i for the pair at q sees a nonzero."""
-    lo_i = max(block.base, q - k + 1)
-    hi_i = min(q, hi_start)
-    return lo_i <= hi_i and block.count_nonzero_in(lo_i, hi_i + k - 1) > 0
+def _scan_ranges(state: Thm1State, k: int, left: int, right: int) -> list:
+    """Ranges (lo, hi) of positions that hold scale k's smallest failure, if any.
 
-
-def _passes_on_seams(state: Thm1State, k: int, first, before: int, after: int) -> bool:
-    """Scale k passes on the whole prefix, shown without scanning all of it.
-
-    ``first(last, lo, hi)`` runs the scale-k test of B_r (``last`` = n_r) at
-    the positions lo..hi and returns its first hit or None.  The scan is flat
-    on B_{k+1}, then covers seam - before .. seam + after around each seam of
-    every later B_r (the module docstring gives the argument; positions count
-    from 1, so seam jL sits after position jL).  False when the copy layout
-    is not audited, when k is the newest scale (B_{k+1} is the whole
-    prefix), or on any hit: the caller then scans the prefix flat.
+    A test at q reads the span q + left .. q + right.  The ranges are B_{k+1},
+    then, for each seam jL of every later B_r, the positions whose span
+    crosses it (module docstring; positions count from 1, so seam jL sits
+    after position jL).  Without an audited copy layout, the whole prefix.
     """
     n = state.lengths
-    if k + 1 >= state.stage or not state.copies_audited:
-        return False
-    if first(n[k], 1, n[k]) is not None:
-        return False
+    if not state.copies_audited:
+        return [(1, state.length)]
+    ranges = [(1, n[k])]
     for size, last in zip(n[k:], n[k + 1 :]):
-        for seam in range(size, last, size):
-            if first(last, seam - before, seam + after) is not None:
-                return False
-    return True
+        ranges.extend((seam - right + 1, seam - left) for seam in range(size, last, size))
+    return ranges
 
 
-def _c3_first(block: Block, k: int, n_k: int, last: int, lo: int, hi: int):
-    """First gated C3 failure ``(q, value, shifted)`` in B_r with lo <= q <= hi.
+def _first_failure(state: Thm1State, top: int, first, span):
+    """``(k, hit)`` at the smallest failing scale k <= top, or None.
 
-    B_r is the block cut at ``last``: the pair (q, q + n_k) lies in it and the
-    gate admits window starts up to last - n_k - k + 1.  ``shift_violations``
-    in its at-bound mode walks only positions lo..hi + n_k.
+    ``first(block, k, n_k, lo, hi)`` returns the first hit of the scale-k test
+    at positions lo..hi, and ``span(k, n_k)`` the offsets (left, right) of the
+    span the test at q reads; the first hit over ``_scan_ranges`` is smallest.
+    """
+    for k in range(1, top + 1):
+        n_k = state.length_of_stage(k)
+        for lo, hi in _scan_ranges(state, k, *span(k, n_k)):
+            hit = first(state.prefix, k, n_k, lo, hi)
+            if hit is not None:
+                return k, hit
+    return None
+
+
+def _c3_first(block: Block, k: int, n_k: int, lo: int, hi: int):
+    """First gated C3 failure ``(q, value, shifted)`` with lo <= q <= hi.
+
+    The pair (q, q + n_k) lies in the block and the gate admits window starts
+    up to last - n_k - k + 1.  ``shift_violations`` in its at-bound mode walks
+    only positions lo..hi + n_k.
     """
     base = block.base
-    hi_start = last - n_k - k + 1  # largest admissible window start
-    lo, hi = max(lo, base), min(hi, last - n_k)
+    hi_start = block.last - n_k - k + 1  # largest admissible window start
+    lo, hi = max(lo, base), min(hi, block.last - n_k)
     if hi_start < base or lo > hi:
         return None
     part = window(block, lo, hi + n_k)
     for q, value, shifted in shift_violations(part, n_k, Fraction(1, k), at_bound=True):
         if q > hi:
             break
-        if q >= lo and _c3_gate(block, q, k, hi_start):
+        # Some admissible window start lo_i..hi_i for the pair sees a nonzero.
+        lo_i, hi_i = max(base, q - k + 1), min(q, hi_start)
+        if q >= lo and lo_i <= hi_i and block.count_nonzero_in(lo_i, hi_i + k - 1):
             return q, value, shifted
     return None
 
@@ -283,42 +294,34 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     nonzero is the failure.  Reports it as (k, position) with both values,
     smallest k first, then smallest position.
 
-    An old scale of an audited state is scanned on B_{k+1} and then only at
-    q in [jL - n_k - k + 2, jL + k - 1] around seams (module docstring).
+    On an audited state an old scale is scanned on B_{k+1}, then only at q in
+    [jL - n_k - k + 2, jL + k - 1] around seams (module docstring).
     """
     _require_range(state, kmax, "kmax")
-    block = state.prefix
-    for k in range(1, kmax + 1):
-        n_k = state.length_of_stage(k)
-        first = partial(_c3_first, block, k, n_k)
-        if _passes_on_seams(state, k, first, n_k + k - 2, k - 1):
-            continue
-        hit = first(block.last, block.base, block.last)
-        if hit is not None:
-            q, value, shifted = hit
-            return CheckReport(
-                "C3",
-                FAIL,
-                (("stage", state.stage), ("kmax", kmax)),
-                (
-                    ("k", k),
-                    ("pos", q),
-                    ("value", value),
-                    ("shifted", shifted),
-                    ("bound", Fraction(1, k)),
-                ),
-            )
-    return CheckReport("C3", PASS, (("stage", state.stage), ("kmax", kmax)))
+    params = (("stage", state.stage), ("kmax", kmax))
+    found = _first_failure(state, kmax, _c3_first, lambda k, n_k: (1 - k, n_k + k - 1))
+    if found is None:
+        return CheckReport("C3", PASS, params)
+    k, (q, value, shifted) = found
+    return CheckReport(
+        "C3",
+        FAIL,
+        params,
+        (
+            ("k", k),
+            ("pos", q),
+            ("value", value),
+            ("shifted", shifted),
+            ("bound", Fraction(1, k)),
+        ),
+    )
 
 
-def _c2prime_first(block: Block, j: int, n_j: int, last: int, lo: int, hi: int):
-    """First C2PRIME failure ``(p, window_max)`` in B_r with lo <= p <= hi.
-
-    B_r is the block cut at ``last``, so only p with p + n_j <= last are tested.
-    """
+def _c2prime_first(block: Block, j: int, n_j: int, lo: int, hi: int):
+    """First C2PRIME failure ``(p, window_max)`` with lo <= p <= hi, p + n_j <= last."""
     nz = block.nonzero_positions
     den, nums = common_numerators(block)
-    a, b = bisect_left(nz, lo), bisect_right(nz, min(hi, last - n_j))
+    a, b = bisect_left(nz, lo), bisect_right(nz, min(hi, block.last - n_j))
     for i in compress(range(a, b), map((den // (j + 1)).__lt__, islice(nums, a, b))):
         p = nz[i]
         eps = max(nums[i + 1 : bisect_right(nz, p + n_j, i + 1)], default=0)
@@ -337,32 +340,27 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     attained with equality inside the construction, which is why a failure
     needs (value - window_max) * (j+1) > D strictly.
 
-    An old scale of an audited state is scanned on B_{j+1} and then only at
-    p in [jL - n_j + 1, jL] around seams (module docstring).
+    On an audited state an old scale is scanned on B_{j+1}, then only at p in
+    [jL - n_j + 1, jL] around seams (module docstring).
     """
     _require_range(state, jmax, "jmax")
-    block = state.prefix
-    for j in range(1, jmax + 1):
-        n_j = state.length_of_stage(j)
-        first = partial(_c2prime_first, block, j, n_j)
-        if _passes_on_seams(state, j, first, n_j - 1, 0):
-            continue
-        hit = first(block.last, block.base, block.last)
-        if hit is not None:
-            p, eps = hit
-            return CheckReport(
-                "C2PRIME",
-                FAIL,
-                (("stage", state.stage), ("jmax", jmax)),
-                (
-                    ("j", j),
-                    ("pos", p),
-                    ("value", block[p]),
-                    ("window_max", eps),
-                    ("slack", Fraction(1, j + 1)),
-                ),
-            )
-    return CheckReport("C2PRIME", PASS, (("stage", state.stage), ("jmax", jmax)))
+    params = (("stage", state.stage), ("jmax", jmax))
+    found = _first_failure(state, jmax, _c2prime_first, lambda j, n_j: (0, n_j))
+    if found is None:
+        return CheckReport("C2PRIME", PASS, params)
+    j, (p, eps) = found
+    return CheckReport(
+        "C2PRIME",
+        FAIL,
+        params,
+        (
+            ("j", j),
+            ("pos", p),
+            ("value", state.prefix[p]),
+            ("window_max", eps),
+            ("slack", Fraction(1, j + 1)),
+        ),
+    )
 
 
 def check_tails(state: Thm1State) -> CheckReport:

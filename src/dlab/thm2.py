@@ -526,13 +526,21 @@ def build_to_stage(
     nonzero cap: each step stores 2r+1 copies of every nonzero and the
     interleave three, so the target stores 3*5*...*(2t-1) per block (times 3
     with ``transitive``), more than any earlier build, and is checked against
-    ``max_symbols`` before anything is built.  ``max_positions``, if given,
-    refuses the first built stage longer than it.
+    ``max_symbols`` before anything is built.  That count exceeds
+    2**(target-1), so a target far past the cap is refused without
+    multiplying it out, which for a target in the millions takes minutes and
+    gives too many digits to print.  ``max_positions``, if given, refuses the
+    first built stage longer than it.
     """
     if target < 1:
         raise ValueError("target stage must be >= 1")
     if transitive and target < 2:
         raise ValueError("transitive build needs a target stage >= 2")
+    if target - 1 > max(max_symbols, 2**64).bit_length():
+        raise ResourceCapError(
+            f"stage {target} stores more than 2**{target - 1} nonzeros per block, "
+            f"cap is {max_symbols}"
+        )
     stored = math.prod(range(3, 2 * target, 2)) * (3 if transitive else 1)
     if stored > max_symbols:
         raise ResourceCapError(

@@ -196,6 +196,12 @@ def test_tdseq_exact_bytes():
         "TDSEQ 1\nbase 1\nlength 1\n/1\n",     # deleted numerator
         "TDSEQ 1\nbase 1\nlength 1\n0/\n",     # deleted denominator
         "TDSEQ 1\nbase 1\nlength 2\n0/11/1\n", # deleted newline
+        # Numbers with more digits than int() converts (4,300 by default).
+        pytest.param(f"TDSEQ 1\nbase {'9' * 5000}\nlength 1\n1/1\n", id="long-base"),
+        pytest.param(f"TDSEQ 1\nbase 1\nlength {'9' * 5000}\n1/1\n", id="long-length"),
+        pytest.param(f"TDSEQ 1\nbase 1\nlength 1\n1/{'9' * 5000}\n", id="long-denominator"),
+        pytest.param(f"TDSEQ 1\nbase 1\nlength 1\n{'1' * 5000}/{'3' * 5000}\n",
+                     id="long-numerator"),
     ],
 )
 def test_tdseq_rejects_malformed(text):

@@ -109,6 +109,12 @@ def test_config_errors_exit_2():
         "--max-symbols", "1000",
     )
     assert result.returncode == 2
+    # A stage far past the cap is refused on one line, its length not formed.
+    result = run_cli("thm1", "build", "--stage", "1000000", "--out", "/dev/null")
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: stage 1000000 needs more than 2**1000000 symbols, cap is 100000000\n"
+    )
     # Unknown flags are rejected by the parser (argparse exits 2).
     result = run_cli("thm1", "verify", "--stage", "2", "--kmax", "1", "--bogus")
     assert result.returncode == 2
@@ -212,6 +218,9 @@ def test_thm2_over_the_nonzero_cap_is_refused_before_any_build(monkeypatch, caps
         ("recur escape --stage 9 --k 3 --w 1", "stage 9 stores 34459425"),
         ("thm2 verify --stage 8 --kmax 1", "stage 8 stores 2027025"),
         ("thm2 verify --stage 8 --kmax 1 --transitive", "stage 8 stores 6081075"),
+        # Far past the cap and 2**64 the count is not multiplied out.
+        ("recur pair-sep --stage 1000000", "stage 1000000 stores more than 2**999999"),
+        ("thm2 verify --stage 5000 --kmax 1 --transitive", "stage 5000 stores more than 2**4999"),
     )
     for argv, stored in cases:
         assert main(argv.split()) == 2

@@ -3,8 +3,9 @@
 A public function, class or constant that only tests read is code that
 nothing calls, and is deleted instead (README "API changes").  Names are
 matched by spelling: a use is any load of that name or attribute in
-``src/dlab`` or ``bench`` outside the name's own definition.  Dunders and
-``_private`` names are exempt.
+``src/dlab`` or ``bench`` outside the name's own definition.  Dunders are
+exempt.  Of the ``_private`` names, module-level functions and classes are
+held to the same rule, so a helper that a refactor leaves behind fails too.
 """
 
 import ast
@@ -41,18 +42,34 @@ def _uses(trees):
     return uses
 
 
-def test_no_public_name_is_used_only_by_tests():
+def _unused(definitions):
+    """``file:line name`` of each (path, name, node) loaded nowhere outside node."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in USERS}
     uses = _uses(trees)
     unused = []
     for path in SOURCES:
-        for name, node in _definitions(trees[path]):
-            if name.startswith("_"):
-                continue
+        for name, node in definitions(trees[path]):
             outside = [
                 (p, line) for p, line in uses.get(name, ())
                 if not (p == path and node.lineno <= line <= node.end_lineno)
             ]
             if not outside:
                 unused.append(f"{path.name}:{node.lineno} {name}")
-    assert unused == []
+    return unused
+
+
+def test_no_public_name_is_used_only_by_tests():
+    def public(tree):
+        return ((name, node) for name, node in _definitions(tree)
+                if not name.startswith("_"))
+
+    assert _unused(public) == []
+
+
+def test_no_private_helper_is_left_unused():
+    def private(tree):
+        return ((node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__"))
+
+    assert _unused(private) == []

@@ -70,6 +70,14 @@ def test_prefix_consistency():
 def test_resource_cap_refuses_before_building():
     with pytest.raises(ResourceCapError, match="1814400"):
         thm1.build(8, max_symbols=10**6)
+    # n_5000 has more digits than str() prints, and n_1000000 takes minutes
+    # to multiply out; past both the cap and 2**64 neither is formed.
+    for m in (5000, 10**6):
+        with pytest.raises(
+            ResourceCapError,
+            match=rf"^stage {m} needs more than 2\*\*{m} symbols, cap is 100000000$",
+        ):
+            thm1.build(m)
 
 
 def test_window_example_on_x2():
@@ -370,7 +378,7 @@ def _copy_layout_state(rng):
             for _ in range(rng.randint(2, 5))]
     block = Block(seed, base=1)
     lengths = [len(block)]
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, 4)):
         factors = [F(1)] + [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 3))]
         block = concat_all([scale(c, block) for c in factors], base=1)
         lengths.append(len(block))
@@ -384,7 +392,23 @@ def _at_top_seam(state, pos, before, after):
                for seam in range(pitch, state.length, pitch))
 
 
-def test_seam_scans_match_dense_references_on_copy_layouts():
+def _record_scans(monkeypatch):
+    """Log (k, whether lo..hi covers the whole prefix) of each scanner call."""
+    calls = []
+
+    def recording(real):
+        def first(block, k, n_k, lo, hi):
+            calls.append((k, lo <= block.base and hi >= block.last))
+            return real(block, k, n_k, lo, hi)
+        return first
+
+    monkeypatch.setattr(thm1, "_c3_first", recording(thm1._c3_first))
+    monkeypatch.setattr(thm1, "_c2prime_first", recording(thm1._c2prime_first))
+    return calls
+
+
+def test_seam_scans_match_dense_references_on_copy_layouts(monkeypatch):
+    calls = _record_scans(monkeypatch)
     rng = random.Random(16)
     verdicts = {"C3": {True: 0, False: 0}, "C2PRIME": {True: 0, False: 0}}
     fail_sites = set()
@@ -393,6 +417,7 @@ def test_seam_scans_match_dense_references_on_copy_layouts():
         assert state.copies_audited
         kmax = state.stage - 1
         p = state.prefix
+        calls.clear()
 
         rep = thm1.check_c3(state, kmax)
         expected = _expected_c3(state, kmax)
@@ -417,6 +442,9 @@ def test_seam_scans_match_dense_references_on_copy_layouts():
             assert (w["j"], w["pos"], w["window_max"]) == (j, pos, eps), rep.line()
             n_j = state.lengths[j - 1]
             fail_sites.add(("C2PRIME", _at_top_seam(state, pos, n_j - 1, 0)))
+        # A FAIL witness comes from the seam ranges too: only the newest
+        # scale, whose B_{k+1} is the whole prefix, is scanned over all of it.
+        assert {k for k, whole in calls if whole} <= {state.stage - 1}
     for check, counts in verdicts.items():
         assert min(counts.values()) > 100, (check, counts)
     # Failures both at the top stage's seams and deep inside its copies, where
@@ -475,16 +503,7 @@ def test_refused_audit_prints_the_flat_lines(plant, c3_line, c2prime_line):
 
 
 def test_built_stages_scan_no_old_scale_over_the_whole_prefix(monkeypatch, thm1_stage8):
-    calls = []
-
-    def recording(real):
-        def first(block, k, n_k, last, lo, hi):
-            calls.append((k, (last, lo, hi) == (block.last, block.base, block.last)))
-            return real(block, k, n_k, last, lo, hi)
-        return first
-
-    monkeypatch.setattr(thm1, "_c3_first", recording(thm1._c3_first))
-    monkeypatch.setattr(thm1, "_c2prime_first", recording(thm1._c2prime_first))
+    calls = _record_scans(monkeypatch)
     for state in [thm1.build(m) for m in range(3, 8)] + [thm1_stage8]:
         assert state.copies_audited
         calls.clear()

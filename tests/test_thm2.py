@@ -103,6 +103,16 @@ def test_build_to_stage_resource_cap(monkeypatch):
         ResourceCapError, match="^stage 2 stores 3 nonzeros per block, cap is 2$"
     ):
         thm2.build_to_stage(2, max_symbols=2)
+    # The stored count of stage 5000 has more digits than str() prints, and
+    # that of stage 10**6 takes minutes to multiply out; neither is formed.
+    for target in (5000, 10**6):
+        for transitive in (False, True):
+            with pytest.raises(
+                ResourceCapError,
+                match=rf"^stage {target} stores more than 2\*\*{target - 1} "
+                r"nonzeros per block, cap is 1000000$",
+            ):
+                thm2.build_to_stage(target, transitive=transitive)
 
 
 def test_rigidity_matches_naive(hand_stage2):
