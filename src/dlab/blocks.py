@@ -14,6 +14,15 @@ nonzeros.  ``as_symbol``, ``parse_symbol`` and ``scale`` return one canonical
 text) is keyed by object identity and runs once per distinct value, and block
 equality mostly passes on identity.  Correctness never depends on it: equal
 values in distinct objects only cost a repeat of that work.
+
+Each block caches that identity table, id -> object for each distinct object
+among its values, so per-value work never walks the nonzeros to find the
+distinct values.  The producer sets it in O(#distinct): ``scale`` from its
+products, ``concat_all`` by merging its inputs' tables, ``read_tdseq`` from
+the lines it parsed, ``zeros`` and scaling by 0 as empty.  Only ``Block(...)``
+and ``window`` derive it from their values, lazily and once; a window does
+not inherit its parent's table, whose values it may not all hold.  Nothing
+is cached per nonzero.
 """
 
 from __future__ import annotations
@@ -71,7 +80,7 @@ def as_symbol(value) -> Fraction:
 class Block:
     """Immutable finite block of rational symbols with an integer base index."""
 
-    __slots__ = ("base", "length", "_nonzero", "_values", "_numerators")
+    __slots__ = ("base", "length", "_nonzero", "_values", "_distinct", "_numerators")
 
     def __init__(self, symbols: Iterable, base: int = 1):
         base = int(base)
@@ -87,19 +96,25 @@ class Block:
         self._assign(base, length, tuple(nonzero), tuple(values))
 
     @classmethod
-    def _trusted(cls, base: int, length: int, nonzero: tuple, values: tuple):
+    def _trusted(
+        cls, base: int, length: int, nonzero: tuple, values: tuple, distinct=None
+    ):
         # Fast path for internal constructors that already guarantee the
         # invariant: nonzero strictly increasing inside base..base+length-1,
-        # values the nonzero Fractions at those positions.
+        # values the nonzero Fractions at those positions, and ``distinct``
+        # (if given) the table ``_by_object(values)`` would build.
         blk = object.__new__(cls)
-        blk._assign(base, length, nonzero, values)
+        blk._assign(base, length, nonzero, values, distinct)
         return blk
 
-    def _assign(self, base: int, length: int, nonzero: tuple, values: tuple) -> None:
+    def _assign(
+        self, base: int, length: int, nonzero: tuple, values: tuple, distinct=None
+    ) -> None:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_nonzero", nonzero)
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_distinct", distinct)  # _distinct_values cache
         object.__setattr__(self, "_numerators", None)  # common_numerators cache
 
     def __setattr__(self, name, value):
@@ -189,10 +204,17 @@ class Block:
         return f"Block(base={self.base}, length={self.length}, [{shown}])"
 
 
+def _distinct_values(block: Block) -> dict:
+    """The block's id -> object table of its distinct values (module docstring)."""
+    if block._distinct is None:
+        object.__setattr__(block, "_distinct", _by_object(block._values))
+    return block._distinct
+
+
 def zeros(length: int, base: int = 1) -> Block:
     if length < 1:
         raise ValueError("a block holds at least one symbol")
-    return Block._trusted(base, length, (), ())
+    return Block._trusted(base, length, (), (), {})
 
 
 def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
@@ -201,18 +223,19 @@ def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
         raise ValueError("nothing to concatenate")
     if base is None:
         base = blocks[0].base
-    nonzero = []
-    values = []
-    offset = base
+    starts = list(accumulate((blk.length for blk in blocks), initial=base))
+    deltas = [start - blk.base for start, blk in zip(starts, blocks)]
+    # Each tuple is built from C-level iterators in one pass, with no
+    # per-block temporary list.
+    nonzero = tuple(chain.from_iterable(
+        map(delta.__add__, blk._nonzero) if delta else blk._nonzero
+        for delta, blk in zip(deltas, blocks)
+    ))
+    values = tuple(chain.from_iterable(blk._values for blk in blocks))
+    distinct = {}
     for blk in blocks:
-        delta = offset - blk.base
-        if delta:
-            nonzero.extend([p + delta for p in blk._nonzero])
-        else:
-            nonzero.extend(blk._nonzero)
-        values.extend(blk._values)
-        offset += blk.length
-    return Block._trusted(base, offset - base, tuple(nonzero), tuple(values))
+        distinct.update(_distinct_values(blk))
+    return Block._trusted(base, starts[-1] - base, nonzero, values, distinct)
 
 
 def scale(t, b: Block) -> Block:
@@ -221,10 +244,12 @@ def scale(t, b: Block) -> Block:
     if t == 1:
         return b
     if not t:
-        return Block._trusted(b.base, b.length, (), ())
-    products = {k: _canonical(t * v) for k, v in _by_object(b._values).items()}
+        return Block._trusted(b.base, b.length, (), (), {})
+    products = {k: _canonical(t * v) for k, v in _distinct_values(b).items()}
     values = tuple(_per_object(products, b._values))
-    return Block._trusted(b.base, b.length, b._nonzero, values)
+    return Block._trusted(
+        b.base, b.length, b._nonzero, values, _by_object(products.values())
+    )
 
 
 def window(b: Block, i: int, j: int) -> Block:
@@ -291,7 +316,7 @@ def common_numerators(block: Block) -> tuple:
     ``nums``.
     """
     if block._numerators is None:
-        objects = _by_object(block._values)
+        objects = _distinct_values(block)
         d = math.lcm(*{v.denominator for v in objects.values()})
         num = {k: v.numerator * (d // v.denominator) for k, v in objects.items()}
         nums = list(_per_object(num, block._values))
@@ -361,7 +386,7 @@ def write_tdseq(block: Block, stream: TextIO) -> None:
     # then its own line, followed by the trailing zero lines.  Each distinct
     # value and each distinct gap is formatted once.
     nz = block._nonzero
-    text = {k: format_symbol(v) + "\n" for k, v in _by_object(block._values).items()}
+    text = {k: format_symbol(v) + "\n" for k, v in _distinct_values(block).items()}
     gaps = list(map(sub, nz, (block.base - 1,) + nz[:-1]))
     zero_runs = {g: "0/1\n" * (g - 1) for g in set(gaps)}
     body = zip(map(zero_runs.__getitem__, gaps), _per_object(text, block._values))
@@ -430,7 +455,8 @@ def read_tdseq(stream: TextIO) -> Block:
         raise TdseqFormatError("truncated TDSEQ stream")
     if position - base != length:
         raise TdseqFormatError(f"expected {length} symbols, found {position - base}")
-    return Block._trusted(base, length, tuple(nonzero), tuple(values))
+    distinct = _by_object(table.values())  # each parsed line is in the block
+    return Block._trusted(base, length, tuple(nonzero), tuple(values), distinct)
 
 
 def dump_tdseq(block: Block, path) -> None:

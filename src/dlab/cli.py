@@ -27,19 +27,19 @@ SWEEP_EXHAUSTIVE_BOUND = 6
 LEMMA6_MAP_BOUND = 1000
 SAMPLED_SWEEP_DEFAULT = 200
 
-# What --max-symbols counts: thm1 blocks are about 10% nonzero and are capped
-# by position; thm2 blocks are sparse and are capped by what a build stores,
-# except that thm2 build writes TDSEQ 1, one line per position.
-THM1_CAP_HELP = "refuse builds beyond this many positions, zeros included"
+# What --max-symbols counts: a verify or recur run is capped by what a build
+# stores, its nonzeros, but thm1 build and thm2 build write TDSEQ 1, one line
+# per position, so they are capped by position too.  Stage m of thm1 stores
+# (m+1)!/2 nonzeros in (m+2)!/2 positions: the default admits verify up to
+# stage 10 (19,958,400 nonzeros) and build up to stage 9 (19,958,400
+# positions).
+THM1_CAP_HELP = "refuse builds that store more than this many nonzeros"
+THM1_BUILD_CAP_HELP = "refuse builds beyond this many positions, zeros included"
 THM2_CAP_HELP = "refuse builds that store more than this many nonzeros per block"
 THM2_BUILD_CAP_HELP = (
     f"{THM2_CAP_HELP}, and stop at the first stage of more than this many "
     "positions (TDSEQ 1 writes one line per position)"
 )
-
-
-def _thm1_state(args) -> thm1.Thm1State:
-    return thm1.build(args.stage, max_symbols=args.max_symbols)
 
 
 def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
@@ -52,7 +52,7 @@ def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
 
 
 def cmd_thm1_build(args) -> list:
-    state = _thm1_state(args)
+    state = thm1.build(args.stage, max_symbols=args.max_symbols)
     dump_tdseq(state.prefix, args.out)
     report = CheckReport(
         "THM1_BUILD",
@@ -82,7 +82,7 @@ def _check_stage_args(args) -> None:
 
 def cmd_thm1_verify(args) -> list:
     _check_stage_args(args)
-    state = _thm1_state(args)
+    state = thm1.build(args.stage, max_symbols=None, max_nonzeros=args.max_symbols)
     c3_kmax = min(args.kmax, state.stage - 1)
     jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
     reports = [
@@ -214,10 +214,18 @@ def cmd_oracle_lemma6(args) -> list:
         raise ValueError(
             f"--map has {len(entries)} entries, the bound is {LEMMA6_MAP_BOUND}"
         )
-    for entry in entries:  # the TDSEQ integer grammar: no sign, space or '_'
+    table = []
+    for number, entry in enumerate(entries, 1):
+        # The TDSEQ integer grammar: no sign, space or '_'.
         if not re.fullmatch("0|[1-9][0-9]*", entry):
             raise ValueError(f"--map entry {entry!r} is not an integer 0|[1-9][0-9]*")
-    sys_ = oracle_mod.make_system(entries)
+        try:
+            table.append(int(entry))
+        except ValueError as err:  # more digits than int() converts
+            raise ValueError(
+                f"--map entry {number} has {len(entry)} digits, more than int() converts"
+            ) from err
+    sys_ = oracle_mod.make_system(table)
     _, partition, report = oracle_mod.lemma6_relation(sys_, args.point)
     return [report.line(), f"PARTITION {partition.label()}"]
 
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_thm1.add_parser("build", help="build a stage and write it as TDSEQ")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_caps(p, THM1_CAP_HELP)
+    add_caps(p, THM1_BUILD_CAP_HELP)
     p.set_defaults(handler=cmd_thm1_build)
     p = p_thm1.add_parser("verify", help="run the stage verifiers")
     p.add_argument("--stage", type=int, required=True)

@@ -38,19 +38,35 @@ failing position: the first (k, pos) witness of a scan of the whole prefix,
 which finds no failure where they find none.  For the newest scale,
 k = stage - 1, B_{k+1} already is the whole prefix.
 
-The ranges need the copy layout, and ``Thm1State.copies_audited`` checks it
+C3 narrows B_{k+1} itself by the ratio steps.  B_{k+1} is J copies c_j*B_k
+at pitch n_k.  For q in copy j <= J-2, the pair (q, q + n_k) reads
+c_j*B_k(o) and c_{j+1}*B_k(o) at one offset o, and B_k <= 1, so the pair is
+at most |c_j - c_{j+1}| apart: it can reach the bound 1/k only if that step
+does.  For q in the last copy, q + n_k lies past B_{k+1}: past the prefix
+when B_{k+1} is all of it, so no test runs there, and otherwise the span
+crosses the seam n_{k+1} of B_{k+2}, whose range [n_{k+1} - n_k - k + 2,
+n_{k+1} + k - 1] holds the whole last copy.  So C3 scans, of B_{k+1}, only
+the copies j <= J-2 with a step of 1/k or more, which end before that seam
+range does and start before it.  The list still increases by start and end,
+and the first hit is the flat scan's first witness.  In the construction
+every step is 0 or 1/(k+1) < 1/k: the newest scale scans nothing, and an old
+scale only its seam ranges.  C2PRIME's span reads a maximum across copies,
+so it keeps the whole of B_{j+1}.
+
+The ranges need the copy layout, and ``Thm1State.copy_ratios`` checks it
 exactly, once per state, for every r >= 2.  If the audit refuses, each scale
 is scanned over the whole prefix.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import eq, mul, sub
+from itertools import compress, islice
+from operator import sub
 
 from .blocks import (
     DEFAULT_MAX_SYMBOLS,
@@ -103,40 +119,52 @@ class Thm1State:
         return self.lengths[k - 1]
 
     @cached_property
-    def copies_audited(self) -> bool:
-        """Every B_r with r >= 2 is a row of copies c_j * B_{r-1}, 0 <= c_j <= 1.
+    def copy_ratios(self) -> "tuple | None":
+        """The ratios c_j of each B_r, r >= 2, as a row of copies c_j * B_{r-1}.
 
-        For each r >= 2, with L = n_{r-1}, it checks exactly:
+        Entry r - 2 lists c_0 = 1, c_1, ... for B_r, or the whole is None if
+        some B_r is not such a row with every 0 <= c_j <= 1.  For each r >= 2,
+        with L = n_{r-1}, it checks exactly:
           - n_r is a multiple of L;
           - copy j (positions jL+1 .. (j+1)L) holds no nonzero (c_j = 0), or
             its nonzero positions are copy 0's shifted by jL;
           - its numerators are then copy 0's times one ratio c_j <= 1.
         Copy 0 is B_{r-1} itself.  The C3 and C2PRIME seam scans need this
-        layout; computed once per state.
+        layout, and C3 reads the steps c_j - c_{j+1}; computed once per state.
+        A numerator n * c_j must be an integer, so the product is formed once
+        per distinct numerator of copy 0 and the copy compares as one list.
         """
         nz = self.prefix.nonzero_positions
         _, nums = common_numerators(self.prefix)
+        layout = []
         for size, total in zip(self.lengths, self.lengths[1:]):
             if total % size:
-                return False
+                return None
             cut = [bisect_right(nz, end) for end in range(0, total + 1, size)]
             pos0, num0 = nz[: cut[1]], nums[: cut[1]]
+            distinct = set(num0)
+            ratios = [Fraction(1)]
             for j in range(1, len(cut) - 1):
                 a, b = cut[j], cut[j + 1]
                 if a == b:
+                    ratios.append(ZERO)
                     continue
                 if b - a != len(pos0):
-                    return False
+                    return None
                 shift = j * size
                 if not all(map(shift.__eq__, map(sub, nz[a:b], pos0))):
-                    return False
+                    return None
                 top, bottom = nums[a], num0[0]  # c_j = top / bottom
                 if top > bottom:
-                    return False
-                scaled = map(mul, nums[a:b], repeat(bottom))
-                if not all(map(eq, scaled, map(mul, num0, repeat(top)))):
-                    return False
-        return True
+                    return None
+                image = {n: n * top // bottom for n in distinct if not n * top % bottom}
+                if len(image) < len(distinct):
+                    return None  # some n * c_j is not an integer
+                if nums[a:b] != list(map(image.__getitem__, num0)):
+                    return None
+                ratios.append(Fraction(top, bottom))
+            layout.append(tuple(ratios))
+        return tuple(layout)
 
 
 def initial_state() -> Thm1State:
@@ -173,20 +201,39 @@ def predicted_length(m: int) -> int:
     return n
 
 
-def build(m: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Thm1State:
-    """Build the stage-m state; refuses oversized stages before allocating."""
+def predicted_nonzeros(m: int) -> int:
+    """Nonzeros the stage-m prefix stores: stage j+1 keeps j+2 nonzero copies."""
+    return math.factorial(m + 1) // 2
+
+
+def build(
+    m: int,
+    max_symbols: "int | None" = DEFAULT_MAX_SYMBOLS,
+    max_nonzeros: "int | None" = None,
+) -> Thm1State:
+    """Build the stage-m state; refuses oversized stages before allocating.
+
+    ``max_symbols`` caps the positions n_m (None: no position cap), and
+    ``max_nonzeros``, if given, the stored nonzeros (m+1)!/2.  Both counts
+    exceed 2**m from stage 3 on, so a stage past a cap and 2**64 is refused
+    before its count is formed: for a stage in the millions that takes
+    minutes and gives too many digits to print.
+    """
     if m < 1:
         raise ValueError("stage must be >= 1")
-    # n_m > 2**m: a stage past the cap and 2**64 is refused before n_m is formed.
-    if m > max(max_symbols, 2**64).bit_length():
-        raise ResourceCapError(
-            f"stage {m} needs more than 2**{m} symbols, cap is {max_symbols}"
-        )
-    need = predicted_length(m)
-    if need > max_symbols:
-        raise ResourceCapError(
-            f"stage {m} needs {need} symbols, cap is {max_symbols}"
-        )
+    for cap, count, noun in (
+        (max_nonzeros, predicted_nonzeros, "stores {} nonzeros"),
+        (max_symbols, predicted_length, "has {} positions"),
+    ):
+        if cap is None:
+            continue
+        if m > max(cap, 2**64).bit_length():
+            raise ResourceCapError(
+                f"stage {m} needs more than 2**{m} symbols, cap is {cap}"
+            )
+        need = count(m)
+        if need > cap:
+            raise ResourceCapError(f"stage {m} {noun.format(need)}, cap is {cap}")
     state = initial_state()
     for _ in range(m - 1):
         state = step(state)
@@ -207,37 +254,53 @@ def check_c1(state: Thm1State, kmax: int) -> CheckReport:
     """Some position carries k zeros immediately followed by a 1, for each k <= kmax.
 
     Equivalent to: the longest zero-run immediately preceding a 1 is >= kmax.
-    Reports the maximal k found and where.
+    Reports the maximal k found and where.  A 1 is a numerator equal to the
+    common denominator D, and ``list.index`` finds each such nonzero at C
+    speed, so the Python loop runs once per 1, not once per nonzero.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     block = state.prefix
+    nz = block.nonzero_positions
+    den, nums = common_numerators(block)
     best_k = 0
     best_pos = None
-    prev_nz = block.base - 1
-    for p, v in block.nonzero_items():
-        run = p - prev_nz - 1
-        if run > best_k and v == 1:
-            best_k, best_pos = run, p
-        prev_nz = p
+    i = -1
+    for _ in range(nums.count(den)):
+        i = nums.index(den, i + 1)
+        run = nz[i] - (nz[i - 1] if i else block.base - 1) - 1
+        if run > best_k:
+            best_k, best_pos = run, nz[i]
     params = (("stage", state.stage), ("kmax", kmax))
     witness = (("max_run", best_k), ("one_at", best_pos))
     verdict = PASS if best_k >= kmax else FAIL
     return CheckReport("C1", verdict, params, witness)
 
 
-def _scan_ranges(state: Thm1State, k: int, left: int, right: int) -> list:
+def _scan_ranges(
+    state: Thm1State, k: int, left: int, right: int, step_bound=None
+) -> list:
     """Ranges (lo, hi) of positions that hold scale k's smallest failure, if any.
 
     A test at q reads the span q + left .. q + right.  The ranges are B_{k+1},
     then, for each seam jL of every later B_r, the positions whose span
     crosses it (module docstring; positions count from 1, so seam jL sits
-    after position jL).  Without an audited copy layout, the whole prefix.
+    after position jL).  With ``step_bound`` (C3's 1/k), B_{k+1} narrows to
+    its copies j <= J-2 whose ratio step |c_j - c_{j+1}| reaches the bound.
+    Without an audited copy layout, the whole prefix.
     """
     n = state.lengths
-    if not state.copies_audited:
+    if state.copy_ratios is None:
         return [(1, state.length)]
-    ranges = [(1, n[k])]
+    if step_bound is None:
+        ranges = [(1, n[k])]
+    else:
+        size, c = n[k - 1], state.copy_ratios[k - 1]
+        ranges = [
+            (j * size + 1, (j + 1) * size)
+            for j in range(len(c) - 1)
+            if abs(c[j] - c[j + 1]) >= step_bound
+        ]
     for size, last in zip(n[k:], n[k + 1 :]):
         ranges.extend((seam - right + 1, seam - left) for seam in range(size, last, size))
     return ranges
@@ -248,7 +311,8 @@ def _first_failure(state: Thm1State, top: int, first, span):
 
     ``first(block, k, n_k, lo, hi)`` returns the first hit of the scale-k test
     at positions lo..hi, and ``span(k, n_k)`` the offsets (left, right) of the
-    span the test at q reads; the first hit over ``_scan_ranges`` is smallest.
+    span the test at q reads, then C3's ratio-step bound; the first hit over
+    ``_scan_ranges`` is smallest.
     """
     for k in range(1, top + 1):
         n_k = state.length_of_stage(k)
@@ -294,12 +358,15 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     nonzero is the failure.  Reports it as (k, position) with both values,
     smallest k first, then smallest position.
 
-    On an audited state an old scale is scanned on B_{k+1}, then only at q in
-    [jL - n_k - k + 2, jL + k - 1] around seams (module docstring).
+    On an audited state scale k is scanned on the copies of B_{k+1} whose
+    ratio step reaches 1/k, then only at q in [jL - n_k - k + 2, jL + k - 1]
+    around seams (module docstring).
     """
     _require_range(state, kmax, "kmax")
     params = (("stage", state.stage), ("kmax", kmax))
-    found = _first_failure(state, kmax, _c3_first, lambda k, n_k: (1 - k, n_k + k - 1))
+    found = _first_failure(
+        state, kmax, _c3_first, lambda k, n_k: (1 - k, n_k + k - 1, Fraction(1, k))
+    )
     if found is None:
         return CheckReport("C3", PASS, params)
     k, (q, value, shifted) = found

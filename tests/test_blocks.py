@@ -329,6 +329,53 @@ def test_tdseq_read_memory_stays_bounded():
     assert peak < 2_000_000, peak  # the body is read in bounded chunks
 
 
+def test_every_producer_caches_the_table_a_fresh_derivation_gives():
+    rng = random.Random(2121)
+    for _ in range(200):
+        base, syms = _dense_case(rng)
+        b = _distinct_objects(rng, base, syms)
+        other_base, other = _dense_case(rng)
+        i = rng.randint(b.base, b.last)
+        j = rng.randint(i, b.last)
+        blocks._distinct_values(b)  # a window must not inherit this table
+        buf = io.StringIO()
+        write_tdseq(b, buf)
+        made = [
+            b,
+            Block(syms, base=base),
+            zeros(len(syms), base),
+            scale(F(0), b),
+            scale(rng.choice((F(1, 3), F(5, 7), F(1, 2))), b),
+            concat_all([b, _distinct_objects(rng, other_base, other), scale(F(1, 2), b)]),
+            window(b, i, j),
+            read_tdseq(io.StringIO(buf.getvalue())),
+        ]
+        for blk in made:
+            table = blocks._distinct_values(blk)
+            assert table == blocks._by_object([v for _, v in blk.nonzero_items()])
+            assert all(id(v) == k for k, v in table.items())
+            assert common_numerators(blk) == naive_common_numerators(dense(blk))
+
+
+def test_thm1_path_never_walks_the_nonzeros_for_distinct_values(monkeypatch):
+    # The table comes from the producers; only stage 1's Block([1, 0, 0])
+    # derives one from its values.
+    sizes = []
+    real = blocks._by_object
+
+    def recording(values):
+        values = tuple(values)
+        sizes.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(blocks, "_by_object", recording)
+    prefix = thm1.build(7).prefix
+    common_numerators(prefix)
+    write_tdseq(prefix, io.StringIO())
+    distinct = len({v for _, v in prefix.nonzero_items()})
+    assert sizes and max(sizes) <= distinct < len(prefix.nonzero_positions) // 10
+
+
 def test_load_tdseq_refuses_non_ascii_bytes(tmp_path):
     path = tmp_path / "e.tdseq"
     path.write_bytes("TDSEQ 1\nbase 1\nlength 1\n\u00e9/1\n".encode("utf-8"))

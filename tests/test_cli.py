@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -227,6 +228,55 @@ def test_thm2_over_the_nonzero_cap_is_refused_before_any_build(monkeypatch, caps
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {stored} nonzeros per block, cap is 1000000\n"
+
+
+def test_thm1_caps_count_nonzeros_for_verify_and_positions_for_build(
+    tmp_path, monkeypatch, capsys
+):
+    # Stage m stores (m+1)!/2 nonzeros in (m+2)!/2 positions; both counts
+    # follow from the stage number, so a refusal comes before any step.
+    class Built(Exception):
+        pass
+
+    def no_step(state):
+        raise Built(state.stage + 1)
+
+    monkeypatch.setattr(thm1, "step", no_step)
+    out = tmp_path / "x.tdseq"
+    cases = (
+        ("thm1 verify --stage 11 --kmax 20 --jmax 4",
+         "stage 11 stores 239500800 nonzeros, cap is 100000000"),
+        (f"thm1 build --stage 10 --out {out}",
+         "stage 10 has 239500800 positions, cap is 100000000"),
+        # Far past the cap and 2**64 the count is not multiplied out.
+        ("thm1 verify --stage 5000 --kmax 1",
+         "stage 5000 needs more than 2**5000 symbols, cap is 100000000"),
+        ("thm1 verify --stage 1000000 --kmax 1",
+         "stage 1000000 needs more than 2**1000000 symbols, cap is 100000000"),
+        (f"thm1 build --stage 5000 --out {out}",
+         "stage 5000 needs more than 2**5000 symbols, cap is 100000000"),
+    )
+    for argv, message in cases:
+        start = time.perf_counter()
+        assert main(argv.split()) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+    # Stage 10 (19,958,400 nonzeros) passes the verify cap and starts building;
+    # thm1 build admits stage 9 (19,958,400 positions).
+    for argv in ("thm1 verify --stage 10 --kmax 20 --jmax 4",
+                 f"thm1 build --stage 9 --out {out}"):
+        args = cli.build_parser().parse_args(argv.split())
+        with pytest.raises(Built, match="^2$"):
+            args.handler(args)
+
+
+def test_lemma6_map_entry_past_the_int_digit_limit_is_named(capsys):
+    entry = "1" * 5000
+    assert main(["oracle", "lemma6", "--map", f"0,{entry}", "--point", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --map entry 2 has 5000 digits, more than int() converts\n"
 
 
 def test_main_callable_in_process(capsys):

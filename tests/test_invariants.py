@@ -69,7 +69,7 @@ for p, v in built.prefix.nonzero_items():
     syms[p - 1] = v
 syms[864] = Fraction(1)
 state = thm1.Thm1State(built.lengths, Block(syms))
-print("audited", state.copies_audited)
+print("audited", state.copy_ratios is not None)
 print(thm1.check_c3(state, 4).line())
 print(thm1.check_c2prime(state, 4).line())
 """

@@ -58,6 +58,11 @@ def test_predicted_length_matches_measured():
         assert thm1.predicted_length(m) == thm1.build(m).length
 
 
+def test_predicted_nonzeros_matches_measured():
+    for m in range(1, 8):
+        assert thm1.predicted_nonzeros(m) == len(thm1.build(m).prefix.nonzero_positions)
+
+
 def test_prefix_consistency():
     states = {m: thm1.build(m) for m in range(1, 6)}
     for m in range(1, 5):
@@ -115,6 +120,21 @@ def test_c1_matches_naive_and_grows(m):
     assert found >= m
     if m >= 3:
         assert found >= s.lengths[m - 3]  # junction run covers a stage-(m-2) length
+
+
+def test_c1_matches_naive_on_random_blocks():
+    rng = random.Random(1212)
+    for _ in range(300):
+        syms = [rng.choice((F(0), F(0), F(1), F(1, 2), F(2, 3)))
+                for _ in range(rng.randint(3, 40))]
+        state = thm1.Thm1State((len(syms),), Block(syms, base=1))
+        w = dict(thm1.check_c1(state, 1).witness)
+        best = naive_c1_max(syms)
+        assert w["max_run"] == best
+        # The first 1 after a zero run of that length (none for length 0).
+        ones = [i + 1 for i, v in enumerate(syms)
+                if v == 1 and i >= best and not any(syms[i - best : i])]
+        assert w["one_at"] == (ones[0] if best else None)
 
 
 # -- C3 -------------------------------------------------------------------------
@@ -372,7 +392,7 @@ def _copy_layout_state(rng):
     """Stages 2..R built as rows of copies c_j * (previous stage) from a random seed.
 
     c_0 = 1 and every other c_j is drawn from {0, 1/4, 1/2, 3/4, 1}, so the
-    layout is exactly what ``Thm1State.copies_audited`` accepts.
+    layout is exactly what ``Thm1State.copy_ratios`` accepts.
     """
     seed = [_random_symbol(rng) if rng.random() < 0.5 else F(0)
             for _ in range(rng.randint(2, 5))]
@@ -414,7 +434,7 @@ def test_seam_scans_match_dense_references_on_copy_layouts(monkeypatch):
     fail_sites = set()
     for _ in range(600):
         state = _copy_layout_state(rng)
-        assert state.copies_audited
+        assert state.copy_ratios is not None
         kmax = state.stage - 1
         p = state.prefix
         calls.clear()
@@ -497,7 +517,7 @@ def test_refused_audit_prints_the_flat_lines(plant, c3_line, c2prime_line):
     # scan would not look.
     lengths, syms = plant(thm1.build(5))
     state = thm1.Thm1State(lengths, Block(syms, base=1))
-    assert state.copies_audited is False
+    assert state.copy_ratios is None
     assert thm1.check_c3(state, 4).line() == c3_line
     assert thm1.check_c2prime(state, 4).line() == c2prime_line
 
@@ -505,11 +525,64 @@ def test_refused_audit_prints_the_flat_lines(plant, c3_line, c2prime_line):
 def test_built_stages_scan_no_old_scale_over_the_whole_prefix(monkeypatch, thm1_stage8):
     calls = _record_scans(monkeypatch)
     for state in [thm1.build(m) for m in range(3, 8)] + [thm1_stage8]:
-        assert state.copies_audited
+        assert state.copy_ratios is not None
+        newest = state.stage - 1
         calls.clear()
-        assert thm1.check_c3(state, state.stage - 1).passed
-        assert thm1.check_c2prime(state, min(4, state.stage - 1)).passed
-        flat = {k for k, whole in calls if whole}
-        # Only the newest scale, k = stage - 1, is scanned over the whole prefix.
-        assert flat <= {state.stage - 1}, (state.stage, flat)
-        assert {k for k, _ in calls} == set(range(1, state.stage))
+        assert thm1.check_c3(state, newest).passed
+        # Every ratio step is 0 or 1/(k+1) < 1/k, so C3 scans only seam
+        # ranges: none for the newest scale, none over the whole prefix.
+        assert not any(whole for _, whole in calls), state.stage
+        assert {k for k, _ in calls} == set(range(1, newest)), state.stage
+        calls.clear()
+        jmax = min(4, newest)
+        assert thm1.check_c2prime(state, jmax).passed
+        # C2PRIME keeps all of B_{j+1}: only the newest scale, whose B_{j+1}
+        # is the prefix, is scanned over the whole of it.
+        assert {k for k, whole in calls if whole} <= {newest}, state.stage
+        assert {k for k, _ in calls} == set(range(1, jmax + 1)), state.stage
+
+
+def _ratio_layout(seed, *rows):
+    """Stages built from ``seed`` as rows of copies c_j * (previous stage)."""
+    block = Block(seed, base=1)
+    lengths = [len(block)]
+    for row in rows:
+        block = concat_all([scale(c, block) for c in row], base=1)
+        lengths.append(len(block))
+    return thm1.Thm1State(tuple(lengths), block)
+
+
+H = F(1, 2)
+
+
+@pytest.mark.parametrize("seed, rows, line", [
+    # A step of exactly 1/2 = 1/k at the newest scale: 1 against 1/2.
+    ([1, 0, 0], [(1, H, 0), (1, 1, H)],
+     "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=10 value=1/1 shifted=1/2 bound=1/2"),
+    # The same step at an old scale, deep inside B_3.
+    ([1, 0, 0], [(1, H, 0), (1, 1, H), (1, 1)],
+     "CHECK C3 FAIL stage=4 kmax=3 k=2 pos=10 value=1/1 shifted=1/2 bound=1/2"),
+    # A step of 1 > 1/2 from copy 1 of B_3 to copy 2, far from any seam.
+    ([1, 0, 0], [(1, 1, H, 0), (1, 1, 0, 0), (1, 1, 1)],
+     "CHECK C3 FAIL stage=4 kmax=3 k=2 pos=13 value=1/1 shifted=0/1 bound=1/2"),
+    # A step of exactly 1 = 1/k at scale 1.
+    ([1, 0, 0], [(1, 0), (1, 1, 1)],
+     "CHECK C3 FAIL stage=3 kmax=2 k=1 pos=1 value=1/1 shifted=0/1 bound=1/1"),
+    # Steps of 1/2 over symbols of at most 1/2 stay below the bound.
+    ([H, 0, 0], [(1, H, 0), (1, 1, H), (1, 1)],
+     "CHECK C3 PASS stage=4 kmax=3"),
+])
+def test_ratio_steps_at_the_bound_are_scanned(monkeypatch, seed, rows, line):
+    calls = _record_scans(monkeypatch)
+    state = _ratio_layout(seed, *rows)
+    assert state.copy_ratios == tuple(tuple(map(F, row)) for row in rows)
+    kmax = state.stage - 1
+    rep = thm1.check_c3(state, kmax)
+    assert rep.line() == line
+    expected = _expected_c3(state, kmax)
+    assert rep.passed == (expected is None)
+    if expected is not None:
+        w = dict(rep.witness)
+        assert (w["k"], w["pos"]) == expected
+    # No call spans the whole prefix: the witness came from a copy range.
+    assert not any(whole for _, whole in calls)
