@@ -36,7 +36,9 @@ from operator import add, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 ZERO = Fraction(0)
-DEFAULT_MAX_SYMBOLS = 10**8  # default ResourceCapError budget in positions
+# Default `check_cap` cap on the nonzeros a build stores and the positions a
+# TDSEQ 1 export writes: it admits thm1 stage 10 to build, stage 9 to export.
+DEFAULT_MAX_NONZEROS = 10**8
 
 # Symbol value -> its one canonical object.  It keeps every value it has seen
 # for the life of the process: a few hundred for the constructions.
@@ -62,7 +64,27 @@ class TdseqFormatError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A build would exceed the configured symbol budget; raised before allocating."""
+    """A build would exceed its cap; raised before allocating."""
+
+
+def check_cap(stage: int, cap: "int | None", count, noun: str) -> None:
+    """Raise ResourceCapError if ``count(stage)`` exceeds ``cap`` (None: no cap).
+
+    ``noun`` places the count in the message, as in ``"stores {} nonzeros"``
+    or ``"has {} positions"``.  Every capped count exceeds 2**(stage-1), so
+    a stage with stage-1 past the bit length of max(cap, 2**64) is refused
+    without forming the count: for a stage in the millions that takes
+    minutes and gives too many digits to print.
+    """
+    if cap is None:
+        return
+    if stage - 1 > max(cap, 2**64).bit_length():
+        need = f"more than 2**{stage - 1}"
+    else:
+        need = count(stage)
+        if need <= cap:
+            return
+    raise ResourceCapError(f"stage {stage} {noun.format(need)}, cap is {cap}")
 
 
 class InvariantError(RuntimeError):
@@ -211,10 +233,10 @@ def _distinct_values(block: Block) -> dict:
     return block._distinct
 
 
-def zeros(length: int, base: int = 1) -> Block:
+def zeros(length: int) -> Block:
     if length < 1:
         raise ValueError("a block holds at least one symbol")
-    return Block._trusted(base, length, (), (), {})
+    return Block._trusted(1, length, (), (), {})
 
 
 def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:

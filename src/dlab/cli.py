@@ -17,7 +17,7 @@ import sys
 
 from . import oracle as oracle_mod
 from . import recurrence, thm1, thm2
-from .blocks import DEFAULT_MAX_SYMBOLS, ResourceCapError, dump_tdseq
+from .blocks import DEFAULT_MAX_NONZEROS, ResourceCapError, check_cap, dump_tdseq
 from .report import CheckReport, INFO
 
 SWEEP_EXHAUSTIVE_BOUND = 6
@@ -27,18 +27,12 @@ SWEEP_EXHAUSTIVE_BOUND = 6
 LEMMA6_MAP_BOUND = 1000
 SAMPLED_SWEEP_DEFAULT = 200
 
-# What --max-symbols counts: a verify or recur run is capped by what a build
-# stores, its nonzeros, but thm1 build and thm2 build write TDSEQ 1, one line
-# per position, so they are capped by position too.  Stage m of thm1 stores
-# (m+1)!/2 nonzeros in (m+2)!/2 positions: the default admits verify up to
-# stage 10 (19,958,400 nonzeros) and build up to stage 9 (19,958,400
-# positions).
-THM1_CAP_HELP = "refuse builds that store more than this many nonzeros"
-THM1_BUILD_CAP_HELP = "refuse builds beyond this many positions, zeros included"
-THM2_CAP_HELP = "refuse builds that store more than this many nonzeros per block"
-THM2_BUILD_CAP_HELP = (
-    f"{THM2_CAP_HELP}, and stop at the first stage of more than this many "
-    "positions (TDSEQ 1 writes one line per position)"
+# --max-symbols caps the nonzeros a stage stores; a build writes TDSEQ 1,
+# one line per position, so there it caps positions too (README "Command line").
+CAP_HELP = "refuse a stage storing more than this many nonzeros (per block for thm2)"
+BUILD_CAP_HELP = (
+    f"{CAP_HELP} or having more than this many positions (TDSEQ 1 writes one "
+    "line per position)"
 )
 
 
@@ -46,13 +40,14 @@ def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
     return thm2.build_to_stage(
         args.stage,
         transitive=getattr(args, "transitive", False),
-        max_symbols=args.max_symbols,
+        max_nonzeros=args.max_symbols,
         max_positions=max_positions,
     )
 
 
 def cmd_thm1_build(args) -> list:
-    state = thm1.build(args.stage, max_symbols=args.max_symbols)
+    check_cap(args.stage, args.max_symbols, thm1.predicted_length, "has {} positions")
+    state = thm1.build(args.stage, args.max_symbols)
     dump_tdseq(state.prefix, args.out)
     report = CheckReport(
         "THM1_BUILD",
@@ -82,7 +77,7 @@ def _check_stage_args(args) -> None:
 
 def cmd_thm1_verify(args) -> list:
     _check_stage_args(args)
-    state = thm1.build(args.stage, max_symbols=None, max_nonzeros=args.max_symbols)
+    state = thm1.build(args.stage, args.max_symbols)
     c3_kmax = min(args.kmax, state.stage - 1)
     jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
     reports = [
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p, cap_help, default=DEFAULT_MAX_SYMBOLS):
+    def add_caps(p, cap_help, default):
         p.add_argument(
             "--max-symbols",
             type=int,
@@ -251,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_thm1.add_parser("build", help="build a stage and write it as TDSEQ")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_caps(p, THM1_BUILD_CAP_HELP)
+    add_caps(p, BUILD_CAP_HELP, DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_thm1_build)
     p = p_thm1.add_parser("verify", help="run the stage verifiers")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--jmax", type=int, default=None)
-    add_caps(p, THM1_CAP_HELP)
+    add_caps(p, CAP_HELP, DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_thm1_verify)
 
     p_thm2 = top.add_parser("thm2", help="orthogonal centered pair").add_subparsers(
@@ -268,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transitive", action="store_true")
     p.add_argument("--out-x", required=True)
     p.add_argument("--out-y", required=True)
-    add_caps(p, THM2_BUILD_CAP_HELP)
+    add_caps(p, BUILD_CAP_HELP, DEFAULT_MAX_NONZEROS)
     p.set_defaults(handler=cmd_thm2_build)
     p = p_thm2.add_parser("verify", help="run the stage verifiers")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--transitive", action="store_true")
-    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_thm2_verify)
 
     p_recur = top.add_parser("recur", help="recurrence analysis").add_subparsers(
@@ -283,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_recur.add_parser("pair-sep", help="pair never returns jointly")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_recur_pair_sep)
     p = p_recur.add_parser("escape", help="zero-window escape witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_recur_escape)
     p = p_recur.add_parser("omega", help="limit-pair witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, THM2_CAP_HELP, default=thm2.DEFAULT_MAX_NONZEROS)
+    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_recur_omega)
 
     p_oracle = top.add_parser("oracle", help="finite-system ground truth").add_subparsers(
@@ -321,6 +316,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.handler(args)
+    except MemoryError:  # a resource error; its str() is empty
+        print("error: out of memory (MemoryError)", file=sys.stderr)
+        return 2
     except (ResourceCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

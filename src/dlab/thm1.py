@@ -69,11 +69,11 @@ from itertools import compress, islice
 from operator import sub
 
 from .blocks import (
-    DEFAULT_MAX_SYMBOLS,
+    DEFAULT_MAX_NONZEROS,
     Block,
     InvariantError,
-    ResourceCapError,
     ZERO,
+    check_cap,
     common_numerators,
     concat_all,
     scale,
@@ -206,34 +206,15 @@ def predicted_nonzeros(m: int) -> int:
     return math.factorial(m + 1) // 2
 
 
-def build(
-    m: int,
-    max_symbols: "int | None" = DEFAULT_MAX_SYMBOLS,
-    max_nonzeros: "int | None" = None,
-) -> Thm1State:
-    """Build the stage-m state; refuses oversized stages before allocating.
+def build(m: int, max_nonzeros: int = DEFAULT_MAX_NONZEROS) -> Thm1State:
+    """Build the stage-m state; refuses one over ``max_nonzeros`` before allocating.
 
-    ``max_symbols`` caps the positions n_m (None: no position cap), and
-    ``max_nonzeros``, if given, the stored nonzeros (m+1)!/2.  Both counts
-    exceed 2**m from stage 3 on, so a stage past a cap and 2**64 is refused
-    before its count is formed: for a stage in the millions that takes
-    minutes and gives too many digits to print.
+    The cap counts the nonzeros the stage stores, (m+1)!/2.  A caller that
+    writes every position (TDSEQ 1) checks ``predicted_length`` itself.
     """
     if m < 1:
         raise ValueError("stage must be >= 1")
-    for cap, count, noun in (
-        (max_nonzeros, predicted_nonzeros, "stores {} nonzeros"),
-        (max_symbols, predicted_length, "has {} positions"),
-    ):
-        if cap is None:
-            continue
-        if m > max(cap, 2**64).bit_length():
-            raise ResourceCapError(
-                f"stage {m} needs more than 2**{m} symbols, cap is {cap}"
-            )
-        need = count(m)
-        if need > cap:
-            raise ResourceCapError(f"stage {m} {noun.format(need)}, cap is {cap}")
+    check_cap(m, max_nonzeros, predicted_nonzeros, "stores {} nonzeros")
     state = initial_state()
     for _ in range(m - 1):
         state = step(state)

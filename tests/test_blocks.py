@@ -10,7 +10,9 @@ import dlab
 from dlab import blocks, thm1, thm2
 from dlab.blocks import (
     Block,
+    ResourceCapError,
     TdseqFormatError,
+    check_cap,
     common_numerators,
     concat_all,
     read_tdseq,
@@ -30,6 +32,28 @@ from naive_refs import (
 )
 
 F = Fraction
+
+
+def test_check_cap_forms_the_count_only_up_to_the_caps_bit_length():
+    # The bit length of max(7, 2**64) is 65: stage 66 forms its count, and
+    # stage 67 is refused from its number alone.
+    formed = []
+
+    def count(stage):
+        formed.append(stage)
+        return 2**80
+
+    with pytest.raises(
+        ResourceCapError, match=rf"^stage 66 has {2**80} positions, cap is 7$"
+    ):
+        check_cap(66, 7, count, "has {} positions")
+    with pytest.raises(
+        ResourceCapError, match=r"^stage 67 has more than 2\*\*66 positions, cap is 7$"
+    ):
+        check_cap(67, 7, count, "has {} positions")
+    check_cap(67, 2**80, count, "has {} positions")
+    check_cap(10**6, None, count, "has {} positions")
+    assert formed == [66, 67]
 
 
 def test_concat_basic():
@@ -343,7 +367,7 @@ def test_every_producer_caches_the_table_a_fresh_derivation_gives():
         made = [
             b,
             Block(syms, base=base),
-            zeros(len(syms), base),
+            zeros(len(syms)),
             scale(F(0), b),
             scale(rng.choice((F(1, 3), F(5, 7), F(1, 2))), b),
             concat_all([b, _distinct_objects(rng, other_base, other), scale(F(1, 2), b)]),

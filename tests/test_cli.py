@@ -114,7 +114,7 @@ def test_config_errors_exit_2():
     result = run_cli("thm1", "build", "--stage", "1000000", "--out", "/dev/null")
     assert result.returncode == 2
     assert result.stderr == (
-        "error: stage 1000000 needs more than 2**1000000 symbols, cap is 100000000\n"
+        "error: stage 1000000 has more than 2**999999 positions, cap is 100000000\n"
     )
     # Unknown flags are rejected by the parser (argparse exits 2).
     result = run_cli("thm1", "verify", "--stage", "2", "--kmax", "1", "--bogus")
@@ -250,11 +250,11 @@ def test_thm1_caps_count_nonzeros_for_verify_and_positions_for_build(
          "stage 10 has 239500800 positions, cap is 100000000"),
         # Far past the cap and 2**64 the count is not multiplied out.
         ("thm1 verify --stage 5000 --kmax 1",
-         "stage 5000 needs more than 2**5000 symbols, cap is 100000000"),
+         "stage 5000 stores more than 2**4999 nonzeros, cap is 100000000"),
         ("thm1 verify --stage 1000000 --kmax 1",
-         "stage 1000000 needs more than 2**1000000 symbols, cap is 100000000"),
+         "stage 1000000 stores more than 2**999999 nonzeros, cap is 100000000"),
         (f"thm1 build --stage 5000 --out {out}",
-         "stage 5000 needs more than 2**5000 symbols, cap is 100000000"),
+         "stage 5000 has more than 2**4999 positions, cap is 100000000"),
     )
     for argv, message in cases:
         start = time.perf_counter()
@@ -269,6 +269,76 @@ def test_thm1_caps_count_nonzeros_for_verify_and_positions_for_build(
         args = cli.build_parser().parse_args(argv.split())
         with pytest.raises(Built, match="^2$"):
             args.handler(args)
+
+
+def test_every_cap_admits_its_count_and_refuses_one_less(tmp_path, monkeypatch, capsys):
+    # At cap == count the command passes its cap check and reaches its first
+    # step, stubbed here; at count - 1 it exits 2 on the exact line.
+    class Stepped(Exception):
+        pass
+
+    def stepped(*args, **kwargs):
+        raise Stepped
+
+    monkeypatch.setattr(thm1, "step", stepped)
+    monkeypatch.setattr(thm2, "solve_spacers", stepped)
+    out = tmp_path / "x.tdseq"
+    cases = (
+        ("thm1 verify --stage 6 --kmax 1", "stage 6 stores {} nonzeros", 2520),
+        (f"thm1 build --stage 6 --out {out}", "stage 6 has {} positions", 20160),
+        ("thm2 verify --stage 5 --kmax 1",
+         "stage 5 stores {} nonzeros per block", 945),
+        ("thm2 verify --stage 5 --kmax 1 --transitive",
+         "stage 5 stores {} nonzeros per block", 2835),
+    )
+    for argv, what, count in cases:
+        args = cli.build_parser().parse_args(f"{argv} --max-symbols {count}".split())
+        with pytest.raises(Stepped):
+            args.handler(args)
+        assert main(f"{argv} --max-symbols {count - 1}".split()) == 2, argv
+        assert capsys.readouterr() == (
+            "", f"error: {what.format(count)}, cap is {count - 1}\n"
+        )
+    assert not out.exists()
+
+
+def test_thm2_build_caps_the_positions_of_each_built_stage(tmp_path, capsys):
+    # Stage 3 has 2197 positions; only the built stage knows its length.
+    ox, oy = tmp_path / "x.tdseq", tmp_path / "y.tdseq"
+    argv = f"thm2 build --stage 3 --out-x {ox} --out-y {oy} --max-symbols".split()
+    assert main([*argv, "2196"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: stage 3 has 2197 positions, cap is 2196\n"
+    )
+    assert not ox.exists() and not oy.exists()
+    assert main([*argv, "2197"]) == 0
+    assert "CHECK THM2_BUILD PASS stage=3 length=2197" in capsys.readouterr().out
+    assert load_tdseq(ox).length == load_tdseq(oy).length == 2197
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_out_of_memory_exits_2_on_one_error_line():
+    # The child limits its own address space to 100 MB past what it has
+    # mapped, then verifies stage 10, whose build needs over 1 GB.
+    code = (
+        "import re, resource, sys\n"
+        "vm = re.search(r'VmSize:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+        "limit = int(vm[1]) * 1024 + 100 * 2**20\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+        "from dlab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code,
+         *"thm1 verify --stage 10 --kmax 20 --jmax 4".split()],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: out of memory (MemoryError)\n"
+    )
 
 
 def test_lemma6_map_entry_past_the_int_digit_limit_is_named(capsys):

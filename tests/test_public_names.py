@@ -6,6 +6,8 @@ matched by spelling: a use is any load of that name or attribute in
 ``src/dlab`` or ``bench`` outside the name's own definition.  Dunders are
 exempt.  Of the ``_private`` names, module-level functions and classes are
 held to the same rule, so a helper that a refactor leaves behind fails too.
+So is each defaulted parameter of a public function or method: some call
+there passes it, by keyword or by position.
 """
 
 import ast
@@ -73,3 +75,52 @@ def test_no_private_helper_is_left_unused():
                 and node.name.startswith("_") and not node.name.startswith("__"))
 
     assert _unused(private) == []
+
+
+def _knobs(tree):
+    """(function, parameter, index) of each defaulted parameter of a public
+    function or method; ``index`` counts the positional arguments a call
+    passes before it (None for a keyword-only one)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions = [(item, 1) for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)]
+        elif isinstance(node, ast.FunctionDef):
+            functions = [(node, 0)]
+        else:
+            continue
+        for fn, bound in functions:
+            if fn.name.startswith("_"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for index in range(first, len(positional)):
+                yield fn.name, positional[index].arg, index - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield fn.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package_or_bench():
+    calls = {}
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args), keywords)
+                )
+    unpassed = []
+    for path in SOURCES:
+        for fn, param, index in _knobs(ast.parse(path.read_text(), str(path))):
+            if not any(
+                param in keywords or None in keywords
+                or (index is not None and npos > index)
+                for npos, keywords in calls.get(fn, ())
+            ):
+                unpassed.append(f"{path.name} {fn}({param}=)")
+    assert unpassed == []

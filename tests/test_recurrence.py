@@ -5,7 +5,7 @@ import pytest
 
 from dlab import recurrence as rec
 from dlab import thm1, thm2
-from dlab.blocks import Block, zeros
+from dlab.blocks import Block
 
 from naive_refs import (
     dense,
@@ -95,7 +95,7 @@ def test_epsilon_times_contain_rigidity_time(thm1_stage4):
 
 
 def test_epsilon_times_on_fixed_zero_point():
-    p = rec.centered_point(zeros(101, base=-50), 0, radius=5)
+    p = rec.centered_point(Block([0] * 101, base=-50), 0, radius=5)
     assert rec.epsilon_recurrence_times((p,), F(1, 1000), 40) == list(range(1, 41))
 
 

@@ -73,14 +73,17 @@ def test_prefix_consistency():
 
 
 def test_resource_cap_refuses_before_building():
-    with pytest.raises(ResourceCapError, match="1814400"):
-        thm1.build(8, max_symbols=10**6)
-    # n_5000 has more digits than str() prints, and n_1000000 takes minutes
-    # to multiply out; past both the cap and 2**64 neither is formed.
+    with pytest.raises(
+        ResourceCapError, match="^stage 8 stores 181440 nonzeros, cap is 100000$"
+    ):
+        thm1.build(8, max_nonzeros=10**5)
+    # (m+1)!/2 of stage 5000 has more digits than str() prints, and that of
+    # stage 1000000 takes minutes to multiply out; past both the cap and
+    # 2**64 neither is formed.
     for m in (5000, 10**6):
         with pytest.raises(
             ResourceCapError,
-            match=rf"^stage {m} needs more than 2\*\*{m} symbols, cap is 100000000$",
+            match=rf"^stage {m} stores more than 2\*\*{m - 1} nonzeros, cap is 100000000$",
         ):
             thm1.build(m)
 

@@ -102,7 +102,7 @@ def test_build_to_stage_resource_cap(monkeypatch):
     with pytest.raises(
         ResourceCapError, match="^stage 2 stores 3 nonzeros per block, cap is 2$"
     ):
-        thm2.build_to_stage(2, max_symbols=2)
+        thm2.build_to_stage(2, max_nonzeros=2)
     # The stored count of stage 5000 has more digits than str() prints, and
     # that of stage 10**6 takes minutes to multiply out; neither is formed.
     for target in (5000, 10**6):
@@ -113,6 +113,15 @@ def test_build_to_stage_resource_cap(monkeypatch):
                 r"nonzeros per block, cap is 1000000$",
             ):
                 thm2.build_to_stage(target, transitive=transitive)
+
+
+def test_predicted_nonzeros_matches_measured():
+    cases = [(t, False) for t in range(1, 7)] + [(t, True) for t in range(2, 6)]
+    for stage, transitive in cases:
+        state = thm2.build_to_stage(stage, transitive)
+        stored = thm2.predicted_nonzeros(stage, transitive)
+        assert stored == len(state.x.nonzero_positions), (stage, transitive)
+        assert stored == len(state.y.nonzero_positions), (stage, transitive)
 
 
 def test_rigidity_matches_naive(hand_stage2):
