@@ -23,6 +23,9 @@ the lines it parsed, ``zeros`` and scaling by 0 as empty.  Only ``Block(...)``
 and ``window`` derive it from their values, lazily and once; a window does
 not inherit its parent's table, whose values it may not all hold.  Nothing
 is cached per nonzero.
+
+A ``CopyLayout`` stands for a block that is a row of scaled copies of one
+block, without building it: thm1's top stage is read so.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 from operator import add, sub
@@ -188,9 +192,6 @@ class Block:
         b = bisect_right(self._nonzero, hi)
         return self._nonzero[a:b]
 
-    def count_nonzero_in(self, lo: int, hi: int) -> int:
-        return bisect_right(self._nonzero, hi) - bisect_left(self._nonzero, lo)
-
     def leading_zero_run(self) -> int:
         if not self._nonzero:
             return self.length
@@ -289,14 +290,110 @@ def window(b: Block, i: int, j: int) -> Block:
     return Block._trusted(i, j - i + 1, b._nonzero[a:c], b._values[a:c])
 
 
+@dataclass(frozen=True)
+class CopyLayout:
+    """The row of copies c_0*B, c_1*B, ..., c_{J-1}*B, each as long as B: a block kept unbuilt.
+
+    Copy t holds positions base + t*L .. base + (t+1)*L - 1, with L = len(B)
+    the pitch and base = B.base.  Only B and the ratios are stored, so a row
+    whose copies would not fit in memory can still be read: by position, by
+    its nonzero positions in a range, by its trailing zero run, and through
+    ``cover``, which builds a block only from the at most two adjacent copies
+    it meets.  Every ratio lies in [0, 1], like every symbol.
+    """
+
+    copy0: Block
+    ratios: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.copy0, Block):
+            raise TypeError(f"copy 0 must be a Block, not {type(self.copy0).__name__}")
+        ratios = tuple(map(as_symbol, self.ratios))  # refuses a ratio outside [0, 1]
+        if not ratios:
+            raise ValueError("a copy layout holds at least one copy")
+        object.__setattr__(self, "ratios", ratios)
+
+    @property
+    def base(self) -> int:
+        return self.copy0.base
+
+    @property
+    def pitch(self) -> int:
+        return self.copy0.length
+
+    @property
+    def last(self) -> int:
+        return self.base + len(self) - 1
+
+    def __len__(self) -> int:
+        return self.pitch * len(self.ratios)
+
+    def _copies(self, lo: int, hi: int) -> range:
+        """Indices t of the copies that meet positions lo..hi (clipped to the row)."""
+        lo, hi = max(lo, self.base) - self.base, min(hi, self.last) - self.base
+        return range(lo // self.pitch, hi // self.pitch + 1) if lo <= hi else range(0)
+
+    def __getitem__(self, i: int) -> Fraction:
+        if not self.base <= i <= self.last:
+            raise IndexError(
+                f"position {i} outside layout range [{self.base}, {self.last}]"
+            )
+        t, offset = divmod(i - self.base, self.pitch)
+        return _canonical(self.ratios[t] * self.copy0[self.base + offset])
+
+    def nonzero_in(self, lo: int, hi: int) -> list:
+        """Nonzero positions p with lo <= p <= hi (sorted)."""
+        out = []
+        for t in self._copies(lo, hi):
+            if self.ratios[t]:
+                shift = t * self.pitch
+                out.extend(map(shift.__add__, self.copy0.nonzero_in(lo - shift, hi - shift)))
+        return out
+
+    def trailing_zero_run(self) -> int:
+        nz = self.copy0.nonzero_positions
+        live = [t for t, c in enumerate(self.ratios) if c]
+        if not nz or not live:
+            return len(self)
+        return self.last - (live[-1] * self.pitch + nz[-1])
+
+    def cover(self, i: int, j: int) -> Block:
+        """A block that reads as the row at positions i..j, built from at most two copies.
+
+        That is copy 0 itself if i..j lies in it and c_0 = 1 (it holds more
+        than i..j); otherwise the window i..j.  A range that meets three or
+        more copies is refused: callers cut their reads into copy pairs.
+        """
+        copies = self._copies(i, j)
+        if not copies or i < self.base or j > self.last or len(copies) > 2:
+            raise ValueError(
+                f"positions {i}..{j} do not lie in two adjacent copies of the layout"
+            )
+        if copies == range(1) and self.ratios[0] == 1:
+            return self.copy0
+        pieces = []
+        for t in copies:
+            start = self.base + t * self.pitch
+            lo, hi = max(i, start), min(j, start + self.pitch - 1)
+            part = window(self.copy0, lo - start + self.base, hi - start + self.base)
+            pieces.append(scale(self.ratios[t], part))
+        return concat_all(pieces, base=i)
+
+
 def shift_violations(
-    block: Block, shift: int, bound: Fraction, at_bound: bool = False
+    block: Block,
+    shift: int,
+    bound: Fraction,
+    at_bound: bool = False,
+    lo: "int | None" = None,
+    hi: "int | None" = None,
 ) -> Iterator[tuple]:
     """Yield ``(i, v(i), v(i + shift))`` for each i with |v(i+shift) - v(i)| > bound.
 
     With ``at_bound`` the test is >= bound.  Positions outside the block read
-    as 0, and hits come in increasing i.  Two pointers walk the nonzeros once
-    as i and once as i + shift, comparing integer numerators over the block's
+    as 0, and hits come in increasing i, only those in ``lo .. hi`` when
+    given.  Two pointers walk the nonzeros once as i and once as i + shift,
+    from ``lo`` by bisection, comparing integer numerators over the block's
     common denominator D: |b - a| / D > p / q iff |b - a| * q > p * D.  The
     walk never visits an i where both sides are 0, so a bound such an i would
     break (negative, or 0 with ``at_bound``) is refused.
@@ -304,15 +401,20 @@ def shift_violations(
     if bound < 0 or (at_bound and not bound):
         raise ValueError(f"bound {bound} would flag positions where both sides are 0")
     den, nums = common_numerators(block)
-    vals = block._values
+    nz, vals = block._nonzero, block._values
     bound_den, limit = bound.denominator, bound.numerator * den
     if at_bound:
         limit -= 1  # on integers, x >= y is x > y - 1
-    n = len(vals)
-    ends = block._nonzero + (math.inf,)  # a pointer at n reads past every i
     a = b = 0
-    while a < n or b < n:
-        i, j = ends[a], ends[b] - shift
+    a_end = b_end = len(nz)
+    if lo is not None:
+        a, b = bisect_left(nz, lo), bisect_left(nz, lo + shift)
+    if hi is not None:
+        a_end, b_end = bisect_right(nz, hi), bisect_right(nz, hi + shift)
+    inf = math.inf  # a pointer at its end reads past every i
+    while a < a_end or b < b_end:
+        i = nz[a] if a < a_end else inf
+        j = nz[b] - shift if b < b_end else inf
         if i == j:
             if abs(nums[b] - nums[a]) * bound_den > limit:
                 yield i, vals[a], vals[b]

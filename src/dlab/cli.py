@@ -27,8 +27,9 @@ SWEEP_EXHAUSTIVE_BOUND = 6
 LEMMA6_MAP_BOUND = 1000
 SAMPLED_SWEEP_DEFAULT = 200
 
-# --max-symbols caps the nonzeros a stage stores; a build writes TDSEQ 1,
-# one line per position, so there it caps positions too (README "Command line").
+# --max-symbols caps the nonzeros a stage stores (for thm1 verify, stage S-1,
+# the one it builds); a build writes TDSEQ 1, one line per position, so there
+# it caps positions too (README "Command line").
 CAP_HELP = "refuse a stage storing more than this many nonzeros (per block for thm2)"
 BUILD_CAP_HELP = (
     f"{CAP_HELP} or having more than this many positions (TDSEQ 1 writes one "
@@ -77,7 +78,9 @@ def _check_stage_args(args) -> None:
 
 def cmd_thm1_verify(args) -> list:
     _check_stage_args(args)
-    state = thm1.build(args.stage, args.max_symbols)
+    # Only stage S-1 is built, so it is what the cap counts; the verifiers
+    # read stage S from its copy layout.
+    state = thm1.step(thm1.build(args.stage - 1, args.max_symbols), flat=False)
     c3_kmax = min(args.kmax, state.stage - 1)
     jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
     reports = [

@@ -56,6 +56,41 @@ so it keeps the whole of B_{j+1}.
 The ranges need the copy layout, and ``Thm1State.copy_ratios`` checks it
 exactly, once per state, for every r >= 2.  If the audit refuses, each scale
 is scanned over the whole prefix.
+
+C3's gate says where a failure can lie before any pair is compared.  The
+gate of q reads the window starts max(1, q-k+1) .. min(q, last - n_k - k + 1)
+and the k symbols of each, so the positions max(1, q-k+1) .. min(q+k-1,
+last - n_k): it sees a nonzero exactly when one lies within k - 1 of q and
+at most at last - n_k.  So the pairs are walked from the run of positions
+around the first such nonzero, and a walk that meets many refused pairs in
+one gap between runs resumes, by bisection, at the next run.
+
+The top stage need not be built.  ``step(state, flat=False)`` keeps B_s as a
+``CopyLayout``: the flat B_{s-1} as copy 0 and the ratios c_j, so it stores
+s!/2 nonzeros, not (s+1)!/2.  The record's checks are ``step``'s, raised
+without ``assert``: every c_j in [0, 1] (``CopyLayout``), a pitch of n_{s-1}
+and c_0 = 1, so B_s extends B_{s-1} (``Thm1State``), and the stage's length
+and zero tail (``step``).  Each verifier has one implementation, which reads
+the prefix as a row of copies; a flat prefix is a row of one copy.
+
+  C3, C2PRIME  The scan ranges above need the ratios of every B_r: those of
+      B_2..B_{s-1} are audited on copy 0, which is B_{s-1}, and those of B_s
+      are the record's.  Each range is cut at copy seams, so the positions a
+      scan reads, at most n_k <= n_{s-1} past its own, meet at most two
+      adjacent copies, and a cover of them is all it builds.
+  C1  A 1 in copy j is c_j*v with c_j = 1 and v = 1, both being at most 1,
+      so copy j holds 1s only if c_j = 1, and then at copy 0's offsets.  The
+      zeros before each are copy 0's, except before the copy's first nonzero,
+      where the run reaches back across the seam to the last nonzero of an
+      earlier copy.  Copy 0 comes first and a later run must be longer to
+      replace the witness, so copy 0's scan is improved only there.
+  TAILS  The zeros after the last nonzero of the last copy with c_j > 0.
+  LITERAL2  At p in copy j >= 1 whose window p+1..p+kmax stays in copy j,
+      the symbol and its window are c_j times copy 0's at the same offset,
+      and c_j*(v - eps) > 1/k implies v - eps > 1/k: a witness there has one
+      in copy 0, earlier.  So the first witness lies at a position of copy 0
+      with a whole window, or else among the last kmax + 1 positions of a
+      copy, whose windows cross a seam or meet the end; those read covers.
 """
 
 from __future__ import annotations
@@ -71,6 +106,7 @@ from operator import sub
 from .blocks import (
     DEFAULT_MAX_NONZEROS,
     Block,
+    CopyLayout,
     InvariantError,
     ZERO,
     check_cap,
@@ -79,16 +115,23 @@ from .blocks import (
     scale,
     shift_violations,
     window,
+    zeros,
 )
 from .report import CheckReport, FAIL, INFO, PASS
+
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class Thm1State:
-    """Construction state: lengths n_1..n_stage (so stage = their count) and the prefix."""
+    """Construction state: lengths n_1..n_stage (so stage = their count) and the prefix.
+
+    The prefix is B_stage, flat, or its ``CopyLayout``: copies c_j * B_{stage-1}
+    at pitch n_{stage-1} with c_0 = 1, which is never built (module docstring).
+    """
 
     lengths: tuple
-    prefix: Block
+    prefix: "Block | CopyLayout"
 
     def __post_init__(self):
         n = self.lengths
@@ -101,7 +144,19 @@ class Thm1State:
             raise ValueError(
                 f"stage lengths {n!r} are not strictly increasing positive ints"
             )
-        if self.prefix.base != 1 or len(self.prefix) != self.lengths[-1]:
+        p = self.prefix
+        if isinstance(p, CopyLayout):
+            if len(n) < 2 or p.pitch != n[-2]:
+                raise ValueError(
+                    f"layout pitch {p.pitch} is not the previous stage length "
+                    f"(lengths {n!r})"
+                )
+            if p.ratios[0] != 1:
+                raise ValueError(
+                    f"layout copy 0 is scaled by {p.ratios[0]}: the prefix does "
+                    f"not extend stage {len(n) - 1}"
+                )
+        if p.base != 1 or len(p) != n[-1]:
             raise ValueError("prefix does not match recorded length")
 
     @property
@@ -133,7 +188,12 @@ class Thm1State:
         layout, and C3 reads the steps c_j - c_{j+1}; computed once per state.
         A numerator n * c_j must be an integer, so the product is formed once
         per distinct numerator of copy 0 and the copy compares as one list.
+        For a layout, B_2..B_{stage-1} are audited on copy 0, and the entry for
+        B_stage is the layout's own ratios, which define it.
         """
+        if isinstance(self.prefix, CopyLayout):
+            below = Thm1State(self.lengths[:-1], self.prefix.copy0).copy_ratios
+            return None if below is None else below + (self.prefix.ratios,)
         nz = self.prefix.nonzero_positions
         _, nums = common_numerators(self.prefix)
         layout = []
@@ -171,19 +231,28 @@ def initial_state() -> Thm1State:
     return Thm1State((3,), Block([1, 0, 0], base=1))
 
 
-def step(state: Thm1State) -> Thm1State:
-    """Extend by one stage per the copy formula; length grows by factor m+3."""
+def _ratios(m: int) -> tuple:
+    """The ratios of stage m+1's copies of stage m: 1, 1, m/(m+1), ..., 1/(m+1), 0."""
+    return (ONE, ONE, *(Fraction(r, m + 1) for r in range(m, -1, -1)))
+
+
+def step(state: Thm1State, flat: bool = True) -> Thm1State:
+    """Extend by one stage per the copy formula; length grows by factor m+3.
+
+    With ``flat=False`` the new stage is kept as the ``CopyLayout`` of those
+    copies of the (flat) prefix, and nothing is built.
+    """
     m = state.stage
     prev = state.prefix
-    copies = [prev, prev]
-    copies.extend(scale(Fraction(r, m + 1), prev) for r in range(m, -1, -1))
-    nxt = concat_all(copies, base=1)
+    row = CopyLayout(prev, _ratios(m))
+    nxt = concat_all([scale(c, prev) for c in row.ratios], base=1) if flat else row
     if len(nxt) != (m + 3) * len(prev):
         raise InvariantError(
             f"stage {m + 1} has length {len(nxt)}, expected {m + 3} x {len(prev)}"
         )
-    # Extension only: the new prefix starts with the old one.
-    if window(nxt, prev.base, prev.last) != prev:
+    # Extension only: the new prefix starts with the old one, which is a
+    # layout's copy 0 itself.
+    if flat and window(nxt, prev.base, prev.last) != prev:
         raise InvariantError(f"stage {m + 1} does not extend stage {m}")
     # Zero tail grows past the m+2 the next stage requires.
     if nxt.trailing_zero_run() < m + 2:
@@ -237,21 +306,31 @@ def check_c1(state: Thm1State, kmax: int) -> CheckReport:
     Equivalent to: the longest zero-run immediately preceding a 1 is >= kmax.
     Reports the maximal k found and where.  A 1 is a numerator equal to the
     common denominator D, and ``list.index`` finds each such nonzero at C
-    speed, so the Python loop runs once per 1, not once per nonzero.
+    speed, so the Python loop runs once per 1, not once per nonzero.  Copy 0
+    is scanned so; a later copy with c_j = 1 can only improve on it at its
+    first nonzero, whose run reaches back across the seam (module docstring).
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    block = state.prefix
-    nz = block.nonzero_positions
-    den, nums = common_numerators(block)
+    row = _row(state)
+    nz = row.copy0.nonzero_positions
+    den, nums = common_numerators(row.copy0)
     best_k = 0
     best_pos = None
     i = -1
     for _ in range(nums.count(den)):
         i = nums.index(den, i + 1)
-        run = nz[i] - (nz[i - 1] if i else block.base - 1) - 1
+        run = nz[i] - (nz[i - 1] if i else 0) - 1
         if run > best_k:
             best_k, best_pos = run, nz[i]
+    if nz and nums[0] == den:
+        end = None  # the last nonzero before copy j
+        for j, c in enumerate(row.ratios):
+            start = j * row.pitch
+            if j and c == 1 and start + nz[0] - end - 1 > best_k:
+                best_k, best_pos = start + nz[0] - end - 1, start + nz[0]
+            if c:
+                end = start + nz[-1]
     params = (("stage", state.stage), ("kmax", kmax))
     witness = (("max_run", best_k), ("one_at", best_pos))
     verdict = PASS if best_k >= kmax else FAIL
@@ -287,43 +366,106 @@ def _scan_ranges(
     return ranges
 
 
+def _row(state: Thm1State) -> CopyLayout:
+    """The prefix as a row of copies; a flat prefix is one copy of itself."""
+    p = state.prefix
+    return p if isinstance(p, CopyLayout) else CopyLayout(p, (ONE,))
+
+
+def _pieces(row: CopyLayout, lo: int, hi: int) -> list:
+    """lo..hi within the row, cut at its copy seams."""
+    pitch = row.pitch
+    copies = range((max(lo, 1) - 1) // pitch, (min(hi, row.last) - 1) // pitch + 1)
+    return [(max(lo, t * pitch + 1), min(hi, (t + 1) * pitch)) for t in copies]
+
+
 def _first_failure(state: Thm1State, top: int, first, span):
     """``(k, hit)`` at the smallest failing scale k <= top, or None.
 
-    ``first(block, k, n_k, lo, hi)`` returns the first hit of the scale-k test
-    at positions lo..hi, and ``span(k, n_k)`` the offsets (left, right) of the
-    span the test at q reads, then C3's ratio-step bound; the first hit over
-    ``_scan_ranges`` is smallest.
+    ``first(row, k, n_k, lo, hi)`` returns the first hit of the scale-k test
+    at positions lo..hi of the row of copies, reading at most n_k past hi, and
+    ``span(k, n_k)`` the offsets (left, right) of the span the test at q
+    reads, then C3's ratio-step bound; the first hit over ``_scan_ranges`` is
+    smallest.  Each range goes in pieces, one per copy it meets, so that the
+    reads of each meet at most two copies.
     """
+    row = _row(state)
     for k in range(1, top + 1):
         n_k = state.length_of_stage(k)
         for lo, hi in _scan_ranges(state, k, *span(k, n_k)):
-            hit = first(state.prefix, k, n_k, lo, hi)
-            if hit is not None:
-                return k, hit
+            for lo, hi in _pieces(row, lo, hi):
+                hit = first(row, k, n_k, lo, hi)
+                if hit is not None:
+                    return k, hit
     return None
 
 
-def _c3_first(block: Block, k: int, n_k: int, lo: int, hi: int):
+def _pair_cover(row: CopyLayout, a: int, b: int, shift: int) -> Block:
+    """A block that reads as the row at a..b and at a+shift..b+shift.
+
+    Copy 0 itself if it holds both; otherwise the two covers, with zeros
+    between them when they do not meet, so that only what a walk of the pairs
+    (q, q + shift), a <= q <= b, reads is built.
+    """
+    here = row.cover(a, b)
+    if b + shift <= here.last:
+        return here
+    if a + shift <= b + 1:
+        return row.cover(a, b + shift)
+    gap = zeros(a + shift - b - 1)
+    return concat_all([window(here, a, b), gap, row.cover(a + shift, b + shift)], base=a)
+
+
+# Gate-refused pairs a C3 walk takes in one gap before it resumes past the gap
+# by bisection: a restart costs a few pair steps.
+_GAP_PAIRS = 16
+
+
+def _c3_first(row: CopyLayout, k: int, n_k: int, lo: int, hi: int):
     """First gated C3 failure ``(q, value, shifted)`` with lo <= q <= hi.
 
-    The pair (q, q + n_k) lies in the block and the gate admits window starts
-    up to last - n_k - k + 1.  ``shift_violations`` in its at-bound mode walks
-    only positions lo..hi + n_k.
+    The pair (q, q + n_k) lies in the row, and the gate of q passes exactly
+    when a nonzero p <= last - n_k lies within k - 1 of q (module docstring):
+    the candidates are runs of positions around those nonzeros.
+    ``shift_violations`` in its at-bound mode walks the pairs.  Where its
+    reads lie in copy 0, which is built, one walk crosses the gaps between
+    runs; elsewhere each run is walked on a cover of what it reads.  A walk
+    resumes at the next run after ``_GAP_PAIRS`` pairs in one gap.
     """
-    base = block.base
-    hi_start = block.last - n_k - k + 1  # largest admissible window start
-    lo, hi = max(lo, base), min(hi, block.last - n_k)
-    if hi_start < base or lo > hi:
-        return None
-    part = window(block, lo, hi + n_k)
-    for q, value, shifted in shift_violations(part, n_k, Fraction(1, k), at_bound=True):
-        if q > hi:
-            break
-        # Some admissible window start lo_i..hi_i for the pair sees a nonzero.
-        lo_i, hi_i = max(base, q - k + 1), min(q, hi_start)
-        if q >= lo and lo_i <= hi_i and block.count_nonzero_in(lo_i, hi_i + k - 1):
-            return q, value, shifted
+    limit = row.last - n_k  # the last position a gate reads
+    lo, hi = max(lo, 1), min(hi, limit)
+    if limit - k + 1 < 1:
+        return None  # no admissible window start
+    built = hi + n_k <= row.pitch
+    if built:
+        nz = row.copy0.nonzero_positions
+    else:
+        nz = row.nonzero_in(lo - k + 1, min(hi + k - 1, limit))
+    bound = Fraction(1, k)
+    while lo <= hi:
+        i = bisect_left(nz, lo - k + 1)  # the first nonzero whose run reaches lo
+        if i == len(nz) or nz[i] > limit:
+            return None
+        lo, end = max(lo, nz[i] - k + 1), i
+        if lo > hi:
+            return None
+        if not built:  # the run ends where nonzeros are more than 2k - 2 apart
+            while end + 1 < len(nz) and nz[end + 1] - nz[end] <= 2 * k - 2:
+                end += 1
+        b = hi if built else min(hi, nz[end] + k - 1)
+        part = _pair_cover(row, lo, b, n_k)
+        gap = refused = 0
+        for hit in shift_violations(part, n_k, bound, at_bound=True, lo=lo, hi=b):
+            g = bisect_left(nz, hit[0] - k + 1)
+            if g < len(nz) and nz[g] <= min(hit[0] + k - 1, limit):
+                return hit
+            refused = refused + 1 if g == gap else 1
+            gap = g
+            if refused == _GAP_PAIRS:
+                lo = nz[g] - k + 1 if g < len(nz) else hi + 1
+                break
+        else:
+            lo = b + 1
     return None
 
 
@@ -335,9 +477,9 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     max_{0<=d<k} |x(i+d) - x(i+n_k+d)| < 1/k.
 
     ``shift_violations`` in its at-bound mode lists the pairs (q, q+n_k) that
-    break the bound, in increasing q; the first whose gating window sees a
-    nonzero is the failure.  Reports it as (k, position) with both values,
-    smallest k first, then smallest position.
+    break the bound, in increasing q, on the runs of positions whose gating
+    windows see a nonzero; the first is the failure.  Reports it as
+    (k, position) with both values, smallest k first, then smallest position.
 
     On an audited state scale k is scanned on the copies of B_{k+1} whose
     ratio step reaches 1/k, then only at q in [jL - n_k - k + 2, jL + k - 1]
@@ -365,11 +507,15 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     )
 
 
-def _c2prime_first(block: Block, j: int, n_j: int, lo: int, hi: int):
+def _c2prime_first(row: CopyLayout, j: int, n_j: int, lo: int, hi: int):
     """First C2PRIME failure ``(p, window_max)`` with lo <= p <= hi, p + n_j <= last."""
-    nz = block.nonzero_positions
-    den, nums = common_numerators(block)
-    a, b = bisect_left(nz, lo), bisect_right(nz, min(hi, block.last - n_j))
+    lo, hi = max(lo, 1), min(hi, row.last - n_j)
+    if lo > hi:
+        return None
+    part = row.cover(lo, hi + n_j)
+    nz = part.nonzero_positions
+    den, nums = common_numerators(part)
+    a, b = bisect_left(nz, lo), bisect_right(nz, hi)
     for i in compress(range(a, b), map((den // (j + 1)).__lt__, islice(nums, a, b))):
         p = nz[i]
         eps = max(nums[i + 1 : bisect_right(nz, p + n_j, i + 1)], default=0)
@@ -421,37 +567,53 @@ def check_tails(state: Thm1State) -> CheckReport:
     return CheckReport("TAILS", FAIL, params, (("zero_run", run),))
 
 
+def _literal_first(block: Block, positions, kmax: int, last: int):
+    """First ``(p, k, value, window_max)`` over ``positions`` of ``block``, windows clipped at last."""
+    for p in positions:
+        a = block[p]
+        eps = ZERO
+        # b_{k+1} must exist, so the window needs k+1 symbols after p.
+        for k in range(1, min(kmax, last - p - 1) + 1):
+            v = block[p + k]
+            if v > eps:
+                eps = v
+            if a > eps + Fraction(1, k):
+                return p, k, a, eps
+    return None
+
+
 def literal_smallness_falsifier(state: Thm1State, kmax: int) -> CheckReport:
     """Diagnostic: search for a window refuting the uncorrected smallness bound.
 
     The uncorrected statement reads: if the k symbols after position i are
     all <= eps then x(i) <= eps + 1/k.  The built point refutes it (take eps
     to be the window maximum).  INFO either way; the witness, when found, is
-    the first (position, k) in lexicographic scan order.
+    the first (position, k) in lexicographic scan order.  It is sought in copy
+    0 and then at the end of each copy (module docstring), so on a layout
+    ``kmax`` may not exceed the pitch.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    block = state.prefix
+    row = _row(state)
+    pitch, last = row.pitch, row.last
+    if len(row.ratios) > 1 and kmax > pitch:
+        raise ValueError(f"kmax={kmax} exceeds the layout pitch {pitch}")
     params = (("stage", state.stage), ("kmax", kmax))
-    for p in block.nonzero_positions:
-        a = block[p]
-        eps = ZERO
-        # b_{k+1} must exist, so the window needs k+1 symbols after p.
-        for k in range(1, min(kmax, block.last - p - 1) + 1):
-            v = block[p + k]
-            if v > eps:
-                eps = v
-            if a > eps + Fraction(1, k):
-                return CheckReport(
-                    "LITERAL2_FALSIFIER",
-                    INFO,
-                    params,
-                    (
-                        ("found", True),
-                        ("pos", p),
-                        ("k", k),
-                        ("value", a),
-                        ("window_max", eps),
-                    ),
-                )
-    return CheckReport("LITERAL2_FALSIFIER", INFO, params, (("found", False),))
+    inner = pitch - kmax  # the last copy-0 position whose window stays in it
+    hit = _literal_first(row.copy0, row.copy0.nonzero_in(1, inner), kmax, last)
+    for t, c in enumerate(row.ratios):
+        if hit is not None:
+            break
+        if c:
+            lo, hi = t * pitch + max(inner + 1, 1), (t + 1) * pitch
+            part = row.cover(lo, min(hi + kmax, last))
+            hit = _literal_first(part, part.nonzero_in(lo, hi), kmax, last)
+    if hit is None:
+        return CheckReport("LITERAL2_FALSIFIER", INFO, params, (("found", False),))
+    p, k, a, eps = hit
+    return CheckReport(
+        "LITERAL2_FALSIFIER",
+        INFO,
+        params,
+        (("found", True), ("pos", p), ("k", k), ("value", a), ("window_max", eps)),
+    )

@@ -160,7 +160,7 @@ def test_nonzero_iteration_sorted_and_nonzero():
     b = Block([0, F(1, 2), 0, 1, 0], base=-2)
     items = list(b.nonzero_items())
     assert items == [(-1, F(1, 2)), (1, F(1))]
-    assert b.count_nonzero_in(-2, 0) == 1
+    assert b.nonzero_in(-2, 0) == (-1,)
     assert b.nonzero_in(0, 2) == (1,)
 
 
@@ -518,6 +518,11 @@ def test_shift_violations_match_dense_scan():
             assert found[at_bound] == naive_shift_violations(b, shift, bound, at_bound)
             for i, here, there in hits:
                 assert here is b.at_or_zero(i) and there is b.at_or_zero(i + shift)
+            # Bounded by lo..hi, the walk gives the hits in that range.
+            lo = rng.randint(base - shift - 2, b.last + 2)
+            hi = rng.randint(lo - 1, b.last + 2)
+            bounded = blocks.shift_violations(b, shift, bound, at_bound, lo=lo, hi=hi)
+            assert list(bounded) == [h for h in hits if lo <= h[0] <= hi]
         split += len(found) == 2 and found[False] != found[True]
     assert split >= 100
 

@@ -235,6 +235,7 @@ def test_thm1_caps_count_nonzeros_for_verify_and_positions_for_build(
 ):
     # Stage m stores (m+1)!/2 nonzeros in (m+2)!/2 positions; both counts
     # follow from the stage number, so a refusal comes before any step.
+    # thm1 verify builds only stage S-1, so that is the stage it caps.
     class Built(Exception):
         pass
 
@@ -244,15 +245,15 @@ def test_thm1_caps_count_nonzeros_for_verify_and_positions_for_build(
     monkeypatch.setattr(thm1, "step", no_step)
     out = tmp_path / "x.tdseq"
     cases = (
-        ("thm1 verify --stage 11 --kmax 20 --jmax 4",
+        ("thm1 verify --stage 12 --kmax 20 --jmax 4",
          "stage 11 stores 239500800 nonzeros, cap is 100000000"),
         (f"thm1 build --stage 10 --out {out}",
          "stage 10 has 239500800 positions, cap is 100000000"),
         # Far past the cap and 2**64 the count is not multiplied out.
         ("thm1 verify --stage 5000 --kmax 1",
-         "stage 5000 stores more than 2**4999 nonzeros, cap is 100000000"),
+         "stage 4999 stores more than 2**4998 nonzeros, cap is 100000000"),
         ("thm1 verify --stage 1000000 --kmax 1",
-         "stage 1000000 stores more than 2**999999 nonzeros, cap is 100000000"),
+         "stage 999999 stores more than 2**999998 nonzeros, cap is 100000000"),
         (f"thm1 build --stage 5000 --out {out}",
          "stage 5000 has more than 2**4999 positions, cap is 100000000"),
     )
@@ -262,9 +263,9 @@ def test_thm1_caps_count_nonzeros_for_verify_and_positions_for_build(
         assert time.perf_counter() - start < 1, argv
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
-    # Stage 10 (19,958,400 nonzeros) passes the verify cap and starts building;
-    # thm1 build admits stage 9 (19,958,400 positions).
-    for argv in ("thm1 verify --stage 10 --kmax 20 --jmax 4",
+    # Stage 11 verify (stage 10 stores 19,958,400 nonzeros) passes the cap and
+    # starts building; thm1 build admits stage 9 (19,958,400 positions).
+    for argv in ("thm1 verify --stage 11 --kmax 20 --jmax 4",
                  f"thm1 build --stage 9 --out {out}"):
         args = cli.build_parser().parse_args(argv.split())
         with pytest.raises(Built, match="^2$"):
@@ -284,7 +285,7 @@ def test_every_cap_admits_its_count_and_refuses_one_less(tmp_path, monkeypatch, 
     monkeypatch.setattr(thm2, "solve_spacers", stepped)
     out = tmp_path / "x.tdseq"
     cases = (
-        ("thm1 verify --stage 6 --kmax 1", "stage 6 stores {} nonzeros", 2520),
+        ("thm1 verify --stage 7 --kmax 1", "stage 6 stores {} nonzeros", 2520),
         (f"thm1 build --stage 6 --out {out}", "stage 6 has {} positions", 20160),
         ("thm2 verify --stage 5 --kmax 1",
          "stage 5 stores {} nonzeros per block", 945),
@@ -319,7 +320,7 @@ def test_thm2_build_caps_the_positions_of_each_built_stage(tmp_path, capsys):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_out_of_memory_exits_2_on_one_error_line():
     # The child limits its own address space to 100 MB past what it has
-    # mapped, then verifies stage 10, whose build needs over 1 GB.
+    # mapped, then verifies stage 11, whose stage-10 build needs over 1 GB.
     code = (
         "import re, resource, sys\n"
         "vm = re.search(r'VmSize:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
@@ -331,7 +332,7 @@ def test_out_of_memory_exits_2_on_one_error_line():
     )
     result = subprocess.run(
         [sys.executable, "-c", code,
-         *"thm1 verify --stage 10 --kmax 20 --jmax 4".split()],
+         *"thm1 verify --stage 11 --kmax 20 --jmax 4".split()],
         capture_output=True,
         text=True,
         env=CHILD_ENV,
@@ -559,11 +560,14 @@ PINNED_OUTPUT = (
      "b71340861269f6e422a3ed2bf1fa0527791922e93baa4b5342fbd7e67594f0d1"),
     ("thm1 build --stage 6 --out x6.tdseq", 0,
      "6fa4ede8aab862cf2710f0534203bc208543a6d04b717f2f287787fb545990d7"),
-    # Stages 7 and 8 run C3 and C2PRIME over the copy seams of audited stages.
+    # Stages 7 to 9 run C3 and C2PRIME over the copy seams of audited stages,
+    # reading the top stage from its copy layout.
     ("thm1 verify --stage 7 --kmax 20 --jmax 4", 0,
      "d1d2227b300d33d8816137fe4b10bf8fade80b50ac4b94b1fefe4950125f11b1"),
     ("thm1 verify --stage 8 --kmax 20 --jmax 4", 0,
      "0f3ed05ad04fe10b6162979f5090b64531d4ee14af335c731d1c453504a907fa"),
+    ("thm1 verify --stage 9 --kmax 20 --jmax 4", 0,
+     "4c1696993c04c10a5344679cea95745a19e6e9dea5a05beca31dfda66b8ec0df"),
 )
 PINNED_TDSEQ = {
     "x6.tdseq": "7e61f941815362b4d13201cf0717f419b7eff21a030ab52dac06b82dee6e29a4",

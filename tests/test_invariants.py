@@ -7,7 +7,8 @@ import pytest
 
 from child_env import CHILD_ENV
 
-# Each script corrupts one construction step; its key is the error it must meet.
+# Each script corrupts one construction step; its key names it, and the error
+# it must meet is the key up to its first " (".
 CORRUPTED_BUILDS = {
     "stage 2 does not extend stage 1": """
 from dlab import thm1
@@ -18,6 +19,23 @@ def corrupt(blocks, base):
     return Block([0] + [out[i] for i in range(out.base + 1, out.last + 1)], base=out.base)
 thm1.concat_all = corrupt
 thm1.build(3)
+""",
+    "stage 2 has length 9, expected 4 x 3": """
+from dlab import thm1
+real = thm1.concat_all
+thm1.concat_all = lambda blocks, base: real(blocks[1:], base=base)
+thm1.build(2)
+""",
+    # Every copy at ratio 1, so the row ends in stage 1's two zeros.
+    "stage 2 ends in 2 zeros, need 3 (built)": """
+from dlab import thm1
+thm1._ratios = lambda m: (1,) * (m + 3)
+thm1.build(2)
+""",
+    "stage 2 ends in 2 zeros, need 3 (layout)": """
+from dlab import thm1
+thm1._ratios = lambda m: (1,) * (m + 3)
+thm1.step(thm1.build(1), flat=False)
 """,
     "stage 2 x does not hold stage 1 at its center": """
 from dlab import thm2
@@ -52,7 +70,7 @@ def test_corrupted_step_raises_under_optimize(name):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1] == f"InvariantError {name}"
+    assert lines[1] == f"InvariantError {name.split(' (')[0]}"
 
 
 # Stage 5 with one value changed inside copy 2: the copy-layout audit must
@@ -89,3 +107,41 @@ def test_refused_copy_audit_scans_flat_under_optimize():
         "CHECK C3 FAIL stage=5 kmax=4 k=2 pos=865 value=1/1 shifted=1/5 bound=1/2",
         "CHECK C2PRIME FAIL stage=5 jmax=4 j=1 pos=865 value=1/1 window_max=2/5 slack=1/2",
     ]
+
+
+# The copy-layout record of a top stage refuses what would make it another
+# row than the one its checks read, without relying on ``assert``.
+RECORD_REFUSALS = {
+    "symbol 3/2 outside [0, 1]": "CopyLayout(stage2.prefix, (1, Fraction(3, 2)))",
+    "layout pitch 12 is not the previous stage length (lengths (3, 24))":
+        "thm1.Thm1State((3, 24), CopyLayout(stage2.prefix, (1, 1)))",
+    "layout copy 0 is scaled by 1/2: the prefix does not extend stage 2":
+        "thm1.Thm1State((3, 12, 24), CopyLayout(stage2.prefix, (Fraction(1, 2), 1)))",
+}
+
+RECORD_PROBE = """
+import sys
+from fractions import Fraction
+from dlab import thm1
+from dlab.blocks import CopyLayout
+print("optimize", sys.flags.optimize)
+stage2 = thm1.build(2)
+try:
+    {body}
+except ValueError as exc:
+    print("ValueError", exc)
+else:
+    print("no error")
+"""
+
+
+@pytest.mark.parametrize("message", sorted(RECORD_REFUSALS))
+def test_layout_record_refusals_hold_under_optimize(message):
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", RECORD_PROBE.format(body=RECORD_REFUSALS[message])],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["optimize 1", f"ValueError {message}"]

@@ -1,11 +1,13 @@
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from dlab import thm1
-from dlab.blocks import Block, ResourceCapError, concat_all, scale, window
+from dlab.blocks import Block, CopyLayout, ResourceCapError, concat_all, scale, window
 
 from naive_refs import (
     dense,
@@ -179,6 +181,33 @@ def test_c3_detects_planted_violation():
     assert not rep.passed
     w = dict(rep.witness)
     assert w["k"] >= 1 and abs(w["value"] - w["shifted"]) >= F(1, w["k"])
+
+
+def _sparse_state(lengths, values):
+    syms = [F(0)] * lengths[-1]
+    for pos, v in values.items():
+        syms[pos - 1] = v
+    return thm1.Thm1State(lengths, Block(syms, base=1))
+
+
+@pytest.mark.parametrize("lengths, values, line", [
+    # Pair (5, 8) breaks the bound 1/2, but its gate reads positions 4..5
+    # only: the nonzero at 6 = last - n_2 + 1 opens no window.
+    ((2, 3, 8), {1: F(1, 4), 6: F(1, 3), 8: F(1)}, "CHECK C3 PASS stage=3 kmax=2"),
+    # After the run around 1, eighteen refused pairs (q, q + 100) in one gap,
+    # then the first position the nonzero at 22 gates: the walk must resume
+    # there, at 21, not after it.
+    ((2, 100, 250), {1: F(1, 4), 22: F(1, 4), **{q + 100: F(1, 2) for q in range(3, 22)}},
+     "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=21 value=0/1 shifted=1/2 bound=1/2"),
+])
+def test_c3_gate_bounds_and_gap_resumption(lengths, values, line):
+    state = _sparse_state(lengths, values)
+    rep = thm1.check_c3(state, 2)
+    assert rep.line() == line
+    expected = _expected_c3(state, 2)
+    assert rep.passed == (expected is None)
+    if expected is not None:
+        assert (dict(rep.witness)["k"], dict(rep.witness)["pos"]) == expected
 
 
 # -- C2PRIME --------------------------------------------------------------------
@@ -420,9 +449,9 @@ def _record_scans(monkeypatch):
     calls = []
 
     def recording(real):
-        def first(block, k, n_k, lo, hi):
-            calls.append((k, lo <= block.base and hi >= block.last))
-            return real(block, k, n_k, lo, hi)
+        def first(row, k, n_k, lo, hi):
+            calls.append((k, lo <= row.base and hi >= row.last))
+            return real(row, k, n_k, lo, hi)
         return first
 
     monkeypatch.setattr(thm1, "_c3_first", recording(thm1._c3_first))
@@ -589,3 +618,195 @@ def test_ratio_steps_at_the_bound_are_scanned(monkeypatch, seed, rows, line):
         assert (w["k"], w["pos"]) == expected
     # No call spans the whole prefix: the witness came from a copy range.
     assert not any(whole for _, whole in calls)
+
+
+# -- the top stage as a copy-layout record ----------------------------------------
+
+
+def _verify_lines(state, kmax, jmax):
+    """The five report lines of ``dlab thm1 verify``, as the CLI computes them."""
+    c3_kmax = min(kmax, state.stage - 1)
+    return [
+        thm1.check_c1(state, kmax).line(),
+        thm1.check_c2prime(state, jmax).line(),
+        thm1.check_c3(state, c3_kmax).line(),
+        thm1.literal_smallness_falsifier(state, c3_kmax).line(),
+        thm1.check_tails(state).line(),
+    ]
+
+
+def _layout(state):
+    """The state's top stage as its copy layout over the stage below."""
+    return thm1.step(thm1.build(state.stage - 1), flat=False)
+
+
+def _flat(lengths, copy0, ratios):
+    """The record (lengths, CopyLayout(copy0, ratios)) and the row it stands for, built."""
+    record = thm1.Thm1State(lengths, CopyLayout(copy0, ratios))
+    row = concat_all([scale(c, copy0) for c in ratios], base=1)
+    return record, thm1.Thm1State(lengths, row)
+
+
+def test_layout_verify_equals_flat_line_for_line(thm1_stage8):
+    for m in range(2, 10):
+        flat = thm1_stage8 if m == 8 else thm1.build(m)
+        layout = _layout(flat)
+        assert isinstance(layout.prefix, CopyLayout)
+        assert layout.lengths == flat.lengths
+        assert layout.copy_ratios == flat.copy_ratios
+        # C2PRIME at j = m - 1 reads a window of n_{m-1} symbols per
+        # candidate, and LITERAL2 at kmax = 1 finds no witness, so the flat
+        # scan walks every nonzero: each runs only where that stays small.
+        jmaxes = {1, min(4, m - 1)} | ({m - 1} if m <= 6 else set())
+        for kmax in (1 if m <= 7 else 2, m - 1, 20):
+            for jmax in sorted(jmaxes):
+                assert _verify_lines(layout, kmax, jmax) == _verify_lines(flat, kmax, jmax), (
+                    m, kmax, jmax,
+                )
+
+
+def test_layout_records_match_their_built_rows_on_random_layouts():
+    # Random copy rows, half with a spike or dip in copy 0 so that its audit
+    # refuses and every scale scans the whole row in copy pairs.
+    rng = random.Random(23)
+    fails = set()
+    for _ in range(400):
+        state = _copy_layout_state(rng)
+        below, ratios = _below_and_ratios(state)
+        syms = list(dense(below.prefix))
+        if rng.random() < 0.5:
+            i = rng.randrange(len(syms))
+            syms[i] = _random_symbol(rng) if rng.random() < 0.5 else F(0)
+        record, flat = _flat(state.lengths, Block(syms, base=1), ratios)
+        kmax = state.stage - 1
+        lines = _verify_lines(record, kmax, kmax)
+        assert lines == _verify_lines(flat, kmax, kmax)
+        fails.update(line.split()[1] for line in lines if " FAIL " in line)
+    assert fails == {"C1", "C2PRIME", "C3", "TAILS"}
+
+
+def _below_and_ratios(state):
+    """The stage-(s-1) state and the top stage's ratios of an audited state."""
+    below = thm1.Thm1State(state.lengths[:-1], window(state.prefix, 1, state.lengths[-2]))
+    return below, state.copy_ratios[-1]
+
+
+S5 = thm1.build(5)
+R5 = S5.copy_ratios[-1]  # 1, 1, 4/5, 3/5, 2/5, 1/5, 0
+B4 = thm1.build(4).prefix
+
+
+def _with(block, pos, value):
+    syms = list(dense(block))
+    syms[pos - 1] = value
+    return Block(syms, base=1)
+
+
+@pytest.mark.parametrize("copy0, ratios, planted", [
+    # Non-monotone ratios: a step of 2/5 >= 1/4 at the newest scale.
+    (B4, (1, 1, F(2, 5), F(4, 5), F(3, 5), F(1, 5), 0),
+     "CHECK C3 FAIL stage=5 kmax=4 k=4 pos=361 value=1/1 shifted=2/5 bound=1/4"),
+    # A zero copy mid-row, then a copy at 1: the run before its first 1
+    # crosses a whole zero copy.
+    (B4, (1, 1, F(4, 5), 0, 1, F(1, 5), 0),
+     "CHECK C1 PASS stage=5 kmax=4 max_run=437 one_at=1441"),
+    # A perturbed copy-0 value: the audit of stage 4 refuses.
+    (_with(B4, 200, F(1)), R5,
+     "CHECK C3 FAIL stage=5 kmax=4 k=1 pos=200 value=1/1 shifted=0/1 bound=1/1"),
+    # A 1 at the end of copy 0 sits before every seam, and the last copy is
+    # not zero, so the row ends in that 1 scaled.
+    (_with(B4, 360, F(1)), R5[:-1] + (F(1, 5),),
+     "CHECK TAILS FAIL stage=5 required=6 zero_run=0"),
+])
+def test_planted_records_print_the_flat_lines(copy0, ratios, planted):
+    record, flat = _flat(S5.lengths, copy0, ratios)
+    for kmax, jmax in ((4, 4), (2, 1), (20, 3)):
+        assert _verify_lines(record, kmax, jmax) == _verify_lines(flat, kmax, jmax)
+    assert planted in _verify_lines(record, 4, 4)
+
+
+def test_literal_falsifier_on_layouts_matches_the_built_row():
+    # Copy 0 rises, so no window inside it holds a witness: each lies at the
+    # end of a copy, where the window crosses a seam or meets the row's end.
+    rng = random.Random(2010)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        pitch = rng.randint(2, 7)
+        syms = sorted(_random_symbol(rng) if rng.random() < 0.6 else F(0)
+                      for _ in range(pitch))
+        if rng.random() < 0.3:
+            syms[rng.randrange(pitch)] = _random_symbol(rng)  # not rising everywhere
+        ratios = [F(1)] + [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 4))]
+        record, flat = _flat((pitch, pitch * len(ratios)), Block(syms, base=1), ratios)
+        kmax = rng.randint(1, pitch)
+        rep = thm1.literal_smallness_falsifier(record, kmax)
+        assert rep.line() == thm1.literal_smallness_falsifier(flat, kmax).line()
+        w = dict(rep.witness)
+        found[w["found"]] += 1
+        if w["found"]:
+            pos = w["pos"]
+            found["past copy 0"] = found.get("past copy 0", 0) + (pos > pitch)
+            found["seam"] = found.get("seam", 0) + ((pos - 1) // pitch != (pos + w["k"] - 1) // pitch)
+    # Most witnesses already lie at the end of copy 0; a few only later.
+    past = found.pop("past copy 0")
+    assert min(found.values()) > 50 and past >= 5, (found, past)
+
+
+def test_record_refuses_ratios_outside_the_unit_interval_and_a_wrong_pitch():
+    with pytest.raises(ValueError, match=r"symbol 3/2 outside \[0, 1\]"):
+        CopyLayout(B4, (1, F(3, 2)))
+    with pytest.raises(ValueError, match=r"symbol -1/5 outside \[0, 1\]"):
+        CopyLayout(B4, (1, F(-1, 5)))
+    with pytest.raises(ValueError, match="at least one copy"):
+        CopyLayout(B4, ())
+    with pytest.raises(TypeError):
+        CopyLayout(CopyLayout(B4, R5), R5)
+    lengths = S5.lengths
+    with pytest.raises(ValueError, match="layout pitch 360 is not the previous stage length"):
+        thm1.Thm1State(lengths[:-2] + (720, 2520), CopyLayout(B4, R5))
+    with pytest.raises(ValueError, match="layout pitch 360 is not the previous stage length"):
+        thm1.Thm1State((2520,), CopyLayout(B4, R5))
+    with pytest.raises(ValueError, match="prefix does not match recorded length"):
+        thm1.Thm1State(lengths, CopyLayout(B4, R5[:-1]))
+    with pytest.raises(ValueError, match="copy 0 is scaled by 1/2"):
+        thm1.Thm1State(lengths, CopyLayout(B4, (F(1, 2),) + R5[1:]))
+    with pytest.raises(ValueError, match="exceeds the layout pitch 360"):
+        thm1.literal_smallness_falsifier(_layout(S5), 361)
+
+
+def test_layout_reads_as_its_built_row():
+    rng = random.Random(5)
+    for _ in range(100):
+        copy0 = Block([_random_symbol(rng) if rng.random() < 0.4 else 0
+                       for _ in range(rng.randint(1, 6))])
+        ratios = [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 4))]
+        row = CopyLayout(copy0, ratios)
+        built = concat_all([scale(c, copy0) for c in ratios], base=1)
+        assert (row.base, row.last, len(row), row.pitch) == (1, built.last, len(built), len(copy0))
+        assert row.trailing_zero_run() == built.trailing_zero_run()
+        for i in range(1, built.last + 1):
+            assert row[i] is built[i]
+            for j in range(i, min(i + 2 * row.pitch, built.last + 1)):
+                assert row.nonzero_in(i, j) == list(built.nonzero_in(i, j))
+                if (j - 1) // row.pitch - (i - 1) // row.pitch <= 1:
+                    assert dense(window(row.cover(i, j), i, j)) == dense(window(built, i, j))
+                else:
+                    with pytest.raises(ValueError, match="two adjacent copies"):
+                        row.cover(i, j)
+
+
+def test_layout_verify_peaks_well_below_the_flat_build():
+    # build(9) peaks at least at what it returns: two tuples of one pointer
+    # per nonzero and an int per position (its Fractions are shared).
+    nonzero = thm1.build(9).prefix.nonzero_positions
+    built = 2 * sys.getsizeof(nonzero) + sum(map(sys.getsizeof, nonzero))
+    del nonzero
+    tracemalloc.start()
+    try:
+        assert _verify_lines(thm1.step(thm1.build(8), flat=False), 20, 4)
+        verified = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stage-9 row holds 1,814,400 nonzeros; the record stores stage 8's
+    # 181,440, and its covers hold at most two of its copies at a time.
+    assert verified < built / 4, (verified, built)
