@@ -21,10 +21,16 @@ from .blocks import DEFAULT_MAX_NONZEROS, ResourceCapError, check_cap, dump_tdse
 from .report import CheckReport, INFO
 
 SWEEP_EXHAUSTIVE_BOUND = 6
-# lemma6 lists every pair of its relation's orbit block, n^2 of them on a
-# path of n points: 1,000 entries take 1.8 s and 233 MB (Python 3.11.7 on a
-# 2-vCPU Xeon), and the memory grows as n^2.
+# lemma6 codes every pair of its relation's orbit block, n^2 of them on a
+# path of n points, and reads their images off the map's pair table, n^2
+# entries on any map: 1,000 entries take 0.42 s and 180 MB (Python 3.11.7 on
+# a 2-vCPU Xeon), and the memory grows as n^2.
 LEMMA6_MAP_BOUND = 1000
+# lemma7_checks keeps the N+1 tables of T^0..T^N and ORs N(N+1)/2 limit sets
+# per point, so a sweep grows as N^2: at the bound, `oracle sweep --nmax 8
+# --Nmax 64` (the largest sweep the bounds admit) takes 44 s and `--nmax 3
+# --Nmax 64` 0.14 s (Python 3.11.7 on a 2-vCPU Xeon).
+SWEEP_POWER_BOUND = 64
 SAMPLED_SWEEP_DEFAULT = 200
 
 # --max-symbols caps the nonzeros a stage stores (for thm1 verify, stage S-1,
@@ -178,6 +184,11 @@ def cmd_oracle_sweep(args) -> list:
         raise ValueError("nmax must be >= 1")
     if args.power_max < 1:
         raise ValueError("Nmax must be >= 1")
+    if args.power_max > SWEEP_POWER_BOUND:
+        raise ValueError(
+            f"Nmax {args.power_max} exceeds the power bound {SWEEP_POWER_BOUND} "
+            "(the power checks grow as Nmax^2 per map)"
+        )
     if args.sample < 0:
         raise ValueError("sample must be >= 0")
     oracle_mod.check_exhaustive_size(args.nmax)  # before any sweep, not at n = nmax

@@ -16,8 +16,8 @@ to exercise.  Every sweep report carries the onto flag for that reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations, product as iter_product
+from functools import cached_property, lru_cache
+from itertools import chain, permutations, product as iter_product
 
 from .report import CheckReport, FAIL, PASS
 
@@ -48,6 +48,12 @@ class FiniteSystem:
     def onto(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
+    @cached_property
+    def pair_table(self) -> tuple:
+        """The product map's value table, ``product_system(self, self).table``:
+        pair (a, b) is coded a * size + b.  Built once per system."""
+        return product_system(self, self).table
+
 
 def make_system(table) -> FiniteSystem:
     return FiniteSystem(tuple(int(v) for v in table))
@@ -56,7 +62,7 @@ def make_system(table) -> FiniteSystem:
 def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
     """Coordinatewise product; point (p, q) is encoded as p * b.size + q."""
     n = len(b.table)
-    return FiniteSystem(tuple(u * n + v for u in a.table for v in b.table))
+    return FiniteSystem(tuple([u * n + v for u in a.table for v in b.table]))
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,10 @@ class Partition:
     def __post_init__(self):
         if not all(self.blocks):
             raise ValueError("blocks must be nonempty")
-        seen = sorted(x for blk in self.blocks for x in blk)
+        seen = sorted(chain.from_iterable(self.blocks))
         if seen != list(range(len(seen))):
             raise ValueError("blocks must partition 0..size-1")
-        canonical = tuple(sorted(tuple(sorted(blk)) for blk in self.blocks))
+        canonical = tuple(sorted(map(tuple, map(sorted, self.blocks))))
         if canonical != self.blocks:
             raise ValueError("blocks must be in canonical sorted form")
 
@@ -94,13 +100,6 @@ class Partition:
     @classmethod
     def diagonal(cls, size: int) -> "Partition":
         return cls.from_blocks((x,) for x in range(size))
-
-    def pairs(self) -> frozenset:
-        """All related ordered pairs, diagonal included."""
-        out = []
-        for blk in self.blocks:
-            out.extend((a, b) for a in blk for b in blk)
-        return frozenset(out)
 
     def label(self) -> str:
         return "|".join(",".join(str(x) for x in blk) for blk in self.blocks)
@@ -126,24 +125,21 @@ def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
 
     The comparison is raw containment of pair sets; the image of an
     equivalence relation under the pair map need not be one, and no closure
-    is taken.
+    is taken.  A pair (a, b) is coded a * n + b, so the image is read off
+    the system's pair table.
     """
-    if partition.size != sys.size:
+    n = sys.size
+    if partition.size != n:
         raise ValueError(
-            f"size mismatch: system {sys.size}, partition {partition.size}"
+            f"size mismatch: system {n}, partition {partition.size}"
         )
-    rel = partition.pairs()
-    image = _image(sys.table, rel)
+    rel = frozenset([a * n + b for blk in partition.blocks for a in blk for b in blk])
+    image = frozenset(map(sys.pair_table.__getitem__, rel))
     if image < rel:
         return FORWARD_INVARIANT_ONLY
     if image == rel:
         return INVARIANT
     return NOT_FORWARD_INVARIANT
-
-
-def _image(table: tuple, rel: frozenset) -> frozenset:
-    """The image {(Ta, Tb) : (a, b) in rel} of a pair set under the pair map."""
-    return frozenset((table[a], table[b]) for a, b in rel)
 
 
 def check_exhaustive_size(size: int) -> None:
@@ -162,18 +158,21 @@ def is_td(sys: FiniteSystem):
     only partition found, with the diagonal tested first since it is the
     canonical witness whenever the map is not onto.
     """
-    check_exhaustive_size(sys.size)
-    diag, rel = _diagonal(sys.size)
-    if _image(sys.table, rel) < rel:  # forward-invariant only
+    n = sys.size
+    check_exhaustive_size(n)
+    diag, rel = _diagonal(n)
+    # The pair (x, x) maps to (Tx, Tx), coded Tx * (n + 1): the n diagonal
+    # codes of the pair table, read without building its n^2 entries.
+    if frozenset([v * (n + 1) for v in sys.table]) < rel:  # forward-invariant only
         return False, diag
     return _scan_partitions(sys.table)
 
 
 @lru_cache(maxsize=None)
 def _diagonal(n: int) -> tuple:
-    """The diagonal partition of {0..n-1} and its pair set, built once per n."""
-    diag = Partition.diagonal(n)
-    return diag, diag.pairs()
+    """The diagonal partition of {0..n-1} and its pair codes x * n + x, built
+    once per n."""
+    return Partition.diagonal(n), frozenset(range(0, n * n, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -239,19 +238,27 @@ def orbit(sys: FiniteSystem, x: int) -> list:
 
 
 def _omega_table(table: tuple) -> tuple:
-    """The limit set of every point of the map ``table``, from one walk of its
-    functional graph: each walk runs until it closes a new cycle or lands on
-    a point already labelled, and every point on it gets that cycle."""
-    omega = [None] * len(table)
+    """The limit set of every point of the map ``table`` as a bit mask (bit z
+    set when z is in it), from one walk of its functional graph: each walk
+    runs until it closes a new cycle or lands on a point already labelled,
+    and every point on it gets that cycle."""
+    omega = [0] * len(table)  # 0: not reached yet; -1: on the current walk
     for start in range(len(table)):
-        path = {}  # point -> step, in walk order
+        if omega[start]:
+            continue
+        path = []
         cur = start
-        while omega[cur] is None and cur not in path:
-            path[cur] = len(path)
+        while not omega[cur]:
+            omega[cur] = -1
+            path.append(cur)
             cur = table[cur]
         limit = omega[cur]
-        if limit is None:  # the walk closed a new cycle at cur
-            limit = frozenset(list(path)[path[cur]:])
+        if limit < 0:  # the walk closed a new cycle at cur: go round it once
+            limit = 1 << cur
+            z = table[cur]
+            while z != cur:
+                limit |= 1 << z
+                z = table[z]
         for z in path:
             omega[z] = limit
     return tuple(omega)
@@ -274,15 +281,17 @@ def lemma6_relation(sys: FiniteSystem, x: int):
             "escaping point"
         )
     points = frozenset(out)  # orbit already contains its cycle
-    rest = ((y,) for y in range(sys.size) if y not in points)
-    partition = Partition.from_blocks([tuple(sorted(points)), *rest])
+    block = tuple(sorted(points))
+    blocks = [(y,) for y in range(sys.size) if y not in points]
+    blocks.append(block)
+    partition = Partition(tuple(sorted(blocks)))
     cls = classify_relation(sys, partition)
     verdict = PASS if cls == FORWARD_INVARIANT_ONLY else FAIL
     report = CheckReport(
         "LEMMA6",
         verdict,
         (("n", sys.size), ("x", x)),
-        (("classified", cls), ("points", ",".join(map(str, sorted(points))))),
+        (("classified", cls), ("points", ",".join(map(str, block)))),
     )
     return points, partition, report
 
@@ -295,8 +304,8 @@ def all_pairs_recurrent(sys: FiniteSystem) -> bool:
     """
     if not sys.onto:
         return False
-    omega = _omega_table(product_system(sys, sys).table)
-    return all(p in limit for p, limit in enumerate(omega))
+    omega = _omega_table(sys.pair_table)
+    return all(limit >> p & 1 for p, limit in enumerate(omega))
 
 
 def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
@@ -304,7 +313,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
 
     (a) a point recurrent for the map is recurrent for every power;
     (b) the limit set under the map is exactly the union over k < N of the
-        limit sets of T^k x under the N-th power;
+        limit sets of T^k x under the N-th power (an OR of masks);
     (c) if every pair is recurrent for the product then every power is
         deterministic.
     """
@@ -313,22 +322,22 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
     params = (("n", sys.size), ("n_max", n_max))
     powers = [tuple(range(sys.size))]  # powers[k] is the table of T^k
     for _ in range(n_max):
-        powers.append(tuple(sys.table[v] for v in powers[-1]))
+        powers.append(tuple(map(sys.table.__getitem__, powers[-1])))
     omegas = {n: _omega_table(powers[n]) for n in range(1, n_max + 1)}
 
     for x in range(sys.size):
         base_omega = omegas[1][x]
-        base_recurrent = x in base_omega
+        base_recurrent = base_omega >> x & 1
         for n in range(1, n_max + 1):
             omega = omegas[n]
-            if base_recurrent and x not in omega[x]:
+            if base_recurrent and not omega[x] >> x & 1:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
                     (("part", "a"), ("x", x), ("power", n)),
                 )
-            decomposition = frozenset().union(
-                *(omega[powers[k][x]] for k in range(n))
-            )
+            decomposition = 0
+            for k in range(n):
+                decomposition |= omega[powers[k][x]]
             if decomposition != base_omega:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
@@ -380,7 +389,7 @@ def check_map_determinism(sys: FiniteSystem) -> CheckReport:
         )
     omega = _omega_table(sys.table)
     for x in range(sys.size):
-        if x in omega[x]:
+        if omega[x] >> x & 1:
             continue
         _, _, rep = lemma6_relation(sys, x)
         if not rep.passed:

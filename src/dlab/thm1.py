@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -516,9 +517,21 @@ def _c2prime_first(row: CopyLayout, j: int, n_j: int, lo: int, hi: int):
     nz = part.nonzero_positions
     den, nums = common_numerators(part)
     a, b = bisect_left(nz, lo), bisect_right(nz, hi)
+    # Both ends of the window (p, p + n_j] only move right, so its maximum is
+    # the front of a deque of nonzero indices with decreasing numerators.
+    window = deque()
+    r = a  # the next nonzero index to enter a window
     for i in compress(range(a, b), map((den // (j + 1)).__lt__, islice(nums, a, b))):
         p = nz[i]
-        eps = max(nums[i + 1 : bisect_right(nz, p + n_j, i + 1)], default=0)
+        while window and window[0] <= i:
+            window.popleft()
+        r = max(r, i + 1)
+        while r < len(nz) and nz[r] <= p + n_j:
+            while window and nums[window[-1]] <= nums[r]:
+                window.pop()
+            window.append(r)
+            r += 1
+        eps = nums[window[0]] if window else 0
         if (nums[i] - eps) * (j + 1) > den:
             return p, Fraction(eps, den)
     return None
@@ -529,10 +542,10 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
 
     Symbols are integer numerators over their common denominator D.  The
     window maximum is >= 0, so only a nonzero whose numerator exceeds
-    D // (j+1) can break the bound, and the scan visits those alone, taking
-    the maximum of the nonzeros in (p, p + n_j] for each.  The bound is
-    attained with equality inside the construction, which is why a failure
-    needs (value - window_max) * (j+1) > D strictly.
+    D // (j+1) can break the bound, and the scan visits those alone, reading
+    the maximum of the nonzeros in (p, p + n_j] for each off one sliding
+    maximum.  The bound is attained with equality inside the construction,
+    which is why a failure needs (value - window_max) * (j+1) > D strictly.
 
     On an audited state an old scale is scanned on B_{j+1}, then only at p in
     [jL - n_j + 1, jL] around seams (module docstring).

@@ -9,7 +9,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from dlab.blocks import Block
-from dlab.oracle import Partition
+from dlab.oracle import (
+    FORWARD_INVARIANT_ONLY,
+    INVARIANT,
+    NOT_FORWARD_INVARIANT,
+    Partition,
+)
 
 
 def dense(block):
@@ -218,6 +223,23 @@ def all_partitions(n):
     return tuple(Partition(blocks) for blocks in naive_partition_blocks(n))
 
 
+def naive_pairs(partition):
+    """All related ordered pairs (a, b) of ``partition``, diagonal included."""
+    return frozenset((a, b) for blk in partition.blocks for a in blk for b in blk)
+
+
+def naive_classify_relation(table, partition):
+    """The image {(Ta, Tb) : a ~ b} against the pair set itself: strictly
+    inside it, equal to it, or neither."""
+    rel = naive_pairs(partition)
+    image = frozenset((table[a], table[b]) for a, b in rel)
+    if image < rel:
+        return FORWARD_INVARIANT_ONLY
+    if image == rel:
+        return INVARIANT
+    return NOT_FORWARD_INVARIANT
+
+
 def naive_first_forward_invariant_only(table):
     """The blocks of the first partition of {0..n-1}, in restricted-growth-
     string order, whose image {(Ta, Tb) : a ~ b} is strictly inside its own
@@ -250,3 +272,8 @@ def naive_omega_limit(table, x):
         out.add(x)
         x = table[x]
     return frozenset(out)
+
+
+def naive_mask(points):
+    """The int with bit z set for each z in ``points``."""
+    return sum(1 << z for z in set(points))

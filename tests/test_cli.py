@@ -518,6 +518,33 @@ def test_oracle_sweep_nmax_above_the_bound_rejected_before_sweeping(capsys, monk
         )
 
 
+def test_oracle_sweep_nmax_over_the_power_bound_rejected_before_sweeping(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran for an Nmax it must reject")
+
+    monkeypatch.setattr(oracle, "sweep", no_sweep)
+    monkeypatch.setattr(oracle, "check_map_determinism", no_sweep)
+    above = cli.SWEEP_POWER_BOUND + 1
+    for flags in (["--nmax", "2", "--Nmax", str(above)],
+                  ["--nmax", "8", "--sample", "0", "--Nmax", str(above)],
+                  ["--nmax", "2", "--Nmax", str(10**30)]):
+        assert main(["oracle", "sweep", *flags]) == 2, flags
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: Nmax {flags[-1]} exceeds the power bound {cli.SWEEP_POWER_BOUND} "
+            "(the power checks grow as Nmax^2 per map)\n"
+        )
+    monkeypatch.undo()
+    assert main(["oracle", "sweep", "--nmax", "2", "--Nmax", str(cli.SWEEP_POWER_BOUND)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1] == (
+        f"CHECK SWEEP_SUMMARY PASS n=2 maps=4 permutations_only=false "
+        f"power_max={cli.SWEEP_POWER_BOUND}"
+    )
+
+
 # sha256 of stdout and the exit code of each command; the thm2 build entry
 # also pins both TDSEQ files it writes.
 PINNED_OUTPUT = (

@@ -6,9 +6,12 @@ from dlab import oracle as o
 
 from naive_refs import (
     all_partitions,
+    naive_classify_relation,
     naive_first_forward_invariant_only,
     naive_growth_strings,
+    naive_mask,
     naive_omega_limit,
+    naive_pairs,
     naive_power_table,
 )
 
@@ -43,6 +46,46 @@ def test_classify_not_forward_invariant():
     assert o.classify_relation(s, p) == o.NOT_FORWARD_INVARIANT
 
 
+def _lemma6_partitions(system):
+    return [o.lemma6_relation(system, x)[1] for x in range(system.size)
+            if x not in naive_omega_limit(system.table, x)]
+
+
+def test_classify_relation_matches_the_pair_set_definition():
+    # Every partition of every map on up to 4 points and of the seeded maps
+    # on 6-8 points, then the escaping-point relations a sweep classifies.
+    rng = random.Random(6007)
+    tables = [s.table for n in range(1, 5) for s in o.all_systems(n)]
+    tables += _seeded_scan_tables(rng)
+    cases = [(o.make_system(t), all_partitions(len(t))) for t in tables]
+    for n in (6, 7, 8):
+        for _ in range(20):
+            system = o.make_system([rng.randrange(n) for _ in range(n)])
+            cases.append((system, _lemma6_partitions(system)))
+    counts = {}
+    for system, partitions in cases:
+        for partition in partitions:
+            cls = o.classify_relation(system, partition)
+            counts[cls] = counts.get(cls, 0) + 1
+            assert cls == naive_classify_relation(system.table, partition), (
+                system.table, partition.label())
+    assert min(counts.values()) > 1000, counts
+
+
+def test_pair_table_is_the_product_table_built_once():
+    rng = random.Random(6011)
+    systems = [s for n in range(1, 5) for s in o.all_systems(n)]
+    systems += [o.make_system([rng.randrange(8) for _ in range(8)]) for _ in range(20)]
+    for s in systems:
+        n = s.size
+        table = s.pair_table
+        assert table == o.product_system(s, s).table
+        assert table == tuple(s.table[a] * n + s.table[b] for a in range(n) for b in range(n))
+        assert s.pair_table is table
+        # is_td reads the diagonal entries as Tx * (n + 1) without the table.
+        assert [table[c] for c in range(0, n * n, n + 1)] == [v * (n + 1) for v in s.table]
+
+
 def test_classify_size_mismatch():
     with pytest.raises(ValueError, match="size mismatch"):
         o.classify_relation(sys_([0, 1]), o.Partition.diagonal(3))
@@ -59,7 +102,7 @@ def test_partition_validation_and_label():
             o.Partition.from_blocks(blocks)
     p = o.Partition.from_blocks([(2,), (0, 1)])
     assert p.size == 3 and p.label() == "0,1|2"
-    assert (0, 1) in p.pairs() and (2, 2) in p.pairs() and (0, 2) not in p.pairs()
+    assert naive_pairs(p) == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
 
 
 def test_restricted_growth_enumeration_bell_counts():
@@ -153,12 +196,11 @@ def test_partition_masks_classify_every_partition():
     tables += _seeded_scan_tables(random.Random(8191))
     counts = {}
     for table in tables:
-        system = o.make_system(table)
         forward, only = o._partition_masks(table)
-        partitions = all_partitions(system.size)
+        partitions = all_partitions(len(table))
         assert forward >> len(partitions) == 0
         for i, partition in enumerate(partitions):
-            cls = o.classify_relation(system, partition)
+            cls = naive_classify_relation(table, partition)
             counts[cls] = counts.get(cls, 0) + 1
             assert forward >> i & 1 == (cls != o.NOT_FORWARD_INVARIANT), (table, i)
             assert only >> i & 1 == (cls == o.FORWARD_INVARIANT_ONLY), (table, i)
@@ -180,15 +222,17 @@ def test_system_validation():
 
 
 def test_omega_examples():
-    assert o._omega_table((1, 2, 2))[0] == {2}
-    assert o._omega_table((1, 0))[0] == {0, 1}
-    assert o._omega_table((0, 0))[0] == {0}
+    # Bit z of a limit-set mask is set when z is in the limit set.
+    assert o._omega_table((1, 2, 2)) == (0b100, 0b100, 0b100)
+    assert o._omega_table((1, 0)) == (0b11, 0b11)
+    assert o._omega_table((0, 0)) == (0b1, 0b1)
 
 
 def test_recurrent_iff_on_cycle():
     omega = o._omega_table((1, 2, 0, 0))  # 3 -> 0 enters the 3-cycle
-    assert all(x in omega[x] for x in (0, 1, 2))
-    assert 3 not in omega[3]
+    assert omega == (0b111,) * 4
+    assert all(omega[x] >> x & 1 for x in (0, 1, 2))
+    assert not omega[3] >> 3 & 1
 
 
 # -- the escaping-point relation -----------------------------------------------------
@@ -219,7 +263,7 @@ def test_lemma6_everywhere_small(n):
     for s in o.all_systems(n):
         omega = o._omega_table(s.table)
         for x in range(n):
-            if x in omega[x]:
+            if omega[x] >> x & 1:
                 continue
             _, _, report = o.lemma6_relation(s, x)
             assert report.passed
@@ -230,7 +274,7 @@ def test_lemma6_everywhere_small(n):
 
 def test_product_system_recurrence_matches_joint_returns():
     s = sys_([1, 0, 2])  # 2-cycle plus fixed point
-    omega = o._omega_table(o.product_system(s, s).table)
+    omega = o._omega_table(s.pair_table)
     powers = [naive_power_table(s.table, n) for n in range(1, 7)]
     for a in range(3):
         for b in range(3):
@@ -239,7 +283,7 @@ def test_product_system_recurrence_matches_joint_returns():
             joint = any(
                 power[a] == a and power[b] == b for power in powers
             )
-            assert (code in omega[code]) == joint
+            assert omega[code] >> code & 1 == joint
 
 
 def test_lemma7_cycle_examples():
@@ -248,7 +292,7 @@ def test_lemma7_cycle_examples():
     two_cycle = sys_([1, 0])
     assert o.lemma7_checks(two_cycle, 2).passed
     # Power 2 splits the 2-cycle into fixed points whose limit sets union back.
-    assert o._omega_table(naive_power_table(two_cycle.table, 2)) == ({0}, {1})
+    assert o._omega_table(naive_power_table(two_cycle.table, 2)) == (0b01, 0b10)
 
 
 def test_omega_table_matches_orbit_walk():
@@ -258,7 +302,7 @@ def test_omega_table_matches_orbit_walk():
     for s in systems:
         for n in range(1, 5):
             power = naive_power_table(s.table, n)
-            want = tuple(naive_omega_limit(power, z) for z in range(s.size))
+            want = tuple(naive_mask(naive_omega_limit(power, z)) for z in range(s.size))
             assert o._omega_table(power) == want, (s.table, n)
 
 
@@ -276,15 +320,15 @@ def test_all_pairs_recurrent_only_for_permutations_n3():
 
 
 def _plant_omega(monkeypatch, table, point, limit):
-    """Make ``_omega_table`` give ``point`` the limit set ``limit`` in the
-    map ``table`` only."""
+    """Make ``_omega_table`` give ``point`` the mask of the limit set ``limit``
+    in the map ``table`` only."""
     real = o._omega_table
 
     def planted(t):
         omega = real(t)
         if t != table:
             return omega
-        return omega[:point] + (frozenset(limit),) + omega[point + 1 :]
+        return omega[:point] + (naive_mask(limit),) + omega[point + 1 :]
 
     monkeypatch.setattr(o, "_omega_table", planted)
 

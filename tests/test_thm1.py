@@ -243,6 +243,60 @@ def test_c2prime_detects_corruption():
     assert dict(rep.witness)["pos"] == 50
 
 
+def _c2prime_hits(row, j, n_j):
+    """Every C2PRIME failure of the row as (pos, window_max), found by
+    resuming ``_c2prime_first`` past each hit."""
+    hits, lo = [], row.base
+    while (hit := thm1._c2prime_first(row, j, n_j, lo, row.last)) is not None:
+        hits.append(hit)
+        lo = hit[0] + 1
+    return hits
+
+
+def _naive_c2prime_hits(syms, n_j, j):
+    return [(1 + i, max(syms[i + 1 : i + 1 + n_j]))
+            for i in naive_c2prime_violations(syms, n_j, j)]
+
+
+@pytest.mark.parametrize("syms, n_j, j, want", [
+    # The window max 1/2 at 3 (no candidate at j = 1) covers 1, then leaves
+    # the window before the next candidate 5, which fails on what is left.
+    ((1, 0, F(1, 2), 0, 1, 0, 0, 0, 0), 3, 1, [(5, 0)]),
+    ((1, 0, F(1, 2), 0, 1, F(1, 4), 0, 0, 0), 3, 1, [(5, F(1, 4))]),
+    # The max 1 at 2 is in the window of 1, then leaves it by becoming the
+    # next candidate, whose window (2, 4] starts after it.
+    ((F(3, 4), 1, F(3, 4), 0, 0, 0, 0), 2, 1, [(3, 0)]),
+])
+def test_c2prime_sliding_max_planted(syms, n_j, j, want):
+    syms = tuple(map(F, syms))
+    row = CopyLayout(Block(syms, base=1), (1,))
+    assert _c2prime_hits(row, j, n_j) == want == _naive_c2prime_hits(syms, n_j, j)
+
+
+def test_c2prime_sliding_max_matches_naive_on_seeded_rows():
+    # Dense rows put a candidate at nearly every nonzero, sparse ones leave
+    # long zero runs between few candidates, and rows of two copies put the
+    # second copy's windows through ``cover``'s built window.
+    rng = random.Random(7919)
+    values = {
+        "dense": (F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3), 0),
+        "sparse": (F(1), F(1, 2), F(1, 5)) + (0,) * 9,
+    }
+    hits = {True: 0, False: 0}
+    for trial in range(200):
+        kind = "dense" if trial % 2 else "sparse"
+        syms = tuple(F(rng.choice(values[kind])) for _ in range(rng.randint(2, 40)))
+        ratios = (1,) if trial % 3 else (1, rng.choice((F(1, 2), F(2, 3), 0, 1)))
+        row = CopyLayout(Block(syms, base=1), ratios)
+        flat = tuple(c * v for c in ratios for v in syms)
+        for j in (1, 2, 3):
+            for n_j in range(1, min(8, len(flat) - 1) + 1):
+                want = _naive_c2prime_hits(flat, n_j, j)
+                assert _c2prime_hits(row, j, n_j) == want, (flat, n_j, j)
+                hits[bool(want)] += 1
+    assert min(hits.values()) > 500, hits
+
+
 # -- scale invariance and exactness ----------------------------------------------
 
 
