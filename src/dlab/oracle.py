@@ -15,6 +15,7 @@ to exercise.  Every sweep report carries the onto flag for that reason.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, permutations, product as iter_product
@@ -35,8 +36,13 @@ class FiniteSystem:
     table: tuple
 
     def __post_init__(self):
+        if type(self.table) is not tuple:
+            raise TypeError(f"table must be a tuple, not {type(self.table).__name__}")
         if not self.table:
             raise ValueError("table must not be empty")
+        if set(map(type, self.table)) != {int}:  # a bool or 1.0 is not a point
+            place = next(i for i, v in enumerate(self.table) if type(v) is not int)
+            raise TypeError(f"table entry {place} is {self.table[place]!r}, not an int")
         if min(self.table) < 0 or max(self.table) >= len(self.table):
             raise ValueError("table values must lie in 0..size-1")
 
@@ -56,7 +62,9 @@ class FiniteSystem:
 
 
 def make_system(table) -> FiniteSystem:
-    return FiniteSystem(tuple(int(v) for v in table))
+    """The system of ``table``'s entries, each taken by ``operator.index``, so
+    an integer type converts exactly and 1.7 is refused, not truncated."""
+    return FiniteSystem(tuple(map(operator.index, table)))
 
 
 def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
@@ -189,6 +197,21 @@ def _same_masks(n: int) -> tuple:
     return rgs, full, tuple(map(tuple, same))
 
 
+@lru_cache(maxsize=None)
+def _closure_index(n: int) -> dict:
+    """Block mask -> RGS index of the partition of {0..n-1} into that block and
+    singletons, for every nonempty block (bit y set when y is in it)."""
+    index = {g: i for i, g in enumerate(_same_masks(n)[0])}
+    out = {}
+    for block in range(1, 1 << n):
+        labels = {}  # the block's points share the key -1
+        rgs = tuple(
+            labels.setdefault(-1 if block >> y & 1 else y, len(labels)) for y in range(n)
+        )
+        out[block] = index[rgs]
+    return out
+
+
 def _partition_masks(table: tuple) -> tuple:
     """(forward invariant, forward invariant only) as masks over ``_same_masks``:
     the definition evaluated on every partition at once, with no theorem.  A
@@ -201,7 +224,9 @@ def _partition_masks(table: tuple) -> tuple:
     for x in range(n):
         for y in range(x):
             bad |= same[x][y] & ~same[table[x]][table[y]]
-    preimages = [[a for a in range(n) if table[a] == c] for c in range(n)]
+    preimages = [[] for _ in range(n)]
+    for a, c in enumerate(table):
+        preimages[c].append(a)
     for c in range(n):
         for d in range(c + 1):
             covered = 0
@@ -371,7 +396,9 @@ def all_permutation_systems(n: int):
 
 def check_map_determinism(sys: FiniteSystem) -> CheckReport:
     """One map's determinism facts: td iff bijective; diagonal witness else;
-    the escaping-point relation works at every non-recurrent point."""
+    the escaping-point relation works at every non-recurrent point, read off
+    ``_partition_masks`` (``lemma6_relation`` is the pair-set path for one
+    point of a map of any size)."""
     td, witness = is_td(sys)
     params = (
         ("n", sys.size),
@@ -387,12 +414,23 @@ def check_map_determinism(sys: FiniteSystem) -> CheckReport:
             "SWEEP_MAP", FAIL, params,
             (("part", "witness"), ("witness", witness.label())),
         )
-    omega = _omega_table(sys.table)
+    # At each escaping point, lemma6_relation's partition (the orbit closure
+    # and singletons) must be forward invariant only: one bit of the map's
+    # masks, scanned once and only if some point escapes.
+    table = sys.table
+    omega = _omega_table(table)
+    only = None
     for x in range(sys.size):
         if omega[x] >> x & 1:
             continue
-        _, _, rep = lemma6_relation(sys, x)
-        if not rep.passed:
+        if only is None:
+            only = _partition_masks(table)[1]
+            index = _closure_index(sys.size)
+        closure, cur = 0, x
+        while not closure >> cur & 1:  # stops within n steps, whatever omega says
+            closure |= 1 << cur
+            cur = table[cur]
+        if not only >> index[closure] & 1:
             return CheckReport(
                 "SWEEP_MAP", FAIL, params, (("part", "lemma6"), ("x", x))
             )

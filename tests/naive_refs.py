@@ -274,6 +274,16 @@ def naive_omega_limit(table, x):
     return frozenset(out)
 
 
+def naive_orbit_points(table, x):
+    """The points T^i x for 0 <= i < n on n points: every point the orbit of
+    x reaches, its cycle included."""
+    out = set()
+    for _ in range(len(table)):
+        out.add(x)
+        x = table[x]
+    return frozenset(out)
+
+
 def naive_mask(points):
     """The int with bit z set for each z in ``points``."""
     return sum(1 << z for z in set(points))

@@ -145,3 +145,36 @@ def test_layout_record_refusals_hold_under_optimize(message):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["optimize 1", f"ValueError {message}"]
+
+
+# The sweep reads each escaping point off the map's partition masks, and a
+# table of non-ints is refused, both without relying on ``assert``: with no
+# partition left forward invariant only, map 0, 0, 1 fails at its first
+# escaping point.
+PLANTED_MASKS = """
+import sys
+from dlab import oracle
+print("optimize", sys.flags.optimize)
+real = oracle._partition_masks
+oracle._partition_masks = lambda table: (real(table)[0], 0)
+print(oracle.check_map_determinism(oracle.make_system([0, 0, 1])).line())
+try:
+    oracle.FiniteSystem((True, False))
+except TypeError as exc:
+    print("TypeError", exc)
+"""
+
+
+def test_planted_partition_masks_fail_the_sweep_under_optimize():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_MASKS],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "CHECK SWEEP_MAP FAIL n=3 map=0,0,1 onto=false part=lemma6 x=1",
+        "TypeError table entry 0 is True, not an int",
+    ]

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -11,6 +12,7 @@ from naive_refs import (
     naive_growth_strings,
     naive_mask,
     naive_omega_limit,
+    naive_orbit_points,
     naive_pairs,
     naive_power_table,
 )
@@ -219,6 +221,20 @@ def test_system_validation():
             o.FiniteSystem(table)
     with pytest.raises(TypeError):  # the size is len(table), never passed
         o.FiniteSystem(2, (1, 0))
+    # A table of non-ints would print map=True,False, or fail with a raw
+    # TypeError deep inside check_map_determinism.
+    for table, message in (
+        ([1, 0], "table must be a tuple, not list"),
+        ((True, False), "table entry 0 is True, not an int"),
+        ((0.0,), "table entry 0 is 0.0, not an int"),
+        ((1, 0, 2.0), "table entry 2 is 2.0, not an int"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            o.FiniteSystem(table)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        o.make_system([1.7, 0])  # not truncated to the map 1, 0
+    assert o.make_system(range(2)).table == (0, 1)
+    assert type(o.make_system([True, 0]).table[0]) is int
 
 
 def test_omega_examples():
@@ -316,6 +332,18 @@ def test_all_pairs_recurrent_only_for_permutations_n3():
         assert o.all_pairs_recurrent(s) == s.onto
 
 
+def test_all_pairs_recurrent_reads_each_pair_bit(monkeypatch):
+    # Every pair of a permutation lies on a cycle, so only a planted limit set
+    # that leaves its own pair out (but is not empty) can show the test read.
+    for n in (2, 3):
+        for s in o.all_permutation_systems(n):
+            for code in range(n * n):
+                with monkeypatch.context() as m:
+                    _plant_omega(m, s.pair_table, code, {(code + 1) % (n * n)})
+                    assert o.all_pairs_recurrent(s) is False, (s.table, code)
+            assert o.all_pairs_recurrent(s) is True, s.table
+
+
 # -- planted violations: each FAIL line the sweep can print ---------------------------
 
 
@@ -381,9 +409,39 @@ def test_sweep_map_reports_a_planted_td_verdict(monkeypatch, table, verdict, tai
     assert rep.line() == f"CHECK SWEEP_MAP FAIL n=2 map={map_} {tail}"
 
 
+def _plant_masks(monkeypatch, clear, calls):
+    """Make ``_partition_masks`` clear the bits of the int ``clear[0]`` from
+    every forward-invariant-only mask, and list in ``calls`` the tables it is
+    asked for."""
+    real = o._partition_masks
+
+    def planted(table):
+        calls.append(table)
+        forward, only = real(table)
+        return forward, only & ~clear[0]
+
+    monkeypatch.setattr(o, "_partition_masks", planted)
+
+
+def _escaping_bits(table):
+    """x -> the bit, in RGS order, of the partition of the orbit points of x
+    and singletons, for each non-recurrent x."""
+    n = len(table)
+    index = {p: i for i, p in enumerate(all_partitions(n))}
+    bits = {}
+    for x in range(n):
+        if x in naive_omega_limit(table, x):
+            continue
+        block = naive_orbit_points(table, x)
+        rest = [(y,) for y in range(n) if y not in block]
+        bits[x] = 1 << index[o.Partition.from_blocks([block, *rest])]
+    return bits
+
+
 def test_sweep_map_reports_the_first_failing_escaping_point(monkeypatch):
-    # 0 is fixed, so 1 is the first escaping point of 0, 0, 1.
-    monkeypatch.setattr(o, "classify_relation", lambda s, p: o.INVARIANT)
+    # 0 is fixed, so 1 is the first escaping point of 0, 0, 1; the planted
+    # masks leave no partition forward invariant only.
+    _plant_masks(monkeypatch, [-1], [])
     rep = o.check_map_determinism(sys_([0, 0, 1]))
     assert rep.line() == "CHECK SWEEP_MAP FAIL n=3 map=0,0,1 onto=false part=lemma6 x=1"
 
@@ -396,23 +454,86 @@ def test_sweep_map_runs_lemma6_at_exactly_the_non_recurrent_points(monkeypatch):
         for a in rng.sample(range(8), rng.randint(1, 4)):
             table[a] = rng.randrange(8)
         systems.append(o.make_system(table))
-    real = o.lemma6_relation
-    called = []
-
-    def spy(s, x):
-        called.append(x)
-        return real(s, x)
-
-    monkeypatch.setattr(o, "lemma6_relation", spy)
+    # is_td's own scan of an onto map must not count as a call.
+    verdicts = {s.table: o.is_td(s) for s in systems}
+    monkeypatch.setattr(o, "is_td", lambda s: verdicts[s.table])
+    clear, calls = [0], []
+    _plant_masks(monkeypatch, clear, calls)
     tails = 0
     for s in systems:
-        called.clear()
+        bits = _escaping_bits(s.table)
+        head = f"CHECK SWEEP_MAP FAIL n={s.size} map={','.join(map(str, s.table))}"
+        clear[0] = 0
+        calls.clear()
         assert o.check_map_determinism(s).passed, s.table
-        want = [x for x in range(s.size) if x not in naive_omega_limit(s.table, x)]
-        assert called == want, s.table
+        assert calls == ([s.table] if bits else []), s.table
+        for x, bit in bits.items():
+            clear[0] = bit
+            rep = o.check_map_determinism(s)
+            assert rep.line() == f"{head} onto=false part=lemma6 x={x}", s.table
+        clear[0] = ~sum(bits.values())  # every bit that is no escaping point's
+        assert o.check_map_determinism(s).passed, s.table
         if s.size == 8:
-            tails += len(want)
+            tails += len(bits)
     assert tails > 20
+
+
+def test_escaping_point_masks_match_lemma6_relation():
+    # The lemma holds, so every verdict passes; what is compared is that the
+    # bit read is the one of lemma6_relation's partition.
+    rng = random.Random(6151)
+    systems = [s for n in range(1, 6) for s in o.all_systems(n)]
+    systems += [
+        o.make_system([rng.randrange(n) for _ in range(n)])
+        for n in (6, 7, 8) for _ in range(300)
+    ]
+    checked = 0
+    for s in systems:
+        only = o._partition_masks(s.table)[1]
+        index = o._closure_index(s.size)
+        rgs = o._same_masks(s.size)[0]
+        for x in range(s.size):
+            if x in naive_omega_limit(s.table, x):
+                continue
+            points, partition, report = o.lemma6_relation(s, x)
+            i = index[naive_mask(points)]
+            assert o.Partition.from_rgs(rgs[i]) == partition, (s.table, x)
+            passed = bool(only >> i & 1)
+            assert passed == report.passed, (s.table, x)
+            naive = naive_classify_relation(s.table, partition)
+            assert passed == (naive == o.FORWARD_INVARIANT_ONLY), (s.table, x)
+            checked += 1
+    assert checked > 11000
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closure_index_decodes_to_block_and_singletons(n):
+    rgs = list(naive_growth_strings(n))
+    index = o._closure_index(n)
+    assert sorted(index) == list(range(1, 1 << n))
+    for block, i in index.items():
+        points = [y for y in range(n) if block >> y & 1]
+        rest = [(y,) for y in range(n) if not block >> y & 1]
+        want = o.Partition.from_blocks([points, *rest])
+        assert o.Partition.from_rgs(rgs[i]) == want, (n, block)
+
+
+def test_planted_omega_cannot_hang_the_escaping_point_walk(monkeypatch):
+    # The planted limit set of 1 holds 0, which the orbit 1, 2, 2, ... never
+    # reaches: a walk that ran until it met that set would never stop.
+    _plant_omega(monkeypatch, (0, 2, 2), 1, {0})
+
+    def timeout(signum, frame):
+        raise TimeoutError("check_map_determinism did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        rep = o.check_map_determinism(sys_([0, 2, 2]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep.line() == "CHECK SWEEP_MAP PASS n=3 map=0,2,2 onto=false td=false"
 
 
 # -- serialization and sweep harness ---------------------------------------------------
