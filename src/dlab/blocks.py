@@ -25,7 +25,7 @@ not inherit its parent's table, whose values it may not all hold.  Nothing
 is cached per nonzero.
 
 A ``CopyLayout`` stands for a block that is a row of scaled copies of one
-block, without building it: thm1's top stage is read so.
+block, without building it: thm1's top stage is read and written so.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, repeat
-from operator import add, sub
+from itertools import accumulate, chain, islice
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 ZERO = Fraction(0)
@@ -297,9 +297,10 @@ class CopyLayout:
     Copy t holds positions base + t*L .. base + (t+1)*L - 1, with L = len(B)
     the pitch and base = B.base.  Only B and the ratios are stored, so a row
     whose copies would not fit in memory can still be read: by position, by
-    its nonzero positions in a range, by its trailing zero run, and through
+    its nonzero positions in a range, by its trailing zero run, through
     ``cover``, which builds a block only from the at most two adjacent copies
-    it meets.  Every ratio lies in [0, 1], like every symbol.
+    it meets, and by ``write_tdseq``, which writes it copy by copy.  Every
+    ratio lies in [0, 1], like every symbol.
     """
 
     copy0: Block
@@ -467,6 +468,7 @@ _LENGTH_RE = re.compile(f"length ({_NATURAL})")
 _TOO_LONG = "a number with more digits than int() converts"
 _MARK = "\x00"  # what the reader folds each zero line to; no valid line holds it
 _CHUNK = 1 << 16  # characters per body read, so memory stays bounded
+_PIECE_BOUND = 64  # longest zero run a reader keeps in its piece table
 
 
 def format_symbol(v: Fraction) -> str:
@@ -493,30 +495,58 @@ def parse_symbol(text: str) -> Fraction:
     return _canonical(f)
 
 
-class _SymbolTable(dict):
-    """Nonzero body line (no newline) -> symbol; each distinct line parses once."""
+class _PieceTable(dict):
+    """Body piece, a run of markers then one nonzero line -> (symbol, lines spanned).
 
-    def __missing__(self, line: str) -> Fraction:
-        # A marker inside a line is a "0/1\n" that did not start one, so the
-        # input line it ends is head + "0/1": never a valid symbol, and what
-        # the error quotes.
-        head, mark, _ = line.partition(_MARK)
-        value = self[line] = parse_symbol(head + "0/1" if mark else line)
-        return value
+    Each distinct line parses once, as the piece of no markers.  A piece
+    whose marker run is longer than _PIECE_BOUND is computed but not kept,
+    so the table holds at most _PIECE_BOUND + 1 pieces per distinct line,
+    however long or varied the zero runs.
+    """
+
+    def __missing__(self, piece: str) -> tuple:
+        line = piece.lstrip(_MARK)
+        markers = len(piece) - len(line)
+        if markers:
+            entry = (self[line][0], markers + 1)
+        else:
+            # A marker inside a line is a "0/1\n" that did not start one, so
+            # the input line it ends is head + "0/1": never a valid symbol,
+            # and what the error quotes.
+            head, mark, _ = line.partition(_MARK)
+            entry = (parse_symbol(head + "0/1" if mark else line), 1)
+        if markers <= _PIECE_BOUND:
+            self[piece] = entry
+        return entry
 
 
-def write_tdseq(block: Block, stream: TextIO) -> None:
-    # The body is, for each nonzero, the zero lines since the previous one and
-    # then its own line, followed by the trailing zero lines.  Each distinct
-    # value and each distinct gap is formatted once.
-    nz = block._nonzero
-    text = {k: format_symbol(v) + "\n" for k, v in _distinct_values(block).items()}
-    gaps = list(map(sub, nz, (block.base - 1,) + nz[:-1]))
-    zero_runs = {g: "0/1\n" * (g - 1) for g in set(gaps)}
-    body = zip(map(zero_runs.__getitem__, gaps), _per_object(text, block._values))
-    stream.write(f"TDSEQ 1\nbase {block.base}\nlength {len(block)}\n")
-    stream.write("".join(chain.from_iterable(body)))
-    stream.write("0/1\n" * block.trailing_zero_run())
+def write_tdseq(block: "Block | CopyLayout", stream: TextIO) -> None:
+    # A block is a row of one copy at ratio 1.  Copy 0's text is its pieces,
+    # each the zero lines since the previous nonzero and then its line, and a
+    # tail of zero lines; copy t has the same pieces with each line scaled by
+    # c_t, so each distinct piece is formatted once per ratio, a repeated
+    # ratio repeats the text, and one copy's text is held at a time.
+    row = block if isinstance(block, CopyLayout) else CopyLayout(block, (1,))
+    copy0, distinct = row.copy0, _distinct_values(row.copy0)
+    nz = copy0._nonzero
+    gaps = map(sub, nz, (copy0.base - 1,) + nz[:-1])
+    pieces = {}  # (gap, id of the value) -> its index
+    order = [pieces.setdefault(p, len(pieces)) for p in zip(gaps, map(id, copy0._values))]
+    order.append(len(pieces))  # the tail
+    tail = "0/1\n" * copy0.trailing_zero_run()
+    stream.write(f"TDSEQ 1\nbase {row.base}\nlength {len(row)}\n")
+    ratio = text = None
+    for c in row.ratios:
+        if c != ratio:
+            ratio, text = c, None  # release the previous copy's text first
+            if c:
+                lines = {k: format_symbol(c * v) + "\n" for k, v in distinct.items()}
+                texts = ["0/1\n" * (gap - 1) + lines[k] for gap, k in pieces]
+                texts.append(tail)
+                text = "".join([texts[i] for i in order])
+            else:
+                text = "0/1\n" * row.pitch
+        stream.write(text)
 
 
 def _header_line(stream: TextIO) -> str:
@@ -546,13 +576,15 @@ def read_tdseq(stream: TextIO) -> Block:
     base = _header_int(stream, _BASE_RE, "base")
     length = _header_int(stream, _LENGTH_RE, "length")
     nonzero, values = [], []
-    table = _SymbolTable()
+    table = _PieceTable()
     position = base  # of the next body line
     partial = []  # text read since the last newline
     # The body is read in chunks cut after their last newline.  In each, every
     # zero line folds to one marker, so splitting at the newlines left gives
     # pieces that are a run of markers then one nonzero line, and a last piece
-    # of markers only: Python-level work is per nonzero, not per line.
+    # of markers only.  Each piece maps through the piece table to its symbol
+    # and the lines it spans, whose running sum places the nonzeros:
+    # Python-level work is per nonzero, not per line.
     while chunk := stream.read(_CHUNK):
         if _MARK in chunk:
             raise TdseqFormatError("NUL character in TDSEQ body")
@@ -564,14 +596,15 @@ def read_tdseq(stream: TextIO) -> Block:
         text = "".join(partial)
         partial = [chunk[cut:]]
         *pieces, trailing = text.replace("0/1\n", _MARK).split("\n")
-        lines = list(map(str.lstrip, pieces, repeat(_MARK)))
-        values.extend(map(table.__getitem__, lines))
-        trailing = trailing.lstrip(_MARK)
-        if trailing:
-            table[trailing]  # holds a marker, so it raises
-        gaps = map(sub, map(len, pieces), map(len, lines))
-        nonzero.extend(map(add, accumulate(gaps), count(position)))
-        position += text.count("\n")
+        entries = list(map(table.__getitem__, pieces))
+        values.extend(map(itemgetter(0), entries))
+        spans = accumulate(map(itemgetter(1), entries), initial=position - 1)
+        nonzero.extend(islice(spans, 1, None))
+        line = trailing.lstrip(_MARK)
+        if line:
+            table[line]  # holds a marker, so it raises
+        # The last piece is markers only: one zero line each.
+        position = (nonzero[-1] + 1 if entries else position) + len(trailing)
     rest = "".join(partial)
     if rest:
         raise TdseqFormatError(f"symbol line {rest!r} not newline-terminated")
@@ -579,11 +612,11 @@ def read_tdseq(stream: TextIO) -> Block:
         raise TdseqFormatError("truncated TDSEQ stream")
     if position - base != length:
         raise TdseqFormatError(f"expected {length} symbols, found {position - base}")
-    distinct = _by_object(table.values())  # each parsed line is in the block
+    distinct = _by_object([v for v, _ in table.values()])  # each is in the block
     return Block._trusted(base, length, tuple(nonzero), tuple(values), distinct)
 
 
-def dump_tdseq(block: Block, path) -> None:
+def dump_tdseq(block: "Block | CopyLayout", path) -> None:
     with open(path, "w", encoding="ascii", newline="") as f:
         write_tdseq(block, f)
 

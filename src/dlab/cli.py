@@ -33,9 +33,9 @@ LEMMA6_MAP_BOUND = 1000
 SWEEP_POWER_BOUND = 64
 SAMPLED_SWEEP_DEFAULT = 200
 
-# --max-symbols caps the nonzeros a stage stores (for thm1 verify, stage S-1,
-# the one it builds); a build writes TDSEQ 1, one line per position, so there
-# it caps positions too (README "Command line").
+# --max-symbols caps the nonzeros a stage stores (for thm1, stage S-1, the one
+# it builds); a build writes TDSEQ 1, one line per position, so there it caps
+# positions too (README "Command line").
 CAP_HELP = "refuse a stage storing more than this many nonzeros (per block for thm2)"
 BUILD_CAP_HELP = (
     f"{CAP_HELP} or having more than this many positions (TDSEQ 1 writes one "
@@ -52,9 +52,16 @@ def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
     )
 
 
+def _thm1_top(args) -> thm1.Thm1State:
+    """Stage S as a copy layout of stage S-1, the one stage built and capped (1: flat)."""
+    if args.stage < 2:
+        return thm1.build(args.stage, args.max_symbols)
+    return thm1.step(thm1.build(args.stage - 1, args.max_symbols), flat=False)
+
+
 def cmd_thm1_build(args) -> list:
     check_cap(args.stage, args.max_symbols, thm1.predicted_length, "has {} positions")
-    state = thm1.build(args.stage, args.max_symbols)
+    state = _thm1_top(args)
     dump_tdseq(state.prefix, args.out)
     report = CheckReport(
         "THM1_BUILD",
@@ -84,9 +91,7 @@ def _check_stage_args(args) -> None:
 
 def cmd_thm1_verify(args) -> list:
     _check_stage_args(args)
-    # Only stage S-1 is built, so it is what the cap counts; the verifiers
-    # read stage S from its copy layout.
-    state = thm1.step(thm1.build(args.stage - 1, args.max_symbols), flat=False)
+    state = _thm1_top(args)
     c3_kmax = min(args.kmax, state.stage - 1)
     jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
     reports = [

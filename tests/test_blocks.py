@@ -282,11 +282,17 @@ _PLANTED_LINES = ("1/10/1", "00/1", "0/10/1", "10/1", "\x00", "", "\r", "0/1", "
 
 
 def _malformed_tdseq(rng):
-    """A written block's text, mostly with one planted change in its body."""
+    """A written block's text, mostly with one planted change in its body.
+
+    One block in five holds a zero run longer than the reader's piece bound.
+    """
     length = rng.randint(1, 60)
     density = rng.choice((0.05, 0.3, 0.8))
     syms = [F(rng.randint(1, 4), 4) if rng.random() < density else 0
             for _ in range(length)]
+    if rng.random() < 0.2:
+        at = rng.randint(0, length)
+        syms[at:at] = [0] * (blocks._PIECE_BOUND + rng.randint(1, 40))
     buf = io.StringIO()
     write_tdseq(Block(syms, base=rng.randint(-9, 9)), buf)
     *header, body = buf.getvalue().split("\n", 3)
@@ -313,13 +319,16 @@ def _malformed_tdseq(rng):
 
 def test_tdseq_reader_matches_line_by_line_reference_on_planted_malformations():
     rng = random.Random(1818)
-    refused = 0
+    refused = long_runs = 0
     for _ in range(3000):
         text = _malformed_tdseq(rng)
         expected = naive_read_tdseq(text)
         refused += expected is None
-        # Short reads cut chunks inside lines and inside zero runs.
-        streams = [io.StringIO(text)] + [_ShortReads(text, n) for n in (1, 3, 7)]
+        long_runs += "0/1\n" * (blocks._PIECE_BOUND + 1) in text
+        # Short reads cut chunks inside lines and inside zero runs; reads of
+        # 300 characters also cut pieces longer than the piece bound, which
+        # the reader computes without keeping.
+        streams = [io.StringIO(text)] + [_ShortReads(text, n) for n in (1, 3, 7, 300)]
         for stream in streams:
             try:
                 got = read_tdseq(stream)
@@ -329,6 +338,7 @@ def test_tdseq_reader_matches_line_by_line_reference_on_planted_malformations():
             else:
                 assert got == expected, text
     assert 500 < refused < 2500  # both outcomes well exercised
+    assert long_runs > 400
 
 
 def test_tdseq_error_quotes_the_input_line():
@@ -351,6 +361,91 @@ def test_tdseq_read_memory_stays_bounded():
         tracemalloc.stop()
     assert got == block and got.nonzero_positions == (400_001, 999_999, 1_000_000)
     assert peak < 2_000_000, peak  # the body is read in bounded chunks
+
+
+def test_tdseq_read_keeps_no_piece_past_the_bound():
+    # About 2,000 distinct zero runs, each longer than the piece bound: kept
+    # as keys of the piece table they would hold some 4 MB.
+    gaps = range(blocks._PIECE_BOUND + 1, blocks._PIECE_BOUND + 4001, 2)
+    values = [F(1, 2), F(1, 3), 1]
+    block = concat_all([concat_all([zeros(g - 1), Block([values[g % 3]])]) for g in gaps])
+    buf = io.StringIO()
+    write_tdseq(block, buf)
+    stream = io.StringIO(buf.getvalue())
+    tracemalloc.start()
+    try:
+        got = read_tdseq(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == block and len(got.nonzero_positions) == len(gaps)
+    assert peak < 2_000_000, peak
+
+
+def _random_layout(rng):
+    """A copy layout whose copy 0 may lead or end with zeros or be all zeros."""
+    base, syms = _dense_case(rng)
+    lead, trail = rng.choice((0, 0, 1, 5)), rng.choice((0, 0, 2, 7))
+    syms = (F(0),) * lead + syms + (F(0),) * trail
+    pool = [F(0), F(1), F(1, 2), F(2, 3), F(1, 7)]
+    ratios = []
+    while len(ratios) < rng.randint(1, 8):
+        ratios += [rng.choice(pool)] * rng.choice((1, 1, 2, 3))  # runs of one ratio
+    return blocks.CopyLayout(Block(syms, base=base), ratios)
+
+
+def test_layout_export_matches_its_materialization_byte_for_byte():
+    rng = random.Random(2626)
+    seen = dict.fromkeys(("zero ratio", "repeat", "lead", "trail", "all zero",
+                          "negative base"), 0)
+    for _ in range(400):
+        row = _random_layout(rng)
+        copy0, ratios = row.copy0, row.ratios
+        flat = concat_all([scale(c, copy0) for c in ratios])
+        buf, flat_buf = io.StringIO(), io.StringIO()
+        write_tdseq(row, buf)
+        write_tdseq(flat, flat_buf)
+        text = buf.getvalue()
+        assert text == flat_buf.getvalue()
+        assert text == naive_tdseq_text(row.base, dense(flat))
+        assert read_tdseq(io.StringIO(text)) == flat
+        seen["zero ratio"] += 0 in ratios
+        seen["repeat"] += any(map(F.__eq__, ratios, ratios[1:]))
+        seen["lead"] += copy0.leading_zero_run() > 0
+        seen["trail"] += copy0.trailing_zero_run() > 0
+        seen["all zero"] += not copy0.nonzero_positions
+        seen["negative base"] += row.base < 0
+    assert min(seen.values()) >= 20, seen
+
+
+class _Discard:
+    """A text sink that keeps nothing but the characters' count."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_layout_export_holds_one_copy_text_at_a_time():
+    rng = random.Random(2727)
+    copy0 = Block([rng.choice((F(1, 2), F(1, 3), 1)) if rng.random() < 0.05 else 0
+                   for _ in range(50_000)])
+    row = blocks.CopyLayout(copy0, [F(1, r) for r in range(1, 41)])
+    peaks, chars = [], []
+    for written in (copy0, row):
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            write_tdseq(written, sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        chars.append(sink.chars)
+    assert chars[1] > 39 * chars[0]  # the whole row was written
+    # Forty copies peak near one: a second copy's text held at once would
+    # add about chars[0].
+    assert peaks[1] < peaks[0] + chars[0] // 2, (peaks, chars)
 
 
 def test_every_producer_caches_the_table_a_fresh_derivation_gives():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dlab.blocks import load_tdseq
+from dlab.blocks import dump_tdseq, load_tdseq, write_tdseq
 from dlab.cli import main
 from dlab import cli, oracle, thm1, thm2
 
@@ -27,6 +27,37 @@ def test_thm1_build_round_trip(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "CHECK THM1_BUILD PASS stage=2 length=12" in result.stdout
     assert load_tdseq(out) == thm1.build(2).prefix
+
+
+def test_thm1_build_writes_the_flat_stage_byte_for_byte(tmp_path, capsys):
+    # The export writes stage S from its copy layout of stage S-1.
+    for stage in range(1, 8):
+        out, flat = tmp_path / f"x{stage}.tdseq", tmp_path / f"flat{stage}.tdseq"
+        assert main(["thm1", "build", "--stage", str(stage), "--out", str(out)]) == 0
+        dump_tdseq(thm1.build(stage).prefix, flat)
+        assert out.read_bytes() == flat.read_bytes(), stage
+    capsys.readouterr()
+
+
+class _HashSink:
+    def __init__(self, sha):
+        self.sha = sha
+
+    def write(self, text):
+        self.sha.update(text.encode("ascii"))
+
+
+def test_thm1_build_stage_9_bytes_are_pinned(monkeypatch, capsys):
+    # 83 MB of text, hashed as written rather than stored.
+    sha = hashlib.sha256()
+    monkeypatch.setattr(cli, "dump_tdseq", lambda block, path: write_tdseq(block, _HashSink(sha)))
+    assert main("thm1 build --stage 9 --out x9.tdseq".split()) == 0
+    assert capsys.readouterr().out == (
+        "CHECK THM1_BUILD PASS stage=9 length=19958400 out=x9.tdseq\n"
+    )
+    assert sha.hexdigest() == (
+        "2bba70b9711dd189befb71567124aae47fd3d46b64c1486b19e195499bf694ea"
+    )
 
 
 def test_thm1_verify_all_pass():

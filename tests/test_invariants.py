@@ -73,6 +73,33 @@ def test_corrupted_step_raises_under_optimize(name):
     assert lines[1] == f"InvariantError {name.split(' (')[0]}"
 
 
+# The export reads the top stage from its copy layout, so it keeps the
+# layout's record checks: with no zero tail it is an internal error, and no
+# file is written.
+EXPORT_PROBE = """
+import os, sys
+from dlab import cli, thm1
+print("optimize", sys.flags.optimize)
+thm1._ratios = lambda m: (1,) * (m + 3)
+print("exit", cli.main(["thm1", "build", "--stage", "2", "--out", {out!r}]))
+print("written", os.path.exists({out!r}))
+"""
+
+
+def test_export_keeps_the_top_stage_checks_under_optimize(tmp_path):
+    out = str(tmp_path / "x2.tdseq")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", EXPORT_PROBE.format(out=out)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.stdout.splitlines() == ["optimize 1", "exit 3", "written False"]
+    assert result.stderr == (
+        "internal error: InvariantError('stage 2 ends in 2 zeros, need 3')\n"
+    )
+
+
 # Stage 5 with one value changed inside copy 2: the copy-layout audit must
 # refuse without relying on ``assert``, so C3 and C2PRIME scan the whole prefix.
 REFUSED_AUDIT = """
