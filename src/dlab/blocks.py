@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import itemgetter, sub
 from typing import Iterable, Iterator, Sequence, TextIO
+
+from .report import Record
 
 ZERO = Fraction(0)
 # Default `check_cap` cap on the nonzeros a build stores and the positions a
@@ -290,8 +291,7 @@ def window(b: Block, i: int, j: int) -> Block:
     return Block._trusted(i, j - i + 1, b._nonzero[a:c], b._values[a:c])
 
 
-@dataclass(frozen=True)
-class CopyLayout:
+class CopyLayout(Record):
     """The row of copies c_0*B, c_1*B, ..., c_{J-1}*B, each as long as B: a block kept unbuilt.
 
     Copy t holds positions base + t*L .. base + (t+1)*L - 1, with L = len(B)
@@ -303,15 +303,15 @@ class CopyLayout:
     ratio lies in [0, 1], like every symbol.
     """
 
-    copy0: Block
-    ratios: tuple
+    __slots__ = _fields = ("copy0", "ratios")
 
-    def __post_init__(self):
-        if not isinstance(self.copy0, Block):
-            raise TypeError(f"copy 0 must be a Block, not {type(self.copy0).__name__}")
-        ratios = tuple(map(as_symbol, self.ratios))  # refuses a ratio outside [0, 1]
+    def __init__(self, copy0: Block, ratios: tuple):
+        if not isinstance(copy0, Block):
+            raise TypeError(f"copy 0 must be a Block, not {type(copy0).__name__}")
+        ratios = tuple(map(as_symbol, ratios))  # refuses a ratio outside [0, 1]
         if not ratios:
             raise ValueError("a copy layout holds at least one copy")
+        object.__setattr__(self, "copy0", copy0)
         object.__setattr__(self, "ratios", ratios)
 
     @property

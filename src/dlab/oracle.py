@@ -16,11 +16,10 @@ to exercise.  Every sweep report carries the onto flag for that reason.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, permutations, product as iter_product
 
-from .report import CheckReport, FAIL, PASS
+from .report import CheckReport, FAIL, PASS, Record
 
 NOT_FORWARD_INVARIANT = "NOT_FORWARD_INVARIANT"
 FORWARD_INVARIANT_ONLY = "FORWARD_INVARIANT_ONLY"
@@ -29,22 +28,23 @@ INVARIANT = "INVARIANT"
 DEFAULT_EXHAUSTIVE_BOUND = 8  # is_td masks are Bell(8) = 4140 bits wide
 
 
-@dataclass(frozen=True)
-class FiniteSystem:
+class FiniteSystem(Record):
     """Endomap on {0..size-1} given by its value table; size is len(table)."""
 
-    table: tuple
+    _fields = ("table",)
+    __slots__ = ("table", "__dict__")  # __dict__ holds the cached pair_table
 
-    def __post_init__(self):
-        if type(self.table) is not tuple:
-            raise TypeError(f"table must be a tuple, not {type(self.table).__name__}")
-        if not self.table:
+    def __init__(self, table: tuple):
+        if type(table) is not tuple:
+            raise TypeError(f"table must be a tuple, not {type(table).__name__}")
+        if not table:
             raise ValueError("table must not be empty")
-        if set(map(type, self.table)) != {int}:  # a bool or 1.0 is not a point
-            place = next(i for i, v in enumerate(self.table) if type(v) is not int)
-            raise TypeError(f"table entry {place} is {self.table[place]!r}, not an int")
-        if min(self.table) < 0 or max(self.table) >= len(self.table):
+        if set(map(type, table)) != {int}:  # a bool or 1.0 is not a point
+            place = next(i for i, v in enumerate(table) if type(v) is not int)
+            raise TypeError(f"table entry {place} is {table[place]!r}, not an int")
+        if min(table) < 0 or max(table) >= len(table):
             raise ValueError("table values must lie in 0..size-1")
+        object.__setattr__(self, "table", table)
 
     @property
     def size(self) -> int:
@@ -73,22 +73,22 @@ def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
     return FiniteSystem(tuple([u * n + v for u in a.table for v in b.table]))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Equivalence relation on {0..size-1}, stored as canonical sorted nonempty
     blocks; size is the number of points the blocks hold."""
 
-    blocks: tuple
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self):
-        if not all(self.blocks):
+    def __init__(self, blocks: tuple):
+        if not all(blocks):
             raise ValueError("blocks must be nonempty")
-        seen = sorted(chain.from_iterable(self.blocks))
+        seen = sorted(chain.from_iterable(blocks))
         if seen != list(range(len(seen))):
             raise ValueError("blocks must partition 0..size-1")
-        canonical = tuple(sorted(map(tuple, map(sorted, self.blocks))))
-        if canonical != self.blocks:
+        canonical = tuple(sorted(map(tuple, map(sorted, blocks))))
+        if canonical != blocks:
             raise ValueError("blocks must be in canonical sorted form")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def size(self) -> int:
@@ -116,16 +116,19 @@ class Partition:
 def restricted_growth_strings(n: int):
     """All restricted growth strings of length n, lexicographically."""
     a = [0] * n
+    top = [0] * n  # top[j] = max(a[:j]) for j >= 1
     while True:
         yield tuple(a)
         j = n - 1
-        while j > 0 and a[j] > max(a[:j]):
+        while j > 0 and a[j] > top[j]:
             j -= 1
         if j == 0:
             return
         a[j] += 1
+        rest = max(top[j], a[j])
         for i in range(j + 1, n):
             a[i] = 0
+            top[i] = rest
 
 
 def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
@@ -189,11 +192,16 @@ def _same_masks(n: int) -> tuple:
     when x and y share a block of the i-th partition in RGS order."""
     rgs = tuple(restricted_growth_strings(n))
     full = (1 << len(rgs)) - 1
+    # labels[x][g] has bit i set when the i-th RGS gives x the label g: x's
+    # labels as bytes, last partition first, translated to "1" at g, else "0".
+    digits = [b"0" * g + b"1" + b"0" * (255 - g) for g in range(n)]
+    columns = map(bytes, zip(*reversed(rgs)))
+    labels = [[int(column.translate(d), 2) for d in digits] for column in columns]
     same = [[full] * n for _ in range(n)]
     for x in range(n):
         for y in range(x):
-            bits = "".join("1" if g[x] == g[y] else "0" for g in reversed(rgs))
-            same[x][y] = same[y][x] = int(bits, 2)
+            shared = map(operator.and_, labels[x], labels[y])
+            same[x][y] = same[y][x] = reduce(operator.or_, shared)
     return rgs, full, tuple(map(tuple, same))
 
 

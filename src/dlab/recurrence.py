@@ -21,31 +21,30 @@ limit set.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import Block, common_numerators, shift_violations
-from .report import CheckReport, FAIL, PASS
+from .report import CheckReport, FAIL, PASS, Record
 from .thm2 import Thm2State
 
 ESCAPE_SIDES = ("XatN", "YatM")
 
 
-@dataclass(frozen=True)
-class CenteredPoint:
+class CenteredPoint(Record):
     """The radius-W view of T^shift applied to a built block: its coordinates
     shift - radius .. shift + radius, all inside the block."""
 
-    block: Block
-    shift: int
-    radius: int
+    __slots__ = _fields = ("block", "shift", "radius")
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __init__(self, block: Block, shift: int, radius: int):
+        if radius < 0:
             raise ValueError("radius must be >= 0")
         # Fail as early as the view is formed, not on first access.
-        self.block[self.shift - self.radius]
-        self.block[self.shift + self.radius]
+        block[shift - radius]
+        block[shift + radius]
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "radius", radius)
 
 
 def centered_point(block: Block, shift: int = 0, radius: int = 8) -> CenteredPoint:
@@ -175,12 +174,14 @@ def _assign_runs(blocked: dict, w: int, lo: int, hi: int):
     return runs, None
 
 
-@dataclass(frozen=True)
-class WitnessRuns:
+class WitnessRuns(Record):
     """A per-center choice map compressed into constant runs."""
 
-    report: CheckReport
-    runs: tuple
+    __slots__ = _fields = ("report", "runs")
+
+    def __init__(self, report: CheckReport, runs: tuple):
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "runs", runs)
 
 
 def _admissible_centers(block: Block, scale_len: int, w: int):
@@ -254,11 +255,14 @@ def _one_sided_omega(k: int, w: int, returning: Block, escaping: Block, time: in
     return runs, (failure, part)
 
 
-@dataclass(frozen=True)
-class CrossOmegaWitness:
-    report: CheckReport
-    x_side_runs: tuple  # r-choices planting (x, zero): x returns, y escapes
-    y_side_runs: tuple  # r-choices planting (zero, y): y returns, x escapes
+class CrossOmegaWitness(Record):
+    # r-choices planting (x, zero): x returns, y escapes; and (zero, y) likewise.
+    __slots__ = _fields = ("report", "x_side_runs", "y_side_runs")
+
+    def __init__(self, report: CheckReport, x_side_runs: tuple, y_side_runs: tuple):
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "x_side_runs", x_side_runs)
+        object.__setattr__(self, "y_side_runs", y_side_runs)
 
 
 def cross_omega_witness(state: Thm2State, k: int, w: int) -> CrossOmegaWitness:

@@ -98,7 +98,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
@@ -118,24 +117,23 @@ from .blocks import (
     window,
     zeros,
 )
-from .report import CheckReport, FAIL, INFO, PASS
+from .report import CheckReport, FAIL, INFO, PASS, Record
 
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Thm1State:
+class Thm1State(Record):
     """Construction state: lengths n_1..n_stage (so stage = their count) and the prefix.
 
     The prefix is B_stage, flat, or its ``CopyLayout``: copies c_j * B_{stage-1}
     at pitch n_{stage-1} with c_0 = 1, which is never built (module docstring).
     """
 
-    lengths: tuple
-    prefix: "Block | CopyLayout"
+    _fields = ("lengths", "prefix")
+    __slots__ = ("lengths", "prefix", "__dict__")  # __dict__ holds copy_ratios
 
-    def __post_init__(self):
-        n = self.lengths
+    def __init__(self, lengths: tuple, prefix: "Block | CopyLayout"):
+        n = lengths
         if not (
             n
             and all(isinstance(v, int) for v in n)
@@ -145,7 +143,7 @@ class Thm1State:
             raise ValueError(
                 f"stage lengths {n!r} are not strictly increasing positive ints"
             )
-        p = self.prefix
+        p = prefix
         if isinstance(p, CopyLayout):
             if len(n) < 2 or p.pitch != n[-2]:
                 raise ValueError(
@@ -159,6 +157,8 @@ class Thm1State:
                 )
         if p.base != 1 or len(p) != n[-1]:
             raise ValueError("prefix does not match recorded length")
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "prefix", prefix)
 
     @property
     def stage(self) -> int:

@@ -33,7 +33,6 @@ the new scale; it builds each stage once and verifies nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import sub
@@ -48,7 +47,7 @@ from .blocks import (
     window,
     zeros,
 )
-from .report import CheckReport, FAIL, INFO, PASS
+from .report import CheckReport, FAIL, INFO, PASS, Record
 
 # Default cap on the nonzeros each block stores (`predicted_nonzeros`).
 # Stage 7 stores 135,135 and runs at the default.  Stage 8 would store
@@ -58,19 +57,19 @@ from .report import CheckReport, FAIL, INFO, PASS
 DEFAULT_MAX_NONZEROS_PER_BLOCK = 10**6
 
 
-@dataclass(frozen=True)
-class SpacerChoice:
+class SpacerChoice(Record):
     """Zero-block lengths s for the x side and (sp, tp) for the y side; t is computed."""
 
-    s: int
-    sp: int
-    tp: int
+    __slots__ = _fields = ("s", "sp", "tp")
 
-    def __post_init__(self):
-        if min(self.s, self.sp, self.tp) < 0:
+    def __init__(self, s: int, sp: int, tp: int):
+        if min(s, sp, tp) < 0:
             raise ValueError("spacer lengths must be nonnegative")
-        if self.sp <= self.s:
-            raise ValueError(f"need sp > s, got sp={self.sp} s={self.s}")
+        if sp <= s:
+            raise ValueError(f"need sp > s, got sp={sp} s={s}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "sp", sp)
+        object.__setattr__(self, "tp", tp)
 
     def t(self, r: int) -> int:
         """x's end length at step r: the length identity 2t + 2r*s = 2tp + 2r*sp
@@ -81,30 +80,38 @@ class SpacerChoice:
         return f"SPACERS r={r} s={self.s} t={self.t(r)} sp={self.sp} tp={self.tp}"
 
 
-@dataclass(frozen=True)
-class Thm2State:
+class Thm2State(Record):
     """Stage state: the two centered blocks, the times defined so far, history.
     The stage is computed, len(m_times) + 1: each step defines one m_r, n_r."""
 
-    x: Block
-    y: Block
-    m_times: tuple
-    n_times: tuple
-    spacers: tuple
-    transitive: bool = False
+    __slots__ = _fields = ("x", "y", "m_times", "n_times", "spacers", "transitive")
 
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
+    def __init__(
+        self,
+        x: Block,
+        y: Block,
+        m_times: tuple,
+        n_times: tuple,
+        spacers: tuple,
+        transitive: bool = False,
+    ):
+        if len(x) != len(y):
             raise ValueError("blocks must share a common length")
-        if len(self.x) % 2 == 0:
+        if len(x) % 2 == 0:
             raise ValueError("common length must be odd")
-        half = (len(self.x) - 1) // 2
-        if self.x.base != -half or self.y.base != -half:
+        half = (len(x) - 1) // 2
+        if x.base != -half or y.base != -half:
             raise ValueError("blocks must be center-indexed")
-        if self.x[0] != 1 or self.y[0] != 1:
+        if x[0] != 1 or y[0] != 1:
             raise ValueError("central symbols must equal 1")
-        if len(self.m_times) != len(self.n_times):
+        if len(m_times) != len(n_times):
             raise ValueError("m and n time histories must have equal length")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "m_times", m_times)
+        object.__setattr__(self, "n_times", n_times)
+        object.__setattr__(self, "spacers", spacers)
+        object.__setattr__(self, "transitive", transitive)
 
     @property
     def stage(self) -> int:

@@ -206,6 +206,20 @@ def naive_growth_strings(n, prefix=()):
         yield from naive_growth_strings(n, prefix + (g,))
 
 
+def naive_same_masks(n):
+    """``oracle._same_masks(n)`` by its first definition: each pair's mask is
+    a string of "1"/"0", one digit per partition and the last first, read in
+    base 2."""
+    rgs = tuple(naive_growth_strings(n))
+    full = (1 << len(rgs)) - 1
+    same = [[full] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x):
+            bits = "".join("1" if g[x] == g[y] else "0" for g in reversed(rgs))
+            same[x][y] = same[y][x] = int(bits, 2)
+    return rgs, full, tuple(map(tuple, same))
+
+
 def naive_partition_blocks(n):
     """The blocks (sorted tuples, sorted) of every partition of {0..n-1}, in
     restricted-growth-string order."""

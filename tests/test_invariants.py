@@ -205,3 +205,56 @@ def test_planted_partition_masks_fail_the_sweep_under_optimize():
         "CHECK SWEEP_MAP FAIL n=3 map=0,0,1 onto=false part=lemma6 x=1",
         "TypeError table entry 0 is True, not an int",
     ]
+
+
+# Records refuse assignment and deletion of their fields (and of their cached
+# values) by raising, not by ``assert``.
+FROZEN_PROBE = """
+import sys
+from dlab import oracle, recurrence, thm1, thm2
+from dlab.blocks import Block, CopyLayout
+from dlab.report import CheckReport
+print("optimize", sys.flags.optimize)
+report = CheckReport("Z", "PASS")
+state2 = thm2.initial_state()
+records = [
+    report,
+    CopyLayout(Block([1]), (1,)),
+    oracle.make_system([0]),
+    oracle.Partition(((0,),)),
+    thm1.build(2),
+    thm2.SpacerChoice(0, 1, 2),
+    state2,
+    recurrence.centered_point(state2.x, 0, 0),
+    recurrence.WitnessRuns(report, ()),
+    recurrence.CrossOmegaWitness(report, (), ()),
+]
+for record in records:
+    refused = 0
+    names = record._fields + ("pair_table", "copy_ratios")
+    for name in names:
+        for change in (lambda: setattr(record, name, None), lambda: delattr(record, name)):
+            try:
+                change()
+            except AttributeError:
+                refused += 1
+    print(type(record).__name__, refused == 2 * len(names))
+"""
+
+
+def test_record_fields_stay_frozen_under_optimize():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", FROZEN_PROBE],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["optimize 1"] + [
+        f"{name} True"
+        for name in (
+            "CheckReport", "CopyLayout", "FiniteSystem", "Partition", "Thm1State",
+            "SpacerChoice", "Thm2State", "CenteredPoint", "WitnessRuns",
+            "CrossOmegaWitness",
+        )
+    ]

@@ -15,6 +15,7 @@ from naive_refs import (
     naive_orbit_points,
     naive_pairs,
     naive_power_table,
+    naive_same_masks,
 )
 
 
@@ -504,6 +505,12 @@ def test_escaping_point_masks_match_lemma6_relation():
             assert passed == (naive == o.FORWARD_INVARIANT_ONLY), (s.table, x)
             checked += 1
     assert checked > 11000
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_same_masks_match_the_string_join_definition(n):
+    assert tuple(o.restricted_growth_strings(n)) == tuple(naive_growth_strings(n))
+    assert o._same_masks(n) == naive_same_masks(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

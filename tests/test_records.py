@@ -1,0 +1,150 @@
+"""The hand-written records behave as frozen dataclasses did, and importing
+dlab pulls in neither ``dataclasses`` nor ``inspect``."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from child_env import CHILD_ENV
+from dlab import oracle, thm1
+from dlab.blocks import Block, CopyLayout
+from dlab.oracle import FiniteSystem, Partition
+from dlab.recurrence import CenteredPoint, CrossOmegaWitness, WitnessRuns
+from dlab.report import CheckReport
+from dlab.thm1 import Thm1State
+from dlab.thm2 import SpacerChoice, Thm2State
+
+REPORT = CheckReport("ESCAPE", "PASS", (("k", 2),), (("runs", 1),))
+ONE = Block([1], base=0)
+VIEW = Block([0, 1, 0], base=-1)
+
+# Class -> (fields, changed fields, number of required arguments).  The
+# changed fields differ from the first in at least one field.
+CASES = {
+    CheckReport: (
+        ("C1", "PASS", (("k", 2),), (("at", 3),)),
+        ("C1", "FAIL", (("k", 2),), (("at", 3),)),
+        2,
+    ),
+    CopyLayout: ((Block([1, 0, 0]), (1, F(1, 2))), (Block([1, 0, 0]), (1,)), 2),
+    FiniteSystem: (((1, 0, 0),), ((0, 0, 0),), 1),
+    Partition: ((((0, 1), (2,)),), (((0,), (1,), (2,)),), 1),
+    Thm1State: (((3,), Block([1, 0, 0])), ((1,), Block([1])), 2),
+    SpacerChoice: ((1, 2, 3), (1, 2, 4), 3),
+    Thm2State: ((ONE, ONE, (), (), ()), (ONE, ONE, (), (), (), True), 5),
+    CenteredPoint: ((VIEW, 0, 1), (VIEW, 0, 0), 3),
+    WitnessRuns: ((REPORT, ((1, 5, 2),)), (REPORT, ()), 2),
+    CrossOmegaWitness: ((REPORT, (), ((1, 5, 2),)), (REPORT, ((1, 5, 2),), ()), 3),
+}
+CLASSES = sorted(CASES, key=lambda cls: cls.__name__)
+
+
+def _make(cls):
+    return cls(*CASES[cls][0])
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    record = _make(cls)
+    for name in cls._fields + ("pair_table", "copy_ratios", "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == _make(cls)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_equality_and_hash_follow_the_fields(cls):
+    a, b = _make(cls), _make(cls)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b
+    changed = cls(*CASES[cls][1])
+    assert a != changed and not a == changed
+    # A record of another class, even a subclass with the same fields, differs.
+    other = _make(CLASSES[CLASSES.index(cls) - 1])
+    assert a != other and a.__eq__(other) is NotImplemented
+    assert a != type("Sub", (cls,), {"__slots__": ()})(*CASES[cls][0])
+    assert a != tuple(getattr(a, name) for name in cls._fields)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_repr_names_the_class_and_its_fields(cls):
+    record = _make(cls)
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in cls._fields)
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_repr_matches_the_dataclass_form():
+    assert repr(SpacerChoice(1, 2, 3)) == "SpacerChoice(s=1, sp=2, tp=3)"
+    assert repr(CheckReport("Z", "PASS")) == (
+        "CheckReport(check_id='Z', verdict='PASS', params=(), witness=())"
+    )
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_keyword_calls_and_argument_count(cls):
+    args, changed, required = CASES[cls]
+    for fields in (args, changed):
+        assert cls(**dict(zip(cls._fields, fields))) == cls(*fields)
+    full = args + (None,) * (len(cls._fields) - len(args))
+    for wrong in (args[: required - 1], full + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(*args, unknown=None)
+
+
+def test_defaults():
+    assert CheckReport("Z", "PASS") == CheckReport("Z", "PASS", (), ())
+    assert Thm2State(ONE, ONE, (), (), ()).transitive is False
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_copy_and_pickle_rebuild_an_equal_record(cls):
+    record = _make(cls)
+    twins = [copy.copy(record)]
+    if not any(isinstance(v, Block) for v in CASES[cls][0]):  # blocks do not copy
+        twins += [copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    for twin in twins:
+        assert type(twin) is cls and twin == record and twin is not record
+
+
+def test_pair_table_is_cached_outside_the_fields(monkeypatch):
+    calls = []
+    real = oracle.product_system
+    monkeypatch.setattr(
+        oracle, "product_system", lambda a, b: calls.append(1) or real(a, b)
+    )
+    a, b = FiniteSystem((1, 2, 0)), FiniteSystem((1, 2, 0))
+    table = a.pair_table
+    assert a.pair_table is table and len(calls) == 1
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "pair_table" not in repr(a)
+
+
+def test_copy_ratios_are_cached_outside_the_fields(monkeypatch):
+    a, b = thm1.build(3), thm1.build(3)
+    calls = []
+    real = thm1.common_numerators
+    monkeypatch.setattr(thm1, "common_numerators", lambda b: calls.append(1) or real(b))
+    ratios = a.copy_ratios
+    assert ratios is not None and a.copy_ratios is ratios and len(calls) == 1
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "copy_ratios" not in repr(a)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import sys, dlab, dlab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
