@@ -35,7 +35,7 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from operator import itemgetter, sub
+from operator import gt, itemgetter, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .report import Record
@@ -147,6 +147,9 @@ class Block:
     def __setattr__(self, name, value):
         raise AttributeError("blocks are immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return _checked_block, (self.base, self.length, self._nonzero, self._values)
+
     # -- geometry ----------------------------------------------------------
 
     @property
@@ -226,6 +229,27 @@ class Block:
         if self.length > 8:
             shown += ",..."
         return f"Block(base={self.base}, length={self.length}, [{shown}])"
+
+
+def _checked_block(base, length, nonzero, values) -> Block:
+    """The block that ``Block.__reduce__`` describes, refused with a
+    ``ValueError`` unless it is one: int ``base`` and ``length >= 1``, int
+    ``nonzero`` positions strictly increasing inside the range, and as many
+    ``values``, each a nonzero ``Fraction`` in [0, 1], made canonical."""
+    if type(base) is not int or type(length) is not int or length < 1:
+        raise ValueError(f"block base {base!r} and length {length!r} must be ints, length >= 1")
+    nonzero, values = tuple(nonzero), tuple(values)
+    if len(nonzero) != len(values):
+        raise ValueError(f"{len(nonzero)} nonzero positions for {len(values)} values")
+    bounds = (base - 1, *nonzero, base + length)
+    if not all(type(p) is int for p in nonzero) or not all(map(gt, bounds[1:], bounds)):
+        raise ValueError(
+            f"nonzero positions must be ints increasing strictly inside "
+            f"[{base}, {base + length - 1}]"
+        )
+    if not all(isinstance(v, Fraction) and v for v in values):
+        raise ValueError("a value at a nonzero position is 0 or not a Fraction")
+    return Block._trusted(base, length, nonzero, tuple(map(as_symbol, values)))
 
 
 def _distinct_values(block: Block) -> dict:

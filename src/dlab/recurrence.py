@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, gt, sub
 
 from .blocks import Block, common_numerators, shift_violations
 from .report import CheckReport, FAIL, PASS, Record
@@ -116,17 +118,22 @@ def pair_separation_check(state: Thm2State, horizon: int) -> CheckReport:
 # -- escape and limit-pair witnesses ------------------------------------------
 
 
-def _spans(positions, w: int) -> list:
-    """Merged center ranges [q - w, q + w] of increasing ``positions``, in one
-    pass.  Ranges that overlap or touch are joined, so at least one center
-    lies between any two spans."""
-    spans = []
-    for q in positions:
-        if spans and q - w <= spans[-1][1] + 1:
-            spans[-1][1] = q + w
-        else:
-            spans.append([q - w, q + w])
-    return spans
+def _spans(positions, w: int):
+    """Merged center ranges [q - w, q + w] of increasing ``positions``, as
+    parallel lists (starts, ends).
+
+    Neighbours at most 2w + 1 apart have ranges that overlap or touch, so
+    they share a span; equal neighbours are a gap of 0 and share one too.  A
+    gap above 2w + 1 cuts the list, so at least one center lies between any
+    two spans.  The gaps, the cuts and the span ends are ``map`` and
+    ``compress`` passes: no Python loop runs per position.
+    """
+    if not positions:
+        return [], []
+    cut = list(map(gt, map(sub, positions[1:], positions), repeat(2 * w + 1)))
+    firsts = [positions[0], *compress(positions[1:], cut)]
+    lasts = [*compress(positions, cut), positions[-1]]
+    return list(map(sub, firsts, repeat(w))), list(map(add, lasts, repeat(w)))
 
 
 def _near(positions, j: int, w: int) -> bool:
@@ -135,42 +142,65 @@ def _near(positions, j: int, w: int) -> bool:
     return i < len(positions) and positions[i] <= j + w
 
 
-def _assign_runs(blocked: dict, w: int, lo: int, hi: int):
-    """Per-center smallest r whose blocking positions are all farther than w
-    from the center, as runs over [lo, hi].
+def _assign_runs(spans, lo: int, hi: int):
+    """Per-center smallest r whose spans leave the center free, as runs over
+    [lo, hi].
 
-    ``blocked`` maps r = 1, 2, 3, in that order, to increasing positions.
-    One pointer per r walks that r's spans.  At center j the choice is the
-    smallest r whose current span does not cover j.  It holds until a
-    smaller r's span ends or the chosen r's next span starts, so the walk
-    jumps straight there.  At that point the choice changes: a smaller r is
-    free, since merged spans leave a free center between them, or the
-    chosen r is covered.  So every run is maximal when it is made.
+    ``spans`` holds the (starts, ends) lists of ``_spans`` for r = 1, 2, 3,
+    in that order: r is free at center j iff no span of r covers j.  Each
+    pair is clipped to the spans that reach [lo, hi] and ends in a sentinel
+    span at hi + 1, which no center reaches; so the pointer of r never runs
+    past its list, and r is free at j once its pointer is on the sentinel.
+
+    At center j the pointer of each r rests on its first span that ends at
+    or after j, and the choice is the smallest r whose span there starts
+    after j.  The choice holds until a smaller r's span ends (stop = end + 1)
+    or the chosen r's span starts (stop = start), whichever comes first, so
+    the walk jumps straight to that stop.  There the choice changes: a
+    smaller r is free at end + 1, since merged spans leave a free center
+    between them, or the chosen r is covered at its start.  So every run is
+    maximal when it is made.  The stop is at most hi + 1, the sentinel's
+    start.
 
     Returns (runs, first_failure): runs are (start, end, r) with start..end
     inclusive; first_failure is the smallest center no r frees, or None.
     """
-    # Each list ends in a span at hi + 1, which no center reaches.
-    choices = [(r, _spans(p, w) + [[hi + 1, hi + 1]]) for r, p in blocked.items()]
-    at = [0] * len(choices)
+    clipped = []
+    for starts, ends in spans:
+        i, k = bisect_left(ends, lo), bisect_right(starts, hi)
+        clipped += starts[i:k] + [hi + 1], ends[i:k] + [hi + 1]
+    s1, e1, s2, e2, s3, e3 = clipped
+    a = b = c = 0
     runs = []
     j = lo
     while j <= hi:
-        stop = hi + 1
-        for i, (r, spans) in enumerate(choices):
-            n = at[i]
-            while spans[n][1] < j:
-                n += 1
-            at[i] = n
-            start, end = spans[n]
-            if start > j:
-                stop = min(stop, start)
-                runs.append((j, stop - 1, r))
-                j = stop
-                break
-            stop = min(stop, end + 1)
-        else:
-            return runs, j
+        while e1[a] < j:
+            a += 1
+        if s1[a] > j:
+            stop = s1[a]
+            runs.append((j, stop - 1, 1))
+            j = stop
+            continue
+        stop = e1[a] + 1
+        while e2[b] < j:
+            b += 1
+        if s2[b] > j:
+            if s2[b] < stop:
+                stop = s2[b]
+            runs.append((j, stop - 1, 2))
+            j = stop
+            continue
+        if e2[b] < stop:
+            stop = e2[b] + 1
+        while e3[c] < j:
+            c += 1
+        if s3[c] > j:
+            if s3[c] < stop:
+                stop = s3[c]
+            runs.append((j, stop - 1, 3))
+            j = stop
+            continue
+        return runs, j
     return runs, None
 
 
@@ -210,9 +240,14 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     if w >= scale_len:
         raise ValueError(f"window half-width {w} must stay below the scale {scale_len}")
     lo, hi = _admissible_centers(block, scale_len, w)
-    nz = block.nonzero_positions
-    blocked = {r: [p - r * scale_len for p in nz] for r in (1, 2, 3)}
-    runs, failure = _assign_runs(blocked, w, lo, hi)
+    # Moving every position by d moves every merged span by d, so the
+    # nonzeros' spans are merged once and moved back by each r's shift.
+    starts, ends = _spans(block.nonzero_positions, w)
+    spans = []
+    for r in (1, 2, 3):
+        d = r * scale_len
+        spans.append((list(map(sub, starts, repeat(d))), list(map(sub, ends, repeat(d)))))
+    runs, failure = _assign_runs(spans, lo, hi)
     params = (
         ("stage", state.stage),
         ("side", side),
@@ -236,10 +271,11 @@ def _one_sided_omega(k: int, w: int, returning: Block, escaping: Block, time: in
     ret, esc = {}, {}
     for r in (1, 2, 3):
         ret[r] = [q for q, _, _ in shift_violations(returning, r * time, bound)]
-        esc[r] = [p - r * time for p in escaping.nonzero_positions]
-    # Both lists increase, so the sort is one linear merge of two runs.
+        esc[r] = list(map(sub, escaping.nonzero_positions, repeat(r * time)))
+    # Both lists increase, so the sort is one linear merge of two runs.  A
+    # position in both lists is a gap of 0, which the spans merge.
     runs, failure = _assign_runs(
-        {r: sorted(ret[r] + esc[r]) for r in (1, 2, 3)}, w, lo, hi
+        [_spans(sorted(ret[r] + esc[r]), w) for r in (1, 2, 3)], lo, hi
     )
     if failure is None:
         return runs, None

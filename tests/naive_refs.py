@@ -143,6 +143,23 @@ def naive_escape_choices(block, scale_len, w, center):
     return valid
 
 
+def naive_runs(blocked, w, lo, hi):
+    """(runs, first_failure) over the centers lo..hi: the smallest r in
+    {1, 2, 3} with no position of ``blocked[r]`` within w of the center, as
+    runs (start, end, r) of equal choices, up to the first center where no r
+    is free (None if every center has one)."""
+    runs = []
+    for j in range(lo, hi + 1):
+        free = [r for r in (1, 2, 3) if all(abs(q - j) > w for q in blocked[r])]
+        if not free:
+            return runs, j
+        if runs and runs[-1][2] == free[0]:
+            runs[-1] = (runs[-1][0], j, free[0])
+        else:
+            runs.append((j, j, free[0]))
+    return runs, None
+
+
 def naive_omega_choices(returning, escaping, time, bound, w, center):
     """(return_ok, escape_ok): the r in {1,2,3} for which ``returning`` moves
     by at most ``bound`` on the window of half-width w when shifted by r*time,

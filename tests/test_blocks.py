@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -81,6 +83,58 @@ def test_empty_block_rejected():
         Block([])
     with pytest.raises(ValueError):
         zeros(0)
+
+
+def test_block_copy_and_pickle_rebuild_an_equal_block():
+    made = [
+        Block([0, Fraction(1, 2), 1, 0], base=-2),
+        Block([0, 0, 0], base=5),
+        zeros(4),
+        scale(Fraction(1, 3), Block([1, 0, Fraction(2, 3)])),
+        thm1.build(3).prefix,
+    ]
+    for block in made:
+        for twin in (copy.copy(block), copy.deepcopy(block),
+                     pickle.loads(pickle.dumps(block))):
+            assert type(twin) is Block and twin == block and hash(twin) == hash(block)
+            assert twin.nonzero_positions == block.nonzero_positions
+            # Values come back as the canonical symbol objects.
+            for got, want in zip(twin._values, block._values):
+                assert got is blocks.as_symbol(want)
+
+
+class _Payload:
+    """Pickles as a block rebuilt from the given arguments."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return Block([1]).__reduce__()[0], self.args
+
+
+TAMPERED = {
+    "positions out of order": (0, 4, (2, 1), (F(1), F(1, 2))),
+    "repeated position": (0, 4, (1, 1), (F(1), F(1, 2))),
+    "position below the range": (0, 4, (-1, 1), (F(1), F(1, 2))),
+    "position above the range": (0, 4, (1, 4), (F(1), F(1, 2))),
+    "non-int position": (0, 4, (1, 2.0), (F(1), F(1, 2))),
+    "bool position": (0, 4, (True,), (F(1),)),
+    "zero value": (0, 4, (1, 2), (F(1), F(0))),
+    "value above 1": (0, 4, (1, 2), (F(1), F(3, 2))),
+    "negative value": (0, 4, (1,), (F(-1, 2),)),
+    "string value": (0, 4, (1,), ("1/2",)),
+    "fewer values": (0, 4, (1, 2), (F(1),)),
+    "empty block": (0, 0, (), ()),
+    "non-int length": (0, 4.0, (), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_tampered_block_payload_is_refused(name):
+    data = pickle.dumps(_Payload(*TAMPERED[name]))
+    with pytest.raises(ValueError):
+        pickle.loads(data)
 
 
 def test_symbol_range_enforced():

@@ -258,3 +258,42 @@ def test_record_fields_stay_frozen_under_optimize():
             "CrossOmegaWitness",
         )
     ]
+
+
+# The witness walk finds its first blocked center by comparisons alone, never
+# by ``assert``: planted failing escape and limit-pair states print the same
+# FAIL lines, center and part included, with and without ``-O``.
+PLANTED_WITNESSES = """
+import sys
+from fractions import Fraction
+from dlab import recurrence, thm2
+from dlab.blocks import Block
+print("optimize", sys.flags.optimize)
+state = thm2.build_stage(thm2.initial_state(), thm2.SpacerChoice(2, 8, 18))
+syms = [0] * len(state.y)
+for p, v in state.y.nonzero_items():
+    syms[p - state.y.base] = v
+for p in (3, 6, 9):  # y nonzero at every multiple of m_1 = 3 from center 0
+    syms[p - state.y.base] = Fraction(1)
+bad = thm2.Thm2State(state.x, Block(syms, base=state.y.base), (3,), (9,), state.spacers)
+print(recurrence.escape_witness(bad, 1, 0, "YatM").report.line())
+print(recurrence.cross_omega_witness(bad, 1, 0).report.line())
+"""
+
+
+def test_planted_witness_failures_print_the_same_lines_under_optimize():
+    outputs = []
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", PLANTED_WITNESSES],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.splitlines())
+    assert [lines[0] for lines in outputs] == ["optimize 0", "optimize 1"]
+    assert outputs[0][1:] == outputs[1][1:] == [
+        "CHECK ESCAPE FAIL stage=2 side=YatM k=1 w=0 centers=46 center=-3",
+        "CHECK CROSS_OMEGA FAIL stage=2 k=1 w=0 side=x center=-3 part=b",
+    ]

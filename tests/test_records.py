@@ -10,10 +10,10 @@ from fractions import Fraction as F
 import pytest
 
 from child_env import CHILD_ENV
-from dlab import oracle, thm1
+from dlab import oracle, thm1, thm2
 from dlab.blocks import Block, CopyLayout
 from dlab.oracle import FiniteSystem, Partition
-from dlab.recurrence import CenteredPoint, CrossOmegaWitness, WitnessRuns
+from dlab.recurrence import CenteredPoint, CrossOmegaWitness, WitnessRuns, centered_point
 from dlab.report import CheckReport
 from dlab.thm1 import Thm1State
 from dlab.thm2 import SpacerChoice, Thm2State
@@ -107,11 +107,23 @@ def test_defaults():
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_copy_and_pickle_rebuild_an_equal_record(cls):
     record = _make(cls)
-    twins = [copy.copy(record)]
-    if not any(isinstance(v, Block) for v in CASES[cls][0]):  # blocks do not copy
-        twins += [copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
-    for twin in twins:
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record and twin is not record
+
+
+def test_built_records_holding_blocks_copy_and_pickle():
+    state = thm2.build_to_stage(3)
+    records = [
+        thm1.build(3),
+        thm1.step(thm1.build(2), flat=False),  # its prefix is a CopyLayout
+        state,
+        thm2.build_to_stage(2, transitive=True),
+        centered_point(state.x, 0, 2),
+    ]
+    for record in records:
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record and twin is not record
 
 
 def test_pair_table_is_cached_outside_the_fields(monkeypatch):

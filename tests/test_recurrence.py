@@ -14,6 +14,7 @@ from naive_refs import (
     naive_omega_choices,
     naive_pair_separation,
     naive_return_times,
+    naive_runs,
     naive_window_distance,
 )
 
@@ -282,6 +283,76 @@ def test_cross_omega_failure_names_escape_part():
     assert not res.report.passed
     w = dict(res.report.witness)
     assert w["side"] == "x" and w["part"] == "b"
+
+
+# -- the run walk against its dense reference --------------------------------------
+
+
+def _planted_walk(rng):
+    """Random blocking lists for r = 1, 2, 3 over centers lo..hi, each with
+    one planted boundary case."""
+    w = rng.choice((0, 0, 1, 2, 3))
+    lo = rng.randint(-10, 10)
+    hi = lo + rng.randint(0, 30)
+    blocked = {
+        r: [rng.randint(lo - 2 * w - 3, hi + 2 * w + 3)
+            for _ in range(rng.choice((0, 1, 2, 4, 8)))]
+        for r in (1, 2, 3)
+    }
+    r = rng.choice((1, 2, 3))
+    plant = rng.choice(("duplicate", "link", "before lo", "past hi", "fail", "empty"))
+    if plant == "duplicate" and blocked[r]:
+        blocked[r].append(rng.choice(blocked[r]))
+    elif plant == "link":  # neighbours 2w + 1 apart merge, 2w + 2 apart do not
+        q = rng.randint(lo - w, hi + w)
+        blocked[r] += [q, q + 2 * w + rng.choice((1, 2))]
+    elif plant == "before lo":  # spans from before lo, some ending at lo
+        blocked[r].append(lo + rng.randint(-w - 1, w - 1))
+    elif plant == "past hi":  # spans from hi, hi + 1 and beyond
+        blocked[r].append(hi + w + rng.randint(0, 3))
+    elif plant == "fail":  # every r covers a center at lo, at hi or between
+        f = rng.choice((lo, hi, rng.randint(lo, hi)))
+        for s in (1, 2, 3):
+            blocked[s].append(f + rng.randint(-w, w))
+    elif plant == "empty":
+        blocked[r] = []
+    return {s: sorted(p) for s, p in blocked.items()}, w, lo, hi
+
+
+def test_span_walk_matches_dense_runs_with_planted_boundaries():
+    rng = random.Random(2029)
+    seen = dict.fromkeys((
+        "duplicate", "gap 2w+1", "gap 2w+2", "span from before lo", "span ends at lo",
+        "span starts at hi", "span starts past hi + 1", "empty list", "w = 0",
+        "failure at lo", "failure at hi", "failure mid-range", "no failure",
+    ), 0)
+    for _ in range(3000):
+        blocked, w, lo, hi = _planted_walk(rng)
+        spans = [rec._spans(blocked[r], w) for r in (1, 2, 3)]
+        for positions, (starts, ends) in zip(blocked.values(), spans):
+            # The spans are the centers within w of a position, with a free
+            # center between any two of them.
+            near = {q + d for q in positions for d in range(-w, w + 1)}
+            assert {j for a, b in zip(starts, ends) for j in range(a, b + 1)} == near
+            assert all(b + 1 < a for a, b in zip(starts[1:], ends))
+            gaps = {b - a for a, b in zip(positions, positions[1:])}
+            seen["duplicate"] += 0 in gaps
+            seen["gap 2w+1"] += 2 * w + 1 in gaps
+            seen["gap 2w+2"] += 2 * w + 2 in gaps
+            seen["span from before lo"] += any(a < lo <= b for a, b in zip(starts, ends))
+            seen["span ends at lo"] += lo in ends
+            seen["span starts at hi"] += hi in starts
+            seen["span starts past hi + 1"] += any(a > hi + 1 for a in starts)
+            seen["empty list"] += not positions
+        seen["w = 0"] += w == 0
+        runs, failure = rec._assign_runs(spans, lo, hi)
+        assert (runs, failure) == naive_runs(blocked, w, lo, hi)
+        if failure is None:
+            seen["no failure"] += 1
+        elif lo < hi:
+            key = {lo: "failure at lo", hi: "failure at hi"}.get(failure, "failure mid-range")
+            seen[key] += 1
+    assert all(seen.values()), seen
 
 
 # -- differential checks against the dense references ------------------------------
