@@ -38,7 +38,7 @@ from itertools import accumulate, chain, islice
 from operator import gt, itemgetter, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .report import Record
+from .report import Record, format_symbol
 
 ZERO = Fraction(0)
 # Default `check_cap` cap on the nonzeros a build stores and the positions a
@@ -319,12 +319,13 @@ class CopyLayout(Record):
     """The row of copies c_0*B, c_1*B, ..., c_{J-1}*B, each as long as B: a block kept unbuilt.
 
     Copy t holds positions base + t*L .. base + (t+1)*L - 1, with L = len(B)
-    the pitch and base = B.base.  Only B and the ratios are stored, so a row
+    the pitch and base = B.base; ``pieces`` cuts a range at those seams, and
+    no other code places a copy.  Only B and the ratios are stored, so a row
     whose copies would not fit in memory can still be read: by position, by
     its nonzero positions in a range, by its trailing zero run, through
-    ``cover``, which builds a block only from the at most two adjacent copies
-    it meets, and by ``write_tdseq``, which writes it copy by copy.  Every
-    ratio lies in [0, 1], like every symbol.
+    ``cover`` and ``pair_cover``, which build a block only from the copies a
+    read meets, and by ``write_tdseq``, copy by copy.  Every ratio lies in
+    [0, 1], like every symbol.
     """
 
     __slots__ = _fields = ("copy0", "ratios")
@@ -353,10 +354,20 @@ class CopyLayout(Record):
     def __len__(self) -> int:
         return self.pitch * len(self.ratios)
 
-    def _copies(self, lo: int, hi: int) -> range:
-        """Indices t of the copies that meet positions lo..hi (clipped to the row)."""
-        lo, hi = max(lo, self.base) - self.base, min(hi, self.last) - self.base
-        return range(lo // self.pitch, hi // self.pitch + 1) if lo <= hi else range(0)
+    @classmethod
+    def of(cls, x: "Block | CopyLayout") -> "CopyLayout":
+        """``x`` as a row of copies: a block is a row of one copy at ratio 1."""
+        return x if isinstance(x, CopyLayout) else cls(x, (1,))
+
+    def pieces(self, lo: int, hi: int) -> list:
+        """``(t, a, b)`` for each copy t that lo..hi meets, clipped to the row:
+        a..b is the part of lo..hi in copy t."""
+        base, pitch = self.base, self.pitch
+        lo, hi = max(lo, base), min(hi, self.last)
+        return [
+            (t, max(lo, base + t * pitch), min(hi, base + (t + 1) * pitch - 1))
+            for t in range((lo - base) // pitch, (hi - base) // pitch + 1) if lo <= hi
+        ]
 
     def __getitem__(self, i: int) -> Fraction:
         if not self.base <= i <= self.last:
@@ -369,10 +380,10 @@ class CopyLayout(Record):
     def nonzero_in(self, lo: int, hi: int) -> list:
         """Nonzero positions p with lo <= p <= hi (sorted)."""
         out = []
-        for t in self._copies(lo, hi):
+        for t, a, b in self.pieces(lo, hi):
             if self.ratios[t]:
                 shift = t * self.pitch
-                out.extend(map(shift.__add__, self.copy0.nonzero_in(lo - shift, hi - shift)))
+                out.extend(map(shift.__add__, self.copy0.nonzero_in(a - shift, b - shift)))
         return out
 
     def trailing_zero_run(self) -> int:
@@ -389,20 +400,32 @@ class CopyLayout(Record):
         than i..j); otherwise the window i..j.  A range that meets three or
         more copies is refused: callers cut their reads into copy pairs.
         """
-        copies = self._copies(i, j)
-        if not copies or i < self.base or j > self.last or len(copies) > 2:
+        parts = self.pieces(i, j)
+        if not parts or i < self.base or j > self.last or len(parts) > 2:
             raise ValueError(
                 f"positions {i}..{j} do not lie in two adjacent copies of the layout"
             )
-        if copies == range(1) and self.ratios[0] == 1:
+        if parts[-1][0] == 0 and self.ratios[0] == 1:
             return self.copy0
-        pieces = []
-        for t in copies:
-            start = self.base + t * self.pitch
-            lo, hi = max(i, start), min(j, start + self.pitch - 1)
-            part = window(self.copy0, lo - start + self.base, hi - start + self.base)
-            pieces.append(scale(self.ratios[t], part))
-        return concat_all(pieces, base=i)
+        return concat_all([
+            scale(self.ratios[t], window(self.copy0, a - t * self.pitch, b - t * self.pitch))
+            for t, a, b in parts
+        ], base=i)
+
+    def pair_cover(self, a: int, b: int, shift: int) -> Block:
+        """A block that reads as the row at a..b and at a+shift..b+shift.
+
+        Copy 0 itself if it holds both; otherwise the two covers, with zeros
+        between them when they do not meet, so that only what a walk of the
+        pairs (q, q + shift), a <= q <= b, reads is built.
+        """
+        here = self.cover(a, b)
+        if b + shift <= here.last:
+            return here
+        if a + shift <= b + 1:
+            return self.cover(a, b + shift)
+        gap = zeros(a + shift - b - 1)
+        return concat_all([window(here, a, b), gap, self.cover(a + shift, b + shift)], base=a)
 
 
 def shift_violations(
@@ -495,10 +518,6 @@ _CHUNK = 1 << 16  # characters per body read, so memory stays bounded
 _PIECE_BOUND = 64  # longest zero run a reader keeps in its piece table
 
 
-def format_symbol(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
 def parse_symbol(text: str) -> Fraction:
     match = _SYMBOL_RE.fullmatch(text)
     if match is None:
@@ -545,12 +564,12 @@ class _PieceTable(dict):
 
 
 def write_tdseq(block: "Block | CopyLayout", stream: TextIO) -> None:
-    # A block is a row of one copy at ratio 1.  Copy 0's text is its pieces,
-    # each the zero lines since the previous nonzero and then its line, and a
-    # tail of zero lines; copy t has the same pieces with each line scaled by
-    # c_t, so each distinct piece is formatted once per ratio, a repeated
-    # ratio repeats the text, and one copy's text is held at a time.
-    row = block if isinstance(block, CopyLayout) else CopyLayout(block, (1,))
+    # Copy 0's text is its pieces, each the zero lines since the previous
+    # nonzero and then its line, and a tail of zero lines; copy t has the same
+    # pieces with each line scaled by c_t, so each distinct piece is formatted
+    # once per ratio, a repeated ratio repeats the text, and one copy's text
+    # is held at a time.
+    row = CopyLayout.of(block)
     copy0, distinct = row.copy0, _distinct_values(row.copy0)
     nz = copy0._nonzero
     gaps = map(sub, nz, (copy0.base - 1,) + nz[:-1])

@@ -16,7 +16,7 @@ to exercise.  Every sweep report carries the onto flag for that reason.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain, permutations, product as iter_product
 
 from .report import CheckReport, FAIL, PASS, Record
@@ -31,8 +31,7 @@ DEFAULT_EXHAUSTIVE_BOUND = 8  # is_td masks are Bell(8) = 4140 bits wide
 class FiniteSystem(Record):
     """Endomap on {0..size-1} given by its value table; size is len(table)."""
 
-    _fields = ("table",)
-    __slots__ = ("table", "__dict__")  # __dict__ holds the cached pair_table
+    __slots__ = _fields = ("table",)
 
     def __init__(self, table: tuple):
         if type(table) is not tuple:
@@ -54,10 +53,10 @@ class FiniteSystem(Record):
     def onto(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
-    @cached_property
+    @property
     def pair_table(self) -> tuple:
         """The product map's value table, ``product_system(self, self).table``:
-        pair (a, b) is coded a * size + b.  Built once per system."""
+        pair (a, b) is coded a * size + b.  Built on each read."""
         return product_system(self, self).table
 
 

@@ -9,9 +9,14 @@ FAIL = "FAIL"
 INFO = "INFO"
 
 
+def format_symbol(v: Fraction) -> str:
+    """``p/q`` in lowest terms, as report lines and TDSEQ files print a symbol."""
+    return f"{v.numerator}/{v.denominator}"
+
+
 def _format_value(v) -> str:
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return format_symbol(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)

@@ -62,8 +62,9 @@ gate of q reads the window starts max(1, q-k+1) .. min(q, last - n_k - k + 1)
 and the k symbols of each, so the positions max(1, q-k+1) .. min(q+k-1,
 last - n_k): it sees a nonzero exactly when one lies within k - 1 of q and
 at most at last - n_k.  So the pairs are walked from the run of positions
-around the first such nonzero, and a walk that meets many refused pairs in
-one gap between runs resumes, by bisection, at the next run.
+around the first such nonzero.  A pair the gate refuses at q has no such
+nonzero within k - 1, so the walk resumes at once, by bisection, at p - k + 1
+for the next such nonzero p, the next position the gate passes, if any.
 
 The top stage need not be built.  ``step(state, flat=False)`` keeps B_s as a
 ``CopyLayout``: the flat B_{s-1} as copy 0 and the ratios c_j, so it stores
@@ -115,7 +116,6 @@ from .blocks import (
     scale,
     shift_violations,
     window,
-    zeros,
 )
 from .report import CheckReport, FAIL, INFO, PASS, Record
 
@@ -313,7 +313,7 @@ def check_c1(state: Thm1State, kmax: int) -> CheckReport:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    row = _row(state)
+    row = CopyLayout.of(state.prefix)
     nz = row.copy0.nonzero_positions
     den, nums = common_numerators(row.copy0)
     best_k = 0
@@ -367,19 +367,6 @@ def _scan_ranges(
     return ranges
 
 
-def _row(state: Thm1State) -> CopyLayout:
-    """The prefix as a row of copies; a flat prefix is one copy of itself."""
-    p = state.prefix
-    return p if isinstance(p, CopyLayout) else CopyLayout(p, (ONE,))
-
-
-def _pieces(row: CopyLayout, lo: int, hi: int) -> list:
-    """lo..hi within the row, cut at its copy seams."""
-    pitch = row.pitch
-    copies = range((max(lo, 1) - 1) // pitch, (min(hi, row.last) - 1) // pitch + 1)
-    return [(max(lo, t * pitch + 1), min(hi, (t + 1) * pitch)) for t in copies]
-
-
 def _first_failure(state: Thm1State, top: int, first, span):
     """``(k, hit)`` at the smallest failing scale k <= top, or None.
 
@@ -387,39 +374,18 @@ def _first_failure(state: Thm1State, top: int, first, span):
     at positions lo..hi of the row of copies, reading at most n_k past hi, and
     ``span(k, n_k)`` the offsets (left, right) of the span the test at q
     reads, then C3's ratio-step bound; the first hit over ``_scan_ranges`` is
-    smallest.  Each range goes in pieces, one per copy it meets, so that the
-    reads of each meet at most two copies.
+    smallest.  Each range goes in the row's ``pieces``, one per copy it meets,
+    so that the reads of each meet at most two copies.
     """
-    row = _row(state)
+    row = CopyLayout.of(state.prefix)
     for k in range(1, top + 1):
         n_k = state.length_of_stage(k)
         for lo, hi in _scan_ranges(state, k, *span(k, n_k)):
-            for lo, hi in _pieces(row, lo, hi):
+            for _, lo, hi in row.pieces(lo, hi):
                 hit = first(row, k, n_k, lo, hi)
                 if hit is not None:
                     return k, hit
     return None
-
-
-def _pair_cover(row: CopyLayout, a: int, b: int, shift: int) -> Block:
-    """A block that reads as the row at a..b and at a+shift..b+shift.
-
-    Copy 0 itself if it holds both; otherwise the two covers, with zeros
-    between them when they do not meet, so that only what a walk of the pairs
-    (q, q + shift), a <= q <= b, reads is built.
-    """
-    here = row.cover(a, b)
-    if b + shift <= here.last:
-        return here
-    if a + shift <= b + 1:
-        return row.cover(a, b + shift)
-    gap = zeros(a + shift - b - 1)
-    return concat_all([window(here, a, b), gap, row.cover(a + shift, b + shift)], base=a)
-
-
-# Gate-refused pairs a C3 walk takes in one gap before it resumes past the gap
-# by bisection: a restart costs a few pair steps.
-_GAP_PAIRS = 16
 
 
 def _c3_first(row: CopyLayout, k: int, n_k: int, lo: int, hi: int):
@@ -431,7 +397,7 @@ def _c3_first(row: CopyLayout, k: int, n_k: int, lo: int, hi: int):
     ``shift_violations`` in its at-bound mode walks the pairs.  Where its
     reads lie in copy 0, which is built, one walk crosses the gaps between
     runs; elsewhere each run is walked on a cover of what it reads.  A walk
-    resumes at the next run after ``_GAP_PAIRS`` pairs in one gap.
+    resumes at the next run at its first refused pair (module docstring).
     """
     limit = row.last - n_k  # the last position a gate reads
     lo, hi = max(lo, 1), min(hi, limit)
@@ -443,7 +409,7 @@ def _c3_first(row: CopyLayout, k: int, n_k: int, lo: int, hi: int):
     else:
         nz = row.nonzero_in(lo - k + 1, min(hi + k - 1, limit))
     bound = Fraction(1, k)
-    while lo <= hi:
+    while True:  # each pass returns or moves lo past a walked pair
         i = bisect_left(nz, lo - k + 1)  # the first nonzero whose run reaches lo
         if i == len(nz) or nz[i] > limit:
             return None
@@ -454,20 +420,15 @@ def _c3_first(row: CopyLayout, k: int, n_k: int, lo: int, hi: int):
             while end + 1 < len(nz) and nz[end + 1] - nz[end] <= 2 * k - 2:
                 end += 1
         b = hi if built else min(hi, nz[end] + k - 1)
-        part = _pair_cover(row, lo, b, n_k)
-        gap = refused = 0
-        for hit in shift_violations(part, n_k, bound, at_bound=True, lo=lo, hi=b):
-            g = bisect_left(nz, hit[0] - k + 1)
-            if g < len(nz) and nz[g] <= min(hit[0] + k - 1, limit):
-                return hit
-            refused = refused + 1 if g == gap else 1
-            gap = g
-            if refused == _GAP_PAIRS:
-                lo = nz[g] - k + 1 if g < len(nz) else hi + 1
-                break
-        else:
+        part = row.pair_cover(lo, b, n_k)
+        hit = next(shift_violations(part, n_k, bound, at_bound=True, lo=lo, hi=b), None)
+        if hit is None:
             lo = b + 1
-    return None
+            continue
+        g = bisect_left(nz, hit[0] - k + 1)
+        if g < len(nz) and nz[g] <= min(hit[0] + k - 1, limit):
+            return hit
+        lo = hit[0] + 1  # refused: the top finds the next run, past the gap
 
 
 def check_c3(state: Thm1State, kmax: int) -> CheckReport:
@@ -607,7 +568,7 @@ def literal_smallness_falsifier(state: Thm1State, kmax: int) -> CheckReport:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    row = _row(state)
+    row = CopyLayout.of(state.prefix)
     pitch, last = row.pitch, row.last
     if len(row.ratios) > 1 and kmax > pitch:
         raise ValueError(f"kmax={kmax} exceeds the layout pitch {pitch}")

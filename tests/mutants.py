@@ -20,10 +20,10 @@ stops the walk from advancing loops and grows its run list).  Exit 0 when
 every mutant that is not equivalent is killed, 1 when one survives or fails
 only some of its node ids, 2 when the unmutated copy does not pass.
 
-The list starts with the span walk of ``dlab.recurrence``.  The mutants that
-earlier changes ran by hand in a scratch copy (CHANGES.md: the sweep,
-``check_cap``, the C3 gate, the copy audit) wait for a later change to be
-listed here.
+The list holds the span walk of ``dlab.recurrence``, thm1's C3 gate walk,
+the copy geometry of ``blocks.CopyLayout`` and the cap test of
+``blocks.check_cap``.  The sweep and the copy audit, whose mutants earlier
+changes ran by hand (CHANGES.md), wait for a later change to be listed here.
 """
 
 import os
@@ -42,6 +42,12 @@ RANDOM_STATES = (
     "tests/test_recurrence.py::test_escape_and_omega_match_dense_references_on_random_states"
 )
 HAND_ESCAPE = "tests/test_recurrence.py::test_escape_hand_state_x_side_two_choices_each"
+C3_GAPS = "tests/test_thm1.py::test_c3_gate_bounds_and_gap_resumption[{}]"
+ONE_REFUSED = C3_GAPS.format("one-refused-then-gated")
+IN_REACH = C3_GAPS.format("next-nonzero-past-limit-in-reach")
+LAYOUT_READS = "tests/test_thm1.py::test_layout_reads_as_its_built_row"
+PIECES = "tests/test_thm1.py::test_layout_pieces_and_pair_covers_read_as_the_built_row"
+CAPS = "tests/test_cli.py::test_every_cap_admits_its_count_and_refuses_one_less"
 
 MUTANTS = [
     {
@@ -134,6 +140,90 @@ MUTANTS = [
         "text": "_spans(sorted(ret[r] + esc[r]), w)",
         "replacement": "_spans(sorted(set(ret[r] + esc[r])), w)",
         "equivalent": "a repeated position is a gap of 0, which shares a span anyway",
+    },
+    {
+        "name": "c3-resume",  # a refused pair skips the position after it
+        "file": "dlab/thm1.py",
+        "text": "lo = hit[0] + 1  # refused",
+        "replacement": "lo = hit[0] + 2  # refused",
+        "kills": [ONE_REFUSED],
+    },
+    {
+        "name": "c3-run-start",  # a run starts one past its first gated position
+        "file": "dlab/thm1.py",
+        "text": "lo, end = max(lo, nz[i] - k + 1), i",
+        "replacement": "lo, end = max(lo, nz[i] - k + 2), i",
+        "kills": [C3_GAPS.format("gap-16-gated")],
+    },
+    {
+        "name": "c3-gate-reach",  # the gate reads one position past q + k - 1
+        "file": "dlab/thm1.py",
+        "text": "nz[g] <= min(hit[0] + k - 1, limit)",
+        "replacement": "nz[g] <= min(hit[0] + k, limit)",
+        "kills": [ONE_REFUSED],
+    },
+    {
+        "name": "c3-gate-limit",  # the gate reads the nonzero at last - n_k + 1
+        "file": "dlab/thm1.py",
+        "text": "nz[g] <= min(hit[0] + k - 1, limit)",
+        "replacement": "nz[g] <= min(hit[0] + k - 1, limit + 1)",
+        "kills": [IN_REACH],
+    },
+    {
+        "name": "c3-limit",
+        "file": "dlab/thm1.py",
+        "text": "limit = row.last - n_k  #",
+        "replacement": "limit = row.last - n_k + 1  #",
+        "kills": [C3_GAPS.format("gap-17-past-limit")],
+    },
+    {
+        "name": "pieces-clip-lo",  # a range that starts before the row wraps to its end
+        "file": "dlab/blocks.py",
+        "text": "lo, hi = max(lo, base), min(hi, self.last)",
+        "replacement": "lo, hi = lo, min(hi, self.last)",
+        "kills": [PIECES],
+    },
+    {
+        "name": "pieces-clip-hi",
+        "file": "dlab/blocks.py",
+        "text": "lo, hi = max(lo, base), min(hi, self.last)",
+        "replacement": "lo, hi = max(lo, base), hi",
+        "kills": [PIECES],
+    },
+    {
+        "name": "pieces-copy-end",  # a piece runs one into the next copy
+        "file": "dlab/blocks.py",
+        "text": "base + (t + 1) * pitch - 1",
+        "replacement": "base + (t + 1) * pitch",
+        "kills": [PIECES, LAYOUT_READS],
+    },
+    {
+        "name": "cover-copy0-last",  # a range from copy 0 into copy 1 reads copy 0
+        "file": "dlab/blocks.py",
+        "text": "if parts[-1][0] == 0 and self.ratios[0] == 1:",
+        "replacement": "if parts[0][0] == 0 and self.ratios[0] == 1:",
+        "kills": [LAYOUT_READS, PIECES],
+    },
+    {
+        "name": "cover-copy0-ratio",  # copy 0 read unscaled at c_0 < 1
+        "file": "dlab/blocks.py",
+        "text": "if parts[-1][0] == 0 and self.ratios[0] == 1:",
+        "replacement": "if parts[-1][0] == 0:",
+        "kills": [LAYOUT_READS, PIECES],
+    },
+    {
+        "name": "pair-cover-meet",  # ranges that just meet take the gap branch
+        "file": "dlab/blocks.py",
+        "text": "if a + shift <= b + 1:",
+        "replacement": "if a + shift <= b:",
+        "kills": [PIECES],
+    },
+    {
+        "name": "cap-boundary",  # a count equal to the cap is refused
+        "file": "dlab/blocks.py",
+        "text": "if need <= cap:",
+        "replacement": "if need < cap:",
+        "kills": [CAPS],
     },
 ]
 

@@ -7,7 +7,8 @@ matched by spelling: a use is any load of that name or attribute in
 exempt.  Of the ``_private`` names, module-level functions and classes are
 held to the same rule, so a helper that a refactor leaves behind fails too.
 So is each defaulted parameter of a public function or method: some call
-there passes it, by keyword or by position.
+there passes it, by keyword or by position.  And each name a module imports
+is loaded in that module, except in ``__init__.py``, which re-exports.
 """
 
 import ast
@@ -124,3 +125,22 @@ def test_every_defaulted_parameter_is_passed_by_the_package_or_bench():
             ):
                 unpassed.append(f"{path.name} {fn}({param}=)")
     assert unpassed == []
+
+
+def test_every_imported_name_is_loaded_by_its_module():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -190,6 +190,24 @@ def _sparse_state(lengths, values):
     return thm1.Thm1State(lengths, Block(syms, base=1))
 
 
+def _gap_row(refused, ratios):
+    """A copy layout at pitch 20 whose walk at scale 2 refuses ``refused`` pairs in one gap.
+
+    Copy 0 holds 1/5 at offset 1, and 3/5 at offset 20 and at offsets
+    2..refused + 1.  Across the seam from the zero copy 3 to copy 4 (c = 1),
+    each 3/5 breaks the bound 1/2 against a 0 whose gate sees no nonzero,
+    until q = 80, which the 1/5 at 81 gates when 81 <= last - n_2.  Every
+    other step is at most 1/2 * 3/5.
+    """
+    copy0 = [F(1, 5)] + [F(3, 5)] * refused + [F(0)] * (18 - refused) + [F(3, 5)]
+    return CopyLayout(Block(copy0, base=1), ratios)
+
+
+GATED = (1, 1, F(1, 2), 0, 1, 1)  # limit = 100: q = 80 fails
+PAST = GATED[:-1]  # limit = 80: the 1/5 at 81 gates nothing
+FAIL_AT_80 = "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=80 value=0/1 shifted=3/5 bound=1/2"
+
+
 @pytest.mark.parametrize("lengths, values, line", [
     # Pair (5, 8) breaks the bound 1/2, but its gate reads positions 4..5
     # only: the nonzero at 6 = last - n_2 + 1 opens no window.
@@ -199,15 +217,41 @@ def _sparse_state(lengths, values):
     # there, at 21, not after it.
     ((2, 100, 250), {1: F(1, 4), 22: F(1, 4), **{q + 100: F(1, 2) for q in range(3, 22)}},
      "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=21 value=0/1 shifted=1/2 bound=1/2"),
+    # A gap of one refused pair, (12, 112), two before the nonzero at 14: the
+    # gate reads up to q + k - 1 = 13 and no further.  The walk resumes
+    # right after it, at 13, which 14 gates.
+    pytest.param(
+        (2, 100, 250), {10: F(1, 4), 14: F(1, 4), **{q: F(1, 2) for q in (112, 113, 212, 213)}},
+        "CHECK C3 FAIL stage=3 kmax=2 k=2 pos=13 value=0/1 shifted=1/2 bound=1/2",
+        id="one-refused-then-gated"),
+    # At scale 3 the pair (9, 29) is refused: its gate reads 7..9 only.  The
+    # next nonzero, 10, lies past limit = 9 but within k - 1 of 9, so a walk
+    # resumed at 10 - k + 1 = 8 would meet the same pair again.
+    pytest.param(
+        (2, 4, 20, 29), {6: F(2, 5), 10: F(2, 5), 26: F(2, 5), 29: F(2, 5)},
+        "CHECK C3 PASS stage=4 kmax=3", id="next-nonzero-past-limit-in-reach"),
+    # 1, 15, 16 and 17 refused pairs in one gap, then a gated failure; and
+    # gaps whose next nonzero lies past limit.  Each is checked as its
+    # layout record and as the row it stands for.
+    *[pytest.param((3, 20, 120), _gap_row(r, GATED), FAIL_AT_80, id=f"gap-{r}-gated")
+      for r in (1, 15, 16, 17)],
+    *[pytest.param((3, 20, 100), _gap_row(r, PAST), "CHECK C3 PASS stage=3 kmax=2",
+                   id=f"gap-{r}-past-limit")
+      for r in (1, 17)],
 ])
 def test_c3_gate_bounds_and_gap_resumption(lengths, values, line):
-    state = _sparse_state(lengths, values)
-    rep = thm1.check_c3(state, 2)
-    assert rep.line() == line
-    expected = _expected_c3(state, 2)
-    assert rep.passed == (expected is None)
-    if expected is not None:
-        assert (dict(rep.witness)["k"], dict(rep.witness)["pos"]) == expected
+    if isinstance(values, CopyLayout):
+        states = list(_flat(lengths, values.copy0, values.ratios))
+    else:
+        states = [_sparse_state(lengths, values)]
+    kmax = len(lengths) - 1
+    expected = _expected_c3(states[-1], kmax)  # of the flat row
+    for state in states:
+        rep = thm1.check_c3(state, kmax)
+        assert rep.line() == line
+        assert rep.passed == (expected is None)
+        if expected is not None:
+            assert (dict(rep.witness)["k"], dict(rep.witness)["pos"]) == expected
 
 
 # -- C2PRIME --------------------------------------------------------------------
@@ -847,6 +891,40 @@ def test_layout_reads_as_its_built_row():
                 else:
                     with pytest.raises(ValueError, match="two adjacent copies"):
                         row.cover(i, j)
+
+
+def test_layout_pieces_and_pair_covers_read_as_the_built_row():
+    rng = random.Random(41)
+    met = 0  # pair covers whose two ranges just meet
+    for _ in range(60):
+        copy0 = Block([_random_symbol(rng) if rng.random() < 0.4 else 0
+                       for _ in range(rng.randint(1, 5))])
+        ratios = [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 4))]
+        row = CopyLayout(copy0, ratios)
+        built = concat_all([scale(c, copy0) for c in ratios], base=1)
+        pitch, last = row.pitch, row.last
+        for lo in range(1 - pitch, last + pitch + 1):
+            for hi in range(lo - 1, last + pitch + 1):
+                inside = range(max(lo, 1), min(hi, last) + 1)
+                copies = sorted({(p - 1) // pitch for p in inside})
+                assert row.pieces(lo, hi) == [
+                    (t, min(p for p in inside if (p - 1) // pitch == t),
+                     max(p for p in inside if (p - 1) // pitch == t))
+                    for t in copies
+                ]
+        for a in range(1, last + 1):
+            for b in range(a, last + 1):
+                for shift in range(1, last - b + 1):
+                    try:
+                        part = row.pair_cover(a, b, shift)
+                    except ValueError as err:
+                        assert "two adjacent copies" in str(err)
+                        continue
+                    met += a + shift == b + 1
+                    assert part.base <= a and b + shift <= part.last
+                    for q in range(a, b + 1):
+                        assert part[q] == built[q] and part[q + shift] == built[q + shift]
+    assert met > 100, met
 
 
 def test_layout_verify_peaks_well_below_the_flat_build():
