@@ -224,7 +224,8 @@ def _partition_masks(table: tuple) -> tuple:
     the definition evaluated on every partition at once, with no theorem.  A
     partition is forward invariant when x ~ y implies Tx ~ Ty, and then
     strictly bigger than its image when some c ~ d has no a ~ b with Ta = c
-    and Tb = d; for c = d that is a point with no preimage."""
+    and Tb = d; for c = d that is a point with no preimage.  ``same[c][c]``
+    is full, so the fold stops at the first such point: the mask is full."""
     n = len(table)
     _, full, same = _same_masks(n)
     bad = strict = 0
@@ -241,6 +242,8 @@ def _partition_masks(table: tuple) -> tuple:
                 for b in preimages[d]:
                     covered |= same[a][b]
             strict |= same[c][d] & ~covered
+        if strict == full:  # no later OR can add a bit
+            break
     forward = full & ~bad
     return forward, forward & strict
 
@@ -340,7 +343,7 @@ def all_pairs_recurrent(sys: FiniteSystem) -> bool:
     return all(limit >> p & 1 for p, limit in enumerate(omega))
 
 
-def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
+def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
     """Power-map recurrence facts, checked exhaustively for 1 <= N <= n_max.
 
     (a) a point recurrent for the map is recurrent for every power;
@@ -348,28 +351,35 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
         limit sets of T^k x under the N-th power (an OR of masks);
     (c) if every pair is recurrent for the product then every power is
         deterministic.
+
+    (a) and (b) are read for N >= 2 only: at N = 1 they compare the map's
+    limit sets with themselves and cannot fail.  (c) tests every N.
+    ``omega`` is the map's ``_omega_table`` when the caller has walked it
+    already, as ``sweep`` does once for both of a map's checks.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    base = _omega_table(sys.table) if omega is None else omega
     params = (("n", sys.size), ("n_max", n_max))
-    powers = [tuple(range(sys.size))]  # powers[k] is the table of T^k
-    for _ in range(n_max):
-        powers.append(tuple(map(sys.table.__getitem__, powers[-1])))
-    omegas = {n: _omega_table(powers[n]) for n in range(1, n_max + 1)}
+    table = sys.table
+    powers = [tuple(range(sys.size)), table]  # powers[k] is the table of T^k
+    for _ in range(n_max - 1):
+        powers.append(tuple(map(table.__getitem__, powers[-1])))
+    omegas = {n: _omega_table(powers[n]) for n in range(2, n_max + 1)}
 
     for x in range(sys.size):
-        base_omega = omegas[1][x]
+        base_omega = base[x]
         base_recurrent = base_omega >> x & 1
-        for n in range(1, n_max + 1):
-            omega = omegas[n]
-            if base_recurrent and not omega[x] >> x & 1:
+        for n in range(2, n_max + 1):
+            omega_n = omegas[n]
+            if base_recurrent and not omega_n[x] >> x & 1:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
                     (("part", "a"), ("x", x), ("power", n)),
                 )
             decomposition = 0
             for k in range(n):
-                decomposition |= omega[powers[k][x]]
+                decomposition |= omega_n[powers[k][x]]
             if decomposition != base_omega:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
@@ -377,7 +387,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int) -> CheckReport:
                 )
     if all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
-            td, witness = is_td(FiniteSystem(powers[n]))
+            td, witness = is_td(FiniteSystem(powers[n]) if n > 1 else sys)
             if not td:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
@@ -401,18 +411,16 @@ def all_permutation_systems(n: int):
         yield FiniteSystem(table)
 
 
-def check_map_determinism(sys: FiniteSystem) -> CheckReport:
+def check_map_determinism(sys: FiniteSystem, *, omega=None) -> CheckReport:
     """One map's determinism facts: td iff bijective; diagonal witness else;
     the escaping-point relation works at every non-recurrent point, read off
     ``_partition_masks`` (``lemma6_relation`` is the pair-set path for one
-    point of a map of any size)."""
+    point of a map of any size).  ``omega`` is the map's ``_omega_table``
+    when the caller has walked it already."""
     td, witness = is_td(sys)
-    params = (
-        ("n", sys.size),
-        ("map", ",".join(str(v) for v in sys.table)),
-        ("onto", sys.onto),
-    )
-    if td != sys.onto:
+    onto = sys.onto
+    params = (("n", sys.size), ("map", ",".join(map(str, sys.table))), ("onto", onto))
+    if td != onto:
         return CheckReport(
             "SWEEP_MAP", FAIL, params, (("part", "td_vs_onto"), ("td", td))
         )
@@ -425,7 +433,8 @@ def check_map_determinism(sys: FiniteSystem) -> CheckReport:
     # and singletons) must be forward invariant only: one bit of the map's
     # masks, scanned once and only if some point escapes.
     table = sys.table
-    omega = _omega_table(table)
+    if omega is None:
+        omega = _omega_table(table)
     only = None
     for x in range(sys.size):
         if omega[x] >> x & 1:
@@ -448,7 +457,8 @@ def sweep(n_max: int, power_max: int = 4, permutations_only: bool = False) -> li
     """Exhaustive sweep reports for all systems up to n_max points.
 
     Per size: one determinism report per map (unless permutations_only) and
-    one power-facts report per map, then a summary line.
+    one power-facts report per map, then a summary line.  The two checks of a
+    map share one walk of its limit sets.
     """
     reports = []
     for n in range(1, n_max + 1):
@@ -456,9 +466,10 @@ def sweep(n_max: int, power_max: int = 4, permutations_only: bool = False) -> li
         systems = all_permutation_systems(n) if permutations_only else all_systems(n)
         for sys in systems:
             count += 1
+            omega = _omega_table(sys.table)
             if not permutations_only:
-                reports.append(check_map_determinism(sys))
-            reports.append(lemma7_checks(sys, power_max))
+                reports.append(check_map_determinism(sys, omega=omega))
+            reports.append(lemma7_checks(sys, power_max, omega=omega))
         reports.append(
             CheckReport(
                 "SWEEP_SUMMARY",

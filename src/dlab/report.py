@@ -15,10 +15,15 @@ def format_symbol(v: Fraction) -> str:
 
 
 def _format_value(v) -> str:
+    # Nearly every value is an exact str, int or bool; their type tests come
+    # before isinstance(v, Fraction), which goes through the ABC machinery.
+    cls = type(v)
+    if cls is str or cls is int:
+        return str(v)
+    if cls is bool:
+        return "true" if v else "false"
     if isinstance(v, Fraction):
         return format_symbol(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
     return str(v)
 
 
@@ -43,6 +48,8 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

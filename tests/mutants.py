@@ -21,9 +21,11 @@ every mutant that is not equivalent is killed, 1 when one survives or fails
 only some of its node ids, 2 when the unmutated copy does not pass.
 
 The list holds the span walk of ``dlab.recurrence``, thm1's C3 gate walk,
-the copy geometry of ``blocks.CopyLayout`` and the cap test of
-``blocks.check_cap``.  The sweep and the copy audit, whose mutants earlier
-changes ran by hand (CHANGES.md), wait for a later change to be listed here.
+the copy geometry of ``blocks.CopyLayout``, the cap test of
+``blocks.check_cap``, and the oracle sweep: its shared limit-set walk, its
+partition-mask fold, and the report equality and value formatting it pays
+for on every map.  The copy audit, whose mutants earlier changes ran by hand
+(CHANGES.md), waits for a later change to be listed here.
 """
 
 import os
@@ -48,6 +50,12 @@ IN_REACH = C3_GAPS.format("next-nonzero-past-limit-in-reach")
 LAYOUT_READS = "tests/test_thm1.py::test_layout_reads_as_its_built_row"
 PIECES = "tests/test_thm1.py::test_layout_pieces_and_pair_covers_read_as_the_built_row"
 CAPS = "tests/test_cli.py::test_every_cap_admits_its_count_and_refuses_one_less"
+MASKS = "tests/test_oracle.py::test_partition_masks_classify_every_partition"
+PART_A = "tests/test_oracle.py::test_lemma7_part_a_reports_a_point_lost_by_a_power"
+SWEPT_PARTS = "tests/test_oracle.py::test_sweep_prints_each_planted_lemma7_failure"
+SHARED = "tests/test_oracle.py::test_sweep_shared_limit_sets_give_the_public_lines[{}]"
+EQUALITY = "tests/test_records.py::test_equality_and_hash_follow_the_fields[{}]"
+FORMAT = "tests/test_records.py::test_report_values_print_as_pinned[{}]"
 
 MUTANTS = [
     {
@@ -224,6 +232,48 @@ MUTANTS = [
         "text": "if need <= cap:",
         "replacement": "if need < cap:",
         "kills": [CAPS],
+    },
+    {
+        "name": "strict-early-exit",  # the fold stops at its first set bit
+        "file": "dlab/oracle.py",
+        "text": "if strict == full:",
+        "replacement": "if strict:",
+        "kills": [MASKS],
+    },
+    {
+        "name": "strict-d-range",  # a point with no preimage is not seen
+        "file": "dlab/oracle.py",
+        "text": "for d in range(c + 1):",
+        "replacement": "for d in range(c):",
+        "kills": [MASKS],
+    },
+    {
+        "name": "lemma7-power-start",  # parts (a) and (b) skip the square
+        "file": "dlab/oracle.py",
+        "text": "for n in range(2, n_max + 1):",
+        "replacement": "for n in range(3, n_max + 1):",
+        "kills": [PART_A, SWEPT_PARTS],
+    },
+    {
+        "name": "sweep-omega-square",  # the sweep shares the limit sets of T^2
+        "file": "dlab/oracle.py",
+        "text": "omega = _omega_table(sys.table)",
+        "replacement": "omega = _omega_table(tuple(map(sys.table.__getitem__, sys.table)))",
+        "kills": [SHARED.format(2), SHARED.format(4)],
+    },
+    {
+        "name": "eq-identity",  # a record differs from itself
+        "file": "dlab/report.py",
+        "text": "if other is self:\n            return True",
+        "replacement": "if other is self:\n            return False",
+        "kills": [EQUALITY.format("CheckReport"), SHARED.format(1)],
+    },
+    {
+        "name": "format-fast-repr",  # an exact str prints quoted
+        "file": "dlab/report.py",
+        "text": "if cls is str or cls is int:\n        return str(v)",
+        "replacement": "if cls is str or cls is int:\n        return repr(v)",
+        "kills": [FORMAT.format("str")],
     },
 ]
 

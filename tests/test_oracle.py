@@ -190,12 +190,23 @@ def test_partition_scan_matches_naive_reference():
     assert 0 < witnesses < len(tables)
 
 
+def _last_point_unreached_tables(rng):
+    """Maps whose only point with no preimage is n - 1: a permutation of
+    0..n-2 with n - 1 sent into it.  The strict fold is full only after its
+    last point, so its early stop cannot hide a wrong earlier bit."""
+    for n in range(2, 9):
+        for _ in range(12 if n <= 6 else 2):
+            table = rng.sample(range(n - 1), n - 1) + [rng.randrange(n - 1)]
+            yield tuple(table)
+
+
 def test_partition_masks_classify_every_partition():
     # The first witness above is nearly always the one-block partition or
     # none, so it cannot see the order of later bits; here every bit is
     # checked against the pair-set classification of its partition.
-    tables = [s.table for n in range(1, 5) for s in o.all_systems(n)]
+    tables = [s.table for n in range(1, 6) for s in o.all_systems(n)]
     tables += _seeded_scan_tables(random.Random(8191))
+    tables += _last_point_unreached_tables(random.Random(8209))
     counts = {}
     for table in tables:
         forward, only = o._partition_masks(table)
@@ -543,6 +554,60 @@ def test_planted_omega_cannot_hang_the_escaping_point_walk(monkeypatch):
 
 
 # -- serialization and sweep harness ---------------------------------------------------
+
+
+def _public_lines(systems, power_max, permutations_only):
+    """The report lines of the public checks, each walking the map itself, in
+    the sweep's order."""
+    lines = []
+    for s in systems:
+        if not permutations_only:
+            lines.append(o.check_map_determinism(s).line())
+        lines.append(o.lemma7_checks(s, power_max).line())
+    return lines
+
+
+def _sweep_lines(n_max, power_max, permutations_only=False):
+    reports = o.sweep(n_max, power_max=power_max, permutations_only=permutations_only)
+    return [r.line() for r in reports if r.check_id != "SWEEP_SUMMARY"]
+
+
+@pytest.mark.parametrize("power_max", [1, 2, 3, 4])
+def test_sweep_shared_limit_sets_give_the_public_lines(power_max):
+    # The sweep walks each map's limit sets once for both checks; its lines
+    # must be those of check_map_determinism and lemma7_checks.
+    systems = [s for n in range(1, 6) for s in o.all_systems(n)]
+    lines = _sweep_lines(5, power_max)
+    assert lines == _public_lines(systems, power_max, False)
+    assert all(" PASS " in line for line in lines)
+    perms = [s for n in range(1, 7) for s in o.all_permutation_systems(n)]
+    lines = _sweep_lines(6, power_max, permutations_only=True)
+    assert lines == _public_lines(perms, power_max, True)
+    assert all(" PASS " in line for line in lines)
+
+
+def _swept_lemma7_line(n_max, power_max, table):
+    """The LEMMA7 line the sweep prints for ``table``, the line after its
+    SWEEP_MAP line."""
+    lines = _sweep_lines(n_max, power_max)
+    head = f"CHECK SWEEP_MAP PASS n={len(table)} map={','.join(map(str, table))} "
+    return lines[next(i for i, line in enumerate(lines) if line.startswith(head)) + 1]
+
+
+def test_sweep_prints_each_planted_lemma7_failure(monkeypatch):
+    # The planted maps of the part a/b/c tests above, read through the sweep.
+    with monkeypatch.context() as m:
+        _plant_omega(m, (2, 0, 1), 1, {0, 2})
+        line = _swept_lemma7_line(3, 3, (1, 2, 0))
+        assert line == "CHECK LEMMA7 FAIL n=3 n_max=3 part=a x=1 power=2"
+    with monkeypatch.context() as m:
+        _plant_omega(m, (0, 1, 2), 2, {0, 2})
+        line = _swept_lemma7_line(3, 2, (1, 0, 2))
+        assert line == "CHECK LEMMA7 FAIL n=3 n_max=2 part=b x=2 power=2"
+    with monkeypatch.context() as m:
+        _plant_td(m, (0, 1), (False, o.Partition.from_blocks([(0, 1)])))
+        line = _swept_lemma7_line(2, 2, (1, 0))
+        assert line == "CHECK LEMMA7 FAIL n=2 n_max=2 part=c power=2 witness=0,1"
 
 
 def test_check_map_determinism_reports():

@@ -5,6 +5,7 @@ import copy
 import pickle
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +64,7 @@ def test_equality_and_hash_follow_the_fields(cls):
     a, b = _make(cls), _make(cls)
     assert a is not b and a == b and hash(a) == hash(b)
     assert not a != b
+    assert a == a and not a != a  # the identity shortcut
     changed = cls(*CASES[cls][1])
     assert a != changed and not a == changed
     # A record of another class, even a subclass with the same fields, differs.
@@ -97,6 +99,43 @@ def test_keyword_calls_and_argument_count(cls):
             cls(*wrong)
     with pytest.raises(TypeError):
         cls(*args, unknown=None)
+
+
+class _Level(IntEnum):
+    HIGH = 3
+
+
+class _Name(str):
+    def __str__(self):
+        return "name:" + self
+
+
+class _Third(F):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, printed",
+    [
+        (True, "true"),
+        (False, "false"),
+        (-12, "-12"),
+        # IntEnum prints its member name before Python 3.11, its value after.
+        (_Level.HIGH, "3" if sys.version_info >= (3, 11) else "_Level.HIGH"),
+        ("a,b", "a,b"),
+        (_Name("x"), "name:x"),
+        (F(-6, 4), "-3/2"),
+        (F(3), "3/1"),
+        (_Third(2, 6), "1/3"),
+    ],
+    ids=["true", "false", "int", "intenum", "str", "str-subclass", "fraction",
+         "whole-fraction", "fraction-subclass"],
+)
+def test_report_values_print_as_pinned(value, printed):
+    # Exact str and int take a fast path; it must not catch a bool, an
+    # IntEnum member or a str subclass, whose text the pins fix.
+    report = CheckReport("Z", "PASS", (("v", value),), (("w", value),))
+    assert report.line() == f"CHECK Z PASS v={printed} w={printed}"
 
 
 def test_defaults():
