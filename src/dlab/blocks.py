@@ -459,10 +459,12 @@ def shift_violations(
         a, b = bisect_left(nz, lo), bisect_left(nz, lo + shift)
     if hi is not None:
         a_end, b_end = bisect_right(nz, hi), bisect_right(nz, hi + shift)
-    inf = math.inf  # a pointer at its end reads past every i
+    # An exhausted pointer reads ``end``, past every i the other one reads:
+    # nz[a] <= last and nz[b] - shift <= last - shift.
+    end = block.last + max(0, -shift) + 1
     while a < a_end or b < b_end:
-        i = nz[a] if a < a_end else inf
-        j = nz[b] - shift if b < b_end else inf
+        i = nz[a] if a < a_end else end
+        j = nz[b] - shift if b < b_end else end
         if i == j:
             if abs(nums[b] - nums[a]) * bound_den > limit:
                 yield i, vals[a], vals[b]

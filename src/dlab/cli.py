@@ -92,16 +92,7 @@ def _check_stage_args(args) -> None:
 def cmd_thm1_verify(args) -> list:
     _check_stage_args(args)
     state = _thm1_top(args)
-    c3_kmax = min(args.kmax, state.stage - 1)
-    jmax = args.jmax if args.jmax is not None else min(args.kmax, state.stage - 1)
-    reports = [
-        thm1.check_c1(state, args.kmax),
-        thm1.check_c2prime(state, jmax),
-        thm1.check_c3(state, c3_kmax),
-        thm1.literal_smallness_falsifier(state, c3_kmax),
-        thm1.check_tails(state),
-    ]
-    return [r.line() for r in reports]
+    return [r.line() for r in thm1.stage_reports(state, args.kmax, args.jmax)]
 
 
 def cmd_thm2_build(args) -> list:

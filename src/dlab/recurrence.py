@@ -11,11 +11,15 @@ data that was never constructed.
 
 On top of the metric sit the recurrence tools: epsilon-return times of
 centred views, the certificate that the built pair never jointly returns (at
-every nonzero shift one coordinate is 0 where both centers are 1), and the
-escape witnesses: for every window center some multiple r <= 3 of a return
-time shifts one sequence onto an all-zero window while the other side moves
-by at most 3/k, which is what plants (x, zero) and (zero, y) in the pair's
-limit set.
+every nonzero shift one coordinate is 0 where both centers are 1), and two
+witnesses whose runs one body builds.  The escape witness finds, for every
+window center, a multiple r <= 3 of a time that shifts one sequence onto an
+all-zero window.  The limit-pair witness asks the same of one sequence while
+the other moves by at most 3/k, which is what plants (x, zero) and (zero, y)
+in the pair's limit set.  Its return part reads condition I or II first:
+where each step of the time moves the returning sequence by at most 1/k,
+three steps move it by at most 3/k, so nothing blocks a center but the
+escape, and the limit-pair runs are the escape runs of the other sequence.
 """
 
 from __future__ import annotations
@@ -224,6 +228,31 @@ def _admissible_centers(block: Block, scale_len: int, w: int):
     return lo, hi
 
 
+def _witness_runs(escaping: Block, time: int, w: int, centers: tuple, returns=((), (), ())):
+    """Per-center smallest r in {1,2,3} whose shift by r * time takes the
+    window off the nonzeros of ``escaping`` and off the return positions
+    ``returns[r - 1]``, as ``_assign_runs`` gives it over ``centers``.
+
+    A nonzero q blocks r at the centers within w of q - r * time.  Moving
+    every position by d moves every merged span by d, so the nonzeros'
+    spans are merged once and moved back by each r's shift; an r with
+    return positions merges them with the moved nonzeros instead.
+    """
+    nz = escaping.nonzero_positions
+    starts, ends = _spans(nz, w)
+    spans = []
+    for r, blocked in zip((1, 2, 3), returns):
+        d = r * time
+        if blocked:
+            # Both lists increase, so the sort is one linear merge of two
+            # runs.  A position in both lists is a gap of 0, which the spans
+            # merge.
+            spans.append(_spans(sorted(blocked + list(map(sub, nz, repeat(d)))), w))
+        else:
+            spans.append((list(map(sub, starts, repeat(d))), list(map(sub, ends, repeat(d)))))
+    return _assign_runs(spans, *centers)
+
+
 def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     """For every admissible center, an r in {1,2,3} shifting the window onto zeros.
 
@@ -240,49 +269,46 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     if w >= scale_len:
         raise ValueError(f"window half-width {w} must stay below the scale {scale_len}")
     lo, hi = _admissible_centers(block, scale_len, w)
-    # Moving every position by d moves every merged span by d, so the
-    # nonzeros' spans are merged once and moved back by each r's shift.
-    starts, ends = _spans(block.nonzero_positions, w)
-    spans = []
-    for r in (1, 2, 3):
-        d = r * scale_len
-        spans.append((list(map(sub, starts, repeat(d))), list(map(sub, ends, repeat(d)))))
-    runs, failure = _assign_runs(spans, lo, hi)
-    params = (
-        ("stage", state.stage),
-        ("side", side),
-        ("k", k),
-        ("w", w),
-        ("centers", hi - lo + 1),
-    )
+    runs, failure = _witness_runs(block, scale_len, w, (lo, hi))
+    params = (("stage", state.stage), ("side", side), ("k", k), ("w", w), ("centers", hi - lo + 1))
     if failure is not None:
-        report = CheckReport(
-            "ESCAPE", FAIL, params, (("center", failure),)
-        )
-        return WitnessRuns(report, tuple(runs))
-    report = CheckReport("ESCAPE", PASS, params, (("runs", len(runs)),))
+        report = CheckReport("ESCAPE", FAIL, params, (("center", failure),))
+    else:
+        report = CheckReport("ESCAPE", PASS, params, (("runs", len(runs)),))
     return WitnessRuns(report, tuple(runs))
 
 
 def _one_sided_omega(k: int, w: int, returning: Block, escaping: Block, time: int):
-    """Centers where some r <= 3 keeps ``returning`` within 3/k and zeroes ``escaping``."""
-    bound = Fraction(3, k)
-    lo, hi = _admissible_centers(returning, time, w)
-    ret, esc = {}, {}
-    for r in (1, 2, 3):
-        ret[r] = [q for q, _, _ in shift_violations(returning, r * time, bound)]
-        esc[r] = list(map(sub, escaping.nonzero_positions, repeat(r * time)))
-    # Both lists increase, so the sort is one linear merge of two runs.  A
-    # position in both lists is a gap of 0, which the spans merge.
-    runs, failure = _assign_runs(
-        [_spans(sorted(ret[r] + esc[r]), w) for r in (1, 2, 3)], lo, hi
-    )
+    """Centers where some r <= 3 keeps ``returning`` within 3/k and zeroes ``escaping``.
+
+    The return part first reads the 1/k rigidity at ``time``: condition I
+    on the x side (time m_k), II on the y side (time n_k).  One probe looks
+    for a q with |v(q + time) - v(q)| > 1/k, reading 0 outside the block.
+    If there is none, then for every q and r <= 3
+
+        |v(q + r*time) - v(q)| <= sum over i < r of
+            |v(q + (i+1)*time) - v(q + i*time)| <= r/k <= 3/k,
+
+    so the return part blocks no center, and the runs are exactly the
+    escape runs of ``escaping`` at ``time``.  Only when the probe finds a
+    violation do the three 3/k scans run, and their positions block the
+    centers within w as the shifted nonzeros do.
+    """
+    centers = _admissible_centers(returning, time, w)
+    returns = ((), (), ())
+    if next(shift_violations(returning, time, Fraction(1, k)), None) is not None:
+        bound = Fraction(3, k)
+        returns = [[q for q, _, _ in shift_violations(returning, r * time, bound)]
+                   for r in (1, 2, 3)]
+    runs, failure = _witness_runs(escaping, time, w, centers, returns)
     if failure is None:
         return runs, None
     # Classify what blocked the failing center: the return part (a), the
-    # escape part (b), or both.
-    ret_ok = any(not _near(ret[r], failure, w) for r in (1, 2, 3))
-    esc_ok = any(not _near(esc[r], failure, w) for r in (1, 2, 3))
+    # escape part (b), or both.  A nonzero q blocks the escape of r there
+    # when it lies within w of failure + r * time.
+    ret_ok = any(not _near(blocked, failure, w) for blocked in returns)
+    esc_ok = any(not _near(escaping.nonzero_positions, failure + r * time, w)
+                 for r in (1, 2, 3))
     part = "ab"
     if ret_ok and not esc_ok:
         part = "b"
@@ -305,9 +331,9 @@ def cross_omega_witness(state: Thm2State, k: int, w: int) -> CrossOmegaWitness:
     """Certify both limit pairs (x, zero) and (zero, y) at scale k, radius w.
 
     For each admissible center some r in {1,2,3} must satisfy (a) the
-    returning block moves by at most 3/k on the window (three applications
-    of the 1/k rigidity) and (b) the other block is identically 0 on the
-    shifted window.  The x side uses m_k, the y side n_k.
+    returning block moves by at most 3/k on the window and (b) the other
+    block is identically 0 on the shifted window.  The x side uses m_k, the
+    y side n_k.
     """
     if w < 0:
         raise ValueError("w must be >= 0")
@@ -318,16 +344,10 @@ def cross_omega_witness(state: Thm2State, k: int, w: int) -> CrossOmegaWitness:
     y_runs, y_fail = _one_sided_omega(k, w, state.y, state.x, n_k)
     params = (("stage", state.stage), ("k", k), ("w", w))
     if x_fail is not None or y_fail is not None:
-        side, (center, part) = (
-            ("x", x_fail) if x_fail is not None else ("y", y_fail)
-        )
-        report = CheckReport(
-            "CROSS_OMEGA", FAIL, params,
-            (("side", side), ("center", center), ("part", part)),
-        )
+        side, (center, part) = ("x", x_fail) if x_fail is not None else ("y", y_fail)
+        witness = (("side", side), ("center", center), ("part", part))
+        report = CheckReport("CROSS_OMEGA", FAIL, params, witness)
     else:
-        report = CheckReport(
-            "CROSS_OMEGA", PASS, params,
-            (("x_runs", len(x_runs)), ("y_runs", len(y_runs))),
-        )
+        witness = (("x_runs", len(x_runs)), ("y_runs", len(y_runs)))
+        report = CheckReport("CROSS_OMEGA", PASS, params, witness)
     return CrossOmegaWitness(report, tuple(x_runs), tuple(y_runs))

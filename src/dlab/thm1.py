@@ -591,3 +591,17 @@ def literal_smallness_falsifier(state: Thm1State, kmax: int) -> CheckReport:
         params,
         (("found", True), ("pos", p), ("k", k), ("value", a), ("window_max", eps)),
     )
+
+
+def stage_reports(state: Thm1State, kmax: int, jmax: "int | None" = None) -> list:
+    """The reports of ``dlab thm1 verify``: C1 for k <= kmax, C2PRIME for
+    j <= jmax, C3 and LITERAL2 for k <= min(kmax, stage - 1), and TAILS.
+    ``jmax`` defaults to min(kmax, stage - 1)."""
+    c3_kmax = min(kmax, state.stage - 1)
+    return [
+        check_c1(state, kmax),
+        check_c2prime(state, c3_kmax if jmax is None else jmax),
+        check_c3(state, c3_kmax),
+        literal_smallness_falsifier(state, c3_kmax),
+        check_tails(state),
+    ]

@@ -20,9 +20,10 @@ stops the walk from advancing loops and grows its run list).  Exit 0 when
 every mutant that is not equivalent is killed, 1 when one survives or fails
 only some of its node ids, 2 when the unmutated copy does not pass.
 
-The list holds the span walk of ``dlab.recurrence``, thm1's C3 gate walk,
-the copy geometry of ``blocks.CopyLayout``, the cap test of
-``blocks.check_cap``, and the oracle sweep: its shared limit-set walk, its
+The list holds the span walk of ``dlab.recurrence`` and the 1/k probe of
+its limit-pair witness, the end sentinel of ``blocks.shift_violations``,
+thm1's C3 gate walk, the copy geometry of ``blocks.CopyLayout``, the cap
+test of ``blocks.check_cap``, and the oracle sweep: its shared limit-set walk, its
 partition-mask fold, and the report equality and value formatting it pays
 for on every map.  The copy audit, whose mutants earlier changes ran by hand
 (CHANGES.md), waits for a later change to be listed here.
@@ -44,6 +45,10 @@ RANDOM_STATES = (
     "tests/test_recurrence.py::test_escape_and_omega_match_dense_references_on_random_states"
 )
 HAND_ESCAPE = "tests/test_recurrence.py::test_escape_hand_state_x_side_two_choices_each"
+PLANTED = (
+    "tests/test_recurrence.py::test_omega_probe_branches_match_dense_references_on_planted_states"
+)
+SHIFT_SCAN = "tests/test_blocks.py::test_shift_violations_match_dense_scan"
 C3_GAPS = "tests/test_thm1.py::test_c3_gate_bounds_and_gap_resumption[{}]"
 ONE_REFUSED = C3_GAPS.format("one-refused-then-gated")
 IN_REACH = C3_GAPS.format("next-nonzero-past-limit-in-reach")
@@ -131,23 +136,58 @@ MUTANTS = [
     {
         "name": "escape-shift",
         "file": "dlab/recurrence.py",
-        "text": "d = r * scale_len",
-        "replacement": "d = (r - 1) * scale_len",
+        "text": "d = r * time",
+        "replacement": "d = (r - 1) * time",
         "kills": [RANDOM_STATES, HAND_ESCAPE],
     },
     {
-        "name": "omega-shift",
+        "name": "omega-shift",  # return positions merge with the nonzeros of r - 1
         "file": "dlab/recurrence.py",
-        "text": "repeat(r * time)",
-        "replacement": "repeat((r - 1) * time)",
-        "kills": [RANDOM_STATES],
+        "text": "list(map(sub, nz, repeat(d)))",
+        "replacement": "list(map(sub, nz, repeat(d - time)))",
+        "kills": [RANDOM_STATES, PLANTED],
     },
     {
         "name": "omega-dedup",
         "file": "dlab/recurrence.py",
-        "text": "_spans(sorted(ret[r] + esc[r]), w)",
-        "replacement": "_spans(sorted(set(ret[r] + esc[r])), w)",
+        "text": "_spans(sorted(blocked + list(map(sub, nz, repeat(d)))), w)",
+        "replacement": "_spans(sorted(set(blocked + list(map(sub, nz, repeat(d))))), w)",
         "equivalent": "a repeated position is a gap of 0, which shares a span anyway",
+    },
+    {
+        "name": "probe-bound",  # steps up to 2/k skip the 3/k scans
+        "file": "dlab/recurrence.py",
+        "text": "shift_violations(returning, time, Fraction(1, k))",
+        "replacement": "shift_violations(returning, time, Fraction(2, k))",
+        "kills": [PLANTED],
+    },
+    {
+        "name": "probe-shift",  # the probe reads steps of twice the time
+        "file": "dlab/recurrence.py",
+        "text": "shift_violations(returning, time, Fraction(1, k))",
+        "replacement": "shift_violations(returning, 2 * time, Fraction(1, k))",
+        "kills": [PLANTED],
+    },
+    {
+        "name": "omega-part-shift",  # the failure's escape part is read at - r * time
+        "file": "dlab/recurrence.py",
+        "text": "_near(escaping.nonzero_positions, failure + r * time, w)",
+        "replacement": "_near(escaping.nonzero_positions, failure - r * time, w)",
+        "kills": [RANDOM_STATES, PLANTED],
+    },
+    {
+        "name": "sentinel-end",  # an exhausted pointer can tie the last position
+        "file": "dlab/blocks.py",
+        "text": "end = block.last + max(0, -shift) + 1",
+        "replacement": "end = block.last + max(0, -shift)",
+        "kills": [SHIFT_SCAN],
+    },
+    {
+        "name": "sentinel-shift-sign",  # at a negative shift i + shift reads past it
+        "file": "dlab/blocks.py",
+        "text": "end = block.last + max(0, -shift) + 1",
+        "replacement": "end = block.last + max(0, shift) + 1",
+        "kills": [SHIFT_SCAN],
     },
     {
         "name": "c3-resume",  # a refused pair skips the position after it

@@ -110,7 +110,7 @@ def naive_shift_violations(block, shift, bound, at_bound=False):
     """Positions where |v(i+shift) - v(i)| > bound (>= with at_bound), outside
     read as 0."""
     out = []
-    for i in range(block.base - shift, block.last + 1):
+    for i in range(block.base - max(0, shift), block.last - min(0, shift) + 1):
         d = abs(block.at_or_zero(i + shift) - block.at_or_zero(i))
         if d > bound or (at_bound and d == bound):
             out.append(i)

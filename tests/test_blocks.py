@@ -647,17 +647,19 @@ def test_shift_violations_match_dense_scan():
     split = 0  # cases where the two modes disagree: a difference equals the bound
     for _ in range(300):
         base, syms = _dense_case(rng)
-        shift = rng.randint(1, len(syms) + 2)
+        # Negative shifts too: each end of the walk reads its own pointer.
+        reach = rng.randint(1, len(syms) + 2)
+        shift = rng.choice((reach, reach, -reach))
         bound = rng.choice((F(0), F(1, 4), F(1, 2), F(1), F(1, 3), F(2, 7)))
-        if bound and shift < len(syms):
+        if bound and reach < len(syms):
             # Plant differences exactly at the bound.
             syms = list(syms)
             for _ in range(rng.randint(1, 3)):
-                i = rng.randrange(len(syms) - shift)
+                i = rng.randrange(len(syms) - reach)
                 if syms[i] + bound <= 1:
-                    syms[i + shift] = syms[i] + bound
+                    syms[i + reach] = syms[i] + bound
                 elif syms[i] >= bound:
-                    syms[i + shift] = syms[i] - bound
+                    syms[i + reach] = syms[i] - bound
         b = Block(syms, base=base)
         modes = (False, True) if bound else (False,)
         found = {}
@@ -668,8 +670,8 @@ def test_shift_violations_match_dense_scan():
             for i, here, there in hits:
                 assert here is b.at_or_zero(i) and there is b.at_or_zero(i + shift)
             # Bounded by lo..hi, the walk gives the hits in that range.
-            lo = rng.randint(base - shift - 2, b.last + 2)
-            hi = rng.randint(lo - 1, b.last + 2)
+            lo = rng.randint(base - reach - 2, b.last + 2)
+            hi = rng.randint(lo - 1, b.last + reach + 2)
             bounded = blocks.shift_violations(b, shift, bound, at_bound, lo=lo, hi=hi)
             assert list(bounded) == [h for h in hits if lo <= h[0] <= hi]
         split += len(found) == 2 and found[False] != found[True]

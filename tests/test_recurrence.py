@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from dlab import recurrence as rec
 from dlab import thm1, thm2
-from dlab.blocks import Block
+from dlab.blocks import Block, shift_violations
 
 from naive_refs import (
     dense,
@@ -15,6 +16,7 @@ from naive_refs import (
     naive_pair_separation,
     naive_return_times,
     naive_runs,
+    naive_shift_violations,
     naive_window_distance,
 )
 
@@ -392,6 +394,33 @@ def _runs_from_choices(lo, hi, choose):
     return tuple(runs), None
 
 
+def _dense_omega(state, k, w):
+    """The x and y side runs and the CROSS_OMEGA witness (None on a pass)
+    that the dense references give."""
+    sides, want = [], None
+    for side, ret, esc, time in (
+        ("x", state.x, state.y, state.m(k)),
+        ("y", state.y, state.x, state.n(k)),
+    ):
+        lo, hi = ret.base + w, ret.last - w - 3 * time
+
+        def both(j):
+            ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, j)
+            return [r for r in ret_ok if r in esc_ok]
+
+        runs, fail = _runs_from_choices(lo, hi, both)
+        sides.append(runs)
+        if fail is not None and want is None:
+            ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, fail)
+            part = "ab"  # what blocks the center: return (a), escape (b)
+            if ret_ok and not esc_ok:
+                part = "b"
+            elif esc_ok and not ret_ok:
+                part = "a"
+            want = (("side", side), ("center", fail), ("part", part))
+    return sides, want
+
+
 def test_escape_and_omega_match_dense_references_on_random_states():
     rng = random.Random(4242)
     failures = {"ESCAPE": 0, "CROSS_OMEGA": 0}
@@ -415,28 +444,9 @@ def test_escape_and_omega_match_dense_references_on_random_states():
                 failures["ESCAPE"] += 1
                 assert dict(res.report.witness)["center"] == fail
         res = rec.cross_omega_witness(state, k, w)
-        want = None
-        for side, ret, esc, time, got in (
-            ("x", state.x, state.y, state.m(k), res.x_side_runs),
-            ("y", state.y, state.x, state.n(k), res.y_side_runs),
-        ):
-            lo, hi = ret.base + w, ret.last - w - 3 * time
-
-            def both(j):
-                ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, j)
-                return [r for r in ret_ok if r in esc_ok]
-
-            runs, fail = _runs_from_choices(lo, hi, both)
-            assert got == runs
-            single_center_runs += sum(a == b for a, b, _ in runs)
-            if fail is not None and want is None:
-                ret_ok, esc_ok = naive_omega_choices(ret, esc, time, F(3, k), w, fail)
-                part = "ab"  # what blocks the center: return (a), escape (b)
-                if ret_ok and not esc_ok:
-                    part = "b"
-                elif esc_ok and not ret_ok:
-                    part = "a"
-                want = (("side", side), ("center", fail), ("part", part))
+        sides, want = _dense_omega(state, k, w)
+        assert [res.x_side_runs, res.y_side_runs] == sides
+        single_center_runs += sum(a == b for runs in sides for a, b, _ in runs)
         assert res.report.passed == (want is None)
         if want is not None:
             failures["CROSS_OMEGA"] += 1
@@ -445,6 +455,116 @@ def test_escape_and_omega_match_dense_references_on_random_states():
     assert min(failures.values()) > 30, failures
     assert all(parts.values()), parts
     assert single_center_runs > 0
+
+
+# -- the limit-pair return part: the 1/k probe and the 3/k scans ----------------------
+
+
+def _planted_side(rng, half, time, k, plant):
+    """A centered block whose return part at ``time`` and scale k carries
+    ``plant``, over sprinkled nonzeros off the tent that holds its central 1.
+
+    - rigid: x(j*time) = 1 - |j|/k, sprinkles at most 1/k, so no step of
+      ``time`` moves x by more than 1/k and the probe finds nothing;
+    - shallow: the tent falls by 2/k or 3/k per step, so the probe finds a
+      violation and the 3/k scan at r = 1 finds none;
+    - comb: the 1/k tent on the even multiples of ``time`` and zeros on the
+      odd ones, so the probe at ``time`` fails, the 3/k scan at r = 2 finds
+      nothing and a probe at 2 * time would pass;
+    - steep: the tent falls by more than 3/k per step over sprinkles of any
+      value, so every 3/k scan finds a violation.
+    """
+    step = {"rigid": F(1, k), "comb": F(1, k), "shallow": F(rng.choice((2, 3)), k),
+            "steep": F(rng.randint(4, k), k)}[plant]
+    spacing = 2 if plant == "comb" else 1
+    small = plant != "steep"
+    density = rng.choice((0, 0.01, 0.05, 0.15))
+    syms = [(F(rng.randint(1, 4), 4 * k) if small else F(rng.randint(1, 6), 6))
+            if rng.random() < density else F(0) for _ in range(2 * half + 1)]
+    for j in range(-2 * k - 1, 2 * k + 2):
+        value = max(F(0), 1 - abs(j) // spacing * step) if j % spacing == 0 else F(0)
+        if value or plant == "comb":  # the comb clears the multiples off its tent
+            syms[half + j * time] = value
+    return Block(syms, base=-half)
+
+
+def _planted_omega_state(rng):
+    """A stage-7 pair at scale k in 4..6 whose sides each carry a plant, and
+    its window half-width."""
+    k = rng.randint(4, 6)
+    half = rng.randint(100, 140)  # the tents reach (2k + 1) * 7 <= 91
+    times = [[rng.randint(3, half // 4) for _ in range(6)] for _ in "mn"]
+    # Distinct primes, so that the tents alone seldom block every escape.
+    times[0][k - 1], times[1][k - 1] = rng.sample((3, 5, 7), 2)
+    plants = [rng.choice(("rigid", "shallow", "comb", "steep")) for _ in "xy"]
+    x = _planted_side(rng, half, times[0][k - 1], k, plants[0])
+    y = _planted_side(rng, half, times[1][k - 1], k, plants[1])
+    state = thm2.Thm2State(x, y, tuple(times[0]), tuple(times[1]), ())
+    w = rng.choice((0, 0, 1, 2))
+    return state, k, w
+
+
+def _witness_lines(res, k):
+    """The ``dlab recur omega`` lines of a limit-pair witness."""
+    return [res.report.line()] + [
+        f"WITNESS kind=omega side={side} k={k} center={a}..{b} r={r}"
+        for side, runs in (("x", res.x_side_runs), ("y", res.y_side_runs))
+        for a, b, r in runs
+    ]
+
+
+# sha256 of the lines of the planted states below, as the witness printed them
+# when it ran all three 3/k scans on every side.
+PLANTED_OMEGA_DIGEST = "c066ebb8553b48fdf3e43e64ab9f7cdb4cc20b835109622100dc9c4ddd9b6633"
+
+
+def test_omega_probe_branches_match_dense_references_on_planted_states():
+    rng = random.Random(6021)
+    seen = dict.fromkeys((
+        "probe passes", "probe fails, a scan is empty", "probe and every scan fail",
+        "return blocks a center", "FAIL a", "FAIL b", "FAIL ab", "PASS",
+    ), 0)
+    digest = hashlib.sha256()
+    for _ in range(160):
+        state, k, w = _planted_omega_state(rng)
+        res = rec.cross_omega_witness(state, k, w)
+        sides, want = _dense_omega(state, k, w)
+        assert [res.x_side_runs, res.y_side_runs] == sides
+        assert res.report.witness == (want if want is not None else (
+            ("x_runs", len(sides[0])), ("y_runs", len(sides[1])),
+        ))
+        seen["PASS" if want is None else "FAIL " + dict(want)["part"]] += 1
+        for ret, time, escape_side, runs in (
+            (state.x, state.m(k), "YatM", res.x_side_runs),
+            (state.y, state.n(k), "XatN", res.y_side_runs),
+        ):
+            probe = naive_shift_violations(ret, time, F(1, k))
+            scans = [list(shift_violations(ret, r * time, F(3, k))) for r in (1, 2, 3)]
+            escape = rec.escape_witness(state, k, w, escape_side)
+            if not probe:
+                seen["probe passes"] += 1
+                # 1/k per step of the time is at most 3/k in three steps.
+                assert not any(scans)
+                assert runs == escape.runs
+            else:
+                seen["probe fails, a scan is empty" if not all(scans)
+                     else "probe and every scan fail"] += 1
+                seen["return blocks a center"] += runs != escape.runs
+        for line in _witness_lines(res, k):
+            digest.update(line.encode() + b"\n")
+    assert min(seen.values()) > 10, seen
+    assert digest.hexdigest() == PLANTED_OMEGA_DIGEST
+
+
+def test_omega_sides_are_escape_runs_on_the_built_pair():
+    # Conditions I and II hold on the built pair, so each side's runs are the
+    # other block's escape runs at its time.
+    state = thm2.build_to_stage(5)
+    for k in range(1, 5):
+        res = rec.cross_omega_witness(state, k, 1)
+        assert res.report.passed
+        assert res.x_side_runs == rec.escape_witness(state, k, 1, "YatM").runs
+        assert res.y_side_runs == rec.escape_witness(state, k, 1, "XatN").runs
 
 
 def test_epsilon_times_match_the_dense_metric():

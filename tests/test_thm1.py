@@ -723,14 +723,7 @@ def test_ratio_steps_at_the_bound_are_scanned(monkeypatch, seed, rows, line):
 
 def _verify_lines(state, kmax, jmax):
     """The five report lines of ``dlab thm1 verify``, as the CLI computes them."""
-    c3_kmax = min(kmax, state.stage - 1)
-    return [
-        thm1.check_c1(state, kmax).line(),
-        thm1.check_c2prime(state, jmax).line(),
-        thm1.check_c3(state, c3_kmax).line(),
-        thm1.literal_smallness_falsifier(state, c3_kmax).line(),
-        thm1.check_tails(state).line(),
-    ]
+    return [r.line() for r in thm1.stage_reports(state, kmax, jmax)]
 
 
 def _layout(state):
