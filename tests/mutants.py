@@ -23,10 +23,12 @@ only some of its node ids, 2 when the unmutated copy does not pass.
 The list holds the span walk of ``dlab.recurrence`` and the 1/k probe of
 its limit-pair witness, the end sentinel of ``blocks.shift_violations``,
 thm1's C3 gate walk, the copy geometry of ``blocks.CopyLayout``, the cap
-test of ``blocks.check_cap``, and the oracle sweep: its shared limit-set walk, its
-partition-mask fold, and the report equality and value formatting it pays
-for on every map.  The copy audit, whose mutants earlier changes ran by hand
-(CHANGES.md), waits for a later change to be listed here.
+test of ``blocks.check_cap``, the oracle sweep (its shared limit-set walk,
+its partition-mask fold, and the report equality and value formatting it
+pays for on every map) and ``dlab.cli`` (the FAIL scan of its batched
+report writer, and the imports it leaves to its handlers).  The copy audit,
+whose mutants earlier changes ran by hand (CHANGES.md), waits for a later
+change to be listed here.
 """
 
 import os
@@ -61,6 +63,8 @@ SWEPT_PARTS = "tests/test_oracle.py::test_sweep_prints_each_planted_lemma7_failu
 SHARED = "tests/test_oracle.py::test_sweep_shared_limit_sets_give_the_public_lines[{}]"
 EQUALITY = "tests/test_records.py::test_equality_and_hash_follow_the_fields[{}]"
 FORMAT = "tests/test_records.py::test_report_values_print_as_pinned[{}]"
+START_UP = "tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs"
+BATCHES = "tests/test_cli.py::test_report_written_in_batches_keeps_every_line_and_fail"
 
 MUTANTS = [
     {
@@ -314,6 +318,27 @@ MUTANTS = [
         "text": "if cls is str or cls is int:\n        return str(v)",
         "replacement": "if cls is str or cls is int:\n        return repr(v)",
         "kills": [FORMAT.format("str")],
+    },
+    {
+        "name": "writer-last-batch",  # a FAIL in the last, partial batch is not seen
+        "file": "dlab/cli.py",
+        "text": "for line in batch:",
+        "replacement": "for line in (batch if len(batch) == WRITE_BATCH else ()):",
+        "kills": [BATCHES],
+    },
+    {
+        "name": "writer-first-line",  # only the first line of each batch is scanned
+        "file": "dlab/cli.py",
+        "text": "for line in batch:",
+        "replacement": "for line in batch[:1]:",
+        "kills": [BATCHES],
+    },
+    {
+        "name": "eager-thm2",  # every command compiles thm2 again
+        "file": "dlab/cli.py",
+        "text": "from .report import CheckReport, INFO\n",
+        "replacement": "from . import thm2\nfrom .report import CheckReport, INFO\n",
+        "kills": [START_UP],
     },
 ]
 

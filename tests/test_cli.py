@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import subprocess
 import sys
@@ -385,6 +386,59 @@ def test_main_callable_in_process(capsys):
     code = main(["oracle", "lemma6", "--map", "1,2,2", "--point", "0"])
     assert code == 0
     assert "CHECK LEMMA6 PASS" in capsys.readouterr().out
+
+
+# The dlab modules each small command adds to those `import dlab, dlab.cli`
+# loads: only the ones it runs (README "Start-up").
+COMMAND_MODULES = {
+    "thm1 verify --stage 2 --kmax 1": {"dlab.thm1"},
+    "thm2 verify --stage 2 --kmax 1": {"dlab.thm2"},
+    "recur escape --stage 2 --k 1 --w 0": {"dlab.recurrence", "dlab.thm2"},
+    "oracle sweep --nmax 2": {"dlab.oracle"},
+    "oracle lemma6 --map 0,0 --point 1": {"dlab.oracle"},
+}
+START_UP_PROBE = """\
+import sys
+before = set(sys.modules)
+import dlab, dlab.cli
+imported = set(sys.modules)
+code = dlab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(repr((sorted(imported - before), sorted(set(sys.modules) - imported), code)),
+      file=sys.stderr)
+"""
+
+
+def _start_up(argv):
+    """(modules the import loads, modules the command adds, exit code) in a
+    child run as ``python -S``, so that no ``.pth`` file loads modules first."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_PROBE, *argv],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    imported, added, code = ast.literal_eval(result.stderr.splitlines()[-1])
+    return set(imported), set(added), code
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    imported, _, _ = _start_up([])
+    assert {m for m in imported if m.startswith("dlab")} == {
+        "dlab", "dlab.blocks", "dlab.report", "dlab.cli"
+    }
+    unneeded = {"typing", "random", "dataclasses", "inspect"}
+    assert imported & unneeded == set()
+    for command, modules in COMMAND_MODULES.items():
+        imported, added, code = _start_up(command.split())
+        assert code == 0, command
+        assert {m for m in added if m.startswith("dlab")} == modules, command
+        assert (imported | added) & unneeded == set(), command
+
+
+def test_report_written_in_batches_keeps_every_line_and_fail(monkeypatch, capsys):
+    lines = [f"CHECK C1 PASS i={i}" for i in range(2 * cli.WRITE_BATCH + 5)]
+    lines[-2] = "CHECK C1 FAIL i=last-batch"  # neither a full batch nor its first line
+    monkeypatch.setattr(cli, "cmd_oracle_lemma6", lambda args: lines)
+    assert main(["oracle", "lemma6", "--map", "0", "--point", "0"]) == 1
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_thm2_verify_computes_the_gate_reports_once(monkeypatch, capsys):

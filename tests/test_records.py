@@ -1,16 +1,15 @@
-"""The hand-written records behave as frozen dataclasses did, and importing
-dlab pulls in neither ``dataclasses`` nor ``inspect``."""
+"""The hand-written records behave as frozen dataclasses did.  That
+importing dlab pulls in neither ``dataclasses`` nor ``inspect`` is checked in
+``tests/test_cli.py`` with the rest of the start-up."""
 
 import copy
 import pickle
-import subprocess
 import sys
 from enum import IntEnum
 from fractions import Fraction as F
 
 import pytest
 
-from child_env import CHILD_ENV
 from dlab import oracle, thm1, thm2
 from dlab.blocks import Block, CopyLayout
 from dlab.oracle import FiniteSystem, Partition
@@ -181,15 +180,3 @@ def test_copy_ratios_are_cached_outside_the_fields(monkeypatch):
     assert ratios is not None and a.copy_ratios is ratios and len(calls) == 1
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert "copy_ratios" not in repr(a)
-
-
-def test_import_loads_neither_dataclasses_nor_inspect():
-    probe = (
-        "import sys, dlab, dlab.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
