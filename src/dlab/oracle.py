@@ -29,7 +29,11 @@ DEFAULT_EXHAUSTIVE_BOUND = 8  # is_td masks are Bell(8) = 4140 bits wide
 
 
 class FiniteSystem(Record):
-    """Endomap on {0..size-1} given by its value table; size is len(table)."""
+    """Endomap on {0..size-1} given by its value table; size is len(table).
+
+    ``FiniteSystem(table)`` checks the table; ``_trusted`` skips the checks
+    for a table the oracle derives from one already checked (every map of a
+    sweep, a product, a power)."""
 
     __slots__ = _fields = ("table",)
 
@@ -44,6 +48,14 @@ class FiniteSystem(Record):
         if min(table) < 0 or max(table) >= len(table):
             raise ValueError("table values must lie in 0..size-1")
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _trusted(cls, table: tuple) -> "FiniteSystem":
+        # Fast path for a tuple of ints in 0..len(table)-1, which is what
+        # ``__init__`` would accept.
+        sys = object.__new__(cls)
+        object.__setattr__(sys, "table", table)
+        return sys
 
     @property
     def size(self) -> int:
@@ -69,7 +81,7 @@ def make_system(table) -> FiniteSystem:
 def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
     """Coordinatewise product; point (p, q) is encoded as p * b.size + q."""
     n = len(b.table)
-    return FiniteSystem(tuple([u * n + v for u in a.table for v in b.table]))
+    return FiniteSystem._trusted(tuple([u * n + v for u in a.table for v in b.table]))
 
 
 class Partition(Record):
@@ -168,14 +180,15 @@ def is_td(sys: FiniteSystem):
     only partition found, with the diagonal tested first since it is the
     canonical witness whenever the map is not onto.
     """
-    n = sys.size
+    table = sys.table
+    n = len(table)
     check_exhaustive_size(n)
     diag, rel = _diagonal(n)
     # The pair (x, x) maps to (Tx, Tx), coded Tx * (n + 1): the n diagonal
     # codes of the pair table, read without building its n^2 entries.
-    if frozenset([v * (n + 1) for v in sys.table]) < rel:  # forward-invariant only
+    if frozenset([v * (n + 1) for v in table]) < rel:  # forward-invariant only
         return False, diag
-    return _scan_partitions(sys.table)
+    return _scan_partitions(table)
 
 
 @lru_cache(maxsize=None)
@@ -276,16 +289,14 @@ def _omega_table(table: tuple) -> tuple:
     """The limit set of every point of the map ``table`` as a bit mask (bit z
     set when z is in it), from one walk of its functional graph: each walk
     runs until it closes a new cycle or lands on a point already labelled,
-    and every point on it gets that cycle."""
+    and every point on it gets that cycle, retraced from the walk's start."""
     omega = [0] * len(table)  # 0: not reached yet; -1: on the current walk
     for start in range(len(table)):
         if omega[start]:
             continue
-        path = []
         cur = start
         while not omega[cur]:
             omega[cur] = -1
-            path.append(cur)
             cur = table[cur]
         limit = omega[cur]
         if limit < 0:  # the walk closed a new cycle at cur: go round it once
@@ -294,8 +305,10 @@ def _omega_table(table: tuple) -> tuple:
             while z != cur:
                 limit |= 1 << z
                 z = table[z]
-        for z in path:
+        z = start
+        while omega[z] < 0:
             omega[z] = limit
+            z = table[z]
     return tuple(omega)
 
 
@@ -331,16 +344,33 @@ def lemma6_relation(sys: FiniteSystem, x: int):
     return points, partition, report
 
 
+def _on_cycles(table) -> bool:
+    """Every point of the map ``table`` lies on a cycle, from one walk of its
+    functional graph.  A point is marked once its walk reaches it; a walk
+    from an unmarked point runs to the first marked one.  If that is its
+    start, the walk went round one cycle; if not, it met a cycle (its own, or
+    one an earlier walk closed) that leaves its start out."""
+    seen = bytearray(len(table))
+    for start in range(len(table)):
+        cur = start
+        while not seen[cur]:
+            seen[cur] = 1
+            cur = table[cur]
+        if cur != start:
+            return False
+    return True
+
+
 def all_pairs_recurrent(sys: FiniteSystem) -> bool:
-    """Every pair recurrent for the product map.
+    """Every pair recurrent for the product map: every pair code a * n + b
+    lies on a cycle of ``pair_table``, walked once by ``_on_cycles``.
 
     A non-onto map has a point outside the image, which is not recurrent, so
-    only onto maps need the full product scan.
+    only onto maps need the walk.
     """
     if not sys.onto:
         return False
-    omega = _omega_table(sys.pair_table)
-    return all(limit >> p & 1 for p, limit in enumerate(omega))
+    return _on_cycles(sys.pair_table)
 
 
 def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
@@ -359,15 +389,16 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base = _omega_table(sys.table) if omega is None else omega
-    params = (("n", sys.size), ("n_max", n_max))
     table = sys.table
-    powers = [tuple(range(sys.size)), table]  # powers[k] is the table of T^k
+    size = len(table)
+    base = _omega_table(table) if omega is None else omega
+    params = (("n", size), ("n_max", n_max))
+    powers = [tuple(range(size)), table]  # powers[k] is the table of T^k
     for _ in range(n_max - 1):
         powers.append(tuple(map(table.__getitem__, powers[-1])))
     omegas = {n: _omega_table(powers[n]) for n in range(2, n_max + 1)}
 
-    for x in range(sys.size):
+    for x in range(size):
         base_omega = base[x]
         base_recurrent = base_omega >> x & 1
         for n in range(2, n_max + 1):
@@ -387,7 +418,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
                 )
     if all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
-            td, witness = is_td(FiniteSystem(powers[n]) if n > 1 else sys)
+            td, witness = is_td(FiniteSystem._trusted(powers[n]) if n > 1 else sys)
             if not td:
                 return CheckReport(
                     "LEMMA7", FAIL, params,
@@ -401,14 +432,16 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
 
 def all_systems(n: int):
     """All n^n endomaps on n points, in table-lexicographic order."""
-    for table in iter_product(range(n), repeat=n):
-        yield FiniteSystem(table)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return map(FiniteSystem._trusted, iter_product(range(n), repeat=n))
 
 
 def all_permutation_systems(n: int):
     """The n! bijections of n points, in the same table-lexicographic order."""
-    for table in permutations(range(n)):
-        yield FiniteSystem(table)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return map(FiniteSystem._trusted, permutations(range(n)))
 
 
 def check_map_determinism(sys: FiniteSystem, *, omega=None) -> CheckReport:
@@ -418,13 +451,15 @@ def check_map_determinism(sys: FiniteSystem, *, omega=None) -> CheckReport:
     point of a map of any size).  ``omega`` is the map's ``_omega_table``
     when the caller has walked it already."""
     td, witness = is_td(sys)
+    table = sys.table
+    size = len(table)
     onto = sys.onto
-    params = (("n", sys.size), ("map", ",".join(map(str, sys.table))), ("onto", onto))
+    params = (("n", size), ("map", ",".join(map(str, table))), ("onto", onto))
     if td != onto:
         return CheckReport(
             "SWEEP_MAP", FAIL, params, (("part", "td_vs_onto"), ("td", td))
         )
-    if not td and witness != _diagonal(sys.size)[0]:
+    if not td and witness != _diagonal(size)[0]:
         return CheckReport(
             "SWEEP_MAP", FAIL, params,
             (("part", "witness"), ("witness", witness.label())),
@@ -432,16 +467,15 @@ def check_map_determinism(sys: FiniteSystem, *, omega=None) -> CheckReport:
     # At each escaping point, lemma6_relation's partition (the orbit closure
     # and singletons) must be forward invariant only: one bit of the map's
     # masks, scanned once and only if some point escapes.
-    table = sys.table
     if omega is None:
         omega = _omega_table(table)
     only = None
-    for x in range(sys.size):
+    for x in range(size):
         if omega[x] >> x & 1:
             continue
         if only is None:
             only = _partition_masks(table)[1]
-            index = _closure_index(sys.size)
+            index = _closure_index(size)
         closure, cur = 0, x
         while not closure >> cur & 1:  # stops within n steps, whatever omega says
             closure |= 1 << cur

@@ -24,11 +24,11 @@ The list holds the span walk of ``dlab.recurrence`` and the 1/k probe of
 its limit-pair witness, the end sentinel of ``blocks.shift_violations``,
 thm1's C3 gate walk, the copy geometry of ``blocks.CopyLayout``, the cap
 test of ``blocks.check_cap``, the oracle sweep (its shared limit-set walk,
-its partition-mask fold, and the report equality and value formatting it
-pays for on every map) and ``dlab.cli`` (the FAIL scan of its batched
-report writer, and the imports it leaves to its handlers).  The copy audit,
-whose mutants earlier changes ran by hand (CHANGES.md), waits for a later
-change to be listed here.
+its partition-mask fold, the pair-cycle walk of ``all_pairs_recurrent``, and
+the report equality and value formatting it pays for on every map) and
+``dlab.cli`` (the FAIL scan of its batched report writer, and the imports it
+leaves to its handlers).  The copy audit, whose mutants earlier changes ran
+by hand (CHANGES.md), waits for a later change to be listed here.
 """
 
 import os
@@ -61,6 +61,8 @@ MASKS = "tests/test_oracle.py::test_partition_masks_classify_every_partition"
 PART_A = "tests/test_oracle.py::test_lemma7_part_a_reports_a_point_lost_by_a_power"
 SWEPT_PARTS = "tests/test_oracle.py::test_sweep_prints_each_planted_lemma7_failure"
 SHARED = "tests/test_oracle.py::test_sweep_shared_limit_sets_give_the_public_lines[{}]"
+PAIR_TAILS = "tests/test_oracle.py::test_pair_walk_sees_each_pair_moved_onto_a_tail"
+DENSE_CYCLES = "tests/test_oracle.py::test_pair_walk_matches_the_dense_cycle_test"
 EQUALITY = "tests/test_records.py::test_equality_and_hash_follow_the_fields[{}]"
 FORMAT = "tests/test_records.py::test_report_values_print_as_pinned[{}]"
 START_UP = "tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs"
@@ -304,6 +306,39 @@ MUTANTS = [
         "text": "omega = _omega_table(sys.table)",
         "replacement": "omega = _omega_table(tuple(map(sys.table.__getitem__, sys.table)))",
         "kills": [SHARED.format(2), SHARED.format(4)],
+    },
+    {
+        "name": "cycle-closes-below",  # a walk that meets itself above its start closes
+        "file": "dlab/oracle.py",
+        "text": "if cur != start:",
+        "replacement": "if cur < start:",
+        "kills": [PAIR_TAILS, DENSE_CYCLES],
+    },
+    {
+        "name": "cycle-state-ahead",  # the walk stops one point before a marked one
+        "file": "dlab/oracle.py",
+        "text": "while not seen[cur]:",
+        "replacement": "while not seen[table[cur]]:",
+        "kills": [PAIR_TAILS, DENSE_CYCLES],
+    },
+    {
+        "name": "cycle-state-per-walk",  # each walk forgets the earlier walks' marks
+        "file": "dlab/oracle.py",
+        "text": "    seen = bytearray(len(table))\n    for start in range(len(table)):\n",
+        "replacement": "    for start in range(len(table)):\n        seen = bytearray(len(table))\n",
+        "equivalent": (
+            "a point marked by an earlier walk lies on a cycle that walk closed, so a walk "
+            "that forgets it runs on round that cycle and stops where it first meets its "
+            "own path: the point where its orbit enters its cycle, which is its start "
+            "exactly when its start is on a cycle, as when it stops at the earlier mark"
+        ),
+    },
+    {
+        "name": "pairs-walk-skipped",  # an onto map passes without the walk
+        "file": "dlab/oracle.py",
+        "text": "return _on_cycles(sys.pair_table)",
+        "replacement": "return True",
+        "kills": [PAIR_TAILS],
     },
     {
         "name": "eq-identity",  # a record differs from itself

@@ -305,6 +305,23 @@ def naive_omega_limit(table, x):
     return frozenset(out)
 
 
+def naive_on_cycle(table, x):
+    """Whether x lies on a cycle: T^k x = x for some 1 <= k <= n on n points."""
+    y = x
+    for _ in range(len(table)):
+        y = table[y]
+        if y == x:
+            return True
+    return False
+
+
+def naive_pair_table(table):
+    """The product map's table: pair (a, b), coded a * n + b, goes to
+    (Ta, Tb)."""
+    n = len(table)
+    return tuple(table[c // n] * n + table[c % n] for c in range(n * n))
+
+
 def naive_orbit_points(table, x):
     """The points T^i x for 0 <= i < n on n points: every point the orbit of
     x reaches, its cycle included."""

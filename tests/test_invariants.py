@@ -1,5 +1,6 @@
 """Construction invariants are explicit checks, so they hold under ``python -O``."""
 
+import math
 import subprocess
 import sys
 
@@ -204,6 +205,49 @@ def test_planted_partition_masks_fail_the_sweep_under_optimize():
         "optimize 1",
         "CHECK SWEEP_MAP FAIL n=3 map=0,0,1 onto=false part=lemma6 x=1",
         "TypeError table entry 0 is True, not an int",
+    ]
+
+
+# The tables the oracle builds without the record checks (the sweep's maps,
+# products, lemma7's powers) are ones those checks admit, without relying on
+# ``assert``: each is rebuilt through ``FiniteSystem(...)`` and compared.
+TRUSTED_PROBE = """
+import sys
+from dlab import oracle
+print("optimize", sys.flags.optimize)
+real = oracle.FiniteSystem._trusted
+counts = {"tables": 0, "unequal": 0}
+def guarded(cls, table):
+    system = real(table)
+    counts["tables"] += 1
+    counts["unequal"] += oracle.FiniteSystem(table) != system
+    return system
+oracle.FiniteSystem._trusted = classmethod(guarded)
+small = [s for n in range(1, 4) for s in oracle.all_systems(n)]
+for a in small:
+    for b in small:
+        oracle.product_system(a, b)
+for n in range(1, 6):
+    for s in oracle.all_permutation_systems(n):
+        oracle.lemma7_checks(s, 4)
+    list(oracle.all_systems(n))
+print(counts)
+"""
+
+
+def test_trusted_tables_pass_the_checks_under_optimize():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", TRUSTED_PROBE],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    # The 32 maps on n <= 3 points and their 32^2 products; per n <= 5, n!
+    # permutations, each with its pair table and 3 powers, and n^n maps.
+    tables = 32 + 32**2 + sum(5 * math.factorial(n) + n**n for n in range(1, 6))
+    assert result.stdout.splitlines() == [
+        "optimize 1", f"{{'tables': {tables}, 'unequal': 0}}"
     ]
 
 

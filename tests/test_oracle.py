@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 
@@ -12,7 +13,9 @@ from naive_refs import (
     naive_growth_strings,
     naive_mask,
     naive_omega_limit,
+    naive_on_cycle,
     naive_orbit_points,
+    naive_pair_table,
     naive_pairs,
     naive_power_table,
     naive_same_masks,
@@ -343,16 +346,62 @@ def test_all_pairs_recurrent_only_for_permutations_n3():
         assert o.all_pairs_recurrent(s) == s.onto
 
 
-def test_all_pairs_recurrent_reads_each_pair_bit(monkeypatch):
-    # Every pair of a permutation lies on a cycle, so only a planted limit set
-    # that leaves its own pair out (but is not empty) can show the test read.
+def _tail_at(table, c):
+    """The bijection ``table`` with c moved onto a tail: c's one preimage is
+    sent on to Tc (a fixed point c is sent on to c + 1), so nothing maps to c."""
+    out = list(table)
+    q = table.index(c)
+    out[q] = table[c] if q != c else (c + 1) % len(table)
+    return tuple(out)
+
+
+def test_pair_walk_sees_each_pair_moved_onto_a_tail(monkeypatch):
+    # Every pair of a permutation lies on a cycle, so only a pair table with
+    # one pair moved onto a tail can show that the walk tests every pair.
+    real = o._on_cycles
     for n in (2, 3):
         for s in o.all_permutation_systems(n):
+            pairs = s.pair_table
             for code in range(n * n):
+                planted = _tail_at(pairs, code)
+                assert not naive_on_cycle(planted, code)
+                assert o._on_cycles(planted) is False, (s.table, code)
+                walked = []
                 with monkeypatch.context() as m:
-                    _plant_omega(m, s.pair_table, code, {(code + 1) % (n * n)})
+                    m.setattr(o, "_on_cycles", lambda t: walked.append(tuple(t))
+                              or real(_tail_at(t, code)))
                     assert o.all_pairs_recurrent(s) is False, (s.table, code)
+                assert walked == [pairs]
+            assert o._on_cycles(pairs) is True, s.table
             assert o.all_pairs_recurrent(s) is True, s.table
+
+
+def test_pair_walk_matches_the_dense_cycle_test():
+    # Every map on up to 4 points and its pair table, then on up to 12 points
+    # seeded maps, and seeded permutations with a tail planted or entries
+    # redirected.
+    rng = random.Random(6029)
+    tables = [s.table for n in range(1, 5) for s in o.all_systems(n)]
+    for s in map(o.make_system, tables):
+        pairs = naive_pair_table(s.table)
+        want = all(naive_on_cycle(pairs, c) for c in range(len(pairs)))
+        assert o.all_pairs_recurrent(s) is want, s.table
+    tables += list(map(naive_pair_table, tables))
+    for n in range(1, 13):
+        for _ in range(40):
+            tables.append(tuple(rng.randrange(n) for _ in range(n)))
+            perm = tuple(rng.sample(range(n), n))
+            tables += [perm, _tail_at(perm, rng.randrange(n))] if n > 1 else [perm]
+            redirected = list(perm)  # a few entries sent anywhere
+            for x in rng.sample(range(n), rng.randint(1, n)):
+                redirected[x] = rng.randrange(n)
+            tables.append(tuple(redirected))
+    counts = {True: 0, False: 0}
+    for table in tables:
+        want = all(naive_on_cycle(table, x) for x in range(len(table)))
+        assert o._on_cycles(table) is want, table
+        counts[want] += 1
+    assert min(counts.values()) > 500, counts
 
 
 # -- planted violations: each FAIL line the sweep can print ---------------------------
@@ -621,6 +670,40 @@ def test_sweep_shapes():
     summaries = [r for r in reports if r.check_id == "SWEEP_SUMMARY"]
     assert [dict(r.params)["maps"] for r in summaries] == [1, 4, 27]
     assert all(r.passed for r in reports)
+
+
+def test_trusted_tables_build_equal_checked_systems(monkeypatch):
+    # The sweep's maps, products and lemma7's powers skip the table checks;
+    # each table that does must pass them and give an equal system.
+    real = o.FiniteSystem._trusted
+    seen = []
+
+    def guarded(cls, table):
+        system = real(table)
+        assert o.FiniteSystem(table) == system, table
+        seen.append(table)
+        return system
+
+    monkeypatch.setattr(o.FiniteSystem, "_trusted", classmethod(guarded))
+    for n in range(1, 6):
+        assert list(o.all_systems(n)) == list(map(o.FiniteSystem, seen[-n**n:]))
+        perms = list(o.all_permutation_systems(n))
+        assert len(perms) == math.factorial(n) and seen[-1] == perms[-1].table
+    assert len(seen) == sum(n**n + math.factorial(n) for n in range(1, 6))
+    small = [s for n in range(1, 4) for s in o.all_systems(n)]
+    count = len(seen)
+    for a in small:
+        for b in small:
+            assert o.product_system(a, b).table == seen[-1]
+    assert len(seen) == count + len(small) ** 2
+    count = len(seen)
+    for s in perms:  # n = 5: every pair is recurrent, so part (c) runs
+        assert o.lemma7_checks(s, 4).passed
+    assert len(seen) == count + 4 * len(perms)  # the pair table, the powers 2..4
+    for generate in (o.all_systems, o.all_permutation_systems):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                generate(n)
 
 
 def test_permutation_systems_are_the_onto_maps_in_order():
