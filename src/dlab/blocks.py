@@ -99,6 +99,12 @@ def check_cap(stage: int, cap: "int | None", count, noun: str) -> None:
     raise ResourceCapError(f"stage {stage} {noun.format(need)}, cap is {cap}")
 
 
+def check_admissible(name: str, value: int, stage: int) -> None:
+    """Raise ValueError unless 1 <= value <= stage - 1, a scale the stage verifies."""
+    if not 1 <= value <= stage - 1:
+        raise ValueError(f"{name}={value} out of admissible range 1..{stage - 1}")
+
+
 class InvariantError(RuntimeError):
     """A construction step broke one of its own invariants: a program fault."""
 
@@ -328,8 +334,8 @@ class CopyLayout(Record):
     Copy t holds positions base + t*L .. base + (t+1)*L - 1, with L = len(B)
     the pitch and base = B.base; ``pieces`` cuts a range at those seams, and
     no other code places a copy.  Only B and the ratios are stored, so a row
-    whose copies would not fit in memory can still be read: by position, by
-    its nonzero positions in a range, by its trailing zero run, through
+    whose copies would not fit in memory can still be read: by its
+    nonzero positions in a range, by its trailing zero run, through
     ``cover`` and ``pair_cover``, which build a block only from the copies a
     read meets, and by ``write_tdseq``, copy by copy.  Every ratio lies in
     [0, 1], like every symbol.
@@ -375,14 +381,6 @@ class CopyLayout(Record):
             (t, max(lo, base + t * pitch), min(hi, base + (t + 1) * pitch - 1))
             for t in range((lo - base) // pitch, (hi - base) // pitch + 1) if lo <= hi
         ]
-
-    def __getitem__(self, i: int) -> Fraction:
-        if not self.base <= i <= self.last:
-            raise IndexError(
-                f"position {i} outside layout range [{self.base}, {self.last}]"
-            )
-        t, offset = divmod(i - self.base, self.pitch)
-        return _canonical(self.ratios[t] * self.copy0[self.base + offset])
 
     def nonzero_in(self, lo: int, hi: int) -> list:
         """Nonzero positions p with lo <= p <= hi (sorted)."""

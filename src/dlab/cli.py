@@ -22,6 +22,7 @@ from .blocks import (
     DEFAULT_MAX_NONZEROS,
     DEFAULT_MAX_NONZEROS_PER_BLOCK,
     ResourceCapError,
+    check_admissible,
     check_cap,
     dump_tdseq,
 )
@@ -35,9 +36,9 @@ SWEEP_EXHAUSTIVE_BOUND = 6
 # (Python 3.11.7 on a 2-vCPU Xeon).
 WRITE_BATCH = 4096
 # lemma6 codes every pair of its relation's orbit block, n^2 of them on a
-# path of n points, and reads their images off the map's pair table, n^2
-# entries on any map: 1,000 entries take 0.42 s and 180 MB (Python 3.11.7 on
-# a 2-vCPU Xeon), and the memory grows as n^2.
+# path of n points, and every pair of the block's image: 1,000 entries take
+# 0.27 s and 179 MB (Python 3.11.7 on a 2-vCPU Xeon), and the memory grows
+# as n^2.
 LEMMA6_MAP_BOUND = 1000
 # lemma7_checks keeps the N+1 tables of T^0..T^N and ORs N(N+1)/2 limit sets
 # per point, so a sweep grows as N^2: at the bound, `oracle sweep --nmax 8
@@ -98,10 +99,8 @@ def _check_stage_args(args) -> None:
         raise ValueError("kmax must be >= 1")
     for name in ("jmax", "k"):
         value = getattr(args, name, None)
-        if value is not None and not 1 <= value <= args.stage - 1:
-            raise ValueError(
-                f"{name}={value} out of admissible range 1..{args.stage - 1}"
-            )
+        if value is not None:
+            check_admissible(name, value, args.stage)
     if getattr(args, "w", 0) < 0:
         raise ValueError("w must be >= 0")
     if getattr(args, "horizon", None) is not None and args.horizon < 1:

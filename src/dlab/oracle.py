@@ -33,7 +33,7 @@ class FiniteSystem(Record):
 
     ``FiniteSystem(table)`` checks the table; ``_trusted`` skips the checks
     for a table the oracle derives from one already checked (every map of a
-    sweep, a product, a power)."""
+    sweep, a power)."""
 
     __slots__ = _fields = ("table",)
 
@@ -67,21 +67,17 @@ class FiniteSystem(Record):
 
     @property
     def pair_table(self) -> tuple:
-        """The product map's value table, ``product_system(self, self).table``:
-        pair (a, b) is coded a * size + b.  Built on each read."""
-        return product_system(self, self).table
+        """The value table of the product map (a, b) -> (Ta, Tb), with pair
+        (a, b) coded a * size + b.  Built on each read."""
+        table = self.table
+        n = len(table)
+        return tuple([u * n + v for u in table for v in table])
 
 
 def make_system(table) -> FiniteSystem:
     """The system of ``table``'s entries, each taken by ``operator.index``, so
     an integer type converts exactly and 1.7 is refused, not truncated."""
     return FiniteSystem(tuple(map(operator.index, table)))
-
-
-def product_system(a: FiniteSystem, b: FiniteSystem) -> FiniteSystem:
-    """Coordinatewise product; point (p, q) is encoded as p * b.size + q."""
-    n = len(b.table)
-    return FiniteSystem._trusted(tuple([u * n + v for u in a.table for v in b.table]))
 
 
 class Partition(Record):
@@ -147,8 +143,8 @@ def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
 
     The comparison is raw containment of pair sets; the image of an
     equivalence relation under the pair map need not be one, and no closure
-    is taken.  A pair (a, b) is coded a * n + b, so the image is read off
-    the system's pair table.
+    is taken.  A pair (a, b) is coded a * n + b.  The pairs of a block B go
+    to T(B) x T(B), so the image is the pair set of the blocks' images.
     """
     n = sys.size
     if partition.size != n:
@@ -156,7 +152,8 @@ def classify_relation(sys: FiniteSystem, partition: Partition) -> str:
             f"size mismatch: system {n}, partition {partition.size}"
         )
     rel = frozenset([a * n + b for blk in partition.blocks for a in blk for b in blk])
-    image = frozenset(map(sys.pair_table.__getitem__, rel))
+    images = [set(map(sys.table.__getitem__, blk)) for blk in partition.blocks]
+    image = frozenset([u * n + v for blk in images for u in blk for v in blk])
     if image < rel:
         return FORWARD_INVARIANT_ONLY
     if image == rel:
@@ -273,16 +270,14 @@ def _scan_partitions(table: tuple):
     return False, Partition.from_rgs(rgs[(found & -found).bit_length() - 1])
 
 
-def orbit(sys: FiniteSystem, x: int) -> list:
-    """Forward orbit x, Tx, ... up to (and excluding) the first repeat."""
-    seen = {}
-    out = []
-    cur = x
-    while cur not in seen:
-        seen[cur] = len(out)
-        out.append(cur)
-        cur = sys.table[cur]
-    return out
+def _orbit_mask(table: tuple, x: int) -> int:
+    """The orbit x, Tx, T^2 x, ... of the map ``table`` as a bit mask (bit z
+    set when z is on it), walked up to its first repeat: at most n steps."""
+    mask, cur = 0, x
+    while not mask >> cur & 1:
+        mask |= 1 << cur
+        cur = table[cur]
+    return mask
 
 
 def _omega_table(table: tuple) -> tuple:
@@ -319,29 +314,29 @@ def lemma6_relation(sys: FiniteSystem, x: int):
     Returns (points, partition, report); an error if x is recurrent, since
     the construction needs the orbit to leave x behind.
     """
-    if not 0 <= x < sys.size:
-        raise ValueError(f"point {x} outside 0..{sys.size - 1}")
-    out = orbit(sys, x)
-    # x is recurrent exactly when its orbit closes back at x.
-    if sys.table[out[-1]] == x:
+    table, n = sys.table, sys.size
+    if not 0 <= x < n:
+        raise ValueError(f"point {x} outside 0..{n - 1}")
+    after = _orbit_mask(table, table[x])
+    closure = after | 1 << x  # the orbit of x, its cycle included
+    # x is recurrent exactly when the orbit of Tx comes back to it.
+    if after >> x & 1:
         raise ValueError(
             f"point {x} is forward recurrent; the construction needs an "
             "escaping point"
         )
-    points = frozenset(out)  # orbit already contains its cycle
-    block = tuple(sorted(points))
-    blocks = [(y,) for y in range(sys.size) if y not in points]
-    blocks.append(block)
-    partition = Partition(tuple(sorted(blocks)))
+    block = tuple(y for y in range(n) if closure >> y & 1)
+    rest = [(y,) for y in range(n) if not closure >> y & 1]
+    partition = Partition.from_blocks([block, *rest])
     cls = classify_relation(sys, partition)
     verdict = PASS if cls == FORWARD_INVARIANT_ONLY else FAIL
     report = CheckReport(
         "LEMMA6",
         verdict,
-        (("n", sys.size), ("x", x)),
+        (("n", n), ("x", x)),
         (("classified", cls), ("points", ",".join(map(str, block)))),
     )
-    return points, partition, report
+    return frozenset(block), partition, report
 
 
 def _on_cycles(table) -> bool:
@@ -363,13 +358,7 @@ def _on_cycles(table) -> bool:
 
 def all_pairs_recurrent(sys: FiniteSystem) -> bool:
     """Every pair recurrent for the product map: every pair code a * n + b
-    lies on a cycle of ``pair_table``, walked once by ``_on_cycles``.
-
-    A non-onto map has a point outside the image, which is not recurrent, so
-    only onto maps need the walk.
-    """
-    if not sys.onto:
-        return False
+    lies on a cycle of ``pair_table``, walked once by ``_on_cycles``."""
     return _on_cycles(sys.pair_table)
 
 
@@ -383,7 +372,9 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
         deterministic.
 
     (a) and (b) are read for N >= 2 only: at N = 1 they compare the map's
-    limit sets with themselves and cannot fail.  (c) tests every N.
+    limit sets with themselves and cannot fail.  (c) tests every N, and only
+    when every point is recurrent: a diagonal pair (x, x) returns only if x
+    does, so ``all_pairs_recurrent`` is walked only then.
     ``omega`` is the map's ``_omega_table`` when the caller has walked it
     already, as ``sweep`` does once for both of a map's checks.
     """
@@ -398,9 +389,11 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
         powers.append(tuple(map(table.__getitem__, powers[-1])))
     omegas = {n: _omega_table(powers[n]) for n in range(2, n_max + 1)}
 
+    every_recurrent = True
     for x in range(size):
         base_omega = base[x]
         base_recurrent = base_omega >> x & 1
+        every_recurrent = every_recurrent and base_recurrent
         for n in range(2, n_max + 1):
             omega_n = omegas[n]
             if base_recurrent and not omega_n[x] >> x & 1:
@@ -416,7 +409,7 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
                     "LEMMA7", FAIL, params,
                     (("part", "b"), ("x", x), ("power", n)),
                 )
-    if all_pairs_recurrent(sys):
+    if every_recurrent and all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
             td, witness = is_td(FiniteSystem._trusted(powers[n]) if n > 1 else sys)
             if not td:
@@ -476,11 +469,7 @@ def check_map_determinism(sys: FiniteSystem, *, omega=None) -> CheckReport:
         if only is None:
             only = _partition_masks(table)[1]
             index = _closure_index(size)
-        closure, cur = 0, x
-        while not closure >> cur & 1:  # stops within n steps, whatever omega says
-            closure |= 1 << cur
-            cur = table[cur]
-        if not only >> index[closure] & 1:
+        if not only >> index[_orbit_mask(table, x)] & 1:
             return CheckReport(
                 "SWEEP_MAP", FAIL, params, (("part", "lemma6"), ("x", x))
             )

@@ -110,6 +110,7 @@ from .blocks import (
     CopyLayout,
     InvariantError,
     ZERO,
+    check_admissible,
     check_cap,
     common_numerators,
     concat_all,
@@ -167,12 +168,6 @@ class Thm1State(Record):
     @property
     def length(self) -> int:
         return self.lengths[-1]
-
-    def length_of_stage(self, k: int) -> int:
-        """n_k for 1 <= k <= stage."""
-        if not 1 <= k <= self.stage:
-            raise ValueError(f"stage {k} not built (have 1..{self.stage})")
-        return self.lengths[k - 1]
 
     @cached_property
     def copy_ratios(self) -> "tuple | None":
@@ -264,11 +259,8 @@ def step(state: Thm1State, flat: bool = True) -> Thm1State:
 
 
 def predicted_length(m: int) -> int:
-    """Length of the stage-m prefix, from the copy-count recurrence."""
-    n = 3
-    for j in range(1, m):
-        n *= j + 3
-    return n
+    """Length of the stage-m prefix: 3 times 4 * 5 * ... * (m + 2) copies."""
+    return math.factorial(m + 2) // 2
 
 
 def predicted_nonzeros(m: int) -> int:
@@ -292,13 +284,6 @@ def build(m: int, max_nonzeros: int = DEFAULT_MAX_NONZEROS) -> Thm1State:
 
 
 # -- verifiers ---------------------------------------------------------------
-
-
-def _require_range(state: Thm1State, value: int, name: str) -> None:
-    if not 1 <= value <= state.stage - 1:
-        raise ValueError(
-            f"{name}={value} out of admissible range 1..{state.stage - 1}"
-        )
 
 
 def check_c1(state: Thm1State, kmax: int) -> CheckReport:
@@ -379,7 +364,7 @@ def _first_failure(state: Thm1State, top: int, first, span):
     """
     row = CopyLayout.of(state.prefix)
     for k in range(1, top + 1):
-        n_k = state.length_of_stage(k)
+        n_k = state.lengths[k - 1]
         for lo, hi in _scan_ranges(state, k, *span(k, n_k)):
             for _, lo, hi in row.pieces(lo, hi):
                 hit = first(row, k, n_k, lo, hi)
@@ -447,7 +432,7 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
     ratio step reaches 1/k, then only at q in [jL - n_k - k + 2, jL + k - 1]
     around seams (module docstring).
     """
-    _require_range(state, kmax, "kmax")
+    check_admissible("kmax", kmax, state.stage)
     params = (("stage", state.stage), ("kmax", kmax))
     found = _first_failure(
         state, kmax, _c3_first, lambda k, n_k: (1 - k, n_k + k - 1, Fraction(1, k))
@@ -470,7 +455,7 @@ def check_c3(state: Thm1State, kmax: int) -> CheckReport:
 
 
 def _c2prime_first(row: CopyLayout, j: int, n_j: int, lo: int, hi: int):
-    """First C2PRIME failure ``(p, window_max)`` with lo <= p <= hi, p + n_j <= last."""
+    """First C2PRIME failure ``(p, value, window_max)``, lo <= p <= hi, p + n_j <= last."""
     lo, hi = max(lo, 1), min(hi, row.last - n_j)
     if lo > hi:
         return None
@@ -494,7 +479,7 @@ def _c2prime_first(row: CopyLayout, j: int, n_j: int, lo: int, hi: int):
             r += 1
         eps = nums[window[0]] if window else 0
         if (nums[i] - eps) * (j + 1) > den:
-            return p, Fraction(eps, den)
+            return p, part[p], Fraction(eps, den)
     return None
 
 
@@ -511,12 +496,12 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
     On an audited state an old scale is scanned on B_{j+1}, then only at p in
     [jL - n_j + 1, jL] around seams (module docstring).
     """
-    _require_range(state, jmax, "jmax")
+    check_admissible("jmax", jmax, state.stage)
     params = (("stage", state.stage), ("jmax", jmax))
     found = _first_failure(state, jmax, _c2prime_first, lambda j, n_j: (0, n_j))
     if found is None:
         return CheckReport("C2PRIME", PASS, params)
-    j, (p, eps) = found
+    j, (p, value, eps) = found
     return CheckReport(
         "C2PRIME",
         FAIL,
@@ -524,7 +509,7 @@ def check_c2prime(state: Thm1State, jmax: int) -> CheckReport:
         (
             ("j", j),
             ("pos", p),
-            ("value", state.prefix[p]),
+            ("value", value),
             ("window_max", eps),
             ("slack", Fraction(1, j + 1)),
         ),

@@ -41,6 +41,7 @@ from .blocks import (
     DEFAULT_MAX_NONZEROS_PER_BLOCK,
     Block,
     InvariantError,
+    check_admissible,
     check_cap,
     concat_all,
     scale,
@@ -124,18 +125,12 @@ class Thm2State(Record):
         return max(self.m_times + self.n_times, default=0)
 
     def m(self, k: int) -> int:
-        self._require_k(k)
+        check_admissible("k", k, self.stage)
         return self.m_times[k - 1]
 
     def n(self, k: int) -> int:
-        self._require_k(k)
+        check_admissible("k", k, self.stage)
         return self.n_times[k - 1]
-
-    def _require_k(self, k: int) -> None:
-        if not 1 <= k <= self.stage - 1:
-            raise ValueError(
-                f"k={k} out of admissible range 1..{self.stage - 1}"
-            )
 
 
 def initial_state() -> Thm2State:

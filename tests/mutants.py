@@ -23,9 +23,11 @@ only some of its node ids, 2 when the unmutated copy does not pass.
 The list holds the span walk of ``dlab.recurrence`` and the 1/k probe of
 its limit-pair witness, the end sentinel of ``blocks.shift_violations``,
 thm1's C3 gate walk, the copy geometry of ``blocks.CopyLayout``, the cap
-test of ``blocks.check_cap``, the oracle sweep (its shared limit-set walk,
-its partition-mask fold, the pair-cycle walk of ``all_pairs_recurrent``, and
-the report equality and value formatting it pays for on every map) and
+test of ``blocks.check_cap``, the value C2PRIME's FAIL line prints, the
+oracle (its shared limit-set walk, its partition-mask fold, the pair-cycle
+walk of ``all_pairs_recurrent`` and the Lemma 7(c) gate before it, the
+orbit walk of ``lemma6_relation`` and the sweep, and the report equality and
+value formatting it pays for on every map) and
 ``dlab.cli`` (the FAIL scan of its batched report writer, and the imports it
 leaves to its handlers).  The copy audit, whose mutants earlier changes ran
 by hand (CHANGES.md), waits for a later change to be listed here.
@@ -63,6 +65,13 @@ SWEPT_PARTS = "tests/test_oracle.py::test_sweep_prints_each_planted_lemma7_failu
 SHARED = "tests/test_oracle.py::test_sweep_shared_limit_sets_give_the_public_lines[{}]"
 PAIR_TAILS = "tests/test_oracle.py::test_pair_walk_sees_each_pair_moved_onto_a_tail"
 DENSE_CYCLES = "tests/test_oracle.py::test_pair_walk_matches_the_dense_cycle_test"
+PAIR_GATE = (
+    "tests/test_oracle.py::"
+    "test_lemma7_walks_the_pairs_of_exactly_the_maps_whose_points_all_recur"
+)
+DENSE_ORBITS = "tests/test_oracle.py::test_lemma6_relation_matches_a_dense_orbit_reference"
+C2PRIME_SLIDE = "tests/test_thm1.py::test_c2prime_sliding_max_matches_naive_on_seeded_rows"
+C2PRIME_LAYOUT = "tests/test_thm1.py::test_c2prime_failure_on_a_layout_prints_the_flat_line"
 EQUALITY = "tests/test_records.py::test_equality_and_hash_follow_the_fields[{}]"
 FORMAT = "tests/test_records.py::test_report_values_print_as_pinned[{}]"
 START_UP = "tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs"
@@ -334,11 +343,50 @@ MUTANTS = [
         ),
     },
     {
-        "name": "pairs-walk-skipped",  # an onto map passes without the walk
+        "name": "pairs-walk-skipped",  # a map passes without the walk
         "file": "dlab/oracle.py",
         "text": "return _on_cycles(sys.pair_table)",
         "replacement": "return True",
         "kills": [PAIR_TAILS],
+    },
+    {
+        # Part (c) without its gate: every report stays the same, since a
+        # point off every cycle puts its pair (x, x) off the pair map's
+        # cycles and the walk gives the same answer, only slower.  The test
+        # that records each walk tells the two apart.
+        "name": "lemma7-gate-dropped",
+        "file": "dlab/oracle.py",
+        "text": "if every_recurrent and all_pairs_recurrent(sys):",
+        "replacement": "if all_pairs_recurrent(sys):",
+        "kills": [PAIR_GATE],
+    },
+    {
+        "name": "orbit-start-after",  # the walk leaves its start out
+        "file": "dlab/oracle.py",
+        "text": "mask, cur = 0, x",
+        "replacement": "mask, cur = 0, table[x]",
+        "kills": [DENSE_ORBITS],
+    },
+    {
+        "name": "orbit-stop-flipped",  # the walk stops before its first step
+        "file": "dlab/oracle.py",
+        "text": "while not mask >> cur & 1:",
+        "replacement": "while mask >> cur & 1:",
+        "kills": [DENSE_ORBITS],
+    },
+    {
+        "name": "lemma6-recurrence-closure",  # the test reads the orbit that holds x
+        "file": "dlab/oracle.py",
+        "text": "if after >> x & 1:",
+        "replacement": "if closure >> x & 1:",
+        "kills": [DENSE_ORBITS],
+    },
+    {
+        "name": "c2prime-value-index",  # the FAIL line prints the next symbol
+        "file": "dlab/thm1.py",
+        "text": "return p, part[p], Fraction(eps, den)",
+        "replacement": "return p, part[p + 1], Fraction(eps, den)",
+        "kills": [C2PRIME_SLIDE, C2PRIME_LAYOUT],
     },
     {
         "name": "eq-identity",  # a record differs from itself

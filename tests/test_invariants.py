@@ -209,8 +209,9 @@ def test_planted_partition_masks_fail_the_sweep_under_optimize():
 
 
 # The tables the oracle builds without the record checks (the sweep's maps,
-# products, lemma7's powers) are ones those checks admit, without relying on
-# ``assert``: each is rebuilt through ``FiniteSystem(...)`` and compared.
+# lemma7's powers) and the pair tables ``_on_cycles`` walks are ones those
+# checks admit, without relying on ``assert``: each is rebuilt through
+# ``FiniteSystem(...)`` and compared.
 TRUSTED_PROBE = """
 import sys
 from dlab import oracle
@@ -224,9 +225,8 @@ def guarded(cls, table):
     return system
 oracle.FiniteSystem._trusted = classmethod(guarded)
 small = [s for n in range(1, 4) for s in oracle.all_systems(n)]
-for a in small:
-    for b in small:
-        oracle.product_system(a, b)
+for s in small:
+    guarded(None, s.pair_table)
 for n in range(1, 6):
     for s in oracle.all_permutation_systems(n):
         oracle.lemma7_checks(s, 4)
@@ -243,9 +243,9 @@ def test_trusted_tables_pass_the_checks_under_optimize():
         env=CHILD_ENV,
     )
     assert result.returncode == 0, result.stderr
-    # The 32 maps on n <= 3 points and their 32^2 products; per n <= 5, n!
-    # permutations, each with its pair table and 3 powers, and n^n maps.
-    tables = 32 + 32**2 + sum(5 * math.factorial(n) + n**n for n in range(1, 6))
+    # The 32 maps on n <= 3 points and their pair tables; per n <= 5, n!
+    # permutations, each with 3 powers, and n^n maps.
+    tables = 2 * 32 + sum(4 * math.factorial(n) + n**n for n in range(1, 6))
     assert result.stdout.splitlines() == [
         "optimize 1", f"{{'tables': {tables}, 'unequal': 0}}"
     ]

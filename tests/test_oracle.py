@@ -5,6 +5,7 @@ import signal
 import pytest
 
 from dlab import oracle as o
+from dlab.report import CheckReport, FAIL, PASS
 
 from naive_refs import (
     all_partitions,
@@ -85,8 +86,9 @@ def test_pair_table_is_the_product_table_built_once():
     for s in systems:
         n = s.size
         table = s.pair_table
-        assert table == o.product_system(s, s).table
+        assert table == naive_pair_table(s.table)
         assert table == tuple(s.table[a] * n + s.table[b] for a in range(n) for b in range(n))
+        assert o.FiniteSystem(table).table == table  # a table the checks admit
         # is_td reads the diagonal entries as Tx * (n + 1) without the table.
         assert [table[c] for c in range(0, n * n, n + 1)] == [v * (n + 1) for v in s.table]
 
@@ -299,6 +301,35 @@ def test_lemma6_everywhere_small(n):
             assert report.passed
 
 
+def test_lemma6_relation_matches_a_dense_orbit_reference():
+    # Every point of every map on up to 5 points: a point on a cycle is
+    # refused, and any other gets its dense orbit as the block, the rest as
+    # singletons, and the pair-set classification of that partition.
+    counts = {"refused": 0, PASS: 0, FAIL: 0}
+    for n in range(1, 6):
+        for s in o.all_systems(n):
+            table = s.table
+            for x in range(n):
+                if naive_on_cycle(table, x):
+                    with pytest.raises(ValueError, match=f"^point {x} is forward recurrent;"):
+                        o.lemma6_relation(s, x)
+                    counts["refused"] += 1
+                    continue
+                block = tuple(sorted(naive_orbit_points(table, x)))
+                rest = [(y,) for y in range(n) if y not in block]
+                partition = o.Partition.from_blocks([block, *rest])
+                cls = naive_classify_relation(table, partition)
+                verdict = PASS if cls == o.FORWARD_INVARIANT_ONLY else FAIL
+                report = CheckReport(
+                    "LEMMA6", verdict, (("n", n), ("x", x)),
+                    (("classified", cls), ("points", ",".join(map(str, block)))),
+                )
+                assert o.lemma6_relation(s, x) == (frozenset(block), partition, report)
+                counts[verdict] += 1
+    # Lemma 6 holds, so no report fails.
+    assert counts[FAIL] == 0 and min(counts["refused"], counts[PASS]) > 8000, counts
+
+
 # -- powers and products --------------------------------------------------------------
 
 
@@ -402,6 +433,30 @@ def test_pair_walk_matches_the_dense_cycle_test():
         assert o._on_cycles(table) is want, table
         counts[want] += 1
     assert min(counts.values()) > 500, counts
+
+
+def test_lemma7_walks_the_pairs_of_exactly_the_maps_whose_points_all_recur(monkeypatch):
+    # Part (c) needs every pair recurrent, and (x, x) returns only if x does,
+    # so the pair walk runs only when every point lies on a cycle: every map
+    # on up to 4 points, then seeded maps, permutations and permutations
+    # with a tail planted on up to 8 points.
+    rng = random.Random(6217)
+    tables = [s.table for n in range(1, 5) for s in o.all_systems(n)]
+    for n in range(5, 9):
+        for _ in range(20):
+            perm = tuple(rng.sample(range(n), n))
+            tables += [perm, _tail_at(perm, rng.randrange(n))]
+            tables.append(tuple(rng.randrange(n) for _ in range(n)))
+    real, walked = o.all_pairs_recurrent, []
+    monkeypatch.setattr(o, "all_pairs_recurrent", lambda s: walked.append(s.table) or real(s))
+    counts = {True: 0, False: 0}
+    for table in tables:
+        walked.clear()
+        every = all(naive_on_cycle(table, x) for x in range(len(table)))
+        assert o.lemma7_checks(o.make_system(table), 3).passed, table
+        assert walked == ([table] if every else []), table
+        counts[every] += 1
+    assert min(counts.values()) > 100, counts
 
 
 # -- planted violations: each FAIL line the sweep can print ---------------------------
@@ -673,8 +728,9 @@ def test_sweep_shapes():
 
 
 def test_trusted_tables_build_equal_checked_systems(monkeypatch):
-    # The sweep's maps, products and lemma7's powers skip the table checks;
-    # each table that does must pass them and give an equal system.
+    # The sweep's maps and lemma7's powers skip the table checks; each table
+    # that does must pass them and give an equal system.  A pair table is no
+    # system: it is built without ``_trusted`` and passes the checks too.
     real = o.FiniteSystem._trusted
     seen = []
 
@@ -693,13 +749,11 @@ def test_trusted_tables_build_equal_checked_systems(monkeypatch):
     small = [s for n in range(1, 4) for s in o.all_systems(n)]
     count = len(seen)
     for a in small:
-        for b in small:
-            assert o.product_system(a, b).table == seen[-1]
-    assert len(seen) == count + len(small) ** 2
-    count = len(seen)
+        assert o.FiniteSystem(a.pair_table).table == naive_pair_table(a.table)
+    assert len(seen) == count
     for s in perms:  # n = 5: every pair is recurrent, so part (c) runs
         assert o.lemma7_checks(s, 4).passed
-    assert len(seen) == count + 4 * len(perms)  # the pair table, the powers 2..4
+    assert len(seen) == count + 3 * len(perms)  # the powers 2..4
     for generate in (o.all_systems, o.all_permutation_systems):
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be >= 1"):

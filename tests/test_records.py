@@ -166,7 +166,7 @@ def test_built_records_holding_blocks_copy_and_pickle():
 
 def test_pair_table_stays_outside_the_fields():
     a, b = FiniteSystem((1, 2, 0)), FiniteSystem((1, 2, 0))
-    assert a.pair_table == oracle.product_system(a, a).table
+    assert a.pair_table == (4, 5, 3, 7, 8, 6, 1, 2, 0)  # (a, b) -> (Ta, Tb), coded 3a + b
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert "pair_table" not in repr(a)
 

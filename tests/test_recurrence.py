@@ -107,7 +107,7 @@ def test_epsilon_times_metric_restatement_of_rigidity(thm1_stage4):
     s = thm1_stage4
     w = 12
     for k in (1, 2, 3):
-        n_k = s.length_of_stage(k)
+        n_k = s.lengths[k - 1]
         for j in (0, 3, 12, 60):
             if all(s.prefix[j + i] == 0 for i in range(1, k + 1)):
                 continue

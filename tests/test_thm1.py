@@ -56,8 +56,12 @@ def test_build_lengths_through_stage_8(thm1_stage8):
 
 
 def test_predicted_length_matches_measured():
-    for m in range(1, 7):
-        assert thm1.predicted_length(m) == thm1.build(m).length
+    n = 3  # stage m + 1 is m + 3 copies of stage m
+    for m in range(1, 31):
+        assert thm1.predicted_length(m) == n
+        if m < 7:
+            assert thm1.build(m).length == n
+        n *= m + 3
 
 
 def test_predicted_nonzeros_matches_measured():
@@ -288,7 +292,7 @@ def test_c2prime_detects_corruption():
 
 
 def _c2prime_hits(row, j, n_j):
-    """Every C2PRIME failure of the row as (pos, window_max), found by
+    """Every C2PRIME failure of the row as (pos, value, window_max), found by
     resuming ``_c2prime_first`` past each hit."""
     hits, lo = [], row.base
     while (hit := thm1._c2prime_first(row, j, n_j, lo, row.last)) is not None:
@@ -298,23 +302,38 @@ def _c2prime_hits(row, j, n_j):
 
 
 def _naive_c2prime_hits(syms, n_j, j):
-    return [(1 + i, max(syms[i + 1 : i + 1 + n_j]))
+    return [(1 + i, syms[i], max(syms[i + 1 : i + 1 + n_j]))
             for i in naive_c2prime_violations(syms, n_j, j)]
 
 
 @pytest.mark.parametrize("syms, n_j, j, want", [
     # The window max 1/2 at 3 (no candidate at j = 1) covers 1, then leaves
     # the window before the next candidate 5, which fails on what is left.
-    ((1, 0, F(1, 2), 0, 1, 0, 0, 0, 0), 3, 1, [(5, 0)]),
-    ((1, 0, F(1, 2), 0, 1, F(1, 4), 0, 0, 0), 3, 1, [(5, F(1, 4))]),
+    ((1, 0, F(1, 2), 0, 1, 0, 0, 0, 0), 3, 1, [(5, 1, 0)]),
+    ((1, 0, F(1, 2), 0, 1, F(1, 4), 0, 0, 0), 3, 1, [(5, 1, F(1, 4))]),
     # The max 1 at 2 is in the window of 1, then leaves it by becoming the
     # next candidate, whose window (2, 4] starts after it.
-    ((F(3, 4), 1, F(3, 4), 0, 0, 0, 0), 2, 1, [(3, 0)]),
+    ((F(3, 4), 1, F(3, 4), 0, 0, 0, 0), 2, 1, [(3, F(3, 4), 0)]),
 ])
 def test_c2prime_sliding_max_planted(syms, n_j, j, want):
     syms = tuple(map(F, syms))
     row = CopyLayout(Block(syms, base=1), (1,))
     assert _c2prime_hits(row, j, n_j) == want == _naive_c2prime_hits(syms, n_j, j)
+
+
+def test_c2prime_failure_on_a_layout_prints_the_flat_line():
+    # Stage 4 as copies of stage 3 at planted ratios: the copy at ratio 1
+    # after two zero copies breaks scale 3 in copy 4, read through a cover.
+    s3 = thm1.build(3)
+    ratios = (1, F(3, 4), 0, 0, 1, 0)
+    layout = thm1.Thm1State(LENGTHS[:4], CopyLayout(s3.prefix, ratios))
+    syms = tuple(c * v for c in ratios for v in dense(s3.prefix))
+    flat = thm1.Thm1State(LENGTHS[:4], Block(syms, base=1))
+    line = "CHECK C2PRIME FAIL stage=4 jmax=3 j=3 pos=256 value=1/1 window_max=2/3 slack=1/4"
+    assert thm1.check_c2prime(layout, 3).line() == thm1.check_c2prime(flat, 3).line() == line
+    # The dense scan: scales 1 and 2 hold, and scale 3 first fails there.
+    assert not any(naive_c2prime_violations(syms, LENGTHS[j - 1], j) for j in (1, 2))
+    assert _naive_c2prime_hits(syms, LENGTHS[2], 3)[0] == (256, 1, F(2, 3))
 
 
 def test_c2prime_sliding_max_matches_naive_on_seeded_rows():
@@ -876,7 +895,7 @@ def test_layout_reads_as_its_built_row():
         assert (row.base, row.last, len(row), row.pitch) == (1, built.last, len(built), len(copy0))
         assert row.trailing_zero_run() == built.trailing_zero_run()
         for i in range(1, built.last + 1):
-            assert row[i] is built[i]
+            assert row.cover(i, i)[i] is built[i]
             for j in range(i, min(i + 2 * row.pitch, built.last + 1)):
                 assert row.nonzero_in(i, j) == list(built.nonzero_in(i, j))
                 if (j - 1) // row.pitch - (i - 1) // row.pitch <= 1:
