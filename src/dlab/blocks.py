@@ -19,10 +19,11 @@ Each block caches that identity table, id -> object for each distinct object
 among its values, so per-value work never walks the nonzeros to find the
 distinct values.  The producer sets it in O(#distinct): ``scale`` from its
 products, ``concat_all`` by merging its inputs' tables, ``read_tdseq`` from
-the lines it parsed, ``zeros`` and scaling by 0 as empty.  Only ``Block(...)``
-and ``window`` derive it from their values, lazily and once; a window does
-not inherit its parent's table, whose values it may not all hold.  Nothing
-is cached per nonzero.
+the lines it parsed, ``zeros`` and scaling by 0 as empty.  Only ``Block(...)``,
+``window`` and ``_checked_block`` (which copy and pickle rebuild through)
+derive it from their values, lazily and once; a window does not inherit its
+parent's table, whose values it may not all hold.  Nothing is cached per
+nonzero.
 
 A ``CopyLayout`` stands for a block that is a row of scaled copies of one
 block, without building it: thm1's top stage is read and written so.
@@ -48,7 +49,7 @@ DEFAULT_MAX_NONZEROS = 10**8
 # Default cap on the nonzeros each thm2 block stores
 # (`thm2.predicted_nonzeros`).  Stage 7 stores 135,135 and runs at the
 # default.  Stage 8 would store 2,027,025, and its CLI verify at `--kmax 7`
-# takes 17.8 s and 465 MB peak RSS (Python 3.11.7, 2-vCPU Xeon); stage 9
+# takes 13.2 s and 464 MB peak RSS (Python 3.11.7, 2-vCPU Xeon); stage 9
 # would store 34,459,425.  Both are refused before any build.
 DEFAULT_MAX_NONZEROS_PER_BLOCK = 10**6
 
@@ -332,13 +333,12 @@ class CopyLayout(Record):
     """The row of copies c_0*B, c_1*B, ..., c_{J-1}*B, each as long as B: a block kept unbuilt.
 
     Copy t holds positions base + t*L .. base + (t+1)*L - 1, with L = len(B)
-    the pitch and base = B.base; ``pieces`` cuts a range at those seams, and
-    no other code places a copy.  Only B and the ratios are stored, so a row
-    whose copies would not fit in memory can still be read: by its
-    nonzero positions in a range, by its trailing zero run, through
-    ``cover`` and ``pair_cover``, which build a block only from the copies a
-    read meets, and by ``write_tdseq``, copy by copy.  Every ratio lies in
-    [0, 1], like every symbol.
+    the pitch and base = B.base; ``pieces`` cuts a range at those seams.  Only
+    B and the ratios are stored, so a row whose copies would not fit in
+    memory can still be read: by its nonzero positions in a range, by its
+    trailing zero run, through ``cover`` and ``pair_cover``, which build a
+    block only from the copies a read meets, and by ``write_tdseq``, copy by
+    copy.  Every ratio lies in [0, 1], like every symbol.
     """
 
     __slots__ = _fields = ("copy0", "ratios")

@@ -180,19 +180,17 @@ def is_td(sys: FiniteSystem):
     table = sys.table
     n = len(table)
     check_exhaustive_size(n)
-    diag, rel = _diagonal(n)
-    # The pair (x, x) maps to (Tx, Tx), coded Tx * (n + 1): the n diagonal
-    # codes of the pair table, read without building its n^2 entries.
-    if frozenset([v * (n + 1) for v in table]) < rel:  # forward-invariant only
-        return False, diag
+    # The diagonal's image is the pairs (Tx, Tx), always inside it, and
+    # strictly so exactly when T misses a point.
+    if len(set(table)) < n:  # forward-invariant only
+        return False, _diagonal(n)
     return _scan_partitions(table)
 
 
 @lru_cache(maxsize=None)
-def _diagonal(n: int) -> tuple:
-    """The diagonal partition of {0..n-1} and its pair codes x * n + x, built
-    once per n."""
-    return Partition.diagonal(n), frozenset(range(0, n * n, n + 1))
+def _diagonal(n: int) -> Partition:
+    """The diagonal partition of {0..n-1}, built once per n."""
+    return Partition.diagonal(n)
 
 
 @lru_cache(maxsize=None)
@@ -362,6 +360,11 @@ def all_pairs_recurrent(sys: FiniteSystem) -> bool:
     return _on_cycles(sys.pair_table)
 
 
+def _lemma7_fail(params: tuple, table: tuple, *witness) -> CheckReport:
+    """A LEMMA7 FAIL names its map first, in the form SWEEP_MAP prints it."""
+    return CheckReport("LEMMA7", FAIL, params, (("map", ",".join(map(str, table))), *witness))
+
+
 def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
     """Power-map recurrence facts, checked exhaustively for 1 <= N <= n_max.
 
@@ -397,25 +400,18 @@ def lemma7_checks(sys: FiniteSystem, n_max: int, *, omega=None) -> CheckReport:
         for n in range(2, n_max + 1):
             omega_n = omegas[n]
             if base_recurrent and not omega_n[x] >> x & 1:
-                return CheckReport(
-                    "LEMMA7", FAIL, params,
-                    (("part", "a"), ("x", x), ("power", n)),
-                )
+                return _lemma7_fail(params, table, ("part", "a"), ("x", x), ("power", n))
             decomposition = 0
             for k in range(n):
                 decomposition |= omega_n[powers[k][x]]
             if decomposition != base_omega:
-                return CheckReport(
-                    "LEMMA7", FAIL, params,
-                    (("part", "b"), ("x", x), ("power", n)),
-                )
+                return _lemma7_fail(params, table, ("part", "b"), ("x", x), ("power", n))
     if every_recurrent and all_pairs_recurrent(sys):
         for n in range(1, n_max + 1):
             td, witness = is_td(FiniteSystem._trusted(powers[n]) if n > 1 else sys)
             if not td:
-                return CheckReport(
-                    "LEMMA7", FAIL, params,
-                    (("part", "c"), ("power", n), ("witness", witness.label())),
+                return _lemma7_fail(
+                    params, table, ("part", "c"), ("power", n), ("witness", witness.label())
                 )
     return CheckReport("LEMMA7", PASS, params)
 
@@ -452,7 +448,7 @@ def check_map_determinism(sys: FiniteSystem, *, omega=None) -> CheckReport:
         return CheckReport(
             "SWEEP_MAP", FAIL, params, (("part", "td_vs_onto"), ("td", td))
         )
-    if not td and witness != _diagonal(size)[0]:
+    if not td and witness != _diagonal(size):
         return CheckReport(
             "SWEEP_MAP", FAIL, params,
             (("part", "witness"), ("witness", witness.label())),

@@ -16,10 +16,11 @@ witnesses whose runs one body builds.  The escape witness finds, for every
 window center, a multiple r <= 3 of a time that shifts one sequence onto an
 all-zero window.  The limit-pair witness asks the same of one sequence while
 the other moves by at most 3/k, which is what plants (x, zero) and (zero, y)
-in the pair's limit set.  Its return part reads condition I or II first:
-where each step of the time moves the returning sequence by at most 1/k,
-three steps move it by at most 3/k, so nothing blocks a center but the
-escape, and the limit-pair runs are the escape runs of the other sequence.
+in the pair's limit set.  Its return part first reads thm2's verdict on
+condition I or II: where each step of the time moves the returning
+sequence by at most 1/k, three steps move it by at most 3/k, so nothing
+blocks a center but the escape, and the limit-pair runs are the escape runs
+of the other sequence.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import add, gt, sub
 
 from .blocks import Block, common_numerators, shift_violations
 from .report import CheckReport, FAIL, PASS, Record
-from .thm2 import Thm2State
+from .thm2 import Thm2State, check_rigidity_x, check_rigidity_y
 
 ESCAPE_SIDES = ("XatN", "YatM")
 
@@ -278,25 +279,26 @@ def escape_witness(state: Thm2State, k: int, w: int, side: str) -> WitnessRuns:
     return WitnessRuns(report, tuple(runs))
 
 
-def _one_sided_omega(k: int, w: int, returning: Block, escaping: Block, time: int):
+def _one_sided_omega(k: int, w: int, returning: Block, escaping: Block, time: int,
+                     rigid: bool):
     """Centers where some r <= 3 keeps ``returning`` within 3/k and zeroes ``escaping``.
 
-    The return part first reads the 1/k rigidity at ``time``: condition I
-    on the x side (time m_k), II on the y side (time n_k).  One probe looks
-    for a q with |v(q + time) - v(q)| > 1/k, reading 0 outside the block.
-    If there is none, then for every q and r <= 3
+    ``rigid`` is the verdict of the 1/k rigidity of ``returning`` at
+    ``time``: condition I on the x side (time m_k), II on the y side (time
+    n_k), as ``thm2`` decides it, reading 0 outside the block.  When it
+    holds, then for every q and r <= 3
 
         |v(q + r*time) - v(q)| <= sum over i < r of
             |v(q + (i+1)*time) - v(q + i*time)| <= r/k <= 3/k,
 
     so the return part blocks no center, and the runs are exactly the
-    escape runs of ``escaping`` at ``time``.  Only when the probe finds a
-    violation do the three 3/k scans run, and their positions block the
-    centers within w as the shifted nonzeros do.
+    escape runs of ``escaping`` at ``time``.  Only when it fails do the
+    three 3/k scans run, and their positions block the centers within w as
+    the shifted nonzeros do.
     """
     centers = _admissible_centers(returning, time, w)
     returns = ((), (), ())
-    if next(shift_violations(returning, time, Fraction(1, k)), None) is not None:
+    if not rigid:
         bound = Fraction(3, k)
         returns = [[q for q, _, _ in shift_violations(returning, r * time, bound)]
                    for r in (1, 2, 3)]
@@ -340,8 +342,10 @@ def cross_omega_witness(state: Thm2State, k: int, w: int) -> CrossOmegaWitness:
     m_k, n_k = state.m(k), state.n(k)
     if w >= m_k or w >= n_k:
         raise ValueError(f"window half-width {w} must stay below both scales")
-    x_runs, x_fail = _one_sided_omega(k, w, state.x, state.y, m_k)
-    y_runs, y_fail = _one_sided_omega(k, w, state.y, state.x, n_k)
+    x_runs, x_fail = _one_sided_omega(
+        k, w, state.x, state.y, m_k, check_rigidity_x(state, k).passed)
+    y_runs, y_fail = _one_sided_omega(
+        k, w, state.y, state.x, n_k, check_rigidity_y(state, k).passed)
     params = (("stage", state.stage), ("k", k), ("w", w))
     if x_fail is not None or y_fail is not None:
         side, (center, part) = ("x", x_fail) if x_fail is not None else ("y", y_fail)

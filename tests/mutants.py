@@ -20,16 +20,17 @@ stops the walk from advancing loops and grows its run list).  Exit 0 when
 every mutant that is not equivalent is killed, 1 when one survives or fails
 only some of its node ids, 2 when the unmutated copy does not pass.
 
-The list holds the span walk of ``dlab.recurrence`` and the 1/k probe of
-its limit-pair witness, the end sentinel of ``blocks.shift_violations``,
-thm1's C3 gate walk, the copy geometry of ``blocks.CopyLayout``, the cap
-test of ``blocks.check_cap``, the value C2PRIME's FAIL line prints, the
-oracle (its shared limit-set walk, its partition-mask fold, the pair-cycle
-walk of ``all_pairs_recurrent`` and the Lemma 7(c) gate before it, the
-orbit walk of ``lemma6_relation`` and the sweep, and the report equality and
-value formatting it pays for on every map) and
-``dlab.cli`` (the FAIL scan of its batched report writer, and the imports it
-leaves to its handlers).  The copy audit, whose mutants earlier changes ran
+The list holds the span walk of ``dlab.recurrence`` and the condition I/II
+test of ``dlab.thm2`` that its limit-pair witness reads, the end sentinel of
+``blocks.shift_violations``, thm1's C3 gate walk, the copy geometry of
+``blocks.CopyLayout``, the cap test of ``blocks.check_cap``, the value
+C2PRIME's FAIL line prints, the oracle (its shared limit-set walk, its
+partition-mask fold, its diagonal test, the pair-cycle walk of
+``all_pairs_recurrent`` and the Lemma 7(c) gate before it, the map a LEMMA7
+FAIL line names, the orbit walk of ``lemma6_relation`` and the sweep, and
+the report equality and value formatting it pays for on every map) and
+``dlab.cli`` (the step of ``main`` that formats the reports, the FAIL scan
+of its batched report writer, and the imports it leaves to its handlers).  The copy audit, whose mutants earlier changes ran
 by hand (CHANGES.md), waits for a later change to be listed here.
 """
 
@@ -53,6 +54,10 @@ PLANTED = (
     "tests/test_recurrence.py::test_omega_probe_branches_match_dense_references_on_planted_states"
 )
 SHIFT_SCAN = "tests/test_blocks.py::test_shift_violations_match_dense_scan"
+RIGIDITY = "tests/test_thm2.py::test_rigidity_against_naive_on_random_states"
+SMALL_SHIFTS = "tests/test_small_scope.py::test_shift_violations_on_every_small_block[1]"
+SMALL_PIECES = "tests/test_small_scope.py::test_layout_pieces_and_nonzeros_on_every_small_row"
+SMALL_COVERS = "tests/test_small_scope.py::test_layout_covers_on_every_small_row"
 C3_GAPS = "tests/test_thm1.py::test_c3_gate_bounds_and_gap_resumption[{}]"
 ONE_REFUSED = C3_GAPS.format("one-refused-then-gated")
 IN_REACH = C3_GAPS.format("next-nonzero-past-limit-in-reach")
@@ -60,6 +65,11 @@ LAYOUT_READS = "tests/test_thm1.py::test_layout_reads_as_its_built_row"
 PIECES = "tests/test_thm1.py::test_layout_pieces_and_pair_covers_read_as_the_built_row"
 CAPS = "tests/test_cli.py::test_every_cap_admits_its_count_and_refuses_one_less"
 MASKS = "tests/test_oracle.py::test_partition_masks_classify_every_partition"
+TD_EXAMPLES = "tests/test_oracle.py::test_td_examples"
+TD_SMALL = "tests/test_oracle.py::test_td_iff_bijection_small[3]"
+SWEPT_PERMUTATION = (
+    "tests/test_oracle.py::test_permutation_sweep_names_the_map_of_a_planted_lemma7_failure"
+)
 PART_A = "tests/test_oracle.py::test_lemma7_part_a_reports_a_point_lost_by_a_power"
 SWEPT_PARTS = "tests/test_oracle.py::test_sweep_prints_each_planted_lemma7_failure"
 SHARED = "tests/test_oracle.py::test_sweep_shared_limit_sets_give_the_public_lines[{}]"
@@ -76,6 +86,8 @@ EQUALITY = "tests/test_records.py::test_equality_and_hash_follow_the_fields[{}]"
 FORMAT = "tests/test_records.py::test_report_values_print_as_pinned[{}]"
 START_UP = "tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs"
 BATCHES = "tests/test_cli.py::test_report_written_in_batches_keeps_every_line_and_fail"
+IN_PROCESS = "tests/test_cli.py::test_main_callable_in_process"
+UNFORMATTED = "tests/test_cli.py::test_a_report_that_cannot_be_formatted_exits_3"
 
 MUTANTS = [
     {
@@ -170,18 +182,18 @@ MUTANTS = [
         "equivalent": "a repeated position is a gap of 0, which shares a span anyway",
     },
     {
-        "name": "probe-bound",  # steps up to 2/k skip the 3/k scans
-        "file": "dlab/recurrence.py",
-        "text": "shift_violations(returning, time, Fraction(1, k))",
-        "replacement": "shift_violations(returning, time, Fraction(2, k))",
-        "kills": [PLANTED],
+        "name": "probe-bound",  # steps up to 2/k pass I/II and skip the 3/k scans
+        "file": "dlab/thm2.py",
+        "text": "shift_violations(block, shift, Fraction(1, k))",
+        "replacement": "shift_violations(block, shift, Fraction(2, k))",
+        "kills": [PLANTED, RIGIDITY],
     },
     {
-        "name": "probe-shift",  # the probe reads steps of twice the time
-        "file": "dlab/recurrence.py",
-        "text": "shift_violations(returning, time, Fraction(1, k))",
-        "replacement": "shift_violations(returning, 2 * time, Fraction(1, k))",
-        "kills": [PLANTED],
+        "name": "probe-shift",  # I/II read steps of twice the time
+        "file": "dlab/thm2.py",
+        "text": "shift_violations(block, shift, Fraction(1, k))",
+        "replacement": "shift_violations(block, 2 * shift, Fraction(1, k))",
+        "kills": [PLANTED, RIGIDITY],
     },
     {
         "name": "omega-part-shift",  # the failure's escape part is read at - r * time
@@ -195,14 +207,14 @@ MUTANTS = [
         "file": "dlab/blocks.py",
         "text": "end = block.last + max(0, -shift) + 1",
         "replacement": "end = block.last + max(0, -shift)",
-        "kills": [SHIFT_SCAN],
+        "kills": [SHIFT_SCAN, SMALL_SHIFTS],
     },
     {
         "name": "sentinel-shift-sign",  # at a negative shift i + shift reads past it
         "file": "dlab/blocks.py",
         "text": "end = block.last + max(0, -shift) + 1",
         "replacement": "end = block.last + max(0, shift) + 1",
-        "kills": [SHIFT_SCAN],
+        "kills": [SHIFT_SCAN, SMALL_SHIFTS],
     },
     {
         "name": "c3-resume",  # a refused pair skips the position after it
@@ -244,28 +256,28 @@ MUTANTS = [
         "file": "dlab/blocks.py",
         "text": "lo, hi = max(lo, base), min(hi, self.last)",
         "replacement": "lo, hi = lo, min(hi, self.last)",
-        "kills": [PIECES],
+        "kills": [PIECES, SMALL_PIECES],
     },
     {
         "name": "pieces-clip-hi",
         "file": "dlab/blocks.py",
         "text": "lo, hi = max(lo, base), min(hi, self.last)",
         "replacement": "lo, hi = max(lo, base), hi",
-        "kills": [PIECES],
+        "kills": [PIECES, SMALL_PIECES],
     },
     {
         "name": "pieces-copy-end",  # a piece runs one into the next copy
         "file": "dlab/blocks.py",
         "text": "base + (t + 1) * pitch - 1",
         "replacement": "base + (t + 1) * pitch",
-        "kills": [PIECES, LAYOUT_READS],
+        "kills": [PIECES, LAYOUT_READS, SMALL_PIECES, SMALL_COVERS],
     },
     {
         "name": "cover-copy0-last",  # a range from copy 0 into copy 1 reads copy 0
         "file": "dlab/blocks.py",
         "text": "if parts[-1][0] == 0 and self.ratios[0] == 1:",
         "replacement": "if parts[0][0] == 0 and self.ratios[0] == 1:",
-        "kills": [LAYOUT_READS, PIECES],
+        "kills": [LAYOUT_READS, PIECES, SMALL_COVERS],
     },
     {
         "name": "cover-copy0-ratio",  # copy 0 read unscaled at c_0 < 1
@@ -279,7 +291,7 @@ MUTANTS = [
         "file": "dlab/blocks.py",
         "text": "if a + shift <= b + 1:",
         "replacement": "if a + shift <= b:",
-        "kills": [PIECES],
+        "kills": [PIECES, SMALL_COVERS],
     },
     {
         "name": "cap-boundary",  # a count equal to the cap is refused
@@ -301,6 +313,20 @@ MUTANTS = [
         "text": "for d in range(c + 1):",
         "replacement": "for d in range(c):",
         "kills": [MASKS],
+    },
+    {
+        "name": "diagonal-le",  # every map fails the diagonal test
+        "file": "dlab/oracle.py",
+        "text": "if len(set(table)) < n:",
+        "replacement": "if len(set(table)) <= n:",
+        "kills": [TD_EXAMPLES, TD_SMALL],
+    },
+    {
+        "name": "lemma7-fail-map",  # a LEMMA7 FAIL line does not name its map
+        "file": "dlab/oracle.py",
+        "text": '(("map", ",".join(map(str, table))), *witness)',
+        "replacement": "witness",
+        "kills": [PART_A, SWEPT_PERMUTATION],
     },
     {
         "name": "lemma7-power-start",  # parts (a) and (b) skip the square
@@ -401,6 +427,13 @@ MUTANTS = [
         "text": "if cls is str or cls is int:\n        return str(v)",
         "replacement": "if cls is str or cls is int:\n        return repr(v)",
         "kills": [FORMAT.format("str")],
+    },
+    {
+        "name": "main-unformatted",  # a report is printed as its repr
+        "file": "dlab/cli.py",
+        "text": "x if type(x) is str else x.line()",
+        "replacement": "x if type(x) is str else str(x)",
+        "kills": [IN_PROCESS, UNFORMATTED],
     },
     {
         "name": "writer-last-batch",  # a FAIL in the last, partial batch is not seen

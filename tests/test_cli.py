@@ -183,6 +183,17 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     assert err == "internal error: KeyError('lost\\ntable')\n"
 
 
+def test_a_report_that_cannot_be_formatted_exits_3(monkeypatch, capsys):
+    # main formats the handler's reports inside the same guard as the run.
+    class Broken:
+        def line(self):
+            raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_oracle_lemma6", lambda args: ["PARTITION 0", Broken()])
+    assert main(["oracle", "lemma6", "--map", "0", "--point", "0"]) == 3
+    assert capsys.readouterr() == ("", "internal error: KeyError('lost')\n")
+
+
 def test_byte_identical_reruns():
     a = run_cli("thm2", "verify", "--stage", "3", "--kmax", "2")
     b = run_cli("thm2", "verify", "--stage", "3", "--kmax", "2")

@@ -89,7 +89,7 @@ def test_pair_table_is_the_product_table_built_once():
         assert table == naive_pair_table(s.table)
         assert table == tuple(s.table[a] * n + s.table[b] for a in range(n) for b in range(n))
         assert o.FiniteSystem(table).table == table  # a table the checks admit
-        # is_td reads the diagonal entries as Tx * (n + 1) without the table.
+        # The diagonal pair (x, x) goes to (Tx, Tx), coded Tx * (n + 1).
         assert [table[c] for c in range(0, n * n, n + 1)] == [v * (n + 1) for v in s.table]
 
 
@@ -488,7 +488,7 @@ def test_lemma7_part_a_reports_a_point_lost_by_a_power(monkeypatch):
     # set of 1 leaves 1 out, and x = 0 still passes every part.
     _plant_omega(monkeypatch, (2, 0, 1), 1, {0, 2})
     rep = o.lemma7_checks(sys_([1, 2, 0]), 3)
-    assert rep.line() == "CHECK LEMMA7 FAIL n=3 n_max=3 part=a x=1 power=2"
+    assert rep.line() == "CHECK LEMMA7 FAIL n=3 n_max=3 map=1,2,0 part=a x=1 power=2"
 
 
 def test_lemma7_part_b_reports_a_wrong_decomposition(monkeypatch):
@@ -496,13 +496,13 @@ def test_lemma7_part_b_reports_a_wrong_decomposition(monkeypatch):
     # planted limit set of 2 keeps 2 (part a holds) but adds 0.
     _plant_omega(monkeypatch, (0, 1, 2), 2, {0, 2})
     rep = o.lemma7_checks(sys_([1, 0, 2]), 2)
-    assert rep.line() == "CHECK LEMMA7 FAIL n=3 n_max=2 part=b x=2 power=2"
+    assert rep.line() == "CHECK LEMMA7 FAIL n=3 n_max=2 map=1,0,2 part=b x=2 power=2"
 
 
 def test_lemma7_part_c_reports_the_power_and_its_witness(monkeypatch):
     _plant_td(monkeypatch, (0, 1), (False, o.Partition.from_blocks([(0, 1)])))
     rep = o.lemma7_checks(sys_([1, 0]), 2)
-    assert rep.line() == "CHECK LEMMA7 FAIL n=2 n_max=2 part=c power=2 witness=0,1"
+    assert rep.line() == "CHECK LEMMA7 FAIL n=2 n_max=2 map=1,0 part=c power=2 witness=0,1"
 
 
 @pytest.mark.parametrize(
@@ -703,15 +703,28 @@ def test_sweep_prints_each_planted_lemma7_failure(monkeypatch):
     with monkeypatch.context() as m:
         _plant_omega(m, (2, 0, 1), 1, {0, 2})
         line = _swept_lemma7_line(3, 3, (1, 2, 0))
-        assert line == "CHECK LEMMA7 FAIL n=3 n_max=3 part=a x=1 power=2"
+        assert line == "CHECK LEMMA7 FAIL n=3 n_max=3 map=1,2,0 part=a x=1 power=2"
     with monkeypatch.context() as m:
         _plant_omega(m, (0, 1, 2), 2, {0, 2})
         line = _swept_lemma7_line(3, 2, (1, 0, 2))
-        assert line == "CHECK LEMMA7 FAIL n=3 n_max=2 part=b x=2 power=2"
+        assert line == "CHECK LEMMA7 FAIL n=3 n_max=2 map=1,0,2 part=b x=2 power=2"
     with monkeypatch.context() as m:
         _plant_td(m, (0, 1), (False, o.Partition.from_blocks([(0, 1)])))
         line = _swept_lemma7_line(2, 2, (1, 0))
-        assert line == "CHECK LEMMA7 FAIL n=2 n_max=2 part=c power=2 witness=0,1"
+        assert line == "CHECK LEMMA7 FAIL n=2 n_max=2 map=1,0 part=c power=2 witness=0,1"
+
+
+def test_permutation_sweep_names_the_map_of_a_planted_lemma7_failure(monkeypatch):
+    # A permutations-only sweep prints no SWEEP_MAP line, so the FAIL line
+    # alone must say which of the 3! maps failed.  The planted limit set is
+    # that of 1 under the square of 1,2,0, and under 2,0,1 itself.
+    _plant_omega(monkeypatch, (2, 0, 1), 1, {0, 2})
+    failed = [r.line() for r in o.sweep(3, power_max=3, permutations_only=True)
+              if not r.passed]
+    assert failed == [
+        "CHECK LEMMA7 FAIL n=3 n_max=3 map=1,2,0 part=a x=1 power=2",
+        "CHECK LEMMA7 FAIL n=3 n_max=3 map=2,0,1 part=b x=1 power=2",
+    ]
 
 
 def test_check_map_determinism_reports():

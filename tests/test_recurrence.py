@@ -457,7 +457,7 @@ def test_escape_and_omega_match_dense_references_on_random_states():
     assert single_center_runs > 0
 
 
-# -- the limit-pair return part: the 1/k probe and the 3/k scans ----------------------
+# -- the limit-pair return part: the I/II verdict and the 3/k scans -------------------
 
 
 def _planted_side(rng, half, time, k, plant):

@@ -529,6 +529,36 @@ def test_stage5_build_stores_only_nonzeros():
     assert peak < 8 * 2**20
 
 
+def test_rigidity_against_naive_on_random_states():
+    # Conditions I and II report the first position the dense scan finds,
+    # with both of its symbols; steps between 1/k and 2/k are planted often.
+    rng = random.Random(53)
+    failures = 0
+    for _ in range(200):
+        half = rng.randint(1, 12)
+        blocks = []
+        for _side in "xy":
+            syms = [F(rng.randint(1, 4), 4) if rng.random() < 0.3 else 0
+                    for _ in range(2 * half + 1)]
+            syms[half] = 1
+            blocks.append(Block(syms, base=-half))
+        k = rng.randint(1, 4)
+        m_times = tuple(rng.randint(1, 2 * half + 2) for _ in range(4))
+        n_times = tuple(rng.randint(1, 2 * half + 2) for _ in range(4))
+        state = thm2.Thm2State(*blocks, m_times, n_times, ())
+        for check, block, shift in ((thm2.check_rigidity_x, blocks[0], m_times[k - 1]),
+                                    (thm2.check_rigidity_y, blocks[1], n_times[k - 1])):
+            rep = check(state, k)
+            hits = naive_shift_violations(block, shift, F(1, k))
+            assert rep.passed == (not hits)
+            if hits:
+                failures += 1
+                i = hits[0]
+                assert rep.witness == (("pos", i), ("value", block.at_or_zero(i)),
+                                       ("shifted", block.at_or_zero(i + shift)))
+    assert failures > 40
+
+
 def test_transitive_rigidity_against_naive_on_random_states():
     rng = random.Random(47)
     failures = 0
