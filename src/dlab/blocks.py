@@ -3,10 +3,13 @@
 A block is a finite run of exact rational symbols occupying the integer
 positions ``base .. base + length - 1``.  Blocks are immutable; every
 operation returns a new block.  A block stores only its nonzero symbols: the
-strictly increasing tuple of their absolute positions and a parallel tuple of
-their values.  Every other position holds 0 implicitly, so building, scaling,
-windowing and scanning a block cost O(#nonzero) whatever its length, and a
-position read is a bisect.
+strictly increasing int64 array of their absolute positions (8 bytes each, no
+int object per position) and a parallel tuple of their values.  Every other
+position holds 0 implicitly, so building, scaling, windowing and scanning a
+block cost O(#nonzero) whatever its length, and a position read is a bisect.
+So a block's range base .. base + length - 1 lies in [-2**63, 2**63); a
+block that would leave it is refused with a ``ValueError`` before any
+position is stored.
 
 The constructions repeat a few hundred values over up to millions of
 nonzeros.  ``as_symbol``, ``parse_symbol`` and ``scale`` return one canonical
@@ -34,10 +37,11 @@ from __future__ import annotations
 import io
 import math
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import gt, itemgetter, sub
 
 from .report import Record, format_symbol
@@ -49,13 +53,22 @@ DEFAULT_MAX_NONZEROS = 10**8
 # Default cap on the nonzeros each thm2 block stores
 # (`thm2.predicted_nonzeros`).  Stage 7 stores 135,135 and runs at the
 # default.  Stage 8 would store 2,027,025, and its CLI verify at `--kmax 7`
-# takes 13.2 s and 464 MB peak RSS (Python 3.11.7, 2-vCPU Xeon); stage 9
+# takes 12.4-12.6 s and 269 MB peak RSS (Python 3.11.7, 2-vCPU Xeon); stage 9
 # would store 34,459,425.  Both are refused before any build.
 DEFAULT_MAX_NONZEROS_PER_BLOCK = 10**6
 
 # Symbol value -> its one canonical object.  It keeps every value it has seen
 # for the life of the process: a few hundred for the constructions.
 _CANONICAL = {ZERO: ZERO}
+
+
+def _check_range(base: int, length: int, error=ValueError) -> None:
+    """Raise ``error`` unless base .. base + length - 1 lies in [-2**63, 2**63)."""
+    if not (-(2**63) <= base and base + length - 1 < 2**63):
+        raise error(
+            f"block range {base}..{base + length - 1} leaves the int64 positions "
+            f"[-2**63, 2**63)"
+        )
 
 
 def _canonical(f: Fraction) -> Fraction:
@@ -119,7 +132,11 @@ def as_symbol(value) -> Fraction:
 
 
 class Block:
-    """Immutable finite block of rational symbols with an integer base index."""
+    """Immutable finite block of rational symbols with an integer base index.
+
+    ``_nonzero`` is the strictly increasing int64 array of the nonzero
+    positions and ``_values`` the tuple of their symbols (module docstring).
+    """
 
     __slots__ = ("base", "length", "_nonzero", "_values", "_distinct", "_numerators")
 
@@ -134,23 +151,27 @@ class Block:
                 values.append(v)
         if not length:
             raise ValueError("a block holds at least one symbol")
-        self._assign(base, length, tuple(nonzero), tuple(values))
+        self._assign(base, length, array("q"), tuple(values))
+        self._nonzero.extend(nonzero)  # once _assign has admitted the range
 
     @classmethod
     def _trusted(
-        cls, base: int, length: int, nonzero: tuple, values: tuple, distinct=None
+        cls, base: int, length: int, nonzero: array, values: tuple, distinct=None
     ):
         # Fast path for internal constructors that already guarantee the
-        # invariant: nonzero strictly increasing inside base..base+length-1,
-        # values the nonzero Fractions at those positions, and ``distinct``
-        # (if given) the table ``_by_object(values)`` would build.
+        # invariant: nonzero an int64 array strictly increasing inside
+        # base..base+length-1, values the nonzero Fractions at those
+        # positions, and ``distinct`` (if given) the table
+        # ``_by_object(values)`` would build.  A producer that could overflow
+        # int64 passes an empty array and fills it after this returns.
         blk = object.__new__(cls)
         blk._assign(base, length, nonzero, values, distinct)
         return blk
 
     def _assign(
-        self, base: int, length: int, nonzero: tuple, values: tuple, distinct=None
+        self, base: int, length: int, nonzero: array, values: tuple, distinct=None
     ) -> None:
+        _check_range(base, length)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_nonzero", nonzero)
@@ -196,19 +217,20 @@ class Block:
         return ZERO
 
     @property
-    def nonzero_positions(self) -> tuple:
-        """Strictly increasing absolute positions carrying nonzero symbols."""
-        return self._nonzero
+    def nonzero_positions(self) -> memoryview:
+        """Strictly increasing absolute positions carrying nonzero symbols,
+        as a read-only int64 view (compare it with ``tuple(...)``)."""
+        return memoryview(self._nonzero).toreadonly()
 
     def nonzero_items(self) -> Iterator[tuple]:
         """(position, symbol) for every nonzero symbol, in increasing position."""
         return zip(self._nonzero, self._values)
 
-    def nonzero_in(self, lo: int, hi: int) -> Sequence[int]:
-        """Nonzero positions p with lo <= p <= hi (sorted)."""
+    def nonzero_in(self, lo: int, hi: int) -> memoryview:
+        """Nonzero positions p with lo <= p <= hi (sorted), a read-only view."""
         a = bisect_left(self._nonzero, lo)
         b = bisect_right(self._nonzero, hi)
-        return self._nonzero[a:b]
+        return self.nonzero_positions[a:b]
 
     def leading_zero_run(self) -> int:
         if not self._nonzero:
@@ -233,7 +255,7 @@ class Block:
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.length, self._nonzero, self._values))
+        return hash((self.base, self.length, self._nonzero.tobytes(), self._values))
 
     def __repr__(self) -> str:
         shown = ",".join(
@@ -263,7 +285,9 @@ def _checked_block(base, length, nonzero, values) -> Block:
         )
     if not all(isinstance(v, Fraction) and v for v in values):
         raise ValueError("a value at a nonzero position is 0 or not a Fraction")
-    return Block._trusted(base, length, nonzero, tuple(map(as_symbol, values)))
+    block = Block._trusted(base, length, array("q"), tuple(map(as_symbol, values)))
+    block._nonzero.extend(nonzero)  # once _assign has admitted the range
+    return block
 
 
 def _distinct_values(block: Block) -> dict:
@@ -276,7 +300,7 @@ def _distinct_values(block: Block) -> dict:
 def zeros(length: int) -> Block:
     if length < 1:
         raise ValueError("a block holds at least one symbol")
-    return Block._trusted(1, length, (), (), {})
+    return Block._trusted(1, length, array("q"), (), {})
 
 
 def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
@@ -286,18 +310,17 @@ def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
     if base is None:
         base = blocks[0].base
     starts = list(accumulate((blk.length for blk in blocks), initial=base))
-    deltas = [start - blk.base for start, blk in zip(starts, blocks)]
-    # Each tuple is built from C-level iterators in one pass, with no
-    # per-block temporary list.
-    nonzero = tuple(chain.from_iterable(
-        map(delta.__add__, blk._nonzero) if delta else blk._nonzero
-        for delta, blk in zip(deltas, blocks)
-    ))
     values = tuple(chain.from_iterable(blk._values for blk in blocks))
     distinct = {}
     for blk in blocks:
         distinct.update(_distinct_values(blk))
-    return Block._trusted(base, starts[-1] - base, nonzero, values, distinct)
+    out = Block._trusted(base, starts[-1] - base, array("q"), values, distinct)
+    # Filled once _assign has admitted the range, so no shifted position
+    # overflows: an input in place is one buffer copy, any other one pass.
+    for start, blk in zip(starts, blocks):
+        delta = start - blk.base
+        out._nonzero.extend(map(delta.__add__, blk._nonzero) if delta else blk._nonzero)
+    return out
 
 
 def scale(t, b: Block) -> Block:
@@ -306,7 +329,7 @@ def scale(t, b: Block) -> Block:
     if t == 1:
         return b
     if not t:
-        return Block._trusted(b.base, b.length, (), (), {})
+        return Block._trusted(b.base, b.length, array("q"), (), {})
     products = {k: _canonical(t * v) for k, v in _distinct_values(b).items()}
     values = tuple(_per_object(products, b._values))
     return Block._trusted(
@@ -445,44 +468,56 @@ def shift_violations(
 
     With ``at_bound`` the test is >= bound.  Positions outside the block read
     as 0, and hits come in increasing i, only those in ``lo .. hi`` when
-    given.  Two pointers walk the nonzeros once as i and once as i + shift,
-    from ``lo`` by bisection, comparing integer numerators over the block's
-    common denominator D: |b - a| / D > p / q iff |b - a| * q > p * D.  The
-    walk never visits an i where both sides are 0, so a bound such an i would
-    break (negative, or 0 with ``at_bound``) is refused.
+    given.  Symbols are integer numerators over the block's common
+    denominator D, and |b - a| / D > p / q iff |b - a| > (p * D) // q.  As
+    |b - a| <= max(a, b) for a, b >= 0, every hit has a side whose numerator
+    passes that limit, and C-level filters list those nonzeros, from ``lo``
+    by bisection.  Two pointers walk them as i and as i + shift, and both
+    sides of each i they list are read at two more pointers that only move
+    right, by bisection when they must move: Python-level work is per listed
+    nonzero.  The walk never visits an i where both sides are 0, so a bound
+    such an i would break (negative, or 0 with ``at_bound``) is refused.
     """
     if bound < 0 or (at_bound and not bound):
         raise ValueError(f"bound {bound} would flag positions where both sides are 0")
     den, nums = common_numerators(block)
     nz, vals = block._nonzero, block._values
-    bound_den, limit = bound.denominator, bound.numerator * den
+    limit = bound.numerator * den
     if at_bound:
         limit -= 1  # on integers, x >= y is x > y - 1
+    limit //= bound.denominator
     a = b = 0
-    a_end = b_end = len(nz)
+    a_end = b_end = n = len(nz)
     if lo is not None:
         a, b = bisect_left(nz, lo), bisect_left(nz, lo + shift)
     if hi is not None:
         a_end, b_end = bisect_right(nz, hi), bisect_right(nz, hi + shift)
+    lefts = compress(range(a, a_end), map(gt, nums[a:a_end], repeat(limit)))
+    rights = compress(range(b, b_end), map(gt, nums[b:b_end], repeat(limit)))
+    # Every nz[:pa] lies below the next i, every nz[:pb] below i + shift.
+    pa, pb = a, b
     # An exhausted pointer reads ``end``, past every i the other one reads:
     # nz[a] <= last and nz[b] - shift <= last - shift.
     end = block.last + max(0, -shift) + 1
-    while a < a_end or b < b_end:
-        i = nz[a] if a < a_end else end
-        j = nz[b] - shift if b < b_end else end
-        if i == j:
-            if abs(nums[b] - nums[a]) * bound_den > limit:
-                yield i, vals[a], vals[b]
-            a += 1
-            b += 1
-        elif i < j:
-            if nums[a] * bound_den > limit:
-                yield i, vals[a], ZERO
-            a += 1
-        else:
-            if nums[b] * bound_den > limit:
-                yield j, ZERO, vals[b]
-            b += 1
+    a, b = next(lefts, a_end), next(rights, b_end)
+    i = nz[a] if a < a_end else end
+    j = nz[b] - shift if b < b_end else end
+    while i < end or j < end:
+        q = i if i < j else j
+        if i == q:
+            pa, a = a, next(lefts, a_end)
+            i = nz[a] if a < a_end else end
+        elif pa < n and nz[pa] < q:
+            pa = bisect_left(nz, q, pa)
+        if j == q:
+            pb, b = b, next(rights, b_end)
+            j = nz[b] - shift if b < b_end else end
+        elif pb < n and nz[pb] < q + shift:
+            pb = bisect_left(nz, q + shift, pb)
+        x = nums[pa] if pa < n and nz[pa] == q else 0
+        y = nums[pb] if pb < n and nz[pb] == q + shift else 0
+        if abs(y - x) > limit:
+            yield q, vals[pa] if x else ZERO, vals[pb] if y else ZERO
 
 
 def common_numerators(block: Block) -> tuple:
@@ -579,7 +614,7 @@ def write_tdseq(block: "Block | CopyLayout", stream: io.TextIOBase) -> None:
     row = CopyLayout.of(block)
     copy0, distinct = row.copy0, _distinct_values(row.copy0)
     nz = copy0._nonzero
-    gaps = map(sub, nz, (copy0.base - 1,) + nz[:-1])
+    gaps = map(sub, nz, chain((copy0.base - 1,), nz))
     pieces = {}  # (gap, id of the value) -> its index
     order = [pieces.setdefault(p, len(pieces)) for p in zip(gaps, map(id, copy0._values))]
     order.append(len(pieces))  # the tail
@@ -625,7 +660,8 @@ def read_tdseq(stream: io.TextIOBase) -> Block:
         raise TdseqFormatError(f"bad header {header!r}")
     base = _header_int(stream, _BASE_RE, "base")
     length = _header_int(stream, _LENGTH_RE, "length")
-    nonzero, values = [], []
+    _check_range(base, length, TdseqFormatError)
+    nonzero, values = array("q"), []
     table = _PieceTable()
     position = base  # of the next body line
     partial = []  # text read since the last newline
@@ -649,7 +685,10 @@ def read_tdseq(stream: io.TextIOBase) -> Block:
         entries = list(map(table.__getitem__, pieces))
         values.extend(map(itemgetter(0), entries))
         spans = accumulate(map(itemgetter(1), entries), initial=position - 1)
-        nonzero.extend(islice(spans, 1, None))
+        try:
+            nonzero.extend(islice(spans, 1, None))
+        except OverflowError:  # the header's range ends below 2**63
+            raise TdseqFormatError(f"expected {length} symbols, found more") from None
         line = trailing.lstrip(_MARK)
         if line:
             table[line]  # holds a marker, so it raises
@@ -663,7 +702,7 @@ def read_tdseq(stream: io.TextIOBase) -> Block:
     if position - base != length:
         raise TdseqFormatError(f"expected {length} symbols, found {position - base}")
     distinct = _by_object([v for v, _ in table.values()])  # each is in the block
-    return Block._trusted(base, length, tuple(nonzero), tuple(values), distinct)
+    return Block._trusted(base, length, nonzero, tuple(values), distinct)
 
 
 def dump_tdseq(block: "Block | CopyLayout", path) -> None:

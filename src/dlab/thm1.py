@@ -101,8 +101,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
-from operator import sub
+from itertools import compress, islice, repeat
+from operator import eq, sub
 
 from .blocks import (
     DEFAULT_MAX_NONZEROS,
@@ -208,7 +208,7 @@ class Thm1State(Record):
                 if b - a != len(pos0):
                     return None
                 shift = j * size
-                if not all(map(shift.__eq__, map(sub, nz[a:b], pos0))):
+                if not all(map(eq, map(sub, nz[a:b], pos0), repeat(shift))):
                     return None
                 top, bottom = nums[a], num0[0]  # c_j = top / bottom
                 if top > bottom:

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
-from operator import sub
+from itertools import compress, repeat
+from operator import le, sub
 
 from .blocks import (
     DEFAULT_MAX_NONZEROS_PER_BLOCK,
@@ -305,7 +305,7 @@ def _phased_sparseness(block: Block, length: int):
     # Only the gaps of a cell or more take a Python step; compress filters
     # the rest, which dominate the large cells of a 10^5-nonzero block.
     first = 0  # index of the first nonzero of the current run
-    long_gaps = map(length.__le__, map(sub, nz[1:], nz))
+    long_gaps = map(le, repeat(length), map(sub, nz[1:], nz))
     for i in compress(range(1, len(nz)), long_gaps):
         a, b = nz[i - 1], nz[i]
         start = (nz[first] + 1) % length
@@ -358,7 +358,7 @@ def check_orthogonality(state: Thm2State) -> CheckReport:
     whose x(0) or y(0) is not 1, so every state passed in has it.
     """
     params = (("stage", state.stage),)
-    shared = set(state.x.nonzero_positions) & set(state.y.nonzero_positions)
+    shared = set(state.x.nonzero_positions).intersection(state.y.nonzero_positions)
     shared.discard(0)
     if shared:
         p = min(shared)

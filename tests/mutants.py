@@ -23,7 +23,8 @@ only some of its node ids, 2 when the unmutated copy does not pass.
 The list holds the span walk of ``dlab.recurrence`` and the condition I/II
 test of ``dlab.thm2`` that its limit-pair witness reads, the end sentinel of
 ``blocks.shift_violations``, thm1's C3 gate walk, the copy geometry of
-``blocks.CopyLayout``, the cap test of ``blocks.check_cap``, the value
+``blocks.CopyLayout``, the cap test of ``blocks.check_cap``, the int64
+range refusal of ``blocks.Block``, the value
 C2PRIME's FAIL line prints, the oracle (its shared limit-set walk, its
 partition-mask fold, its diagonal test, the pair-cycle walk of
 ``all_pairs_recurrent`` and the Lemma 7(c) gate before it, the map a LEMMA7
@@ -64,6 +65,8 @@ IN_REACH = C3_GAPS.format("next-nonzero-past-limit-in-reach")
 LAYOUT_READS = "tests/test_thm1.py::test_layout_reads_as_its_built_row"
 PIECES = "tests/test_thm1.py::test_layout_pieces_and_pair_covers_read_as_the_built_row"
 CAPS = "tests/test_cli.py::test_every_cap_admits_its_count_and_refuses_one_less"
+RANGE_REFUSED = "tests/test_blocks.py::test_blocks_past_the_int64_positions_are_refused[{}]"
+RANGE_ENDS = "tests/test_blocks.py::test_blocks_at_the_int64_ends_are_built"
 MASKS = "tests/test_oracle.py::test_partition_masks_classify_every_partition"
 TD_EXAMPLES = "tests/test_oracle.py::test_td_examples"
 TD_SMALL = "tests/test_oracle.py::test_td_iff_bijection_small[3]"
@@ -292,6 +295,21 @@ MUTANTS = [
         "text": "if a + shift <= b + 1:",
         "replacement": "if a + shift <= b:",
         "kills": [PIECES, SMALL_COVERS],
+    },
+    {
+        "name": "range-top",  # a block through 2**63 is admitted, then overflows
+        "file": "dlab/blocks.py",
+        "text": "base + length - 1 < 2**63",
+        "replacement": "base + length - 1 <= 2**63",
+        "kills": [RANGE_REFUSED.format("base-2**63"), RANGE_REFUSED.format("last-2**63"),
+                  RANGE_REFUSED.format("concat-past-top")],
+    },
+    {
+        "name": "range-bottom",  # a block from -2**63 is refused
+        "file": "dlab/blocks.py",
+        "text": "-(2**63) <= base",
+        "replacement": "-(2**63) < base",
+        "kills": [RANGE_ENDS],
     },
     {
         "name": "cap-boundary",  # a count equal to the cap is refused

@@ -171,8 +171,8 @@ def test_criterion_9_hand_instance_golden():
     with criterion(9, "worked stage-1 instance pinned as golden"):
         choice = thm2.SpacerChoice(s=2, sp=8, tp=18)
         state = thm2.build_stage(thm2.initial_state(), choice)
-        assert state.x.nonzero_positions == (-3, 0, 3)
-        assert state.y.nonzero_positions == (-9, 0, 9)
+        assert tuple(state.x.nonzero_positions) == (-3, 0, 3)
+        assert tuple(state.y.nonzero_positions) == (-9, 0, 9)
         assert state.x[0] == state.y[0] == 1
         assert state.x[3] == state.y[9] == F(1, 2)
         # Measured common length: 2*24 + 3*1 + 2*2 = 55 on both sides.

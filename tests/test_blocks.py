@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -68,7 +69,7 @@ def test_concat_rebases_second_operand():
     b = Block([F(1, 2), 0, 0], base=40)
     out = concat_all([Block([1, 0, 0], base=1), b])
     assert dense(out) == (1, 0, 0, F(1, 2), 0, 0)
-    assert out.nonzero_positions == (1, 4)
+    assert tuple(out.nonzero_positions) == (1, 4)
 
 
 def test_public_names_resolve():
@@ -127,6 +128,7 @@ TAMPERED = {
     "fewer values": (0, 4, (1, 2), (F(1),)),
     "empty block": (0, 0, (), ()),
     "non-int length": (0, 4.0, (), ()),
+    "range past int64": (2**63 - 1, 2, (2**63,), (F(1),)),
 }
 
 
@@ -135,6 +137,99 @@ def test_tampered_block_payload_is_refused(name):
     data = pickle.dumps(_Payload(*TAMPERED[name]))
     with pytest.raises(ValueError):
         pickle.loads(data)
+
+
+def _no_body_reads(text):
+    """A stream of ``text`` whose body ``read`` fails the test."""
+
+    class Stream(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("the body was read")
+
+    return Stream(text)
+
+
+TOP = 2**63 - 1  # the largest position an int64 array holds
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Block([1], base=2**63),
+    lambda: Block([1], base=-(2**63) - 1),
+    lambda: Block([0, 1], base=TOP),
+    lambda: concat_all([Block([1], base=TOP - 1), Block([0, 1])]),
+    lambda: concat_all([Block([1]), Block([1])], base=TOP),
+    lambda: concat_all([zeros(3)], base=-(2**63) - 1),
+], ids=["base-2**63", "base-below", "last-2**63", "concat-past-top", "concat-base", "concat-below"])
+def test_blocks_past_the_int64_positions_are_refused(make):
+    # A ValueError, before any position is stored: never an OverflowError.
+    with pytest.raises(ValueError, match=r"leaves the int64 positions \[-2\*\*63, 2\*\*63\)$"):
+        make()
+
+
+def test_blocks_at_the_int64_ends_are_built():
+    top = concat_all([Block([F(1, 2)], base=TOP - 1), Block([1])])
+    assert tuple(top.nonzero_positions) == (TOP - 1, TOP) and top[TOP] == 1
+    bottom = Block([1, 0], base=-(2**63))
+    assert tuple(bottom.nonzero_positions) == (-(2**63),)
+    for block in (top, bottom):
+        assert pickle.loads(pickle.dumps(block)) == block
+        buf = io.StringIO()
+        write_tdseq(block, buf)
+        assert read_tdseq(io.StringIO(buf.getvalue())) == block
+
+
+@pytest.mark.parametrize("base, length", [(TOP, 2), (2**63, 1), (-(2**63) - 1, 1), (1, 2**63)])
+def test_tdseq_header_past_the_int64_positions_is_refused_before_the_body(base, length):
+    with pytest.raises(TdseqFormatError, match="leaves the int64 positions"):
+        read_tdseq(_no_body_reads(f"TDSEQ 1\nbase {base}\nlength {length}\n1/1\n"))
+
+
+def test_tdseq_body_past_its_length_at_the_int64_top_is_refused():
+    # The header admits TOP alone; a nonzero line after it would sit at 2**63.
+    for body, found in (("1/1\n0/1\n", "2"), ("0/1\n1/1\n", "more")):
+        with pytest.raises(TdseqFormatError, match=f"^expected 1 symbols, found {found}$"):
+            read_tdseq(io.StringIO(f"TDSEQ 1\nbase {TOP}\nlength 1\n{body}"))
+
+
+def _layout():
+    return blocks.CopyLayout(Block([0, F(1, 2), 1, 0], base=1), (1, F(1, 2), 0, 1))
+
+
+PRODUCERS = {
+    "Block": lambda: Block([0, F(1, 2), 1], base=-1),
+    "zeros": lambda: zeros(3),
+    "scale-0": lambda: scale(0, Block([1, F(1, 3)])),
+    "scale-half": lambda: scale(F(1, 2), Block([1, F(1, 3)])),
+    "scale-1": lambda: scale(1, Block([1, F(1, 3)])),
+    "window": lambda: window(Block([1, 0, F(1, 3), 1], base=5), 6, 7),
+    "concat_all": lambda: concat_all([Block([1, 0]), zeros(2), Block([F(1, 2)], base=9)]),
+    "cover": lambda: _layout().cover(3, 6),
+    "pair_cover": lambda: _layout().pair_cover(2, 3, 9),
+    "read_tdseq": lambda: read_tdseq(io.StringIO("TDSEQ 1\nbase -2\nlength 3\n0/1\n1/2\n1/1\n")),
+    "copy": lambda: copy.copy(Block([1, 0, F(1, 2)])),
+    "deepcopy": lambda: copy.deepcopy(Block([1, 0, F(1, 2)])),
+    "pickle": lambda: pickle.loads(pickle.dumps(Block([1, 0, F(1, 2)]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_every_producer_stores_positions_in_one_int64_array(name):
+    block = PRODUCERS[name]()
+    # A tuple left here would make Block.__eq__ read False against an array.
+    assert type(block._nonzero) is array and block._nonzero.typecode == "q"
+    assert block == _checked_twin(block)
+    view = block.nonzero_positions
+    with pytest.raises(TypeError):
+        view[0] = 5
+    with pytest.raises(TypeError):
+        block.nonzero_in(block.base, block.last)[:] = b""
+    assert tuple(view) == tuple(p for p, _ in block.nonzero_items())
+
+
+def _checked_twin(block):
+    """The block rebuilt from plain tuples through the checked constructor."""
+    rebuild, (base, length, nonzero, values) = block.__reduce__()
+    return rebuild(base, length, tuple(nonzero), tuple(values))
 
 
 def test_symbol_range_enforced():
@@ -147,7 +242,7 @@ def test_symbol_range_enforced():
 def test_scale_by_zero_and_half():
     b = Block([1, 0, 0])
     assert dense(scale(0, b)) == (0, 0, 0)
-    assert scale(0, b).nonzero_positions == ()
+    assert tuple(scale(0, b).nonzero_positions) == ()
     assert dense(scale(F(1, 2), b)) == (F(1, 2), 0, 0)
 
 
@@ -178,7 +273,7 @@ def test_window_keeps_absolute_positions():
     b = Block([0, F(1, 2), 0, 1], base=10)
     w = window(b, 11, 13)
     assert w.base == 11
-    assert w.nonzero_positions == (11, 13)
+    assert tuple(w.nonzero_positions) == (11, 13)
     assert w[11] == F(1, 2)
 
 
@@ -214,8 +309,8 @@ def test_nonzero_iteration_sorted_and_nonzero():
     b = Block([0, F(1, 2), 0, 1, 0], base=-2)
     items = list(b.nonzero_items())
     assert items == [(-1, F(1, 2)), (1, F(1))]
-    assert b.nonzero_in(-2, 0) == (-1,)
-    assert b.nonzero_in(0, 2) == (1,)
+    assert tuple(b.nonzero_in(-2, 0)) == (-1,)
+    assert tuple(b.nonzero_in(0, 2)) == (1,)
 
 
 def test_zero_runs():
@@ -413,8 +508,30 @@ def test_tdseq_read_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == block and got.nonzero_positions == (400_001, 999_999, 1_000_000)
+    assert got == block and tuple(got.nonzero_positions) == (400_001, 999_999, 1_000_000)
     assert peak < 2_000_000, peak  # the body is read in bounded chunks
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage8_build_and_load_stay_under_6_mb(tmp_path):
+    # Stage 8 stores 181,440 nonzeros: 1.45 MB of int64 positions and
+    # 1.45 MB of value pointers.  A tuple of positions would add 1.45 MB of
+    # pointers and 5.8 MB of int objects (peaks of 10.6 MB and 12.2 MB).
+    built, peak = _traced_peak(lambda: thm1.build(8))
+    assert peak < 6_000_000, peak
+    path = tmp_path / "stage8.tdseq"
+    blocks.dump_tdseq(built.prefix, path)
+    loaded, peak = _traced_peak(lambda: blocks.load_tdseq(path))
+    assert peak < 6_000_000, peak
+    assert loaded == built.prefix
 
 
 def test_tdseq_read_keeps_no_piece_past_the_bound():
@@ -591,7 +708,7 @@ def _dense_case(rng):
 def _check_against_dense(b, base, syms):
     assert b.base == base and len(b) == len(syms) and b.last == base + len(syms) - 1
     assert dense(b) == syms
-    assert b.nonzero_positions == tuple(base + i for i, v in enumerate(syms) if v)
+    assert tuple(b.nonzero_positions) == tuple(base + i for i, v in enumerate(syms) if v)
     assert list(b.nonzero_items()) == [(base + i, v) for i, v in enumerate(syms) if v]
     for i, v in enumerate(syms, base):
         assert b[i] == v and b.at_or_zero(i) == v
@@ -717,7 +834,7 @@ def _distinct_objects(rng, base, syms):
         F(v.numerator, v.denominator) if rng.random() < 0.7 else blocks.as_symbol(v)
         for _, v in nonzero
     )
-    return Block._trusted(base, len(syms), tuple(p for p, _ in nonzero), values)
+    return Block._trusted(base, len(syms), array("q", (p for p, _ in nonzero)), values)
 
 
 def test_per_value_work_does_not_rely_on_canonical_objects():
@@ -747,5 +864,5 @@ def test_per_value_work_does_not_rely_on_canonical_objects():
         if values:
             k = rng.randrange(len(values))
             changed = values[:k] + [values[k] / 2] + values[k + 1 :]
-            assert Block._trusted(base, len(b), b.nonzero_positions, tuple(changed)) != b
+            assert Block._trusted(base, len(b), b._nonzero, tuple(changed)) != b
     assert repeated >= 100

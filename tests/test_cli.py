@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dlab.blocks import dump_tdseq, load_tdseq, write_tdseq
+from dlab.blocks import concat_all, dump_tdseq, load_tdseq, write_tdseq
 from dlab.cli import main
 from dlab import cli, oracle, thm1, thm2
 
@@ -181,6 +181,21 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: KeyError('lost\\ntable')\n"
+
+
+def test_a_block_past_the_int64_positions_exits_2_with_one_line(monkeypatch, capsys):
+    # No command loads a TDSEQ file, and the caps refuse every stage whose
+    # positions could pass 2**63 - 1, so only a planted fault meets the
+    # range refusal: here a step that lays its copies from the top position.
+    def step_from_the_top(state, flat=True):
+        return concat_all([state.prefix, state.prefix], base=2**63 - 1)
+
+    monkeypatch.setattr(thm1, "step", step_from_the_top)
+    assert main(["thm1", "verify", "--stage", "3", "--kmax", "2"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: block range 9223372036854775807..9223372036854775812 leaves "
+        "the int64 positions [-2**63, 2**63)\n"
+    ))
 
 
 def test_a_report_that_cannot_be_formatted_exits_3(monkeypatch, capsys):

@@ -940,11 +940,12 @@ def test_layout_pieces_and_pair_covers_read_as_the_built_row():
 
 
 def test_layout_verify_peaks_well_below_the_flat_build():
-    # build(9) peaks at least at what it returns: two tuples of one pointer
-    # per nonzero and an int per position (its Fractions are shared).
-    nonzero = thm1.build(9).prefix.nonzero_positions
-    built = 2 * sys.getsizeof(nonzero) + sum(map(sys.getsizeof, nonzero))
-    del nonzero
+    # build(9) peaks at least at what it returns: an int64 array of its
+    # positions and a tuple of one pointer per nonzero (its Fractions are
+    # shared).
+    prefix = thm1.build(9).prefix
+    built = sys.getsizeof(prefix._nonzero) + sys.getsizeof(prefix._values)
+    del prefix
     tracemalloc.start()
     try:
         assert _verify_lines(thm1.step(thm1.build(8), flat=False), 20, 4)
