@@ -4,29 +4,23 @@ A block is a finite run of exact rational symbols occupying the integer
 positions ``base .. base + length - 1``.  Blocks are immutable; every
 operation returns a new block.  A block stores only its nonzero symbols: the
 strictly increasing int64 array of their absolute positions (8 bytes each, no
-int object per position) and a parallel tuple of their values.  Every other
-position holds 0 implicitly, so building, scaling, windowing and scanning a
-block cost O(#nonzero) whatever its length, and a position read is a bisect.
-So a block's range base .. base + length - 1 lies in [-2**63, 2**63); a
-block that would leave it is refused with a ``ValueError`` before any
-position is stored.
+int object per position), the table of their distinct values, and one
+``array('I')`` id per nonzero that indexes that table.  Every other position
+holds 0 implicitly, so building, scaling, windowing and scanning a block
+cost O(#nonzero) whatever its length, and a position read is a bisect.  So
+a block's range base .. base + length - 1 lies in [-2**63, 2**63); a block
+that would leave it is refused with a ``ValueError`` before any position is
+stored.
 
 The constructions repeat a few hundred values over up to millions of
-nonzeros.  ``as_symbol``, ``parse_symbol`` and ``scale`` return one canonical
-``Fraction`` object per value, so per-value work (products, numerators, TDSEQ
-text) is keyed by object identity and runs once per distinct value, and block
-equality mostly passes on identity.  Correctness never depends on it: equal
-values in distinct objects only cost a repeat of that work.
-
-Each block caches that identity table, id -> object for each distinct object
-among its values, so per-value work never walks the nonzeros to find the
-distinct values.  The producer sets it in O(#distinct): ``scale`` from its
-products, ``concat_all`` by merging its inputs' tables, ``read_tdseq`` from
-the lines it parsed, ``zeros`` and scaling by 0 as empty.  Only ``Block(...)``,
-``window`` and ``_checked_block`` (which copy and pickle rebuild through)
-derive it from their values, lazily and once; a window does not inherit its
-parent's table, whose values it may not all hold.  Nothing is cached per
-nonzero.
+nonzeros, so per-value work (products, numerators, TDSEQ text) runs once per
+table entry.  The table holds each value once, every entry is used, and
+entries are numbered in order of first appearance: a canonical form, so
+equal blocks have equal tables and ids.  Every producer keeps it: ``scale``
+maps the table and shares the ids, ``concat_all`` merges its inputs' tables
+by value, ``window`` renumbers its slice, and ``Block(...)``, ``read_tdseq``
+and ``_checked_block`` (which copy and pickle rebuild through) number the
+values as they read them.
 
 A ``CopyLayout`` stands for a block that is a row of scaled copies of one
 block, without building it: thm1's top stage is read and written so.
@@ -42,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import gt, itemgetter, sub
+from operator import gt, index, itemgetter, sub
 
 from .report import Record, format_symbol
 
@@ -57,10 +51,6 @@ DEFAULT_MAX_NONZEROS = 10**8
 # would store 34,459,425.  Both are refused before any build.
 DEFAULT_MAX_NONZEROS_PER_BLOCK = 10**6
 
-# Symbol value -> its one canonical object.  It keeps every value it has seen
-# for the life of the process: a few hundred for the constructions.
-_CANONICAL = {ZERO: ZERO}
-
 
 def _check_range(base: int, length: int, error=ValueError) -> None:
     """Raise ``error`` unless base .. base + length - 1 lies in [-2**63, 2**63)."""
@@ -71,18 +61,12 @@ def _check_range(base: int, length: int, error=ValueError) -> None:
         )
 
 
-def _canonical(f: Fraction) -> Fraction:
-    return _CANONICAL.setdefault(f, f)
-
-
-def _by_object(values) -> dict:
-    """id -> object for each distinct object in ``values``, which keeps them alive."""
-    return dict(zip(map(id, values), values))
-
-
-def _per_object(table: dict, values) -> map:
-    """``table[id(v)]`` for each v of ``values``, in order."""
-    return map(table.__getitem__, map(id, values))
+def _numbered(values) -> tuple:
+    """``(table, ids)``: the distinct ``values`` in order of first appearance,
+    and the index in that table of each value."""
+    number = {}
+    ids = array("I", [number.setdefault(v, len(number)) for v in values])
+    return tuple(number), ids
 
 
 class TdseqFormatError(ValueError):
@@ -124,24 +108,25 @@ class InvariantError(RuntimeError):
 
 
 def as_symbol(value) -> Fraction:
-    """Coerce to the canonical exact rational symbol, enforcing 0 <= value <= 1."""
+    """Coerce to an exact rational symbol, enforcing 0 <= value <= 1."""
     f = value if isinstance(value, Fraction) else Fraction(value)
     if f < 0 or f > 1:
         raise ValueError(f"symbol {f} outside [0, 1]")
-    return _canonical(f)
+    return f
 
 
 class Block:
     """Immutable finite block of rational symbols with an integer base index.
 
     ``_nonzero`` is the strictly increasing int64 array of the nonzero
-    positions and ``_values`` the tuple of their symbols (module docstring).
+    positions, ``_table`` the tuple of their distinct symbols and ``_ids``
+    the index in it of each one's symbol (module docstring).
     """
 
-    __slots__ = ("base", "length", "_nonzero", "_values", "_distinct", "_numerators")
+    __slots__ = ("base", "length", "_nonzero", "_table", "_ids", "_numerators")
 
     def __init__(self, symbols: Iterable, base: int = 1):
-        base = int(base)
+        base = index(base)
         nonzero, values = [], []
         length = 0
         for length, v in enumerate(symbols, 1):
@@ -151,39 +136,35 @@ class Block:
                 values.append(v)
         if not length:
             raise ValueError("a block holds at least one symbol")
-        self._assign(base, length, array("q"), tuple(values))
+        self._assign(base, length, array("q"), *_numbered(values))
         self._nonzero.extend(nonzero)  # once _assign has admitted the range
 
     @classmethod
-    def _trusted(
-        cls, base: int, length: int, nonzero: array, values: tuple, distinct=None
-    ):
+    def _trusted(cls, base: int, length: int, nonzero: array, table: tuple, ids: array):
         # Fast path for internal constructors that already guarantee the
         # invariant: nonzero an int64 array strictly increasing inside
-        # base..base+length-1, values the nonzero Fractions at those
-        # positions, and ``distinct`` (if given) the table
-        # ``_by_object(values)`` would build.  A producer that could overflow
-        # int64 passes an empty array and fills it after this returns.
+        # base..base+length-1, and (table, ids) the canonical numbering of
+        # the nonzero Fractions at those positions.  A producer that could
+        # overflow int64 passes an empty array and fills it after this returns.
         blk = object.__new__(cls)
-        blk._assign(base, length, nonzero, values, distinct)
+        blk._assign(base, length, nonzero, table, ids)
         return blk
 
-    def _assign(
-        self, base: int, length: int, nonzero: array, values: tuple, distinct=None
-    ) -> None:
+    def _assign(self, base: int, length: int, nonzero: array, table: tuple, ids: array) -> None:
         _check_range(base, length)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_nonzero", nonzero)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_distinct", distinct)  # _distinct_values cache
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_numerators", None)  # common_numerators cache
 
     def __setattr__(self, name, value):
         raise AttributeError("blocks are immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through the checks
-        return _checked_block, (self.base, self.length, self._nonzero, self._values)
+        values = tuple(map(self._table.__getitem__, self._ids))
+        return _checked_block, (self.base, self.length, self._nonzero, values)
 
     # -- geometry ----------------------------------------------------------
 
@@ -213,7 +194,7 @@ class Block:
         """
         k = bisect_left(self._nonzero, i)
         if k < len(self._nonzero) and self._nonzero[k] == i:
-            return self._values[k]
+            return self._table[self._ids[k]]
         return ZERO
 
     @property
@@ -224,7 +205,7 @@ class Block:
 
     def nonzero_items(self) -> Iterator[tuple]:
         """(position, symbol) for every nonzero symbol, in increasing position."""
-        return zip(self._nonzero, self._values)
+        return zip(self._nonzero, map(self._table.__getitem__, self._ids))
 
     def nonzero_in(self, lo: int, hi: int) -> memoryview:
         """Nonzero positions p with lo <= p <= hi (sorted), a read-only view."""
@@ -251,11 +232,14 @@ class Block:
             self.base == other.base
             and self.length == other.length
             and self._nonzero == other._nonzero
-            and self._values == other._values
+            and self._table == other._table
+            and self._ids == other._ids
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.length, self._nonzero.tobytes(), self._values))
+        return hash((
+            self.base, self.length, self._nonzero.tobytes(), self._table, self._ids.tobytes()
+        ))
 
     def __repr__(self) -> str:
         shown = ",".join(
@@ -271,7 +255,7 @@ def _checked_block(base, length, nonzero, values) -> Block:
     """The block that ``Block.__reduce__`` describes, refused with a
     ``ValueError`` unless it is one: int ``base`` and ``length >= 1``, int
     ``nonzero`` positions strictly increasing inside the range, and as many
-    ``values``, each a nonzero ``Fraction`` in [0, 1], made canonical."""
+    ``values``, each a nonzero ``Fraction`` in [0, 1], numbered as read."""
     if type(base) is not int or type(length) is not int or length < 1:
         raise ValueError(f"block base {base!r} and length {length!r} must be ints, length >= 1")
     nonzero, values = tuple(nonzero), tuple(values)
@@ -285,22 +269,15 @@ def _checked_block(base, length, nonzero, values) -> Block:
         )
     if not all(isinstance(v, Fraction) and v for v in values):
         raise ValueError("a value at a nonzero position is 0 or not a Fraction")
-    block = Block._trusted(base, length, array("q"), tuple(map(as_symbol, values)))
+    block = Block._trusted(base, length, array("q"), *_numbered(map(as_symbol, values)))
     block._nonzero.extend(nonzero)  # once _assign has admitted the range
     return block
-
-
-def _distinct_values(block: Block) -> dict:
-    """The block's id -> object table of its distinct values (module docstring)."""
-    if block._distinct is None:
-        object.__setattr__(block, "_distinct", _by_object(block._values))
-    return block._distinct
 
 
 def zeros(length: int) -> Block:
     if length < 1:
         raise ValueError("a block holds at least one symbol")
-    return Block._trusted(1, length, array("q"), (), {})
+    return Block._trusted(1, length, array("q"), (), array("I"))
 
 
 def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
@@ -310,11 +287,14 @@ def concat_all(blocks: Sequence[Block], base: "int | None" = None) -> Block:
     if base is None:
         base = blocks[0].base
     starts = list(accumulate((blk.length for blk in blocks), initial=base))
-    values = tuple(chain.from_iterable(blk._values for blk in blocks))
-    distinct = {}
+    # Each input's table entries land in the merged table in its order, after
+    # the entries its predecessors used, so first appearance orders it.
+    number, ids = {}, array("I")
     for blk in blocks:
-        distinct.update(_distinct_values(blk))
-    out = Block._trusted(base, starts[-1] - base, array("q"), values, distinct)
+        remap = [number.setdefault(v, len(number)) for v in blk._table]
+        kept = remap == list(range(len(remap)))  # its ids stand as they are
+        ids.extend(blk._ids if kept else map(remap.__getitem__, blk._ids))
+    out = Block._trusted(base, starts[-1] - base, array("q"), tuple(number), ids)
     # Filled once _assign has admitted the range, so no shifted position
     # overflows: an input in place is one buffer copy, any other one pass.
     for start, blk in zip(starts, blocks):
@@ -329,12 +309,9 @@ def scale(t, b: Block) -> Block:
     if t == 1:
         return b
     if not t:
-        return Block._trusted(b.base, b.length, array("q"), (), {})
-    products = {k: _canonical(t * v) for k, v in _distinct_values(b).items()}
-    values = tuple(_per_object(products, b._values))
-    return Block._trusted(
-        b.base, b.length, b._nonzero, values, _by_object(products.values())
-    )
+        return Block._trusted(b.base, b.length, array("q"), (), array("I"))
+    # t > 0 keeps distinct values distinct, so the ids stand as they are.
+    return Block._trusted(b.base, b.length, b._nonzero, tuple(t * v for v in b._table), b._ids)
 
 
 def window(b: Block, i: int, j: int) -> Block:
@@ -349,7 +326,12 @@ def window(b: Block, i: int, j: int) -> Block:
         raise IndexError(f"empty window: start {i} exceeds end {j}")
     a = bisect_left(b._nonzero, i)
     c = bisect_right(b._nonzero, j)
-    return Block._trusted(i, j - i + 1, b._nonzero[a:c], b._values[a:c])
+    ids = b._ids[a:c]
+    used = list(dict.fromkeys(ids))  # the slice's ids, by first appearance
+    if used != list(range(len(used))):
+        ids = array("I", map(dict(zip(used, range(len(used)))).__getitem__, ids))
+    table = tuple(map(b._table.__getitem__, used))
+    return Block._trusted(i, j - i + 1, b._nonzero[a:c], table, ids)
 
 
 class CopyLayout(Record):
@@ -481,7 +463,7 @@ def shift_violations(
     if bound < 0 or (at_bound and not bound):
         raise ValueError(f"bound {bound} would flag positions where both sides are 0")
     den, nums = common_numerators(block)
-    nz, vals = block._nonzero, block._values
+    nz, table, ids = block._nonzero, block._table, block._ids
     limit = bound.numerator * den
     if at_bound:
         limit -= 1  # on integers, x >= y is x > y - 1
@@ -517,7 +499,7 @@ def shift_violations(
         x = nums[pa] if pa < n and nz[pa] == q else 0
         y = nums[pb] if pb < n and nz[pb] == q + shift else 0
         if abs(y - x) > limit:
-            yield q, vals[pa] if x else ZERO, vals[pb] if y else ZERO
+            yield q, table[ids[pa]] if x else ZERO, table[ids[pb]] if y else ZERO
 
 
 def common_numerators(block: Block) -> tuple:
@@ -530,10 +512,9 @@ def common_numerators(block: Block) -> tuple:
     ``nums``.
     """
     if block._numerators is None:
-        objects = _distinct_values(block)
-        d = math.lcm(*{v.denominator for v in objects.values()})
-        num = {k: v.numerator * (d // v.denominator) for k, v in objects.items()}
-        nums = list(_per_object(num, block._values))
+        d = math.lcm(*{v.denominator for v in block._table})
+        num = [v.numerator * (d // v.denominator) for v in block._table]
+        nums = list(map(num.__getitem__, block._ids))
         object.__setattr__(block, "_numerators", (d, nums))
     return block._numerators
 
@@ -577,17 +558,23 @@ def parse_symbol(text: str) -> Fraction:
     f = Fraction(p, q)
     if f.numerator != p or f.denominator != q:
         raise TdseqFormatError(f"bad symbol {text!r}: not in lowest terms")
-    return _canonical(f)
+    return f
 
 
 class _PieceTable(dict):
-    """Body piece, a run of markers then one nonzero line -> (symbol, lines spanned).
+    """Body piece, a run of markers then one nonzero line -> (id, lines spanned).
 
-    Each distinct line parses once, as the piece of no markers.  A piece
-    whose marker run is longer than _PIECE_BOUND is computed but not kept,
-    so the table holds at most _PIECE_BOUND + 1 pieces per distinct line,
-    however long or varied the zero runs.
+    Each distinct line parses once, as the piece of no markers, and its
+    symbol takes the next id in ``symbols``: read in body order, the ids
+    number the values by first appearance.  A piece whose marker run is
+    longer than _PIECE_BOUND is computed but not kept, so the table holds at
+    most _PIECE_BOUND + 1 pieces per distinct line, however long or varied
+    the zero runs.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.symbols = []
 
     def __missing__(self, piece: str) -> tuple:
         line = piece.lstrip(_MARK)
@@ -599,7 +586,8 @@ class _PieceTable(dict):
             # the input line it ends is head + "0/1": never a valid symbol,
             # and what the error quotes.
             head, mark, _ = line.partition(_MARK)
-            entry = (parse_symbol(head + "0/1" if mark else line), 1)
+            self.symbols.append(parse_symbol(head + "0/1" if mark else line))
+            entry = (len(self.symbols) - 1, 1)
         if markers <= _PIECE_BOUND:
             self[piece] = entry
         return entry
@@ -612,11 +600,11 @@ def write_tdseq(block: "Block | CopyLayout", stream: io.TextIOBase) -> None:
     # once per ratio, a repeated ratio repeats the text, and one copy's text
     # is held at a time.
     row = CopyLayout.of(block)
-    copy0, distinct = row.copy0, _distinct_values(row.copy0)
+    copy0 = row.copy0
     nz = copy0._nonzero
     gaps = map(sub, nz, chain((copy0.base - 1,), nz))
     pieces = {}  # (gap, id of the value) -> its index
-    order = [pieces.setdefault(p, len(pieces)) for p in zip(gaps, map(id, copy0._values))]
+    order = [pieces.setdefault(p, len(pieces)) for p in zip(gaps, copy0._ids)]
     order.append(len(pieces))  # the tail
     tail = "0/1\n" * copy0.trailing_zero_run()
     stream.write(f"TDSEQ 1\nbase {row.base}\nlength {len(row)}\n")
@@ -625,7 +613,7 @@ def write_tdseq(block: "Block | CopyLayout", stream: io.TextIOBase) -> None:
         if c != ratio:
             ratio, text = c, None  # release the previous copy's text first
             if c:
-                lines = {k: format_symbol(c * v) + "\n" for k, v in distinct.items()}
+                lines = [format_symbol(c * v) + "\n" for v in copy0._table]
                 texts = ["0/1\n" * (gap - 1) + lines[k] for gap, k in pieces]
                 texts.append(tail)
                 text = "".join([texts[i] for i in order])
@@ -661,7 +649,7 @@ def read_tdseq(stream: io.TextIOBase) -> Block:
     base = _header_int(stream, _BASE_RE, "base")
     length = _header_int(stream, _LENGTH_RE, "length")
     _check_range(base, length, TdseqFormatError)
-    nonzero, values = array("q"), []
+    nonzero, ids = array("q"), array("I")
     table = _PieceTable()
     position = base  # of the next body line
     partial = []  # text read since the last newline
@@ -683,7 +671,7 @@ def read_tdseq(stream: io.TextIOBase) -> Block:
         partial = [chunk[cut:]]
         *pieces, trailing = text.replace("0/1\n", _MARK).split("\n")
         entries = list(map(table.__getitem__, pieces))
-        values.extend(map(itemgetter(0), entries))
+        ids.extend(map(itemgetter(0), entries))
         spans = accumulate(map(itemgetter(1), entries), initial=position - 1)
         try:
             nonzero.extend(islice(spans, 1, None))
@@ -701,8 +689,7 @@ def read_tdseq(stream: io.TextIOBase) -> Block:
         raise TdseqFormatError("truncated TDSEQ stream")
     if position - base != length:
         raise TdseqFormatError(f"expected {length} symbols, found {position - base}")
-    distinct = _by_object([v for v, _ in table.values()])  # each is in the block
-    return Block._trusted(base, length, nonzero, tuple(values), distinct)
+    return Block._trusted(base, length, nonzero, tuple(table.symbols), ids)
 
 
 def dump_tdseq(block: "Block | CopyLayout", path) -> None:

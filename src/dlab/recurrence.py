@@ -239,7 +239,7 @@ def _witness_runs(escaping: Block, time: int, w: int, centers: tuple, returns=((
     spans are merged once and moved back by each r's shift; an r with
     return positions merges them with the moved nonzeros instead.
     """
-    nz = escaping.nonzero_positions
+    nz = escaping.nonzero_positions.tolist()  # read once: each view read boxes an int
     starts, ends = _spans(nz, w)
     spans = []
     for r, blocked in zip((1, 2, 3), returns):

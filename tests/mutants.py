@@ -29,10 +29,11 @@ C2PRIME's FAIL line prints, the oracle (its shared limit-set walk, its
 partition-mask fold, its diagonal test, the pair-cycle walk of
 ``all_pairs_recurrent`` and the Lemma 7(c) gate before it, the map a LEMMA7
 FAIL line names, the orbit walk of ``lemma6_relation`` and the sweep, and
-the report equality and value formatting it pays for on every map) and
+the report equality and value formatting it pays for on every map),
 ``dlab.cli`` (the step of ``main`` that formats the reports, the FAIL scan
-of its batched report writer, and the imports it leaves to its handlers).  The copy audit, whose mutants earlier changes ran
-by hand (CHANGES.md), waits for a later change to be listed here.
+of its batched report writer, and the imports it leaves to its handlers),
+the value numbering that ``blocks.window``, ``concat_all`` and ``scale``
+keep, and the copy audit of ``thm1.Thm1State.copy_ratios``.
 """
 
 import os
@@ -59,6 +60,12 @@ RIGIDITY = "tests/test_thm2.py::test_rigidity_against_naive_on_random_states"
 SMALL_SHIFTS = "tests/test_small_scope.py::test_shift_violations_on_every_small_block[1]"
 SMALL_PIECES = "tests/test_small_scope.py::test_layout_pieces_and_nonzeros_on_every_small_row"
 SMALL_COVERS = "tests/test_small_scope.py::test_layout_covers_on_every_small_row"
+SMALL_NUMBERING = "tests/test_small_scope.py::test_every_producer_numbers_its_values_canonically"
+FRESH_NUMBERING = (
+    "tests/test_blocks.py::test_every_producer_caches_the_table_a_fresh_derivation_gives"
+)
+AUDIT = "tests/test_thm1.py::test_copy_audit_on_planted_layouts[{}]"
+BUILT_AUDITS = "tests/test_thm1.py::test_built_stages_scan_no_old_scale_over_the_whole_prefix"
 C3_GAPS = "tests/test_thm1.py::test_c3_gate_bounds_and_gap_resumption[{}]"
 ONE_REFUSED = C3_GAPS.format("one-refused-then-gated")
 IN_REACH = C3_GAPS.format("next-nonzero-past-limit-in-reach")
@@ -287,7 +294,7 @@ MUTANTS = [
         "file": "dlab/blocks.py",
         "text": "if parts[-1][0] == 0 and self.ratios[0] == 1:",
         "replacement": "if parts[-1][0] == 0:",
-        "kills": [LAYOUT_READS, PIECES],
+        "kills": [LAYOUT_READS, PIECES, SMALL_COVERS],
     },
     {
         "name": "pair-cover-meet",  # ranges that just meet take the gap branch
@@ -295,6 +302,56 @@ MUTANTS = [
         "text": "if a + shift <= b + 1:",
         "replacement": "if a + shift <= b:",
         "kills": [PIECES, SMALL_COVERS],
+    },
+    {
+        "name": "window-unnumbered",  # a window keeps its parent's table
+        "file": "dlab/blocks.py",
+        "text": "b._nonzero[a:c], table, ids)",
+        "replacement": "b._nonzero[a:c], b._table, b._ids[a:c])",
+        "kills": [SMALL_NUMBERING, FRESH_NUMBERING],
+    },
+    {
+        "name": "concat-copies-remapped",  # an input whose first value keeps id 0 is copied
+        "file": "dlab/blocks.py",
+        "text": "kept = remap == list(range(len(remap)))",
+        "replacement": "kept = remap[:1] == [0]",
+        "kills": [SMALL_NUMBERING, FRESH_NUMBERING],
+    },
+    {
+        "name": "scale-reordered",  # the scaled table is stored last value first
+        "file": "dlab/blocks.py",
+        "text": "tuple(t * v for v in b._table)",
+        "replacement": "tuple(t * v for v in reversed(b._table))",
+        "kills": [SMALL_NUMBERING, FRESH_NUMBERING],
+    },
+    {
+        "name": "audit-ratio-1-refused",  # a copy at ratio 1 is refused
+        "file": "dlab/thm1.py",
+        "text": "if top > bottom:",
+        "replacement": "if top >= bottom:",
+        "kills": [AUDIT.format("copy-at-ratio-1"), BUILT_AUDITS],
+    },
+    {
+        "name": "audit-count-dropped",  # a copy's nonzero count is not compared
+        "file": "dlab/thm1.py",
+        "text": "                if b - a != len(pos0):\n                    return None\n",
+        "replacement": "",
+        "kills": [AUDIT.format("nonzero-copy-of-an-empty-copy-0")],
+    },
+    {
+        "name": "audit-shift-plus-one",  # copy j is compared one past j * L
+        "file": "dlab/thm1.py",
+        "text": "map(sub, nz[a:b], pos0), repeat(shift)",
+        "replacement": "map(sub, nz[a:b], pos0), repeat(shift + 1)",
+        "kills": [AUDIT.format("copy-at-ratio-1"), AUDIT.format("copy-moved-by-one"),
+                  BUILT_AUDITS],
+    },
+    {
+        "name": "audit-multiple-dropped",  # a length that L does not divide is audited
+        "file": "dlab/thm1.py",
+        "text": "            if total % size:\n                return None\n",
+        "replacement": "",
+        "kills": [AUDIT.format("length-not-a-multiple")],
     },
     {
         "name": "range-top",  # a block through 2**63 is admitted, then overflows

@@ -60,6 +60,18 @@ def naive_scale(t, symbols):
     return tuple(t * v for v in symbols)
 
 
+def naive_numbering(symbols):
+    """(table, ids): the distinct nonzero symbols in order of first
+    appearance, and the index in that table of each nonzero symbol."""
+    table, ids = [], []
+    for v in symbols:
+        if v:
+            if v not in table:
+                table.append(v)
+            ids.append(table.index(v))
+    return tuple(table), ids
+
+
 def naive_common_numerators(symbols):
     """(lcm of the nonzero denominators, each nonzero's numerator over it)."""
     nonzero = [v for v in symbols if v]

@@ -28,6 +28,7 @@ from dlab.blocks import (
 from naive_refs import (
     dense,
     naive_common_numerators,
+    naive_numbering,
     naive_read_tdseq,
     naive_scale,
     naive_shift_violations,
@@ -86,6 +87,13 @@ def test_empty_block_rejected():
         zeros(0)
 
 
+@pytest.mark.parametrize("base", [1.7, "3"], ids=["float", "str"])
+def test_block_base_must_be_an_integer(base):
+    # As zeros, window and FiniteSystem refuse it: no silent int(1.7) == 1.
+    with pytest.raises(TypeError):
+        Block([1, 0], base=base)
+
+
 def test_block_copy_and_pickle_rebuild_an_equal_block():
     made = [
         Block([0, Fraction(1, 2), 1, 0], base=-2),
@@ -99,9 +107,9 @@ def test_block_copy_and_pickle_rebuild_an_equal_block():
                      pickle.loads(pickle.dumps(block))):
             assert type(twin) is Block and twin == block and hash(twin) == hash(block)
             assert twin.nonzero_positions == block.nonzero_positions
-            # Values come back as the canonical symbol objects.
-            for got, want in zip(twin._values, block._values):
-                assert got is blocks.as_symbol(want)
+            # The values come back in the same numbering.
+            assert (twin._table, twin._ids) == (block._table, block._ids)
+            assert twin._ids.typecode == "I"
 
 
 class _Payload:
@@ -620,45 +628,46 @@ def test_layout_export_holds_one_copy_text_at_a_time():
 
 
 def test_every_producer_caches_the_table_a_fresh_derivation_gives():
+    # Each producer stores the numbering that a fresh derivation from the
+    # symbols it reads as gives.
     rng = random.Random(2121)
     for _ in range(200):
         base, syms = _dense_case(rng)
-        b = _distinct_objects(rng, base, syms)
+        b = Block(_fresh_objects(syms), base=base)
         other_base, other = _dense_case(rng)
         i = rng.randint(b.base, b.last)
         j = rng.randint(i, b.last)
-        blocks._distinct_values(b)  # a window must not inherit this table
+        t = rng.choice((F(1, 3), F(5, 7), F(1, 2)))
         buf = io.StringIO()
         write_tdseq(b, buf)
         made = [
-            b,
-            Block(syms, base=base),
-            zeros(len(syms)),
-            scale(F(0), b),
-            scale(rng.choice((F(1, 3), F(5, 7), F(1, 2))), b),
-            concat_all([b, _distinct_objects(rng, other_base, other), scale(F(1, 2), b)]),
-            window(b, i, j),
-            read_tdseq(io.StringIO(buf.getvalue())),
+            (b, syms),
+            (zeros(len(syms)), (F(0),) * len(syms)),
+            (scale(F(0), b), (F(0),) * len(syms)),
+            (scale(t, b), naive_scale(t, syms)),
+            (concat_all([b, Block(other, base=other_base), scale(F(1, 2), b)]),
+             syms + other + naive_scale(F(1, 2), syms)),
+            (window(b, i, j), syms[i - base : j - base + 1]),
+            (read_tdseq(io.StringIO(buf.getvalue())), syms),
         ]
-        for blk in made:
-            table = blocks._distinct_values(blk)
-            assert table == blocks._by_object([v for _, v in blk.nonzero_items()])
-            assert all(id(v) == k for k, v in table.items())
-            assert common_numerators(blk) == naive_common_numerators(dense(blk))
+        for blk, want in made:
+            assert dense(blk) == want
+            assert (blk._table, list(blk._ids)) == naive_numbering(want)
+            assert common_numerators(blk) == naive_common_numerators(want)
 
 
 def test_thm1_path_never_walks_the_nonzeros_for_distinct_values(monkeypatch):
-    # The table comes from the producers; only stage 1's Block([1, 0, 0])
-    # derives one from its values.
+    # The tables come from the producers; only stage 1's Block([1, 0, 0])
+    # numbers its values one by one.
     sizes = []
-    real = blocks._by_object
+    real = blocks._numbered
 
     def recording(values):
         values = tuple(values)
         sizes.append(len(values))
         return real(values)
 
-    monkeypatch.setattr(blocks, "_by_object", recording)
+    monkeypatch.setattr(blocks, "_numbered", recording)
     prefix = thm1.build(7).prefix
     common_numerators(prefix)
     write_tdseq(prefix, io.StringIO())
@@ -805,64 +814,58 @@ def test_shift_violations_refuse_bounds_that_zeros_break():
     assert [i for i, _, _ in blocks.shift_violations(b, 1, F(0))] == [0, 1, 2, 3]
 
 
-# -- one canonical object per symbol value ---------------------------------------
+# -- one object per symbol value in each block ------------------------------------
 
 
-def _assert_canonical(*blocks_):
-    """Across the blocks, each value is held by one object: its canonical one."""
-    objects = {id(v): v for b in blocks_ for _, v in b.nonzero_items()}
-    assert len(objects) == len(set(objects.values()))
-    for v in objects.values():
-        # A fresh object of the same value must coerce to the one held.
-        assert blocks.as_symbol(F(v.numerator, v.denominator)) is v
+def _assert_one_object_per_value(block):
+    """The block holds each of its values in one object: its table entry."""
+    objects = {id(v): v for _, v in block.nonzero_items()}
+    assert len(objects) == len(set(objects.values())) == len(block._table)
 
 
 def test_built_and_read_blocks_hold_one_object_per_value(thm2_stage4, thm2_transitive4):
     prefix = thm1.build(6).prefix
-    _assert_canonical(prefix)
-    _assert_canonical(thm2_stage4.x, thm2_stage4.y)
-    _assert_canonical(thm2_transitive4.x, thm2_transitive4.y)
     buf = io.StringIO()
     write_tdseq(prefix, buf)
-    _assert_canonical(read_tdseq(io.StringIO(buf.getvalue())), prefix)
+    read = read_tdseq(io.StringIO(buf.getvalue()))
+    assert read == prefix
+    made = (prefix, read, thm2_stage4.x, thm2_stage4.y, thm2_transitive4.x, thm2_transitive4.y)
+    for block in made:
+        _assert_one_object_per_value(block)
 
 
-def _distinct_objects(rng, base, syms):
-    """The block of ``syms``, each nonzero held by a fresh object or the canonical one."""
-    nonzero = [(base + i, v) for i, v in enumerate(syms) if v]
-    values = tuple(
-        F(v.numerator, v.denominator) if rng.random() < 0.7 else blocks.as_symbol(v)
-        for _, v in nonzero
-    )
-    return Block._trusted(base, len(syms), array("q", (p for p, _ in nonzero)), values)
+def _fresh_objects(syms):
+    """``syms`` with each nonzero held by a fresh object."""
+    return tuple(F(v.numerator, v.denominator) if v else v for v in syms)
 
 
 def test_per_value_work_does_not_rely_on_canonical_objects():
     rng = random.Random(4242)
-    repeated = 0  # blocks where one value sits in two distinct objects
+    repeated = 0  # inputs where one value sits in two distinct objects
     for _ in range(300):
         base, syms = _dense_case(rng)
-        b = _distinct_objects(rng, base, syms)
-        values = [v for _, v in b.nonzero_items()]
+        fresh = _fresh_objects(syms)
+        values = [v for v in fresh if v]
         repeated += len({id(v) for v in values}) > len(set(values))
+        b = Block(fresh, base=base)
+        _assert_one_object_per_value(b)
 
         t = rng.choice((F(0), F(1), F(1, 3), F(5, 7)))
         scaled = scale(t, b)
         assert dense(scaled) == naive_scale(t, syms)
-        if t != 1:  # scale by 1 returns the block itself
-            _assert_canonical(scaled)
+        _assert_one_object_per_value(scaled)
         assert common_numerators(b) == naive_common_numerators(syms)
         buf = io.StringIO()
         write_tdseq(b, buf)
         assert buf.getvalue() == naive_tdseq_text(base, syms)
 
-        for twin in (Block(syms, base=base), _distinct_objects(rng, base, syms)):
+        for twin in (Block(syms, base=base), Block(_fresh_objects(syms), base=base)):
             assert twin == b and hash(twin) == hash(b)
         other_base, other = _dense_case(rng)
         same = (other_base, other) == (base, syms)
-        assert (_distinct_objects(rng, other_base, other) == b) == same
+        assert (Block(_fresh_objects(other), base=other_base) == b) == same
         if values:
-            k = rng.randrange(len(values))
-            changed = values[:k] + [values[k] / 2] + values[k + 1 :]
-            assert Block._trusted(base, len(b), b._nonzero, tuple(changed)) != b
+            k = rng.choice([k for k, v in enumerate(syms) if v])
+            changed = syms[:k] + (syms[k] / 2,) + syms[k + 1 :]
+            assert Block(changed, base=base) != b
     assert repeated >= 100

@@ -7,14 +7,27 @@ dense reading of the same data.  Boundary bugs in such code tend to show
 on the smallest inputs (Jackson, *Software Abstractions*, 2006).
 """
 
+import copy
+import io
+import pickle
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from dlab.blocks import Block, CopyLayout, concat_all, scale, shift_violations
+from dlab.blocks import (
+    Block,
+    CopyLayout,
+    concat_all,
+    read_tdseq,
+    scale,
+    shift_violations,
+    window,
+    write_tdseq,
+    zeros,
+)
 
-from naive_refs import naive_shift_violations
+from naive_refs import dense, naive_numbering, naive_shift_violations
 
 F = Fraction
 SYMBOLS = (F(0), F(1, 2), F(1))
@@ -31,12 +44,15 @@ def every_block(lengths):
 
 def every_row():
     """(layout, built row) for every copy 0 of length 2 or 3 over ``SYMBOLS``
-    with c_0 = 1 and up to two more ratios from ``SYMBOLS``."""
-    more = [()] + [(c,) for c in SYMBOLS] + list(product(SYMBOLS, repeat=2))
+    with c_0 = 1 and up to two more ratios from ``SYMBOLS``, or c_0 = 0 or
+    1/2 and up to one more."""
+    one = [()] + [(c,) for c in SYMBOLS]
+    more = {F(1): one + list(product(SYMBOLS, repeat=2)), F(0): one, F(1, 2): one}
     for copy0 in every_block((2, 3)):
-        for extra in more:
-            ratios = (F(1), *extra)
-            yield CopyLayout(copy0, ratios), concat_all([scale(c, copy0) for c in ratios])
+        for c0, extras in more.items():
+            for extra in extras:
+                ratios = (c0, *extra)
+                yield CopyLayout(copy0, ratios), concat_all([scale(c, copy0) for c in ratios])
 
 
 def copies_of(row, lo, hi):
@@ -117,3 +133,54 @@ def test_layout_covers_on_every_small_row():
                     assert part.base <= a and b + shift <= part.last, (row, a, b, shift)
                     for q in range(a, b + 1):
                         assert (part[q], part[q + shift]) == (built[q], built[q + shift])
+
+
+def _made_by_every_producer():
+    """(block, the symbols it reads as) from each producer on every small input."""
+    for length in range(1, 5):
+        for syms in product(SYMBOLS, repeat=length):
+            b = Block(syms, base=0)
+            buf = io.StringIO()
+            write_tdseq(b, buf)
+            yield from (
+                (b, syms), (copy.copy(b), syms), (pickle.loads(pickle.dumps(b)), syms),
+                (read_tdseq(io.StringIO(buf.getvalue())), syms), (zeros(length), (F(0),) * length),
+            )
+            yield from ((scale(t, b), tuple(t * v for v in syms)) for t in SYMBOLS)
+            for i in range(length):
+                yield from ((window(b, i, j), syms[i : j + 1]) for j in range(i, length))
+    short = [syms for length in (1, 2, 3) for syms in product(SYMBOLS, repeat=length)]
+    for first, second in product(short, repeat=2):
+        yield concat_all([Block(first, base=0), Block(second, base=5)]), first + second
+    for row, built in every_row():
+        read = lambda part: tuple(built[q] for q in range(part.base, part.last + 1))
+        for i in range(row.base, row.last + 1):
+            two = row.base + ((i - row.base) // row.pitch + 2) * row.pitch - 1
+            for j in range(i, min(row.last, two) + 1):
+                part = row.cover(i, j)
+                yield part, read(part)
+                # A pair cover is a cover unless its two reads are apart and
+                # lie in no one cover: then it joins them with zeros.
+                for shift in range(max(j - i + 2, part.last - j + 1), row.last - j + 1):
+                    try:
+                        gapped = row.pair_cover(i, j, shift)
+                    except ValueError:  # the second read meets three copies
+                        continue
+                    yield gapped, dense(gapped)
+
+
+def test_every_producer_numbers_its_values_canonically():
+    # Each block holds its distinct values once, each used, numbered by first
+    # appearance; so == and hash agree with equality of the dense symbols.
+    wanted, groups = {}, {}
+    for block, syms in _made_by_every_producer():
+        assert dense(block) == syms, (block, syms)
+        if syms not in wanted:
+            wanted[syms] = (*naive_numbering(syms), "I")
+        numbering = (block._table, list(block._ids), block._ids.typecode)
+        assert numbering == wanted[syms], (block, numbering)
+        groups.setdefault((block.base, syms), set()).add(block)
+    # Blocks of one dense reading collapse to one set member, and blocks of
+    # different readings stay apart.
+    assert all(len(group) == 1 for group in groups.values())
+    assert len(set().union(*groups.values())) == len(groups)

@@ -671,6 +671,20 @@ def test_refused_audit_prints_the_flat_lines(plant, c3_line, c2prime_line):
     assert thm1.check_c2prime(state, 4).line() == c2prime_line
 
 
+@pytest.mark.parametrize("lengths, syms, ratios", [
+    pytest.param((2, 4), (1, 0, 1, 0), ((1, 1),), id="copy-at-ratio-1"),
+    pytest.param((2, 4), (1, 0, F(1, 2), 0), ((1, F(1, 2)),), id="copy-at-ratio-1/2"),
+    pytest.param((2, 4), (F(1, 2), 0, 1, 0), None, id="copy-above-ratio-1"),
+    pytest.param((2, 4), (1, 0, 0, 1), None, id="copy-moved-by-one"),
+    pytest.param((2, 4), (0, 0, 0, 1), None, id="nonzero-copy-of-an-empty-copy-0"),
+    pytest.param((3, 6), (1, 0, 0, 1, 0, F(1, 2)), None, id="copy-with-one-more-nonzero"),
+    pytest.param((2, 5), (1, 0, 1, 0, 0), None, id="length-not-a-multiple"),
+])
+def test_copy_audit_on_planted_layouts(lengths, syms, ratios):
+    # Each refusal of the audit, and a ratio at its largest admitted value.
+    assert thm1.Thm1State(lengths, Block(syms, base=1)).copy_ratios == ratios
+
+
 def test_built_stages_scan_no_old_scale_over_the_whole_prefix(monkeypatch, thm1_stage8):
     calls = _record_scans(monkeypatch)
     for state in [thm1.build(m) for m in range(3, 8)] + [thm1_stage8]:
@@ -802,7 +816,7 @@ def _below_and_ratios(state):
 
 
 S5 = thm1.build(5)
-R5 = S5.copy_ratios[-1]  # 1, 1, 4/5, 3/5, 2/5, 1/5, 0
+R5 = thm1._ratios(4)  # 1, 1, 4/5, 3/5, 2/5, 1/5, 0; not read off the audit it tests
 B4 = thm1.build(4).prefix
 
 
@@ -895,7 +909,7 @@ def test_layout_reads_as_its_built_row():
         assert (row.base, row.last, len(row), row.pitch) == (1, built.last, len(built), len(copy0))
         assert row.trailing_zero_run() == built.trailing_zero_run()
         for i in range(1, built.last + 1):
-            assert row.cover(i, i)[i] is built[i]
+            assert row.cover(i, i)[i] == built[i]
             for j in range(i, min(i + 2 * row.pitch, built.last + 1)):
                 assert row.nonzero_in(i, j) == list(built.nonzero_in(i, j))
                 if (j - 1) // row.pitch - (i - 1) // row.pitch <= 1:
@@ -939,12 +953,24 @@ def test_layout_pieces_and_pair_covers_read_as_the_built_row():
     assert met > 100, met
 
 
+def test_flat_build_of_stage_9_peaks_under_32_mb():
+    # 1,814,400 nonzeros at 8 bytes of position and 4 of value id each are
+    # 21.8 MB; one scaled copy costs a table, not a pass over the nonzeros.
+    tracemalloc.start()
+    try:
+        thm1.build(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 10**6, peak
+
+
 def test_layout_verify_peaks_well_below_the_flat_build():
     # build(9) peaks at least at what it returns: an int64 array of its
-    # positions and a tuple of one pointer per nonzero (its Fractions are
-    # shared).
+    # positions and an array of one 4-byte value id per nonzero (its table
+    # holds 758 values).
     prefix = thm1.build(9).prefix
-    built = sys.getsizeof(prefix._nonzero) + sys.getsizeof(prefix._values)
+    built = sys.getsizeof(prefix._nonzero) + sys.getsizeof(prefix._ids)
     del prefix
     tracemalloc.start()
     try:
